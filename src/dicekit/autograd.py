@@ -259,22 +259,12 @@ def pointwise(x, w, groups: int = 1, stride: int = 1) -> Var:
     return _make(out, (x, w), bw)
 
 
-def spatial_conv(x, w, groups: int = 1, stride: int = 1) -> Var:
-    """Dense or grouped n x n convolution; weights (C_out, C_in // groups, n, n)."""
+def spatial_conv(x, w, stride: int = 1) -> Var:
+    """Dense n x n convolution; weights (C_out, C_in, n, n)."""
     x, w = as_var(x), as_var(w)
-    cout, cig, n, _ = w.data.shape
-    nb, c, h, wd = x.data.shape
-    if c != cig * groups or cout % groups:
-        raise KernelError(f"spatial conv weights {w.data.shape} incompatible with "
-                          f"{c} channels in {groups} groups")
-    cog = cout // groups
-    if groups == 1:
-        out = T.conv2d(x.data, w.data, stride)
-    else:
-        parts = [T.conv2d(x.data[:, g * cig:(g + 1) * cig],
-                          w.data[g * cog:(g + 1) * cog], stride)
-                 for g in range(groups)]
-        out = np.concatenate(parts, axis=1)
+    n = w.data.shape[2]
+    h, wd = x.data.shape[2:]
+    out = T.conv2d(x.data, w.data, stride)
     p = (n - 1) // 2
     ho, wo = ceil_div(h, stride), ceil_div(wd, stride)
 
@@ -283,16 +273,12 @@ def spatial_conv(x, w, groups: int = 1, stride: int = 1) -> Var:
         dxp = np.zeros_like(xp)
         dw = np.zeros_like(w.data, dtype=np.float64)
         w64 = w.data.astype(np.float64)
-        for g in range(groups):
-            dyg = dy[:, g * cog:(g + 1) * cog]
-            csl = np.s_[g * cig:(g + 1) * cig]
-            for i in range(n):
-                for j in range(n):
-                    sl = np.s_[:, csl, i:i + stride * (ho - 1) + 1:stride,
-                               j:j + stride * (wo - 1) + 1:stride]
-                    dxp[sl] += np.einsum("nohw,oc->nchw", dyg, w64[g * cog:(g + 1) * cog, :, i, j])
-                    dw[g * cog:(g + 1) * cog, :, i, j] = \
-                        np.einsum("nohw,nchw->oc", dyg, xp[sl])
+        for i in range(n):
+            for j in range(n):
+                sl = np.s_[:, :, i:i + stride * (ho - 1) + 1:stride,
+                           j:j + stride * (wo - 1) + 1:stride]
+                dxp[sl] += np.einsum("nohw,oc->nchw", dy, w64[:, :, i, j])
+                dw[:, :, i, j] = np.einsum("nohw,nchw->oc", dy, xp[sl])
         _accum(x, dxp[:, :, p:p + h, p:p + wd])
         _accum(w, dw)
 

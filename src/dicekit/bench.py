@@ -79,7 +79,7 @@ def _make_inputs(op: str, shape, n: int, seed: int, dtype=np.float64):
     c, h, w = shape
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((1, c, h, w)).astype(dtype)
-    if op in ("dimconv", "dimfuse"):
+    if op == "dimconv":
         params = DimConvParams.init(c, h, w, n, rng, dtype)
         return x, params
     if op == "separable":
@@ -94,8 +94,6 @@ def run_bench(op: str, impl: str, shape=DEFAULT_SHAPE, n: int = DEFAULT_N,
     """Time one (op, impl) pair on deterministic inputs."""
     if repeats < 1 or warmup < 0:
         raise BenchError("need repeats >= 1 and warmup >= 0")
-    if op == "dimfuse":
-        op = "dimconv"          # fusion timing is the dimconv fused/unfused pair
     x, params = _make_inputs(op, shape, n, seed)
     if op == "dimconv":
         if impl == "fused":

@@ -53,7 +53,7 @@ def cmd_bench(args) -> int:
     shape = tuple(int(s) for s in args.shape.split(","))
     if len(shape) != 3:
         raise BenchError(f"--shape must be C,H,W, got {args.shape!r}")
-    if args.op in ("dimconv", "dimfuse") and args.impl == "both":
+    if args.op == "dimconv" and args.impl == "both":
         results = list(compare_fused_unfused(shape, args.n, args.repeats,
                                              args.warmup, args.seed))
     else:
@@ -97,11 +97,7 @@ def cmd_train(args) -> int:
     history = train_loop(net, images, labels, tcfg)
     _write_out(metrics_csv(history), args.out)
     if args.checkpoint:
-        named = [(name, p.data) for name, p in net.parameters()]
-        for idx, state in enumerate(net.bn_states()):
-            named.append((f"bn{idx}.running_mean", state.running_mean))
-            named.append((f"bn{idx}.running_var", state.running_var))
-        save_checkpoint(args.checkpoint, named)
+        save_checkpoint(args.checkpoint, net.named_state())
     return EXIT_OK
 
 
@@ -113,14 +109,7 @@ def cmd_infer(args) -> int:
     cfg = _load_config(args.config)
     net = build_network(cfg, seed=args.seed)
     if args.checkpoint:
-        stored = load_checkpoint(args.checkpoint)
-        for name, p in net.parameters():
-            if name in stored:
-                p.data[...] = stored[name]
-        for idx, state in enumerate(net.bn_states()):
-            if f"bn{idx}.running_mean" in stored:
-                state.running_mean[...] = stored[f"bn{idx}.running_mean"]
-                state.running_var[...] = stored[f"bn{idx}.running_var"]
+        net.load_state(load_checkpoint(args.checkpoint))
     x = load_tensor(args.input)
     if x.ndim == 3:
         x = x[None]
@@ -151,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("bench", help="time kernel variants")
-    p.add_argument("--op", choices=("dimconv", "dimfuse", "separable"),
+    p.add_argument("--op", choices=("dimconv", "separable"),
                    default="dimconv")
     p.add_argument("--shape", default="64,56,56")
     p.add_argument("--n", type=int, default=3)

@@ -1,26 +1,11 @@
-"""The fused convolutional unit (dimension-wise conv + fusion) with dynamic
-input rescaling, plus the three block styles it slots into."""
+"""Support for the DiCE unit in `netbuilder`: the counter of dynamic input
+rescales and the channel shuffle that ends each split/shuffle block."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .dimops import DimConvParams, DimFuseParams, dimconv_fused, dimfuse
-from .tensorops import (
-    BatchNormParams,
-    ConvKernelBank,
-    KernelError,
-    batch_norm,
-    bilinear_resize,
-    check_tensor,
-    depthwise_conv,
-    pointwise_conv,
-    pool,
-    prelu,
-)
+from .tensorops import KernelError, check_tensor
 
 # Instrumentation: number of bilinear rescales performed by unit forwards.
 # At nominal input size this must stay at zero.
@@ -37,96 +22,9 @@ def resize_count() -> int:
 
 
 def note_resize() -> None:
-    """Record one dynamic rescale (shared by every unit implementation)."""
+    """Record one dynamic rescale of a unit's input or output."""
     global _resize_calls
     _resize_calls += 1
-
-
-def _counted_resize(x, th, tw):
-    note_resize()
-    return bilinear_resize(x, th, tw)
-
-
-@dataclass(frozen=True)
-class DiceUnitConfig:
-    in_channels: int
-    out_channels: int
-    nominal_h: int
-    nominal_w: int
-    n: int = 3
-    strided: bool = False
-    use_norm: bool = True
-    use_act: bool = True
-
-    def __post_init__(self):
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise KernelError("channel counts must be >= 1")
-        if self.nominal_h < 1 or self.nominal_w < 1:
-            raise KernelError("nominal sizes must be >= 1")
-
-
-@dataclass
-class DiceUnitParams:
-    dimconv: DimConvParams
-    dimfuse: DimFuseParams
-    bn1: BatchNormParams          # over the 3C interleaved channels
-    slope1: np.ndarray
-    bn2: BatchNormParams          # over the fused output channels
-    slope2: np.ndarray
-
-    @staticmethod
-    def init(cfg: DiceUnitConfig, rng: np.random.Generator, dtype=np.float64) -> "DiceUnitParams":
-        c = cfg.in_channels
-        return DiceUnitParams(
-            dimconv=DimConvParams.init(c, cfg.nominal_h, cfg.nominal_w, cfg.n, rng, dtype),
-            dimfuse=DimFuseParams.init(c, cfg.n, rng, c_out=cfg.out_channels, dtype=dtype),
-            bn1=BatchNormParams.identity(3 * c, dtype),
-            slope1=np.full(3 * c, 0.25, dtype=dtype),
-            bn2=BatchNormParams.identity(cfg.out_channels, dtype),
-            slope2=np.full(cfg.out_channels, 0.25, dtype=dtype),
-        )
-
-
-def dice_unit_forward(x: np.ndarray, cfg: DiceUnitConfig, params: DiceUnitParams,
-                      bn_mode: str = "infer") -> np.ndarray:
-    """Run the unit: dimension-wise conv (fused kernel), then fusion.
-
-    Off-nominal spatial sizes are bilinearly rescaled to the nominal grid
-    for the conv and rescaled back before fusion, so the output spatial
-    size always tracks the input. Strided units average-pool the input by
-    two first; their banks are dimensioned for the pooled nominal grid.
-    """
-    check_tensor(x)
-    if x.shape[1] != cfg.in_channels:
-        raise KernelError(f"unit expects {cfg.in_channels} channels, got {x.shape[1]}")
-    if cfg.strided:
-        x = pool(x, "avg", k=3, stride=2)
-    h, w = x.shape[2], x.shape[3]
-    if (h, w) != (cfg.nominal_h, cfg.nominal_w):
-        y = _counted_resize(x, cfg.nominal_h, cfg.nominal_w)
-        y = dimconv_fused(y, params.dimconv)
-        y = _counted_resize(y, h, w)
-    else:
-        y = dimconv_fused(x, params.dimconv)
-    if cfg.use_norm:
-        y = batch_norm(y, params.bn1, bn_mode)
-    if cfg.use_act:
-        y = prelu(y, params.slope1)
-    y = dimfuse(y, params.dimfuse)
-    if cfg.use_norm:
-        y = batch_norm(y, params.bn2, bn_mode)
-    if cfg.use_act:
-        y = prelu(y, params.slope2)
-    return y
-
-
-def channel_split(x: np.ndarray):
-    """First half / last half of the channel axis."""
-    check_tensor(x)
-    c = x.shape[1]
-    if c % 2:
-        raise KernelError(f"channel split needs an even channel count, got {c}")
-    return x[:, :c // 2].copy(), x[:, c // 2:].copy()
 
 
 def channel_shuffle(x: np.ndarray, groups: int = 2) -> np.ndarray:
@@ -138,119 +36,3 @@ def channel_shuffle(x: np.ndarray, groups: int = 2) -> np.ndarray:
     return (x.reshape(nb, groups, c // groups, h, w)
              .transpose(0, 2, 1, 3, 4)
              .reshape(nb, c, h, w))
-
-
-@dataclass(frozen=True)
-class BlockConfig:
-    style: str                    # mobilenet | resnet | shufflenetv2
-    in_channels: int
-    out_channels: int
-    nominal_h: int
-    nominal_w: int
-    n: int = 3
-    strided: bool = False
-    repeat: int = 1
-
-    def __post_init__(self):
-        if self.style not in ("mobilenet", "resnet", "shufflenetv2"):
-            raise KernelError(f"unknown block style {self.style!r}")
-        if self.repeat < 1:
-            raise KernelError("repeat must be >= 1")
-
-
-def _unit_cfg(cin, cout, h, w, n, strided, use_norm, use_act):
-    return DiceUnitConfig(cin, cout, h, w, n=n, strided=strided,
-                          use_norm=use_norm, use_act=use_act)
-
-
-@dataclass
-class BlockParams:
-    """Parameters for one block instance of any style.
-
-    Only the fields the chosen style needs are populated.
-    """
-    unit_cfg: DiceUnitConfig
-    unit: DiceUnitParams
-    proj_pw: np.ndarray | None = None       # leading pointwise (shufflenet right branch / resnet reduce)
-    branch_dw: ConvKernelBank | None = None  # strided shuffle branch B
-    branch_pw: np.ndarray | None = None
-    shortcut_pw: np.ndarray | None = None    # resnet projection shortcut
-
-    @staticmethod
-    def init(cfg: BlockConfig, rng: np.random.Generator, dtype=np.float64,
-             use_norm: bool = True, use_act: bool = True) -> "BlockParams":
-        n = cfg.n
-        h, w = cfg.nominal_h, cfg.nominal_w
-        ho, wo = -(-h // 2), -(-w // 2)
-        if cfg.style == "shufflenetv2":
-            if cfg.strided:
-                ucfg = _unit_cfg(cfg.in_channels, cfg.in_channels, ho, wo, n, True,
-                                 use_norm, use_act)
-                extra = cfg.out_channels - cfg.in_channels
-                if extra < 1:
-                    raise KernelError("strided block needs out_channels > in_channels")
-                return BlockParams(
-                    unit_cfg=ucfg,
-                    unit=DiceUnitParams.init(ucfg, rng, dtype),
-                    branch_dw=ConvKernelBank.random(cfg.in_channels, n, rng, dtype),
-                    branch_pw=rng.normal(0.0, math.sqrt(2.0 / cfg.in_channels),
-                                         size=(extra, cfg.in_channels)).astype(dtype),
-                )
-            if cfg.in_channels != cfg.out_channels or cfg.in_channels % 2:
-                raise KernelError("non-strided shuffle block needs equal, even channel counts")
-            half = cfg.in_channels // 2
-            ucfg = _unit_cfg(half, half, h, w, n, False, use_norm, use_act)
-            return BlockParams(
-                unit_cfg=ucfg,
-                unit=DiceUnitParams.init(ucfg, rng, dtype),
-                proj_pw=rng.normal(0.0, math.sqrt(2.0 / half),
-                                   size=(half, half)).astype(dtype),
-            )
-        if cfg.style == "mobilenet":
-            ucfg = _unit_cfg(cfg.in_channels, cfg.out_channels,
-                             ho if cfg.strided else h, wo if cfg.strided else w,
-                             n, cfg.strided, use_norm, use_act)
-            return BlockParams(unit_cfg=ucfg, unit=DiceUnitParams.init(ucfg, rng, dtype))
-        # resnet: pointwise reduce, unit, residual add
-        mid = max(cfg.out_channels // 4, 1)
-        ucfg = _unit_cfg(mid, cfg.out_channels,
-                         ho if cfg.strided else h, wo if cfg.strided else w,
-                         n, cfg.strided, use_norm, use_act)
-        shortcut = None
-        if cfg.in_channels != cfg.out_channels or cfg.strided:
-            shortcut = rng.normal(0.0, math.sqrt(2.0 / cfg.in_channels),
-                                  size=(cfg.out_channels, cfg.in_channels)).astype(dtype)
-        return BlockParams(
-            unit_cfg=ucfg,
-            unit=DiceUnitParams.init(ucfg, rng, dtype),
-            proj_pw=rng.normal(0.0, math.sqrt(2.0 / cfg.in_channels),
-                               size=(mid, cfg.in_channels)).astype(dtype),
-            shortcut_pw=shortcut,
-        )
-
-
-def block_forward(x: np.ndarray, cfg: BlockConfig, params: BlockParams,
-                  bn_mode: str = "infer") -> np.ndarray:
-    """Forward one block of the configured style."""
-    check_tensor(x)
-    if x.shape[1] != cfg.in_channels:
-        raise KernelError(f"block expects {cfg.in_channels} channels, got {x.shape[1]}")
-    if cfg.style == "shufflenetv2":
-        if cfg.strided:
-            a = dice_unit_forward(x, params.unit_cfg, params.unit, bn_mode)
-            b = depthwise_conv(x, params.branch_dw, stride=2)
-            b = pointwise_conv(b, params.branch_pw)
-            return channel_shuffle(np.concatenate([a, b], axis=1), groups=2)
-        left, right = channel_split(x)
-        right = pointwise_conv(right, params.proj_pw)
-        right = dice_unit_forward(right, params.unit_cfg, params.unit, bn_mode)
-        return channel_shuffle(np.concatenate([left, right], axis=1), groups=2)
-    if cfg.style == "mobilenet":
-        return dice_unit_forward(x, params.unit_cfg, params.unit, bn_mode)
-    # resnet
-    y = pointwise_conv(x, params.proj_pw)
-    y = dice_unit_forward(y, params.unit_cfg, params.unit, bn_mode)
-    sc = x
-    if params.shortcut_pw is not None:
-        sc = pointwise_conv(x, params.shortcut_pw, stride=2 if cfg.strided else 1)
-    return y + sc

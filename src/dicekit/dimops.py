@@ -1,10 +1,10 @@
-"""Dimension-wise operators: the three-branch convolution, its fused
-single-pass variant, the local+global fusion stage, the channel gate, and
-the separable-convolution baseline."""
+"""Dimension-wise convolution (DimConv): the three-branch reference, its
+fused single-pass variant, the separable-convolution baseline, and the
+closed-form costs of DimConv and of the fusion stage (DimFuse), which
+`netbuilder.DiceUnit` runs."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,14 +13,9 @@ from .tensorops import (
     ConvKernelBank,
     KernelError,
     check_tensor,
-    conv2d,
     depthwise_conv,
     heightwise_conv,
-    linear,
     pointwise_conv,
-    pool,
-    relu,
-    sigmoid,
     widthwise_conv,
 )
 
@@ -131,116 +126,6 @@ def dimconv_fused(x: np.ndarray, p: DimConvParams) -> np.ndarray:
     out[:, 1::3] = a_w.astype(x.dtype, copy=False)
     out[:, 2::3] = a_h.astype(x.dtype, copy=False)
     return out
-
-
-@dataclass(frozen=True)
-class DimFuseParams:
-    """Local 3-to-1 fusion rows, the spatial kernel, and the gate FC pair.
-
-    k_g:  (C, 3) coefficient rows, one per channel group of the interleaved
-          input.
-    k_s:  (C_out, C // groups, n, n) spatial kernels; depthwise
-          (groups == C == C_out) in the common equal-width case, otherwise a
-          group convolution with groups = gcd(C, C_out).
-    fc1:  (max(C // 4, 1), C) squeeze weights.
-    fc2:  (C_out, max(C // 4, 1)) expand weights.
-    """
-
-    k_g: np.ndarray
-    k_s: np.ndarray
-    fc1: np.ndarray
-    fc2: np.ndarray
-    groups: int
-
-    def __post_init__(self):
-        c = self.k_g.shape[0]
-        if self.k_g.ndim != 2 or self.k_g.shape[1] != 3:
-            raise KernelError(f"k_g must be (C, 3), got {self.k_g.shape}")
-        r = max(c // 4, 1)
-        if self.fc1.shape != (r, c):
-            raise KernelError(f"fc1 must be ({r}, {c}), got {self.fc1.shape}")
-        cout = self.k_s.shape[0]
-        if self.fc2.shape != (cout, r):
-            raise KernelError(f"fc2 must be ({cout}, {r}), got {self.fc2.shape}")
-        if c % self.groups or cout % self.groups:
-            raise KernelError(f"groups={self.groups} does not divide widths {c}->{cout}")
-        if self.k_s.shape[1] != c // self.groups:
-            raise KernelError(f"k_s group width {self.k_s.shape[1]} != {c // self.groups}")
-        if self.k_s.shape[2] % 2 == 0 or self.k_s.shape[2] != self.k_s.shape[3]:
-            raise KernelError(f"k_s taps must be odd square, got {self.k_s.shape}")
-
-    @property
-    def channels(self) -> int:
-        return self.k_g.shape[0]
-
-    @property
-    def out_channels(self) -> int:
-        return self.k_s.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.k_s.shape[2]
-
-    @staticmethod
-    def init(c: int, n: int, rng: np.random.Generator, c_out: int | None = None,
-             dtype=np.float64) -> "DimFuseParams":
-        c_out = c if c_out is None else c_out
-        groups = c if c_out == c else math.gcd(c, c_out)
-        r = max(c // 4, 1)
-        cig = c // groups
-        return DimFuseParams(
-            k_g=rng.normal(0.0, math.sqrt(2.0 / 3.0), size=(c, 3)).astype(dtype),
-            k_s=rng.normal(0.0, math.sqrt(2.0 / (cig * n * n)),
-                           size=(c_out, cig, n, n)).astype(dtype),
-            fc1=rng.normal(0.0, math.sqrt(2.0 / c), size=(r, c)).astype(dtype),
-            fc2=rng.normal(0.0, math.sqrt(2.0 / r), size=(c_out, r)).astype(dtype),
-            groups=groups,
-        )
-
-
-def grouped_spatial_conv(x: np.ndarray, k_s: np.ndarray, groups: int) -> np.ndarray:
-    """n x n group convolution used by the fusion spatial path."""
-    c = x.shape[1]
-    cout = k_s.shape[0]
-    if groups == c == cout:
-        return depthwise_conv(x, ConvKernelBank(k_s[:, 0]))
-    cig, cog = c // groups, cout // groups
-    parts = [conv2d(x[:, g * cig:(g + 1) * cig], k_s[g * cog:(g + 1) * cog])
-             for g in range(groups)]
-    return np.concatenate(parts, axis=1)
-
-
-def gate_weights(x: np.ndarray, fc1: np.ndarray, fc2: np.ndarray) -> np.ndarray:
-    """Squeeze spatial dims, FC bottleneck with inner ReLU, sigmoid out."""
-    z = pool(x, "global_avg").reshape(x.shape[0], x.shape[1])
-    a = relu(linear(z, fc1))
-    return sigmoid(linear(a, fc2))
-
-
-def dimfuse(x: np.ndarray, p: DimFuseParams) -> np.ndarray:
-    """Fuse an interleaved 3C-channel tensor down to C_out channels.
-
-    Steps: (a) local per-group 3-to-1 fusion, (b) spatial kernel over the
-    fused planes, (c) squeeze-gate from the fused planes, (d) per-channel
-    scaling of the spatial path by the gate.
-    """
-    check_tensor(x)
-    if x.shape[1] % 3 != 0:
-        raise KernelError(f"fusion input channels must be divisible by 3, got {x.shape[1]}")
-    c = x.shape[1] // 3
-    if p.channels != c:
-        raise KernelError(f"fusion params sized for {p.channels} groups, input has {c}")
-    y_g = pointwise_conv(x, p.k_g, groups=c)
-    y_s = grouped_spatial_conv(y_g, p.k_s, p.groups)
-    g = gate_weights(y_g, p.fc1, p.fc2).astype(x.dtype)
-    return y_s * g[:, :, None, None]
-
-
-def se_gate(x: np.ndarray, fc1: np.ndarray, fc2: np.ndarray) -> np.ndarray:
-    """Standalone squeeze-excitation gate: x scaled per channel."""
-    check_tensor(x)
-    g = gate_weights(x, fc1, fc2).astype(x.dtype)
-    return x * g[:, :, None, None]
 
 
 def separable_conv(x: np.ndarray, dw_bank: ConvKernelBank, pw_weights: np.ndarray,

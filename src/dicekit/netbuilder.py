@@ -21,6 +21,7 @@ from . import dice
 from . import oracle as orc
 from .autograd import Var, param
 from .netconfig import ConfigError, NetConfig, default_stem_channels
+from .serialize import ContainerError
 from .tensorops import BatchNormParams, KernelError, ceil_div
 
 __all__ = ["Network", "FlopReport", "build_network", "analyze", "infer"]
@@ -520,6 +521,31 @@ class Network:
             collect(layer)
         return states
 
+    def named_state(self) -> list:
+        """Parameters, then each batch norm's running statistics as
+        bn<i>.running_mean / bn<i>.running_var: what a checkpoint stores."""
+        named = [(name, p.data) for name, p in self.parameters()]
+        for idx, state in enumerate(self.bn_states()):
+            named.append((f"bn{idx}.running_mean", state.running_mean))
+            named.append((f"bn{idx}.running_var", state.running_var))
+        return named
+
+    def load_state(self, stored: dict) -> None:
+        """Copy a checkpoint in. Raises ContainerError, before changing
+        anything, unless its names and shapes match named_state() exactly."""
+        named = dict(self.named_state())
+        if stored.keys() != named.keys():
+            raise ContainerError(
+                f"checkpoint does not match the network: missing "
+                f"{sorted(named.keys() - stored.keys())}, unexpected "
+                f"{sorted(stored.keys() - named.keys())}")
+        bad = [f"{k} {stored[k].shape} != {a.shape}" for k, a in named.items()
+               if stored[k].shape != a.shape]
+        if bad:
+            raise ContainerError(f"checkpoint tensor shapes do not match: {bad}")
+        for name, arr in named.items():
+            arr[...] = stored[name]
+
 
 def build_network(cfg: NetConfig, seed: int = 0, dtype=np.float64) -> Network:
     """Deterministically construct the layer graph described by cfg."""
@@ -606,6 +632,8 @@ def analyze(net: Network, input_size: int | None = None) -> FlopReport:
             lrows, (c, h, w) = layer.report(c, h, w)
         else:
             lrows, (c, h, w) = layer.report(f"stage.{idx - 2}", c, h, w)
+        if idx == 2:
+            stage1_hw = h, w      # the first block sets stage 1's grid
         rows += lrows
     hrows, _ = net.head.report(c, h, w)
     rows += hrows
@@ -618,7 +646,7 @@ def analyze(net: Network, input_size: int | None = None) -> FlopReport:
     notes = {}
     if net.cfg.conv == "dimconv" and net.cfg.fusion == "dimfuse":
         c0 = net.cfg.resolved_channels()[0]
-        cost = dimfuse_cost(c0, h, w, net.cfg.kernel_size)
+        cost = dimfuse_cost(c0, *stage1_hw, net.cfg.kernel_size)
         notes["dimfuse_closed_form_stage1"] = cost["closed_form"]
         notes["dimfuse_component_sum_stage1"] = cost["component_sum"]
         notes["dimfuse_reduction_factor_stage1"] = cost["reduction_factor"]
@@ -633,5 +661,7 @@ def infer(net: Network, x: np.ndarray) -> np.ndarray:
         raise KernelError(f"expected (N,3,H,W) input, got {getattr(x, 'shape', None)}")
     if min(x.shape[2], x.shape[3]) < 32:
         raise KernelError("inference input must be at least 32 pixels on a side")
+    if not np.isfinite(x).all():
+        raise KernelError("inference input contains NaN or infinite values")
     with ag.no_grad():
         return net.forward(x, train=False).data

@@ -213,23 +213,6 @@ def oracle_global_avg(x, counter: OracleCounter | None = None):
     return out.astype(x.dtype), counter
 
 
-def oracle_conv(x, kind: str, params: dict, counter: OracleCounter | None = None):
-    """Dispatch by kernel kind: depth | width | height | pointwise | grouped."""
-    if kind == "depth":
-        return oracle_depthwise(x, params["bank"], params.get("stride", 1), counter)
-    if kind == "width":
-        return oracle_widthwise(x, params["bank"], counter)
-    if kind == "height":
-        return oracle_heightwise(x, params["bank"], counter)
-    if kind == "pointwise":
-        return oracle_pointwise(x, params["weights"], params.get("groups", 1),
-                                params.get("stride", 1), counter)
-    if kind == "grouped":
-        return oracle_linear(x, params["weights"], params.get("groups", 1),
-                             params.get("bias"), counter)
-    raise KernelError(f"unknown oracle kind {kind!r}")
-
-
 def oracle_dimconv(x, p, counter: OracleCounter | None = None):
     """Three-branch composition with a shared tally, interleaved like the
     fast path."""

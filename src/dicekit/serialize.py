@@ -12,6 +12,7 @@ Container layout:
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -50,12 +51,19 @@ def read_tensor(fh) -> np.ndarray:
         raise ContainerError(f"unknown dtype code {code}")
     if rank > 8:
         raise ContainerError(f"implausible rank {rank}")
-    shape = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
+    dims = fh.read(8 * rank)
+    if len(dims) != 8 * rank:
+        raise ContainerError("truncated tensor shape")
+    shape = struct.unpack(f"<{rank}Q", dims)
     dtype = _CODE_TO_DTYPE[code]
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-    raw = fh.read(count * dtype.itemsize)
-    if len(raw) != count * dtype.itemsize:
-        raise ContainerError("truncated tensor payload")
+    nbytes = math.prod(shape) * dtype.itemsize      # exact: Python ints
+    pos = fh.tell()
+    remaining = fh.seek(0, os.SEEK_END) - pos
+    fh.seek(pos)
+    if nbytes > remaining:
+        raise ContainerError(f"truncated tensor payload: shape {shape} needs "
+                             f"{nbytes} bytes, {remaining} remain")
+    raw = fh.read(nbytes)
     arr = np.frombuffer(raw, dtype=dtype.newbyteorder("<")).astype(dtype)
     return arr.reshape(shape)
 

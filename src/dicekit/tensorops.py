@@ -308,16 +308,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out.astype(np.asarray(x).dtype)
 
 
-def activation(x: np.ndarray, kind: str, slope=None) -> np.ndarray:
-    if kind == "relu":
-        return relu(x)
-    if kind == "prelu":
-        return prelu(x, 0.25 if slope is None else slope)
-    if kind == "sigmoid":
-        return sigmoid(x)
-    raise KernelError(f"unknown activation {kind!r}")
-
-
 def linear(x: np.ndarray, weights: np.ndarray, groups: int = 1,
            bias: np.ndarray | None = None) -> np.ndarray:
     """Block-diagonal matrix product: x (N, F_in), weights (F_out, F_in // groups).

@@ -101,8 +101,6 @@ def test_pointwise_and_spatial_conv_grads(rng):
                      rng.standard_normal((6, 2)))
     check_param_grad(lambda w: sq(ag.spatial_conv(ag.Var(x), w, stride=2)),
                      rng.standard_normal((3, 4, 3, 3)))
-    check_param_grad(lambda w: sq(ag.spatial_conv(ag.Var(x), w, groups=2)),
-                     rng.standard_normal((4, 2, 3, 3)))
     w_dense = ag.Var(rng.standard_normal((3, 4, 3, 3)))
     check_param_grad(lambda v: sq(ag.spatial_conv(v, w_dense, stride=2)), x)
 

@@ -2,12 +2,15 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from dicekit.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from dicekit.serialize import save_tensor
+from dicekit.netbuilder import build_network
+from dicekit.netconfig import parse_config
+from dicekit.serialize import MAGIC, save_checkpoint, save_tensor
 
 from conftest import MICRO_CFG
 
@@ -68,6 +71,11 @@ def test_bench_single_repeat_zero_stddev(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     header = lines[0].split(",")
     assert float(lines[1].split(",")[header.index("stddev_s")]) == 0.0
+
+
+def test_bench_rejects_dimfuse_op():
+    assert main(["bench", "--op", "dimfuse", "--shape", "4,6,6",
+                 "--repeats", "1"]) == EXIT_USAGE
 
 
 def test_verify_flops_suite(capsys):
@@ -134,3 +142,38 @@ def test_infer_off_nominal_input(micro_cfg_path, tmp_path, capsys):
 
 def test_usage_error_exit_2():
     assert main(["frobnicate"]) == EXIT_USAGE
+
+
+def test_infer_checkpoint_must_match_network(micro_cfg_path, tmp_path, capsys):
+    tensor = tmp_path / "x.dck"
+    save_tensor(tensor, np.ones((3, 32, 32)))
+    named = build_network(parse_config(MICRO_CFG), seed=5).named_state()
+    save_checkpoint(tmp_path / "ok", named)
+    assert main(["infer", micro_cfg_path, str(tensor),
+                 "--checkpoint", str(tmp_path / "ok")]) == EXIT_OK
+    capsys.readouterr()
+    no_k_w = [(n, a) for n, a in named if not n.endswith(".unit.k_w")]
+    assert len(no_k_w) == len(named) - 4
+    bad = {
+        "missing": no_k_w,
+        "extra": named + [("bogus.extra", np.zeros(3))],
+        "both": no_k_w + [("bogus.extra", np.zeros(3))],
+        "shape": [(n, a[:1] if n == "head.fc_bias" else a) for n, a in named],
+    }
+    for label, entries in bad.items():
+        save_checkpoint(tmp_path / label, entries)
+        assert main(["infer", micro_cfg_path, str(tensor), "--checkpoint",
+                     str(tmp_path / label)]) == EXIT_USAGE, label
+        assert "checkpoint" in capsys.readouterr().err, label
+
+
+def test_infer_bad_input_exit_2(micro_cfg_path, tmp_path, capsys):
+    nan = tmp_path / "nan.dck"
+    save_tensor(nan, np.full((3, 32, 32), np.nan))
+    assert main(["infer", micro_cfg_path, str(nan)]) == EXIT_USAGE
+    assert "NaN" in capsys.readouterr().err
+    huge = tmp_path / "huge.dck"
+    huge.write_bytes(MAGIC + struct.pack("<II4x", 2, 4)
+                     + struct.pack("<4Q", 1, 3, 2 ** 31, 2 ** 33))
+    assert main(["infer", micro_cfg_path, str(huge)]) == EXIT_USAGE
+    assert "truncated" in capsys.readouterr().err

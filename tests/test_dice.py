@@ -1,76 +1,64 @@
-"""Unit forward, dynamic rescaling instrumentation, split/shuffle, blocks."""
+"""The builder's DiCE unit and blocks: shapes, dynamic rescaling
+instrumentation, split/shuffle and block validation."""
 
 import numpy as np
 import pytest
 
+from dicekit import autograd as ag
 from dicekit import dice
-from dicekit.dice import (
-    BlockConfig,
-    BlockParams,
-    DiceUnitConfig,
-    DiceUnitParams,
-    block_forward,
-    channel_shuffle,
-    channel_split,
-    dice_unit_forward,
-)
+from dicekit.dice import channel_shuffle
+from dicekit.netbuilder import DiceUnit, MobileBlock, ResBlock, ShuffleBlock
+from dicekit.netconfig import ConfigError
 from dicekit.tensorops import KernelError
 
 
-def _unit(c=4, h=6, w=6, seed=0, **kw):
-    cfg = DiceUnitConfig(c, c, h, w, **kw)
-    params = DiceUnitParams.init(cfg, np.random.default_rng(seed))
-    return cfg, params
+def _layer(cls, *args, strided=False, seed=0):
+    return cls(*args, 3, "dimconv", "dimfuse", strided,
+               np.random.default_rng(seed), np.float64)
+
+
+def _unit(c=4, h=6, w=6, **kw):
+    return _layer(DiceUnit, c, h, w, **kw)
+
+
+def _run(layer, x):
+    with ag.no_grad():
+        return layer.forward(ag.Var(x), False).data
 
 
 def test_unit_forward_shape(rng):
-    cfg, params = _unit()
-    x = rng.standard_normal((2, 4, 6, 6))
-    y = dice_unit_forward(x, cfg, params)
-    assert y.shape == (2, 4, 6, 6)
+    assert _run(_unit(), rng.standard_normal((2, 4, 6, 6))).shape == (2, 4, 6, 6)
 
 
 def test_unit_strided_halves_spatial(rng):
-    cfg = DiceUnitConfig(4, 4, 3, 3, strided=True)
-    params = DiceUnitParams.init(cfg, rng)
-    x = rng.standard_normal((1, 4, 6, 6))
-    assert dice_unit_forward(x, cfg, params).shape == (1, 4, 3, 3)
+    unit = _unit(strided=True)
+    assert _run(unit, rng.standard_normal((1, 4, 6, 6))).shape == (1, 4, 3, 3)
 
 
 def test_unit_channel_mismatch(rng):
-    cfg, params = _unit()
     with pytest.raises(KernelError):
-        dice_unit_forward(rng.standard_normal((1, 5, 6, 6)), cfg, params)
+        _run(_unit(), rng.standard_normal((1, 5, 6, 6)))
 
 
 def test_no_resize_at_nominal(rng):
-    cfg, params = _unit()
+    unit = _unit()
     dice.reset_resize_count()
-    dice_unit_forward(rng.standard_normal((1, 4, 6, 6)), cfg, params)
+    _run(unit, rng.standard_normal((1, 4, 6, 6)))
     assert dice.resize_count() == 0
 
 
 def test_off_nominal_resizes_and_keeps_size(rng):
-    cfg, params = _unit()
+    unit = _unit()
     dice.reset_resize_count()
-    y = dice_unit_forward(rng.standard_normal((1, 4, 9, 8)), cfg, params)
+    y = _run(unit, rng.standard_normal((1, 4, 9, 8)))
     assert y.shape == (1, 4, 9, 8)
     assert dice.resize_count() == 2          # in and out
 
 
 def test_unit_deterministic(rng):
-    cfg, params = _unit()
+    unit = _unit()
     x = rng.standard_normal((1, 4, 6, 6))
-    np.testing.assert_array_equal(dice_unit_forward(x, cfg, params),
-                                  dice_unit_forward(x, cfg, params))
-
-
-def test_channel_split_halves(rng):
-    x = rng.standard_normal((1, 6, 2, 2))
-    a, b = channel_split(x)
-    np.testing.assert_array_equal(np.concatenate([a, b], axis=1), x)
-    with pytest.raises(KernelError):
-        channel_split(rng.standard_normal((1, 5, 2, 2)))
+    np.testing.assert_array_equal(_run(unit, x), _run(unit, x))
 
 
 def test_channel_shuffle_permutation():
@@ -83,39 +71,31 @@ def test_channel_shuffle_permutation():
 
 
 def test_shuffle_block_preserves_channels(rng):
-    cfg = BlockConfig("shufflenetv2", 8, 8, 6, 6)
-    params = BlockParams.init(cfg, rng)
-    x = rng.standard_normal((1, 8, 6, 6))
-    assert block_forward(x, cfg, params).shape == (1, 8, 6, 6)
+    block = _layer(ShuffleBlock, 8, 8, 6, 6)
+    assert _run(block, rng.standard_normal((1, 8, 6, 6))).shape == (1, 8, 6, 6)
 
 
 def test_shuffle_block_left_half_passthrough(rng):
     # the left half of the split flows through untouched (before shuffle)
-    cfg = BlockConfig("shufflenetv2", 8, 8, 6, 6)
-    params = BlockParams.init(cfg, rng)
+    block = _layer(ShuffleBlock, 8, 8, 6, 6)
     x = rng.standard_normal((1, 8, 6, 6))
-    y = block_forward(x, cfg, params)
-    unshuffled = channel_shuffle(y, 4)      # inverse of shuffle with 2 groups
+    unshuffled = channel_shuffle(_run(block, x), 4)   # inverse of 2 groups
     np.testing.assert_array_equal(unshuffled[:, :4], x[:, :4])
 
 
 def test_strided_shuffle_block_downsamples_and_widens(rng):
-    cfg = BlockConfig("shufflenetv2", 8, 20, 3, 3, strided=True)
-    params = BlockParams.init(cfg, rng)
-    x = rng.standard_normal((1, 8, 6, 6))
-    assert block_forward(x, cfg, params).shape == (1, 20, 3, 3)
+    block = _layer(ShuffleBlock, 8, 20, 6, 6, strided=True)
+    assert _run(block, rng.standard_normal((1, 8, 6, 6))).shape == (1, 20, 3, 3)
 
 
 def test_mobilenet_and_resnet_styles(rng):
     x = rng.standard_normal((1, 8, 6, 6))
-    cfg = BlockConfig("mobilenet", 8, 8, 6, 6)
-    assert block_forward(x, cfg, BlockParams.init(cfg, rng)).shape == (1, 8, 6, 6)
-    cfg = BlockConfig("resnet", 8, 12, 6, 6)
-    assert block_forward(x, cfg, BlockParams.init(cfg, rng)).shape == (1, 12, 6, 6)
+    assert _run(_layer(MobileBlock, 8, 8, 6, 6), x).shape == (1, 8, 6, 6)
+    assert _run(_layer(ResBlock, 8, 12, 6, 6), x).shape == (1, 12, 6, 6)
 
 
 def test_block_config_validation():
-    with pytest.raises(KernelError):
-        BlockConfig("densenet", 8, 8, 6, 6)
-    with pytest.raises(KernelError):
-        BlockConfig("resnet", 8, 8, 6, 6, repeat=0)
+    with pytest.raises(ConfigError):
+        _layer(ShuffleBlock, 8, 8, 6, 6, strided=True)     # cout <= cin
+    with pytest.raises(ConfigError):
+        _layer(ShuffleBlock, 7, 7, 6, 6)                   # odd split

@@ -1,4 +1,4 @@
-"""Dimension-wise operators: interleaving, fusion equivalence, gate, costs."""
+"""Dimension-wise operators: interleaving, fused/unfused equivalence, costs."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,11 @@ import pytest
 from dicekit import tensorops as T
 from dicekit.dimops import (
     DimConvParams,
-    DimFuseParams,
     dimconv_fused,
     dimconv_macs,
     dimconv_unfused,
-    dimfuse,
     dimfuse_cost,
     dimfuse_reduction_factor,
-    gate_weights,
-    se_gate,
     separable_conv,
 )
 from dicekit.tensorops import ConvKernelBank, KernelError
@@ -54,48 +50,6 @@ def test_dimconv_rejects_off_nominal(rng):
         dimconv_fused(rng.standard_normal((1, 3, 4, 4)), p)
     with pytest.raises(KernelError):
         dimconv_fused(rng.standard_normal((1, 2, 5, 4)), p)
-
-
-def test_dimfuse_shapes_and_gate_range(rng):
-    c = 6
-    x = rng.standard_normal((2, 3 * c, 7, 7))
-    p = DimFuseParams.init(c, 3, rng)
-    out = dimfuse(x, p)
-    assert out.shape == (2, c, 7, 7)
-    g = gate_weights(x[:, :c * 3:3], p.fc1, p.fc2)
-    assert np.all(g > 0) and np.all(g < 1)
-
-
-def test_dimfuse_rejects_bad_channel_count(rng):
-    p = DimFuseParams.init(4, 3, rng)
-    with pytest.raises(KernelError):
-        dimfuse(rng.standard_normal((1, 10, 5, 5)), p)   # not divisible by 3
-    with pytest.raises(KernelError):
-        dimfuse(rng.standard_normal((1, 9, 5, 5)), p)    # 3 groups, params want 4
-
-
-def test_dimfuse_widening_uses_group_conv(rng):
-    p = DimFuseParams.init(4, 3, rng, c_out=6)
-    assert p.groups == 2            # gcd(4, 6)
-    x = rng.standard_normal((1, 12, 5, 5))
-    assert dimfuse(x, p).shape == (1, 6, 5, 5)
-
-
-def test_gate_scales_spatial_path(rng):
-    # zero input: spatial path is zero, so the output is zero even though
-    # the gate itself sits at sigmoid(0) = 0.5
-    c = 4
-    p = DimFuseParams.init(c, 3, rng)
-    out = dimfuse(np.zeros((1, 3 * c, 6, 6)), p)
-    np.testing.assert_array_equal(out, 0)
-
-
-def test_se_gate_identity_scaling(rng):
-    x = rng.standard_normal((2, 4, 5, 5))
-    fc1 = np.zeros((1, 4))
-    fc2 = np.zeros((4, 1))
-    # zero FCs: gate = sigmoid(0) = 0.5 everywhere
-    np.testing.assert_allclose(se_gate(x, fc1, fc2), 0.5 * x)
 
 
 def test_separable_conv_composition(rng):

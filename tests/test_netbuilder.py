@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dicekit import dice
+from dicekit.dimops import dimfuse_cost
 from dicekit.netbuilder import analyze, build_network, infer
 from dicekit.netconfig import parse_config
 from dicekit.tensorops import KernelError
@@ -27,6 +28,19 @@ def test_stage_output_shapes_s1():
     assert shapes["stage.0.branch_pw"][1:] == (28, 28)
     assert shapes["stage.4.branch_pw"][1:] == (14, 14)
     assert shapes["stage.12.branch_pw"][1:] == (7, 7)
+
+
+def test_stage1_notes_use_stage1_grid():
+    net = build_network(parse_config("name: s1\nwidth_scale: 1.0\n"), seed=0)
+    for size in (None, 288):
+        rep = analyze(net, size)
+        shapes = {name: shape for name, _, _, _, shape in rep.rows}
+        h, w = shapes["stage.0.branch_pw"][1:]
+        cost = dimfuse_cost(116, h, w, 3)
+        assert rep.notes["dimfuse_closed_form_stage1"] == cost["closed_form"]
+        assert rep.notes["dimfuse_component_sum_stage1"] == cost["component_sum"]
+        assert rep.notes["dimfuse_reduction_factor_stage1"] == cost["reduction_factor"]
+    assert analyze(net).notes["dimfuse_closed_form_stage1"] == 28 * 28 * 116 * 128
 
 
 def test_stage_channels_s1():
@@ -131,13 +145,22 @@ def test_infer_rejects_bad_input(micro_net):
         infer(micro_net, np.zeros((1, 3, 16, 16)))
 
 
+def test_infer_rejects_non_finite_input(micro_net):
+    for bad in (np.nan, np.inf):
+        x = np.zeros((1, 3, 32, 32))
+        x[0, 1, 5, 7] = bad
+        with pytest.raises(KernelError):
+            infer(micro_net, x)
+
+
 def test_resize_instrumentation(micro_net):
     dice.reset_resize_count()
     infer(micro_net, np.zeros((1, 3, 32, 32)))
     assert dice.resize_count() == 0
     dice.reset_resize_count()
     infer(micro_net, np.zeros((1, 3, 48, 48)))
-    assert dice.resize_count() > 0
+    units = sum(kind == "dimconv" for _, kind, _, _, _ in analyze(micro_net).rows)
+    assert dice.resize_count() == 2 * units        # in and out of every unit
 
 
 def test_alternative_block_styles_forward(rng):

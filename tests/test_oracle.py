@@ -6,8 +6,8 @@ import pytest
 from dicekit import oracle as orc
 from dicekit import tensorops as T
 from dicekit.dimops import DimConvParams
-from dicekit.oracle import OracleCounter, finite_diff_grad, oracle_conv
-from dicekit.tensorops import ConvKernelBank, KernelError
+from dicekit.oracle import OracleCounter, finite_diff_grad
+from dicekit.tensorops import ConvKernelBank
 
 
 def test_counter_tally():
@@ -36,15 +36,6 @@ def test_dimconv_counter_is_three_branches(rng):
     p = DimConvParams.init(4, 8, 8, 3, rng)
     _, counter = orc.oracle_dimconv(x, p)
     assert counter.mac_count == 3 * 2304
-
-
-def test_oracle_conv_dispatch(rng):
-    x = rng.standard_normal((1, 3, 5, 5))
-    bank = ConvKernelBank.random(3, 3, rng)
-    y, _ = oracle_conv(x, "depth", {"bank": bank})
-    np.testing.assert_array_equal(y, T.depthwise_conv(x, bank))
-    with pytest.raises(KernelError):
-        oracle_conv(x, "spectral", {})
 
 
 def test_oracle_pointwise_stride_and_groups(rng):

@@ -1,6 +1,7 @@
 """Tensor container round-trips and malformed-file handling."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -52,6 +53,16 @@ def test_truncated_payload_rejected(rng):
     raw = buf.getvalue()[:-8]
     with pytest.raises(ContainerError):
         read_tensor(io.BytesIO(raw))
+
+
+def test_overflowing_shape_rejected():
+    # 2**32 * 2**32 elements wraps to 0 in int64; the header must still be
+    # refused for promising more data than the file holds
+    head = MAGIC + struct.pack("<II4x", 2, 2) + struct.pack("<2Q", 2 ** 32, 2 ** 32)
+    with pytest.raises(ContainerError):
+        read_tensor(io.BytesIO(head))
+    with pytest.raises(ContainerError):
+        read_tensor(io.BytesIO(head[:-4]))          # shape itself cut short
 
 
 def test_unsupported_dtype_rejected():
