@@ -9,24 +9,25 @@ through this module is bit-identical to composing those kernels directly.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 
 import numpy as np
 
 from . import tensorops as T
 from .tensorops import ConvKernelBank, KernelError, ceil_div
 
-_grad_enabled = True
+# Per context, so a no_grad() block in one thread leaves tape recording on
+# in every other thread (each thread starts from the default).
+_grad_enabled = contextvars.ContextVar("dicekit_grad_enabled", default=True)
 
 
 @contextlib.contextmanager
 def no_grad():
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 class Var:
@@ -68,7 +69,7 @@ def _accum(v: Var, g):
 
 
 def _make(data, parents, backward_fn) -> Var:
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
         return Var(data, requires_grad=True, parents=tuple(parents), backward_fn=backward_fn)
     return Var(data)
 
@@ -419,18 +420,23 @@ def batch_norm_train(x, gamma, beta, state: T.BatchNormParams,
 
 def batch_norm_infer(x, gamma, beta, state: T.BatchNormParams) -> Var:
     x, gamma, beta = as_var(x), as_var(gamma), as_var(beta)
-    inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-    x_hat = (x.data.astype(np.float64) - state.running_mean[None, :, None, None]) \
-        * inv_std[None, :, None, None]
-    out = (gamma.data[None, :, None, None] * x_hat
-           + beta.data[None, :, None, None]).astype(x.data.dtype)
+    # a copy: backward must see the statistics this forward used
+    mean = state.running_mean.copy()[None, :, None, None]
+    inv_std = (1.0 / np.sqrt(state.running_var + state.eps))[None, :, None, None]
+    # one float64 buffer, in place: ((x - mean) * inv_std) * gamma + beta
+    out = x.data.astype(np.float64)
+    out -= mean
+    out *= inv_std
+    out *= gamma.data[None, :, None, None]
+    out += beta.data[None, :, None, None]
 
     def bw(dy):
-        _accum(x, dy * (gamma.data * inv_std)[None, :, None, None])
+        x_hat = (x.data.astype(np.float64) - mean) * inv_std
+        _accum(x, dy * (gamma.data[None, :, None, None] * inv_std))
         _accum(gamma, np.einsum("nchw->c", dy * x_hat))
         _accum(beta, np.einsum("nchw->c", dy))
 
-    return _make(out, (x, gamma, beta), bw)
+    return _make(out.astype(x.data.dtype, copy=False), (x, gamma, beta), bw)
 
 
 def relu(x) -> Var:
@@ -447,9 +453,9 @@ def prelu(x, slope) -> Var:
     """slope: per-channel Var of length C (4D input) or matching 2D layout."""
     x, slope = as_var(x), as_var(slope)
     out = T.prelu(x.data, slope.data)
-    neg = x.data < 0
 
     def bw(dy):
+        neg = x.data < 0
         s = slope.data
         if x.data.ndim == 4 and s.ndim == 1:
             sb = s[None, :, None, None]

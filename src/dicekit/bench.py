@@ -1,13 +1,15 @@
 """Micro-benchmarks for the kernel variants.
 
 Monotonic-clock timing, warmup trials excluded, median as the headline
-statistic. Every run records an output checksum; comparing two variants
-with different checksums is a hard error, so timing numbers can never be
-reported for disagreeing implementations.
+statistic. Every run records an output checksum, a digest of the output's
+dtype, shape and bytes; comparing two variants with different checksums is
+a hard error, so timing numbers can never be reported for disagreeing
+implementations.
 """
 
 from __future__ import annotations
 
+import hashlib
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -38,7 +40,7 @@ class BenchResult:
     shape: tuple
     repeats: int
     times: list = field(default_factory=list)
-    checksum: float = 0.0
+    checksum: str = ""
     macs: int = 0
 
     def __post_init__(self):
@@ -71,8 +73,11 @@ class BenchResult:
         }
 
 
-def _checksum(arr: np.ndarray) -> float:
-    return float(np.float64(arr.sum(dtype=np.float64)))
+def _checksum(arr: np.ndarray) -> str:
+    # a float sum would miss outputs that hold the same values in other places
+    h = hashlib.sha256(f"{arr.dtype.str}{arr.shape}".encode())
+    h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
 
 
 def _make_inputs(op: str, shape, n: int, seed: int, dtype=np.float64):

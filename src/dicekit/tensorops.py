@@ -19,6 +19,10 @@ import numpy as np
 
 FLOAT_DTYPES = (np.float32, np.float64)
 
+# input features per block in `linear`: bounds its product array to
+# N * F_out * LINEAR_BLOCK values whatever F_in is
+LINEAR_BLOCK = 64
+
 
 class KernelError(ValueError):
     """Raised when a kernel precondition is violated."""
@@ -176,8 +180,12 @@ def pointwise_conv(x: np.ndarray, weights: np.ndarray, groups: int = 1,
                    stride: int = 1, bias: np.ndarray | None = None) -> np.ndarray:
     """1x1 convolution: weights has shape (C_out, C_in // groups).
 
-    Accumulates sequentially over input channels so the result matches the
-    per-pixel dot-product oracle exactly.
+    Keeps the oracle's order: every output starts at 0.0 and adds its
+    group's C_in // groups products one input channel at a time. The loop
+    runs over the inputs of a group only; all groups advance together in
+    one numpy call per step, on x viewed as (N, G, C_in/G, H, W) and the
+    weights as (G, C_out/G, C_in/G). `sum`, `einsum` or `@` would
+    sum pairwise or use FMA, and so would not match the oracle bitwise.
     """
     check_tensor(x)
     nb, c, h, w = x.shape
@@ -192,15 +200,13 @@ def pointwise_conv(x: np.ndarray, weights: np.ndarray, groups: int = 1,
     if stride < 1:
         raise KernelError(f"stride must be >= 1, got {stride}")
     xs = x[:, :, ::stride, ::stride].astype(np.float64, copy=False)
-    w64 = weights.astype(np.float64, copy=False)
-    cog = cout // groups
-    acc = np.zeros((nb, cout, xs.shape[2], xs.shape[3]), dtype=np.float64)
-    for g in range(groups):
-        xg = xs[:, g * cig:(g + 1) * cig]
-        wg = w64[g * cog:(g + 1) * cog]
-        out_g = acc[:, g * cog:(g + 1) * cog]
-        for ci in range(cig):
-            out_g += wg[:, ci][None, :, None, None] * xg[:, ci][:, None]
+    ho, wo = xs.shape[2], xs.shape[3]
+    xg = xs.reshape(nb, groups, cig, ho, wo)
+    wg = weights.astype(np.float64, copy=False).reshape(groups, cout // groups, cig)
+    acc = np.zeros((nb, groups, cout // groups, ho, wo), dtype=np.float64)
+    for ci in range(cig):
+        acc += wg[None, :, :, ci, None, None] * xg[:, :, None, ci]
+    acc = acc.reshape(nb, cout, ho, wo)
     if bias is not None:
         acc += bias.astype(np.float64)[None, :, None, None]
     return acc.astype(x.dtype)
@@ -312,27 +318,33 @@ def linear(x: np.ndarray, weights: np.ndarray, groups: int = 1,
            bias: np.ndarray | None = None) -> np.ndarray:
     """Block-diagonal matrix product: x (N, F_in), weights (F_out, F_in // groups).
 
-    Group g maps input slice g to output slice g. Sequential accumulation
-    over input features, matching the oracle.
+    Group g maps input slice g to output slice g. Keeps the oracle's order:
+    each output is ((0.0 + p0) + p1) + ... over its group's products. The
+    products are laid out in weight order, (N, G, F_out/G, features), and
+    `np.add.accumulate` runs the sum along the feature axis, which adds one
+    term at a time. Features go in blocks of LINEAR_BLOCK, so no product
+    array grows with F_in; the running sum of one block is added into the
+    first product of the next, starting from 0.0. `sum`, `einsum` and `@`
+    would sum pairwise or use FMA, and so would not match the oracle bitwise.
     """
     if x.ndim != 2:
         raise KernelError(f"linear expects (N, F) input, got {x.shape}")
-    fin = x.shape[1]
+    nb, fin = x.shape
     fout = weights.shape[0]
     if fin % groups != 0 or fout % groups != 0:
         raise KernelError(f"features in={fin}, out={fout} not divisible by groups={groups}")
     fig, fog = fin // groups, fout // groups
     if weights.shape[1] != fig:
         raise KernelError(f"weight rows have {weights.shape[1]} coefficients, expected {fig}")
-    x64 = x.astype(np.float64, copy=False)
-    w64 = weights.astype(np.float64, copy=False)
-    acc = np.zeros((x.shape[0], fout), dtype=np.float64)
-    for g in range(groups):
-        xg = x64[:, g * fig:(g + 1) * fig]
-        wg = w64[g * fog:(g + 1) * fog]
-        out_g = acc[:, g * fog:(g + 1) * fog]
-        for f in range(fig):
-            out_g += xg[:, f][:, None] * wg[:, f][None, :]
+    xg = x.astype(np.float64, copy=False).reshape(nb, groups, 1, fig)
+    wg = weights.astype(np.float64, copy=False).reshape(groups, fog, fig)
+    acc = np.zeros((nb, groups, fog), dtype=np.float64)
+    for f0 in range(0, fig, LINEAR_BLOCK):
+        prod = xg[..., f0:f0 + LINEAR_BLOCK] * wg[..., f0:f0 + LINEAR_BLOCK]
+        prod[..., 0] += acc
+        np.add.accumulate(prod, axis=-1, out=prod)
+        acc = prod[..., -1]
+    acc = acc.reshape(nb, fout)
     if bias is not None:
         acc += bias.astype(np.float64)[None, :]
     return acc.astype(x.dtype)

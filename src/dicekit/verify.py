@@ -43,9 +43,19 @@ def _rand_shape(rng, cmax=12, smax=14):
 
 
 def _bitwise(name, fast, ref) -> CheckResult:
-    same = fast.shape == ref.shape and np.array_equal(fast, ref)
-    err = 0.0 if same else float(np.abs(fast - ref).max())
+    # bytes, not ==: a +0.0 where the oracle has -0.0 is a mismatch too
+    same = fast.dtype == ref.dtype and fast.shape == ref.shape \
+        and fast.tobytes() == ref.tobytes()
+    err = 0.0 if same or fast.shape != ref.shape else float(np.abs(fast - ref).max())
     return CheckResult(name, same, err)
+
+
+def signed_zeros(rng, a, share=0.1):
+    """Set about `share` of the entries of `a` to +0.0 and as many to -0.0."""
+    u = rng.random(a.shape)
+    a[u < share] = 0.0
+    a[u > 1.0 - share] = -0.0
+    return a
 
 
 def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
@@ -64,7 +74,7 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
                 or check.max_err > prev.max_err:
             worst[kind] = check
 
-    for _ in range(draws):
+    for i in range(draws):
         nb, c, h, w = _rand_shape(rng)
         n = int(rng.choice([1, 3, 5]))
         x = rng.standard_normal((nb, c, h, w))
@@ -82,18 +92,29 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
         ref, _ = orc.oracle_heightwise(x, bank)
         record("height", _bitwise("height", T.heightwise_conv(x, bank), ref))
 
-        weights = rng.standard_normal((int(rng.integers(1, 8)), c))
-        ref, _ = orc.oracle_pointwise(x, weights, 1, stride)
+        # one group, two groups, and one group per channel with 3 inputs
+        # and 1 output each, the shape of the DiCE unit's local fusion
+        groups = (1, 2, c)[i % 3]
+        if groups == c:
+            cig, cog = 3, 1
+        else:
+            cig, cog = int(rng.integers(1, 13 // groups)), int(rng.integers(1, 8 // groups))
+        xg = signed_zeros(rng, rng.standard_normal((nb, groups * cig, h, w)))
+        wg = signed_zeros(rng, rng.standard_normal((groups * cog, cig)))
+        ref, _ = orc.oracle_pointwise(xg, wg, groups, stride)
         record("pointwise",
-               _bitwise("pointwise", T.pointwise_conv(x, weights, 1, stride), ref))
+               _bitwise("pointwise", T.pointwise_conv(xg, wg, groups, stride), ref))
 
-        groups = int(rng.choice([1, 2]))
-        fin = 2 * groups * int(rng.integers(1, 5))
+        # few features per group, where the sign of a zero sum shows, or
+        # enough to cross two of linear's feature blocks
+        groups = int(rng.choice([1, 2, 4]))
+        fig = int(rng.integers(9, 2 * T.LINEAR_BLOCK + 9) if i % 2 else rng.integers(1, 9))
         fout = groups * int(rng.integers(1, 5))
-        xf = rng.standard_normal((nb, fin))
-        wf = rng.standard_normal((fout, fin // groups))
-        ref, _ = orc.oracle_linear(xf, wf, groups)
-        record("grouped", _bitwise("grouped", T.linear(xf, wf, groups), ref))
+        xf = signed_zeros(rng, rng.standard_normal((nb, groups * fig)))
+        wf = signed_zeros(rng, rng.standard_normal((fout, fig)))
+        bias = rng.standard_normal(fout) if i % 4 == 3 else None
+        ref, _ = orc.oracle_linear(xf, wf, groups, bias)
+        record("grouped", _bitwise("grouped", T.linear(xf, wf, groups, bias), ref))
 
         p = DimConvParams.init(c, h, w, n, rng)
         fused = dimconv_fused(x, p)

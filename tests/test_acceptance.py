@@ -72,6 +72,13 @@ def test_c1_kernels_match_oracle_bitwise():
         ref, _ = orc.oracle_pointwise(x, wts, 1, stride)
         assert np.array_equal(T.pointwise_conv(x, wts, 1, stride), ref)
 
+        # grouped: one group per channel, 3 inputs each (the DiCE unit's
+        # local fusion), with signed zeros; compared byte for byte
+        xg = verify.signed_zeros(rng, rng.standard_normal((nb, 3 * c, h, w))).astype(np.float32)
+        wg = verify.signed_zeros(rng, rng.standard_normal((c, 3))).astype(np.float32)
+        ref, _ = orc.oracle_pointwise(xg, wg, c, stride)
+        assert T.pointwise_conv(xg, wg, c, stride).tobytes() == ref.tobytes()
+
         xf = rng.standard_normal((nb, 8)).astype(np.float32)
         wf = rng.standard_normal((4, 4)).astype(np.float32)
         ref, _ = orc.oracle_linear(xf, wf, 2)

@@ -1,6 +1,7 @@
 """Tape mechanics and per-op backward passes against central differences."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -46,6 +47,28 @@ def test_no_grad_suppresses_tape(rng):
     with ag.no_grad():
         y = ag.mul(x, x)
     assert not y.requires_grad and y._backward is None
+
+
+def test_no_grad_in_another_thread_keeps_tape_on():
+    # one thread sits inside no_grad() while this one records and backprops
+    entered, release = threading.Event(), threading.Event()
+
+    def hold():
+        with ag.no_grad():
+            entered.set()
+            release.wait(10)
+
+    t = threading.Thread(target=hold)
+    t.start()
+    try:
+        assert entered.wait(10)
+        x = ag.param(np.array([3.0]))
+        ag.backward(ag.mul(x, x))
+        np.testing.assert_array_equal(x.grad, [6.0])
+    finally:
+        release.set()
+        t.join(10)
+    assert not t.is_alive()
 
 
 def test_shared_parent_accumulates(rng):

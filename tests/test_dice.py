@@ -1,6 +1,9 @@
 """The builder's DiCE unit and blocks: shapes, dynamic rescaling
 instrumentation, split/shuffle and block validation."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -99,3 +102,30 @@ def test_block_config_validation():
         _layer(ShuffleBlock, 8, 8, 6, 6, strided=True)     # cout <= cin
     with pytest.raises(ConfigError):
         _layer(ShuffleBlock, 7, 7, 6, 6)                   # odd split
+
+
+def test_resize_count_is_per_thread():
+    # more threads than cores, switching often: each sees only its own count
+    counts, n_threads, per_thread = {}, 4, 500
+    dice.reset_resize_count()
+    dice.note_resize()
+
+    def work(k):
+        dice.reset_resize_count()
+        for _ in range(per_thread):
+            dice.note_resize()
+        counts[k] = dice.resize_count()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert counts == {k: per_thread for k in range(n_threads)}
+    assert dice.resize_count() == 1

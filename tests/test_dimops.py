@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dicekit import bench
 from dicekit import tensorops as T
 from dicekit.dimops import (
     DimConvParams,
@@ -82,3 +83,17 @@ def test_dimfuse_cost_reports_both_accountings():
     assert cost["closed_form"] != cost["component_sum"]
     with pytest.raises(KernelError):
         dimfuse_cost(0, 28, 28, 3)
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 8), (58, 28, 28)])
+def test_bench_refuses_slot_swapped_dimconv(monkeypatch, shape):
+    # swapping the width and height slots keeps every value, so a float
+    # sum of the output cannot tell; the bench checksum must
+    def swapped(x, p):
+        out = dimconv_fused(x, p)
+        out[:, 1::3], out[:, 2::3] = out[:, 2::3].copy(), out[:, 1::3].copy()
+        return out
+
+    monkeypatch.setattr(bench, "dimconv_fused", swapped)
+    with pytest.raises(bench.BenchError):
+        bench.compare_fused_unfused(shape, repeats=1, warmup=0)
