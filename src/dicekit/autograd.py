@@ -351,21 +351,21 @@ def avg_pool(x, k: int = 3, stride: int = 1) -> Var:
 
 def max_pool(x, k: int = 3, stride: int = 1) -> Var:
     x = as_var(x)
+    out = T.pool(x.data, "max", k, stride)
     nb, c, h, w = x.data.shape
     p = (k - 1) // 2
     ho, wo = ceil_div(h, stride), ceil_div(w, stride)
-    prh = max(0, (ho - 1) * stride + k - 1 - p - (h - 1))
-    prw = max(0, (wo - 1) * stride + k - 1 - p - (w - 1))
-    xp = np.pad(x.data.astype(np.float64), ((0, 0), (0, 0), (p, prh), (p, prw)),
-                constant_values=-np.inf)
-    stack = np.stack([
-        xp[:, :, i:i + stride * (ho - 1) + 1:stride, j:j + stride * (wo - 1) + 1:stride]
-        for i in range(k) for j in range(k)
-    ])
-    arg = stack.argmax(axis=0)
-    out = np.take_along_axis(stack, arg[None], axis=0)[0].astype(x.data.dtype)
 
     def bw(dy):
+        # the first maximal tap of each window gets the gradient
+        prh = max(0, (ho - 1) * stride + k - 1 - p - (h - 1))
+        prw = max(0, (wo - 1) * stride + k - 1 - p - (w - 1))
+        xp = np.pad(x.data.astype(np.float64), ((0, 0), (0, 0), (p, prh), (p, prw)),
+                    constant_values=-np.inf)
+        arg = np.stack([
+            xp[:, :, i:i + stride * (ho - 1) + 1:stride, j:j + stride * (wo - 1) + 1:stride]
+            for i in range(k) for j in range(k)
+        ]).argmax(axis=0)
         dxp = np.zeros_like(xp)
         for i in range(k):
             for j in range(k):

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensorops as T
 from .tensorops import (
     ConvKernelBank,
     KernelError,
@@ -102,8 +103,16 @@ def dimconv_unfused(x: np.ndarray, p: DimConvParams) -> np.ndarray:
 def dimconv_fused(x: np.ndarray, p: DimConvParams) -> np.ndarray:
     """Single-pass variant: one padded buffer, one tap sweep, all three dot
     products accumulated per neighborhood. Bit-identical to the unfused
-    reference (same per-element accumulation order)."""
-    check_tensor(x)
+    reference (same per-element accumulation order).
+
+    An image larger than `tensorops.BLOCK_BYTES` is swept in channel blocks
+    of at most that size, so the three accumulators of a block stay in cache
+    for all n*n taps. Each output still depends on the same inputs, added in
+    the same order."""
+    return T._image_blocks(_dimconv_fused, x, p)
+
+
+def _dimconv_fused(x, p):
     _check_nominal(x, p)
     nb, c, h, w = x.shape
     n = p.n
@@ -113,18 +122,21 @@ def dimconv_fused(x: np.ndarray, p: DimConvParams) -> np.ndarray:
     kd = p.k_d.taps.astype(np.float64, copy=False)
     kw = p.k_w.taps.astype(np.float64, copy=False)
     kh = p.k_h.taps.astype(np.float64, copy=False)
-    a_d = np.zeros((nb, c, h, w), dtype=np.float64)
-    a_w = np.zeros((nb, c, h, w), dtype=np.float64)
-    a_h = np.zeros((nb, c, h, w), dtype=np.float64)
-    for i in range(n):
-        for j in range(n):
-            a_d += kd[:, i, j][None, :, None, None] * xp[:, pd:pd + c, i:i + h, j:j + w]
-            a_w += kw[:, i, j][None, None, None, :] * xp[:, i:i + c, j:j + h, pd:pd + w]
-            a_h += kh[:, i, j][None, None, :, None] * xp[:, i:i + c, pd:pd + h, j:j + w]
     out = np.empty((nb, 3 * c, h, w), dtype=x.dtype)
-    out[:, 0::3] = a_d.astype(x.dtype, copy=False)
-    out[:, 1::3] = a_w.astype(x.dtype, copy=False)
-    out[:, 2::3] = a_h.astype(x.dtype, copy=False)
+    cb = max(1, T.BLOCK_BYTES // (8 * nb * h * w))
+    for c0 in range(0, c, cb):
+        c1 = min(c0 + cb, c)
+        a_d = np.zeros((nb, c1 - c0, h, w), dtype=np.float64)
+        a_w = np.zeros_like(a_d)
+        a_h = np.zeros_like(a_d)
+        for i in range(n):
+            for j in range(n):
+                a_d += kd[c0:c1, i, j][None, :, None, None] * xp[:, pd + c0:pd + c1, i:i + h, j:j + w]
+                a_w += kw[:, i, j][None, None, None, :] * xp[:, c0 + i:c1 + i, j:j + h, pd:pd + w]
+                a_h += kh[:, i, j][None, None, :, None] * xp[:, c0 + i:c1 + i, pd:pd + h, j:j + w]
+        out[:, 3 * c0:3 * c1:3] = a_d
+        out[:, 3 * c0 + 1:3 * c1:3] = a_w
+        out[:, 3 * c0 + 2:3 * c1:3] = a_h
     return out
 
 

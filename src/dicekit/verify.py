@@ -50,6 +50,16 @@ def _bitwise(name, fast, ref) -> CheckResult:
     return CheckResult(name, same, err)
 
 
+def resize_draw(rng):
+    """An input with signed zeros and a different target size for
+    `bilinear_resize`: down- or upsampling on each axis, 1-pixel sides."""
+    nb, c = int(rng.integers(1, 3)), int(rng.integers(1, 5))
+    h, w, th, tw = (int(v) for v in rng.integers(1, 10, size=4))
+    if (th, tw) == (h, w):
+        tw += 1
+    return signed_zeros(rng, rng.standard_normal((nb, c, h, w))), th, tw
+
+
 def signed_zeros(rng, a, share=0.1):
     """Set about `share` of the entries of `a` to +0.0 and as many to -0.0."""
     u = rng.random(a.shape)
@@ -65,6 +75,8 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
     harness can prove a broken kernel is actually detected.
     """
     rng = np.random.default_rng(seed)
+    # resize draws come from their own generator and leave the others' draws alone
+    resize_rng = np.random.default_rng([seed, 1])
     results = []
     worst = {}
 
@@ -115,6 +127,10 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
         bias = rng.standard_normal(fout) if i % 4 == 3 else None
         ref, _ = orc.oracle_linear(xf, wf, groups, bias)
         record("grouped", _bitwise("grouped", T.linear(xf, wf, groups, bias), ref))
+
+        xr, th, tw = resize_draw(resize_rng)
+        record("bilinear", _bitwise("bilinear", T.bilinear_resize(xr, th, tw),
+                                    orc.oracle_bilinear(xr, th, tw)))
 
         p = DimConvParams.init(c, h, w, n, rng)
         fused = dimconv_fused(x, p)

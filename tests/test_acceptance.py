@@ -49,6 +49,7 @@ def test_c1_kernels_match_oracle_bitwise():
     # single precision: both paths accumulate in f64 and round once at the
     # end, so outputs must agree exactly (0 ulp)
     rng = np.random.default_rng(1)
+    resize_rng = np.random.default_rng(11)
     for _ in range(50):
         nb, c, h, w = (int(rng.integers(1, 3)), int(rng.integers(1, 10)),
                        int(rng.integers(2, 12)), int(rng.integers(2, 12)))
@@ -87,6 +88,11 @@ def test_c1_kernels_match_oracle_bitwise():
         p = DimConvParams.init(c, h, w, n, rng, np.float32)
         ref, _ = orc.oracle_dimconv(x, p)
         assert np.array_equal(dimconv_fused(x, p), ref)
+
+        xr, th, tw = verify.resize_draw(resize_rng)
+        xr = xr.astype(np.float32)
+        ref = orc.oracle_bilinear(xr, th, tw)
+        assert T.bilinear_resize(xr, th, tw).tobytes() == ref.tobytes()
 
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"kernel equivalence took {elapsed:.1f}s"

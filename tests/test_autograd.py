@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,21 @@ def test_pool_grads(rng):
     check_param_grad(lambda v: ag.sum_all(ag.mul(ag.max_pool(v, 3, 2), wgt)), x)
     gw = ag.Var(rng.standard_normal((2, 2, 1, 1)))
     check_param_grad(lambda v: ag.sum_all(ag.mul(ag.global_avg(v), gw)), x)
+
+
+def test_max_pool_forward_does_not_stack_windows(rng):
+    # the s1.0 stem's max pool: its forward builds no stack of the k*k windows
+    x = ag.Var(rng.standard_normal((1, 24, 112, 112)))
+    padded, out = 24 * 113 * 113 * 8, 24 * 56 * 56 * 8
+    with ag.no_grad():
+        tracemalloc.start()
+        try:
+            y = ag.max_pool(x, 3, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    np.testing.assert_array_equal(y.data, T.pool(x.data, "max", 3, 2))
+    assert peak < padded + 3 * out, f"peak {peak} B"
 
 
 def test_batch_norm_grads(rng):

@@ -45,6 +45,23 @@ def test_fused_equals_unfused_bitwise(rng):
         np.testing.assert_array_equal(dimconv_fused(x, p), dimconv_unfused(x, p))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_fused_channel_blocks_keep_the_bytes(monkeypatch, dtype):
+    from dicekit import oracle as orc
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((2, 5, 6, 7)).astype(dtype)
+    for n in (1, 3, 5):
+        p = DimConvParams.init(5, 6, 7, n, rng, dtype)
+        whole = dimconv_fused(x, p)
+        # two channels of one image per block: each image runs as 2 + 2 + 1
+        monkeypatch.setattr(T, "BLOCK_BYTES", 2 * 8 * 6 * 7)
+        blocked = dimconv_fused(x, p)
+        monkeypatch.undo()
+        ref, _ = orc.oracle_dimconv(x, p)
+        for out in (blocked, dimconv_unfused(x, p), ref):
+            assert out.dtype == whole.dtype and out.tobytes() == whole.tobytes(), n
+
+
 def test_dimconv_rejects_off_nominal(rng):
     p = DimConvParams.init(3, 5, 4, 3, rng)
     with pytest.raises(KernelError):

@@ -170,3 +170,53 @@ def test_dtype_preserved(rng):
     bank = ConvKernelBank.random(3, 3, rng, dtype=np.float32)
     assert T.depthwise_conv(x, bank).dtype == np.float32
     assert T.pool(x, "avg", 3, 2).dtype == np.float32
+
+
+def _blocked_calls(x):
+    """Each kernel that runs in image blocks, as a call on x with fixed weights."""
+    from dicekit.dimops import DimConvParams, dimconv_fused
+    rng = np.random.default_rng(1)
+    c, h, w = x.shape[1:]
+    wp, bp = rng.standard_normal((4, c)), rng.standard_normal(4)
+    bank = ConvKernelBank.random(c, 3, rng)
+    w2 = rng.standard_normal((2, c, 3, 3))
+    dc = DimConvParams.init(c, h, w, 3, rng)
+    return {
+        "pointwise": lambda: T.pointwise_conv(x, wp, 1, 2, bp),
+        "depthwise": lambda: T.depthwise_conv(x, bank, 2),
+        "conv2d": lambda: T.conv2d(x, w2, 2),
+        "avg_pool": lambda: T.pool(x, "avg", 3, 2),
+        "max_pool": lambda: T.pool(x, "max", 3, 2),
+        "bilinear": lambda: T.bilinear_resize(x, 9, 4),
+        "dimconv_fused": lambda: dimconv_fused(x, dc),
+    }
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_image_blocks_keep_the_bytes(monkeypatch, dtype):
+    x = np.random.default_rng(5).standard_normal((3, 4, 7, 6)).astype(dtype)
+    seen = []
+
+    def spy(xb):
+        seen.append(xb.shape[0])
+        return xb
+
+    # two images per block, so a batch of 3 runs as 2 + 1
+    two_images = 2 * 8 * x[0].size
+    monkeypatch.setattr(T, "BLOCK_BYTES", two_images)
+    assert T._image_blocks(spy, x).tobytes() == x.tobytes() and seen == [2, 1]
+    for name, call in _blocked_calls(x).items():
+        monkeypatch.setattr(T, "BLOCK_BYTES", two_images)
+        blocked = call()
+        monkeypatch.setattr(T, "BLOCK_BYTES", 3 * two_images)
+        whole = call()
+        assert blocked.dtype == whole.dtype == dtype, name
+        assert blocked.shape == whole.shape and blocked.tobytes() == whole.tobytes(), name
+
+
+def test_image_blocks_reject_an_empty_batch(monkeypatch):
+    # checked before the block size is read from the first image
+    monkeypatch.setattr(T, "BLOCK_BYTES", 8)
+    for name, call in _blocked_calls(np.zeros((0, 4, 7, 6))).items():
+        with pytest.raises(KernelError):
+            call()
