@@ -170,9 +170,9 @@ def depthwise(x, taps, stride: int = 1) -> Var:
     n = taps.data.shape[1]
     p = (n - 1) // 2
     ho, wo = ceil_div(h, stride), ceil_div(w, stride)
-    t64 = taps.data.astype(np.float64)
 
     def bw(dy):
+        t64 = taps.data.astype(np.float64)
         xp = T._pad_hw(x.data.astype(np.float64), p, ho, wo, stride, n)
         dxp = np.zeros_like(xp)
         dt = np.zeros_like(t64)
@@ -471,9 +471,9 @@ def prelu(x, slope) -> Var:
 def sigmoid(x) -> Var:
     x = as_var(x)
     out = T.sigmoid(x.data)
-    o64 = out.astype(np.float64)
 
     def bw(dy):
+        o64 = out.astype(np.float64, copy=False)
         _accum(x, dy * o64 * (1.0 - o64))
 
     return _make(out, (x,), bw)
@@ -512,10 +512,10 @@ def bilinear(x, target_h: int, target_w: int) -> Var:
         def bw_id(dy):
             _accum(x, dy)
         return _make(out, (x,), bw_id)
-    rh = T.resize_matrix(h, target_h)
-    rw = T.resize_matrix(w, target_w)
 
     def bw(dy):
+        rh = T.resize_matrix(h, target_h)
+        rw = T.resize_matrix(w, target_w)
         tmp = np.einsum("ah,ncab->nchb", rh, dy)
         _accum(x, np.einsum("bw,nchb->nchw", rw, tmp))
 
@@ -554,12 +554,11 @@ def channel_shuffle(x, groups: int = 2) -> Var:
     x = as_var(x)
     from .dice import channel_shuffle as shuffle_np
     out = shuffle_np(x.data, groups)
-    nb, c = x.data.shape[:2]
-    perm = (np.arange(c).reshape(groups, c // groups).T).reshape(-1)
-    inv = np.argsort(perm)
 
     def bw(dy):
-        _accum(x, dy[:, inv])
+        c = x.data.shape[1]
+        perm = (np.arange(c).reshape(groups, c // groups).T).reshape(-1)
+        _accum(x, dy[:, np.argsort(perm)])
 
     return _make(out, (x,), bw)
 

@@ -213,9 +213,21 @@ def pointwise_conv(x: np.ndarray, weights: np.ndarray, groups: int = 1,
     Keeps the oracle's order: every output starts at 0.0 and adds its
     group's C_in // groups products one input channel at a time. The loop
     runs over the inputs of a group only; all groups advance together in
-    one numpy call per step, on x viewed as (N, G, C_in/G, H, W) and the
-    weights as (G, C_out/G, C_in/G). `sum`, `einsum` or `@` would
-    sum pairwise or use FMA, and so would not match the oracle bitwise.
+    one numpy call per step. `sum`, `einsum` or `@` would sum pairwise or
+    use FMA, and so would not match the oracle bitwise.
+
+    Each step is an outer product of a weight column and an input channel.
+    x is laid out channel-major, (G, C_in/G, N*H*W), with the batch folded
+    into the pixels, and the step runs along the longer of two axes: the
+    pixels, or the outputs of a group. The loop runs with numpy's ufunc
+    buffer at its minimum, 16 elements, restored on the way out:
+    with the default 8192-element buffer numpy's iterator copies the
+    broadcast operands through it, which costs more than the multiply and
+    the add together; with the minimum it runs its inner loop unbuffered
+    along the long contiguous axis. The bytes cannot change: the order of
+    the adds is the oracle's, `w*x == x*w` exactly in IEEE arithmetic, and
+    the buffer only moves data. Kernels with short rows keep the default
+    buffer, which is faster for them.
     """
     return _image_blocks(_pointwise_conv, x, weights, groups, stride, bias)
 
@@ -228,22 +240,38 @@ def _pointwise_conv(x, weights, groups, stride, bias):
     cout = weights.shape[0]
     if c % groups != 0 or cout % groups != 0:
         raise KernelError(f"channels in={c}, out={cout} not divisible by groups={groups}")
-    cig = c // groups
+    cig, cog = c // groups, cout // groups
     if weights.shape[1] != cig:
         raise KernelError(f"weight rows have {weights.shape[1]} coefficients, expected {cig}")
     if stride < 1:
         raise KernelError(f"stride must be >= 1, got {stride}")
-    xs = x[:, :, ::stride, ::stride].astype(np.float64, copy=False)
+    xs = x[:, :, ::stride, ::stride]
     ho, wo = xs.shape[2], xs.shape[3]
-    xg = xs.reshape(nb, groups, cig, ho, wo)
-    wg = weights.astype(np.float64, copy=False).reshape(groups, cout // groups, cig)
-    acc = np.zeros((nb, groups, cout // groups, ho, wo), dtype=np.float64)
-    for ci in range(cig):
-        acc += wg[None, :, :, ci, None, None] * xg[:, :, None, ci]
-    acc = acc.reshape(nb, cout, ho, wo)
+    npix = nb * ho * wo
+    xg = np.ascontiguousarray(xs.transpose(1, 0, 2, 3), dtype=np.float64) \
+        .reshape(groups, cig, npix)
+    wt = weights.astype(np.float64, copy=False).reshape(groups, cog, cig).transpose(0, 2, 1)
+    # a[:, ci] * b[:, ci] is the outer product of weight column ci and input
+    # channel ci for every group, with the longer axis last
+    pixels_inner = npix >= cog
+    if pixels_inner:
+        a, b = wt[..., None], xg[:, :, None]
+    else:
+        a, b = xg[..., None], np.ascontiguousarray(wt)[:, :, None]
+    acc = np.zeros((groups, a.shape[2], b.shape[3]), dtype=np.float64)
+    # numpy's smallest buffer; numpy 1.x also needs a multiple of 16
+    old = np.setbufsize(16)
+    try:
+        for ci in range(cig):
+            acc += a[:, ci] * b[:, ci]
+    finally:
+        np.setbufsize(old)
+    if not pixels_inner:
+        acc = acc.transpose(0, 2, 1)
     if bias is not None:
-        acc += bias.astype(np.float64)[None, :, None, None]
-    return acc.astype(x.dtype, copy=False)
+        acc += bias.astype(np.float64).reshape(groups, cog, 1)
+    y = acc.reshape(cout, nb, ho, wo).transpose(1, 0, 2, 3)
+    return np.ascontiguousarray(y, dtype=x.dtype)
 
 
 def conv2d(x: np.ndarray, weights: np.ndarray, stride: int = 1,

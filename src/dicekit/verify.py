@@ -50,6 +50,58 @@ def _bitwise(name, fast, ref) -> CheckResult:
     return CheckResult(name, same, err)
 
 
+def _bounded(name, fast, ref, bound) -> CheckResult:
+    """fast against ref, every element within its own error bound."""
+    if fast.dtype != ref.dtype or fast.shape != ref.shape:
+        return CheckResult(name, False, float("inf"),
+                           f"{fast.dtype}{fast.shape} against {ref.dtype}{ref.shape}")
+    err = np.abs(fast.astype(np.float64) - ref.astype(np.float64))
+    ok = bool(np.all(err <= bound))
+    ratio = float((err / np.maximum(bound, np.finfo(np.float64).tiny)).max())
+    return CheckResult(name, ok, float(err.max()), f"max err/bound={ratio:.3f}")
+
+
+def dot_bound(k: int, abs_dot: np.ndarray) -> np.ndarray:
+    """2·γ_k·Σ|w||x|, elementwise: how far two float64 evaluations of the same
+    k-term dot products may lie apart, whatever their order of operations.
+
+    Higham (Accuracy and Stability of Numerical Algorithms, §3.1): every
+    evaluation order of a k-term dot product, each product rounded or fused,
+    lies within γ_k·Σ|w_i||x_i| of the exact value, where γ_k = k·u/(1 − k·u)
+    and u = 2⁻⁵³. Two evaluations, such as a kernel and the oracle, each lie
+    that close to the same exact value, so they lie within twice that of one
+    another. `abs_dot` is Σ|w||x| for each output, computed by the oracle on
+    |w| and |x|; its own rounding changes the bound by a relative γ_k, a
+    second-order term. conv2d has k = taps·C_in products per output. A
+    global average has H·W, and one rounding more: the oracle's weight
+    1/(H·W) is itself rounded, so it takes k = H·W + 1.
+    """
+    u = np.finfo(np.float64).eps / 2
+    return 2.0 * (k * u / (1.0 - k * u)) * abs_dot
+
+
+def pointwise_draw(rng, channels_inner: bool):
+    """An input and weights with signed zeros, groups and a stride for
+    `pointwise_conv`. With `channels_inner` one image on a 1×1 to 3×3 output
+    grid at stride 2 has fewer pixels than a group has outputs (up to 24), so
+    the kernel runs along the outputs of a group; otherwise the pixels, at
+    batch 1–3, are the longer axis."""
+    groups, cig = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+    if channels_inner:
+        nb, stride = 1, 2
+        h, w = (int(v) for v in rng.integers(1, 7, size=2))
+        npix = T.ceil_div(h, 2) * T.ceil_div(w, 2)
+        cog = int(rng.integers(npix + 1, 25))
+    else:
+        nb, stride = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        h, w = (int(v) for v in rng.integers(2, 9, size=2))
+        npix = nb * T.ceil_div(h, stride) * T.ceil_div(w, stride)
+        cog = int(rng.integers(1, min(npix, 8) + 1))
+    x = signed_zeros(rng, rng.standard_normal((nb, groups * cig, h, w)))
+    wts = signed_zeros(rng, rng.standard_normal((groups * cog, cig)))
+    return x, wts, groups, stride
+
+
 def resize_draw(rng):
     """An input with signed zeros and a different target size for
     `bilinear_resize`: down- or upsampling on each axis, 1-pixel sides."""
@@ -69,14 +121,19 @@ def signed_zeros(rng, a, share=0.1):
 
 
 def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
-    """Fast kernels against the naive oracle, bitwise in f64.
+    """Fast kernels against the naive oracle, bitwise in f64; conv2d and the
+    global average within `dot_bound`.
 
     `fault` perturbs the named fast path before comparison; it exists so the
     harness can prove a broken kernel is actually detected.
     """
     rng = np.random.default_rng(seed)
-    # resize draws come from their own generator and leave the others' draws alone
+    # resize, both-orientation pointwise, conv2d and global-average draws come
+    # from their own generators and leave the others' draws alone
     resize_rng = np.random.default_rng([seed, 1])
+    pw_rng = np.random.default_rng([seed, 2])
+    conv_rng = np.random.default_rng([seed, 3])
+    gap_rng = np.random.default_rng([seed, 4])
     results = []
     worst = {}
 
@@ -127,6 +184,31 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
         bias = rng.standard_normal(fout) if i % 4 == 3 else None
         ref, _ = orc.oracle_linear(xf, wf, groups, bias)
         record("grouped", _bitwise("grouped", T.linear(xf, wf, groups, bias), ref))
+
+        xp, wp, groups, stride_p = pointwise_draw(pw_rng, channels_inner=i % 2 == 0)
+        ref, _ = orc.oracle_pointwise(xp, wp, groups, stride_p)
+        record("pointwise",
+               _bitwise("pointwise", T.pointwise_conv(xp, wp, groups, stride_p), ref))
+
+        # conv2d and global average pooling sum in another order than the
+        # oracle (einsum over channels, numpy's pairwise mean): gated by the
+        # dot-product bound, not bitwise
+        xc = conv_rng.standard_normal((int(conv_rng.integers(1, 3)), int(conv_rng.integers(1, 5)),
+                                       int(conv_rng.integers(2, 9)), int(conv_rng.integers(2, 9))))
+        nc = int(conv_rng.choice([1, 3]))
+        wc = conv_rng.standard_normal((int(conv_rng.integers(1, 5)), xc.shape[1], nc, nc))
+        sc = int(conv_rng.choice([1, 2]))
+        ref, _ = orc.oracle_conv2d(xc, wc, sc)
+        abs_dot, _ = orc.oracle_conv2d(np.abs(xc), np.abs(wc), sc)
+        record("conv2d", _bounded("conv2d", T.conv2d(xc, wc, sc), ref,
+                                  dot_bound(nc * nc * xc.shape[1], abs_dot)))
+
+        xa = gap_rng.standard_normal((int(gap_rng.integers(1, 3)), int(gap_rng.integers(1, 6)),
+                                      int(gap_rng.integers(1, 15)), int(gap_rng.integers(1, 15))))
+        ref, _ = orc.oracle_global_avg(xa)
+        abs_dot, _ = orc.oracle_global_avg(np.abs(xa))
+        record("global_avg", _bounded("global_avg", T.pool(xa, "global_avg"), ref,
+                                      dot_bound(xa.shape[2] * xa.shape[3] + 1, abs_dot)))
 
         xr, th, tw = resize_draw(resize_rng)
         record("bilinear", _bitwise("bilinear", T.bilinear_resize(xr, th, tw),

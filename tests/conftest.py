@@ -35,6 +35,16 @@ def rel_err(a, b, floor=1e-7):
     return float((np.abs(a - b) / denom).max())
 
 
+@pytest.fixture(autouse=True)
+def ufunc_buffer_restored():
+    # a kernel that changes numpy's ufunc buffer size must restore it
+    before = np.getbufsize()
+    yield
+    after = np.getbufsize()
+    if after != before:
+        pytest.fail(f"numpy's ufunc buffer size left at {after}, was {before}")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -50,6 +50,7 @@ def test_c1_kernels_match_oracle_bitwise():
     # end, so outputs must agree exactly (0 ulp)
     rng = np.random.default_rng(1)
     resize_rng = np.random.default_rng(11)
+    pw_rng = np.random.default_rng(12)
     for _ in range(50):
         nb, c, h, w = (int(rng.integers(1, 3)), int(rng.integers(1, 10)),
                        int(rng.integers(2, 12)), int(rng.integers(2, 12)))
@@ -71,7 +72,13 @@ def test_c1_kernels_match_oracle_bitwise():
 
         wts = rng.standard_normal((int(rng.integers(1, 6)), c)).astype(np.float32)
         ref, _ = orc.oracle_pointwise(x, wts, 1, stride)
-        assert np.array_equal(T.pointwise_conv(x, wts, 1, stride), ref)
+        assert T.pointwise_conv(x, wts, 1, stride).tobytes() == ref.tobytes()
+
+        # fewer pixels than outputs per group: the kernel runs along the outputs
+        xp, wp, groups, stride_p = verify.pointwise_draw(pw_rng, channels_inner=True)
+        xp, wp = xp.astype(np.float32), wp.astype(np.float32)
+        ref, _ = orc.oracle_pointwise(xp, wp, groups, stride_p)
+        assert T.pointwise_conv(xp, wp, groups, stride_p).tobytes() == ref.tobytes()
 
         # grouped: one group per channel, 3 inputs each (the DiCE unit's
         # local fusion), with signed zeros; compared byte for byte

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dicekit import dice
+from dicekit import tensorops as T
 from dicekit.dimops import dimfuse_cost
 from dicekit.netbuilder import analyze, build_network, infer
 from dicekit.netconfig import parse_config
@@ -161,6 +162,17 @@ def test_resize_instrumentation(micro_net):
     infer(micro_net, np.zeros((1, 3, 48, 48)))
     units = sum(kind == "dimconv" for _, kind, _, _, _ in analyze(micro_net).rows)
     assert dice.resize_count() == 2 * units        # in and out of every unit
+
+
+def test_off_nominal_infer_builds_no_resize_matrix(micro_net, monkeypatch):
+    # the dense matrices serve only the backward pass, which infer never runs
+    def refuse(src, dst):
+        raise AssertionError(f"resize_matrix({src}, {dst}) built during infer")
+
+    monkeypatch.setattr(T, "resize_matrix", refuse)
+    dice.reset_resize_count()
+    infer(micro_net, np.zeros((1, 3, 48, 48)))
+    assert dice.resize_count() > 0
 
 
 def test_alternative_block_styles_forward(rng):

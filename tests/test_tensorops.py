@@ -1,9 +1,13 @@
 """Primitive kernel behavior: shapes, error paths, hand-checked values."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from dicekit import tensorops as T
+from dicekit import verify
 from dicekit.tensorops import ConvKernelBank, KernelError
 
 
@@ -83,6 +87,57 @@ def test_pointwise_groups(rng):
     top = np.einsum("oc,nchw->nohw", w[:2], x[:, :2])
     bot = np.einsum("oc,nchw->nohw", w[2:], x[:, 2:])
     assert np.allclose(y, np.concatenate([top, bot], axis=1), atol=1e-12)
+
+
+def test_pointwise_restores_the_ufunc_buffer():
+    x = np.random.default_rng(3).standard_normal((1, 116, 14, 14))
+    w = np.random.default_rng(4).standard_normal((116, 116))
+    default = np.getbufsize()
+    try:
+        with np.errstate():
+            np.setbufsize(4096)
+            T.pointwise_conv(x, w)
+            assert np.getbufsize() == 4096
+    finally:
+        # numpy 2 restores the size when errstate exits, numpy 1.x does not
+        np.setbufsize(default)
+    # the buffer size is per thread: one thread's kernel leaves another's alone
+    done = threading.Event()
+    errors = []
+
+    def work():
+        try:
+            for _ in range(20):
+                T.pointwise_conv(x, w)
+        except Exception as e:  # reported by the assertion below
+            errors.append(e)
+        finally:
+            done.set()
+
+    seen = set()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        worker = threading.Thread(target=work)
+        worker.start()
+        while not done.is_set():
+            seen.add(np.getbufsize())
+        worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not worker.is_alive() and not errors
+    assert seen == {default}
+
+
+def test_pointwise_draws_cover_both_orientations():
+    # verify's pointwise draws run the kernel along the pixels and along the
+    # outputs of a group
+    rng = np.random.default_rng(0)
+    for channels_inner in (True, False):
+        for _ in range(20):
+            x, w, groups, stride = verify.pointwise_draw(rng, channels_inner)
+            npix = x.shape[0] * T.ceil_div(x.shape[2], stride) * T.ceil_div(x.shape[3], stride)
+            assert (npix < w.shape[0] // groups) == channels_inner
 
 
 def test_conv2d_shape_and_delta(rng):
