@@ -163,26 +163,76 @@ def _bank(taps):
     return ConvKernelBank(np.ascontiguousarray(taps))
 
 
+def _batch_last(a) -> np.ndarray:
+    """A float64 (N, C, H, W) array as (C, H, W, N), the batch contiguous."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0), dtype=np.float64)
+
+
+def _pad_batch_last(x, n: int, ao: int, bo: int, stride: int, fill=0.0) -> np.ndarray:
+    """x, indexed (K, A, B, N), in a float64 buffer with the batch contiguous,
+    A and B padded for an n-tap window with ao x bo outputs."""
+    k, a, b, nb = x.shape
+    p = (n - 1) // 2
+    xp = np.full((k, p + a + T.right_pad(a, ao, stride, n),
+                  p + b + T.right_pad(b, bo, stride, n), nb), fill)
+    xp[:, p:p + a, p:p + b] = x
+    return xp
+
+
+def _taps(n: int, ao: int, bo: int, stride: int):
+    """(i, j, index) for each tap of an n x n window, row-major; the index
+    picks from a padded (K, A, B, N) buffer the ao x bo inputs the tap meets."""
+    for i in range(n):
+        for j in range(n):
+            yield i, j, np.s_[:, i:i + stride * (ao - 1) + 1:stride,
+                              j:j + stride * (bo - 1) + 1:stride]
+
+
+def _bank_grad(x, taps, dy, stride: int = 1):
+    """(dx, dtaps) of a convolution by a per-index bank of n x n kernels.
+
+    x is indexed (K, A, B, N): K picks the bank's kernel, the taps shift A
+    and B, and N, the batch, is not shifted; dy is indexed (K, Ao, Bo, N),
+    and dx comes back indexed as x. Whatever the layout of the arguments,
+    the work runs in buffers with the batch innermost, so each per-tap step
+    runs along rows as long as the batch."""
+    n = taps.shape[1]
+    p = (n - 1) // 2
+    k, a, b, nb = x.shape
+    ao, bo = dy.shape[1], dy.shape[2]
+    xp = _pad_batch_last(x, n, ao, bo, stride)
+    dy = np.ascontiguousarray(dy, dtype=np.float64)
+    t64 = taps.astype(np.float64, copy=False)
+    dxp = np.zeros_like(xp)
+    dt = np.empty(taps.shape, dtype=np.float64)
+    for i, j, sl in _taps(n, ao, bo, stride):
+        dxp[sl] += t64[:, i, j][:, None, None, None] * dy
+        dt[:, i, j] = np.einsum("kabn,kabn->k", xp[sl], dy)
+    return dxp[:, p:p + a, p:p + b], dt
+
+
+# (to, back): the axes that index x and dy as _bank_grad wants them, and
+# the axes that take dx back to (N, C, H, W). A depthwise conv is a bank
+# convolution over (C, H, W, N), DimConv's width branch one over
+# (W, C, H, N), its height branch one over (H, C, W, N).
+_DEPTH = ((1, 2, 3, 0), (3, 0, 1, 2))
+_WIDTH = ((3, 1, 2, 0), (3, 1, 2, 0))
+_HEIGHT = ((2, 1, 3, 0), (3, 1, 0, 2))
+
+
+def _branch_grad(axes, x, taps, dy, stride: int = 1):
+    to, back = axes
+    dx, dt = _bank_grad(x.transpose(to), taps, dy.transpose(to), stride)
+    return dx.transpose(back), dt
+
+
 def depthwise(x, taps, stride: int = 1) -> Var:
     x, taps = as_var(x), as_var(taps)
     out = T.depthwise_conv(x.data, _bank(taps.data), stride)
-    nb, c, h, w = x.data.shape
-    n = taps.data.shape[1]
-    p = (n - 1) // 2
-    ho, wo = ceil_div(h, stride), ceil_div(w, stride)
 
     def bw(dy):
-        t64 = taps.data.astype(np.float64)
-        xp = T._pad_hw(x.data.astype(np.float64), p, ho, wo, stride, n)
-        dxp = np.zeros_like(xp)
-        dt = np.zeros_like(t64)
-        for i in range(n):
-            for j in range(n):
-                sl = np.s_[:, :, i:i + stride * (ho - 1) + 1:stride,
-                           j:j + stride * (wo - 1) + 1:stride]
-                dxp[sl] += t64[:, i, j][None, :, None, None] * dy
-                dt[:, i, j] = np.einsum("nchw,nchw->c", xp[sl], dy)
-        _accum(x, dxp[:, :, p:p + h, p:p + w])
+        dx, dt = _branch_grad(_DEPTH, x.data, taps.data, dy, stride)
+        _accum(x, dx)
         _accum(taps, dt)
 
     return _make(out, (x, taps), bw)
@@ -191,21 +241,10 @@ def depthwise(x, taps, stride: int = 1) -> Var:
 def widthwise(x, taps) -> Var:
     x, taps = as_var(x), as_var(taps)
     out = T.widthwise_conv(x.data, _bank(taps.data))
-    nb, c, h, w = x.data.shape
-    n = taps.data.shape[1]
-    p = (n - 1) // 2
-    t64 = taps.data.astype(np.float64)
 
     def bw(dy):
-        xp = np.pad(x.data.astype(np.float64), ((0, 0), (p, p), (p, p), (0, 0)))
-        dxp = np.zeros_like(xp)
-        dt = np.zeros_like(t64)
-        for i in range(n):
-            for j in range(n):
-                sl = np.s_[:, i:i + c, j:j + h, :]
-                dxp[sl] += t64[:, i, j][None, None, None, :] * dy
-                dt[:, i, j] = np.einsum("nchw,nchw->w", xp[sl], dy)
-        _accum(x, dxp[:, p:p + c, p:p + h, :])
+        dx, dt = _branch_grad(_WIDTH, x.data, taps.data, dy)
+        _accum(x, dx)
         _accum(taps, dt)
 
     return _make(out, (x, taps), bw)
@@ -214,21 +253,10 @@ def widthwise(x, taps) -> Var:
 def heightwise(x, taps) -> Var:
     x, taps = as_var(x), as_var(taps)
     out = T.heightwise_conv(x.data, _bank(taps.data))
-    nb, c, h, w = x.data.shape
-    n = taps.data.shape[1]
-    p = (n - 1) // 2
-    t64 = taps.data.astype(np.float64)
 
     def bw(dy):
-        xp = np.pad(x.data.astype(np.float64), ((0, 0), (p, p), (0, 0), (p, p)))
-        dxp = np.zeros_like(xp)
-        dt = np.zeros_like(t64)
-        for i in range(n):
-            for j in range(n):
-                sl = np.s_[:, i:i + c, :, j:j + w]
-                dxp[sl] += t64[:, i, j][None, None, :, None] * dy
-                dt[:, i, j] = np.einsum("nchw,nchw->h", xp[sl], dy)
-        _accum(x, dxp[:, p:p + c, :, p:p + w])
+        dx, dt = _branch_grad(_HEIGHT, x.data, taps.data, dy)
+        _accum(x, dx)
         _accum(taps, dt)
 
     return _make(out, (x, taps), bw)
@@ -237,25 +265,24 @@ def heightwise(x, taps) -> Var:
 def pointwise(x, w, groups: int = 1, stride: int = 1) -> Var:
     x, w = as_var(x), as_var(w)
     out = T.pointwise_conv(x.data, w.data, groups, stride)
-    nb, c, h, _ = x.data.shape
-    cout = w.data.shape[0]
-    cig, cog = c // groups, cout // groups
+    cout, cig = w.data.shape
 
     def bw(dy):
-        xs = x.data[:, :, ::stride, ::stride].astype(np.float64)
-        w64 = w.data.astype(np.float64)
-        dxs = np.zeros_like(xs)
-        dw = np.zeros_like(w64)
-        for g in range(groups):
-            dyg = dy[:, g * cog:(g + 1) * cog]
-            wg = w64[g * cog:(g + 1) * cog]
-            xg = xs[:, g * cig:(g + 1) * cig]
-            dxs[:, g * cig:(g + 1) * cig] = np.einsum("nohw,oc->nchw", dyg, wg)
-            dw[g * cog:(g + 1) * cog] = np.einsum("nohw,nchw->oc", dyg, xg)
-        dx = np.zeros(x.data.shape, dtype=np.float64)
-        dx[:, :, ::stride, ::stride] = dxs
-        _accum(x, dx)
-        _accum(w, dw)
+        # channel-major, (G, C/G, N*H*W): one batched matmul for all groups
+        xs = x.data[:, :, ::stride, ::stride]
+        nb, c, ho, wo = xs.shape
+        xg = np.ascontiguousarray(xs.transpose(1, 0, 2, 3), dtype=np.float64) \
+            .reshape(groups, cig, -1)
+        dyg = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).reshape(groups, cout // groups, -1)
+        wg = w.data.astype(np.float64, copy=False).reshape(groups, cout // groups, cig)
+        dxs = np.matmul(wg.transpose(0, 2, 1), dyg).reshape(c, nb, ho, wo).transpose(1, 0, 2, 3)
+        if stride == 1:
+            _accum(x, dxs)
+        else:
+            dx = np.zeros(x.data.shape, dtype=np.float64)
+            dx[:, :, ::stride, ::stride] = dxs
+            _accum(x, dx)
+        _accum(w, np.matmul(dyg, xg.transpose(0, 2, 1)).reshape(cout, cig))
 
     return _make(out, (x, w), bw)
 
@@ -263,24 +290,24 @@ def pointwise(x, w, groups: int = 1, stride: int = 1) -> Var:
 def spatial_conv(x, w, stride: int = 1) -> Var:
     """Dense n x n convolution; weights (C_out, C_in, n, n)."""
     x, w = as_var(x), as_var(w)
-    n = w.data.shape[2]
-    h, wd = x.data.shape[2:]
     out = T.conv2d(x.data, w.data, stride)
-    p = (n - 1) // 2
-    ho, wo = ceil_div(h, stride), ceil_div(wd, stride)
+    cout, c, n, _ = w.data.shape
 
     def bw(dy):
-        xp = T._pad_hw(x.data.astype(np.float64), p, ho, wo, stride, n)
+        # batch-last, as in _bank_grad: each tap is two matmuls over
+        # (C, Ho*Wo*N) rows
+        nb, _, h, wd = x.data.shape
+        ho, wo = dy.shape[2], dy.shape[3]
+        p = (n - 1) // 2
+        xp = _pad_batch_last(x.data.transpose(1, 2, 3, 0), n, ho, wo, stride)
+        dy2 = _batch_last(dy).reshape(cout, -1)
         dxp = np.zeros_like(xp)
-        dw = np.zeros_like(w.data, dtype=np.float64)
-        w64 = w.data.astype(np.float64)
-        for i in range(n):
-            for j in range(n):
-                sl = np.s_[:, :, i:i + stride * (ho - 1) + 1:stride,
-                           j:j + stride * (wo - 1) + 1:stride]
-                dxp[sl] += np.einsum("nohw,oc->nchw", dy, w64[:, :, i, j])
-                dw[:, :, i, j] = np.einsum("nohw,nchw->oc", dy, xp[sl])
-        _accum(x, dxp[:, :, p:p + h, p:p + wd])
+        w64 = w.data.astype(np.float64, copy=False)
+        dw = np.empty(w.data.shape, dtype=np.float64)
+        for i, j, sl in _taps(n, ho, wo, stride):
+            dxp[sl] += (w64[:, :, i, j].T @ dy2).reshape(c, ho, wo, nb)
+            dw[:, :, i, j] = dy2 @ xp[sl].reshape(c, -1).T
+        _accum(x, dxp[:, p:p + h, p:p + wd].transpose(3, 0, 1, 2))
         _accum(w, dw)
 
     return _make(out, (x, w), bw)
@@ -288,37 +315,16 @@ def spatial_conv(x, w, stride: int = 1) -> Var:
 
 def dimconv(x, k_d, k_w, k_h) -> Var:
     """Three-branch dimension-wise conv, interleaved output, fused forward."""
-    from .dimops import DimConvParams
+    from .dimops import DimConvParams, dimconv_fused
     x, k_d, k_w, k_h = as_var(x), as_var(k_d), as_var(k_w), as_var(k_h)
-    from .dimops import dimconv_fused
     p_obj = DimConvParams(_bank(k_d.data), _bank(k_w.data), _bank(k_h.data))
     out = dimconv_fused(x.data, p_obj)
-    nb, c, h, w = x.data.shape
-    n = k_d.data.shape[1]
-    p = (n - 1) // 2
 
     def bw(dy):
-        dyd, dyw, dyh = dy[:, 0::3], dy[:, 1::3], dy[:, 2::3]
-        xp = np.pad(x.data.astype(np.float64), ((0, 0), (p, p), (p, p), (p, p)))
-        dxp = np.zeros_like(xp)
-        kd64 = k_d.data.astype(np.float64)
-        kw64 = k_w.data.astype(np.float64)
-        kh64 = k_h.data.astype(np.float64)
-        dkd = np.zeros_like(kd64)
-        dkw = np.zeros_like(kw64)
-        dkh = np.zeros_like(kh64)
-        for i in range(n):
-            for j in range(n):
-                sd = np.s_[:, p:p + c, i:i + h, j:j + w]
-                sw = np.s_[:, i:i + c, j:j + h, p:p + w]
-                sh = np.s_[:, i:i + c, p:p + h, j:j + w]
-                dxp[sd] += kd64[:, i, j][None, :, None, None] * dyd
-                dxp[sw] += kw64[:, i, j][None, None, None, :] * dyw
-                dxp[sh] += kh64[:, i, j][None, None, :, None] * dyh
-                dkd[:, i, j] = np.einsum("nchw,nchw->c", xp[sd], dyd)
-                dkw[:, i, j] = np.einsum("nchw,nchw->w", xp[sw], dyw)
-                dkh[:, i, j] = np.einsum("nchw,nchw->h", xp[sh], dyh)
-        _accum(x, dxp[:, p:p + c, p:p + h, p:p + w])
+        dxd, dkd = _branch_grad(_DEPTH, x.data, k_d.data, dy[:, 0::3])
+        dxw, dkw = _branch_grad(_WIDTH, x.data, k_w.data, dy[:, 1::3])
+        dxh, dkh = _branch_grad(_HEIGHT, x.data, k_h.data, dy[:, 2::3])
+        _accum(x, dxd + dxw + dxh)
         _accum(k_d, dkd)
         _accum(k_w, dkw)
         _accum(k_h, dkh)
@@ -337,9 +343,8 @@ def avg_pool(x, k: int = 3, stride: int = 1) -> Var:
     inv = 1.0 / (k * k)
 
     def bw(dy):
-        prh = max(0, (ho - 1) * stride + k - 1 - p - (h - 1))
-        prw = max(0, (wo - 1) * stride + k - 1 - p - (w - 1))
-        dxp = np.zeros((nb, c, h + p + prh, w + p + prw), dtype=np.float64)
+        dxp = np.zeros((nb, c, p + h + T.right_pad(h, ho, stride, k),
+                        p + w + T.right_pad(w, wo, stride, k)), dtype=np.float64)
         for i in range(k):
             for j in range(k):
                 dxp[:, :, i:i + stride * (ho - 1) + 1:stride,
@@ -352,27 +357,23 @@ def avg_pool(x, k: int = 3, stride: int = 1) -> Var:
 def max_pool(x, k: int = 3, stride: int = 1) -> Var:
     x = as_var(x)
     out = T.pool(x.data, "max", k, stride)
-    nb, c, h, w = x.data.shape
-    p = (k - 1) // 2
-    ho, wo = ceil_div(h, stride), ceil_div(w, stride)
 
     def bw(dy):
-        # the first maximal tap of each window gets the gradient
-        prh = max(0, (ho - 1) * stride + k - 1 - p - (h - 1))
-        prw = max(0, (wo - 1) * stride + k - 1 - p - (w - 1))
-        xp = np.pad(x.data.astype(np.float64), ((0, 0), (0, 0), (p, prh), (p, prw)),
-                    constant_values=-np.inf)
-        arg = np.stack([
-            xp[:, :, i:i + stride * (ho - 1) + 1:stride, j:j + stride * (wo - 1) + 1:stride]
-            for i in range(k) for j in range(k)
-        ]).argmax(axis=0)
+        # batch-last, as in _bank_grad; the first tap of each window that
+        # holds the window's maximum gets the gradient
+        h, w = x.data.shape[2], x.data.shape[3]
+        ho, wo = out.shape[2], out.shape[3]
+        p = (k - 1) // 2
+        xp = _pad_batch_last(x.data.transpose(1, 2, 3, 0), k, ho, wo, stride, -np.inf)
+        top, dyl = _batch_last(out), _batch_last(dy)
+        free = np.ones(top.shape, dtype=bool)
         dxp = np.zeros_like(xp)
-        for i in range(k):
-            for j in range(k):
-                mask = arg == (i * k + j)
-                dxp[:, :, i:i + stride * (ho - 1) + 1:stride,
-                    j:j + stride * (wo - 1) + 1:stride] += dy * mask
-        _accum(x, dxp[:, :, p:p + h, p:p + w])
+        for _, _, sl in _taps(k, ho, wo, stride):
+            hit = xp[sl] == top
+            hit &= free
+            free ^= hit
+            dxp[sl] += dyl * hit
+        _accum(x, dxp[:, p:p + h, p:p + w].transpose(3, 0, 1, 2))
 
     return _make(out, (x,), bw)
 
@@ -483,20 +484,16 @@ def linear(x, w, bias=None, groups: int = 1) -> Var:
     x, w = as_var(x), as_var(w)
     b = None if bias is None else as_var(bias)
     out = T.linear(x.data, w.data, groups, None if b is None else b.data)
-    fin, fout = x.data.shape[1], w.data.shape[0]
-    fig, fog = fin // groups, fout // groups
+    nb, fin = x.data.shape
+    fout = w.data.shape[0]
 
     def bw(dy):
-        dx = np.zeros_like(x.data, dtype=np.float64)
-        dw = np.zeros_like(w.data, dtype=np.float64)
-        for g in range(groups):
-            dyg = dy[:, g * fog:(g + 1) * fog]
-            wg = w.data[g * fog:(g + 1) * fog].astype(np.float64)
-            xg = x.data[:, g * fig:(g + 1) * fig].astype(np.float64)
-            dx[:, g * fig:(g + 1) * fig] = dyg @ wg
-            dw[g * fog:(g + 1) * fog] = dyg.T @ xg
-        _accum(x, dx)
-        _accum(w, dw)
+        # (G, N, F/G) stacks: one batched matmul for all groups
+        dyg = dy.reshape(nb, groups, fout // groups).transpose(1, 0, 2)
+        xg = x.data.astype(np.float64, copy=False).reshape(nb, groups, -1).transpose(1, 0, 2)
+        wg = w.data.astype(np.float64, copy=False).reshape(groups, fout // groups, -1)
+        _accum(x, np.matmul(dyg, wg).transpose(1, 0, 2).reshape(nb, fin))
+        _accum(w, np.matmul(dyg.transpose(0, 2, 1), xg).reshape(w.data.shape))
         if b is not None:
             _accum(b, dy.sum(axis=0))
 

@@ -107,8 +107,11 @@ def dimconv_fused(x: np.ndarray, p: DimConvParams) -> np.ndarray:
 
     An image larger than `tensorops.BLOCK_BYTES` is swept in channel blocks
     of at most that size, so the three accumulators of a block stay in cache
-    for all n*n taps. Each output still depends on the same inputs, added in
-    the same order."""
+    for all n*n taps. When a block's batch is longer than its rows (the
+    width), the padded buffer and the accumulators are laid out with the
+    batch innermost, so each tap's step runs along the batch, as in
+    `tensorops.depthwise_conv`. Each output still depends on the same inputs,
+    added in the same order, so neither choice changes a byte."""
     return T._image_blocks(_dimconv_fused, x, p)
 
 
@@ -117,26 +120,27 @@ def _dimconv_fused(x, p):
     nb, c, h, w = x.shape
     n = p.n
     pd = (n - 1) // 2
-    xp = np.pad(x.astype(np.float64, copy=False),
-                ((0, 0), (pd, pd), (pd, pd), (pd, pd)))
+    batch_inner = nb > w
+    # every buffer below is indexed (C, H, W, N), whatever its memory order
+    xp = T.chwn_zeros(c + 2 * pd, h + 2 * pd, w + 2 * pd, nb, batch_inner)
+    xp[pd:pd + c, pd:pd + h, pd:pd + w] = x.transpose(1, 2, 3, 0)
     kd = p.k_d.taps.astype(np.float64, copy=False)
     kw = p.k_w.taps.astype(np.float64, copy=False)
     kh = p.k_h.taps.astype(np.float64, copy=False)
     out = np.empty((nb, 3 * c, h, w), dtype=x.dtype)
+    out_v = out.transpose(1, 2, 3, 0)
     cb = max(1, T.BLOCK_BYTES // (8 * nb * h * w))
     for c0 in range(0, c, cb):
         c1 = min(c0 + cb, c)
-        a_d = np.zeros((nb, c1 - c0, h, w), dtype=np.float64)
-        a_w = np.zeros_like(a_d)
-        a_h = np.zeros_like(a_d)
+        a_d, a_w, a_h = (T.chwn_zeros(c1 - c0, h, w, nb, batch_inner) for _ in range(3))
         for i in range(n):
             for j in range(n):
-                a_d += kd[c0:c1, i, j][None, :, None, None] * xp[:, pd + c0:pd + c1, i:i + h, j:j + w]
-                a_w += kw[:, i, j][None, None, None, :] * xp[:, c0 + i:c1 + i, j:j + h, pd:pd + w]
-                a_h += kh[:, i, j][None, None, :, None] * xp[:, c0 + i:c1 + i, pd:pd + h, j:j + w]
-        out[:, 3 * c0:3 * c1:3] = a_d
-        out[:, 3 * c0 + 1:3 * c1:3] = a_w
-        out[:, 3 * c0 + 2:3 * c1:3] = a_h
+                a_d += kd[c0:c1, i, j][:, None, None, None] * xp[pd + c0:pd + c1, i:i + h, j:j + w]
+                a_w += kw[:, i, j][None, None, :, None] * xp[c0 + i:c1 + i, j:j + h, pd:pd + w]
+                a_h += kh[:, i, j][None, :, None, None] * xp[c0 + i:c1 + i, pd:pd + h, j:j + w]
+        out_v[3 * c0:3 * c1:3] = a_d
+        out_v[3 * c0 + 1:3 * c1:3] = a_w
+        out_v[3 * c0 + 2:3 * c1:3] = a_h
     return out
 
 

@@ -14,7 +14,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
+import shutil
 import struct
+import tempfile
 
 import numpy as np
 
@@ -73,16 +76,51 @@ def load_tensor(path) -> np.ndarray:
         return read_tensor(fh)
 
 
+_CHECKPOINT_FILE = re.compile(r"manifest\.json|p\d{4,}\.dck")
+
+
 def save_checkpoint(directory, named_params) -> None:
-    """Write one container per parameter plus a manifest of names/shapes."""
-    os.makedirs(directory, exist_ok=True)
-    manifest = {}
-    for idx, (name, arr) in enumerate(named_params):
-        fname = f"p{idx:04d}.dck"
-        save_tensor(os.path.join(directory, fname), arr)
-        manifest[name] = {"file": fname, "shape": list(arr.shape), "dtype": str(arr.dtype)}
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
+    """Write one container per parameter plus a manifest of names/shapes.
+
+    The files are written into a new sibling directory, which then takes the
+    place of `directory`. A save that fails part-way leaves the old
+    checkpoint as it was, never a mix of old and new tensors or a truncated
+    file. An existing `directory` must hold a checkpoint and nothing else,
+    since the swap replaces all of it.
+    """
+    directory = os.path.abspath(directory)
+    parent, base = os.path.split(directory)
+    if os.path.isdir(directory):
+        foreign = sorted(f for f in os.listdir(directory) if not _CHECKPOINT_FILE.fullmatch(f))
+        if foreign:
+            raise ContainerError(f"{directory} holds files that are not a checkpoint's: "
+                                 f"{foreign[:3]}; refusing to replace it")
+    os.makedirs(parent, exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=f".{base}.", dir=parent)
+    try:
+        manifest = {}
+        for idx, (name, arr) in enumerate(named_params):
+            fname = f"p{idx:04d}.dck"
+            save_tensor(os.path.join(tmp, fname), arr)
+            manifest[name] = {"file": fname, "shape": list(arr.shape), "dtype": str(arr.dtype)}
+        with open(os.path.join(tmp, "manifest.json"), "w") as fh:
+            json.dump(manifest, fh, indent=1, sort_keys=True)
+        if os.path.isdir(directory):
+            # a directory cannot be renamed over a non-empty one: move the
+            # old checkpoint aside first, and delete it once the new one is in
+            old = tmp + ".old"
+            os.rename(directory, old)
+            try:
+                os.rename(tmp, directory)
+            except OSError:
+                os.rename(old, directory)
+                raise
+            shutil.rmtree(old, ignore_errors=True)
+        else:
+            os.rename(tmp, directory)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
 
 
 def load_checkpoint(directory) -> dict:

@@ -133,16 +133,37 @@ class BatchNormParams:
         )
 
 
+def right_pad(size: int, out: int, stride: int, n: int) -> int:
+    """Padding after the last of `size` rows, so that the strided slices of an
+    n-tap window, `out` outputs long, never run off the array."""
+    return max(0, (out - 1) * stride + n - 1 - (n - 1) // 2 - (size - 1))
+
+
 def _pad_hw(x64, p, ho, wo, stride, n):
-    # right-side padding is sized so strided slicing never runs off the array
     h, w = x64.shape[2], x64.shape[3]
-    prh = max(0, (ho - 1) * stride + n - 1 - p - (h - 1))
-    prw = max(0, (wo - 1) * stride + n - 1 - p - (w - 1))
-    return np.pad(x64, ((0, 0), (0, 0), (p, prh), (p, prw)))
+    return np.pad(x64, ((0, 0), (0, 0), (p, right_pad(h, ho, stride, n)),
+                        (p, right_pad(w, wo, stride, n))))
+
+
+def chwn_zeros(c: int, h: int, w: int, nb: int, batch_inner: bool) -> np.ndarray:
+    """float64 zeros indexed (C, H, W, N). With `batch_inner` the batch is the
+    contiguous axis; otherwise the memory is laid out (N, C, H, W), as the
+    tensors are. A loop written on this view runs unchanged in either order,
+    and numpy sweeps each elementwise step in memory order."""
+    if batch_inner:
+        return np.zeros((c, h, w, nb))
+    return np.zeros((nb, c, h, w)).transpose(1, 2, 3, 0)
 
 
 def depthwise_conv(x: np.ndarray, bank: ConvKernelBank, stride: int = 1) -> np.ndarray:
-    """Per-channel n x n spatial convolution, zero padding, 'same' grid."""
+    """Per-channel n x n spatial convolution, zero padding, 'same' grid.
+
+    Each tap is one numpy step over a whole block. When the block's batch is
+    longer than an output row, the padded input and the accumulator are laid
+    out with the batch innermost, so each step runs along the batch instead
+    of along rows a few pixels long. The bytes cannot change: every output
+    still starts at 0.0 and adds the same products in the same tap order; only
+    the order in which numpy visits the elements differs."""
     return _image_blocks(_depthwise_conv, x, bank, stride)
 
 
@@ -156,16 +177,19 @@ def _depthwise_conv(x, bank, stride):
     n = bank.n
     p = (n - 1) // 2
     ho, wo = ceil_div(h, stride), ceil_div(w, stride)
-    xp = _pad_hw(x.astype(np.float64, copy=False), p, ho, wo, stride, n)
+    batch_inner = nb > wo
+    xp = chwn_zeros(c, p + h + right_pad(h, ho, stride, n),
+                    p + w + right_pad(w, wo, stride, n), nb, batch_inner)
+    xp[:, p:p + h, p:p + w] = x.transpose(1, 2, 3, 0)
     taps = bank.taps.astype(np.float64, copy=False)
-    acc = np.zeros((nb, c, ho, wo), dtype=np.float64)
+    acc = chwn_zeros(c, ho, wo, nb, batch_inner)
     for i in range(n):
         for j in range(n):
-            acc += taps[:, i, j][None, :, None, None] * \
-                xp[:, :, i:i + stride * (ho - 1) + 1:stride, j:j + stride * (wo - 1) + 1:stride]
+            acc += taps[:, i, j][:, None, None, None] * \
+                xp[:, i:i + stride * (ho - 1) + 1:stride, j:j + stride * (wo - 1) + 1:stride]
     if bank.bias is not None:
-        acc += bank.bias.astype(np.float64)[None, :, None, None]
-    return acc.astype(x.dtype, copy=False)
+        acc += bank.bias.astype(np.float64)[:, None, None, None]
+    return np.ascontiguousarray(acc.transpose(3, 0, 1, 2), dtype=x.dtype)
 
 
 def widthwise_conv(x: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
@@ -320,9 +344,8 @@ def _pool(x, kind, k, stride):
     ho, wo = ceil_div(h, stride), ceil_div(w, stride)
     fill = 0.0 if kind == "avg" else -np.inf
     x64 = x.astype(np.float64, copy=False)
-    prh = max(0, (ho - 1) * stride + k - 1 - p - (h - 1))
-    prw = max(0, (wo - 1) * stride + k - 1 - p - (w - 1))
-    xp = np.pad(x64, ((0, 0), (0, 0), (p, prh), (p, prw)), constant_values=fill)
+    xp = np.pad(x64, ((0, 0), (0, 0), (p, right_pad(h, ho, stride, k)),
+                      (p, right_pad(w, wo, stride, k))), constant_values=fill)
     acc = np.full((nb, c, ho, wo), 0.0 if kind == "avg" else -np.inf)
     inv = 1.0 / (k * k)
     for i in range(k):

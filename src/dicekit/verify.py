@@ -1,6 +1,6 @@
-"""Self-check suites: kernel/oracle equivalence, gradient spot checks, and
-cost-formula cross-checks. The CLI surfaces these as `verify --suite ...`;
-the test suite drives them directly."""
+"""Self-check suites: kernel/oracle equivalence, gradient spot checks and
+adjoint checks, and cost-formula cross-checks. The CLI surfaces these as
+`verify --suite ...`; the test suite drives them directly."""
 
 from __future__ import annotations
 
@@ -112,6 +112,16 @@ def resize_draw(rng):
     return signed_zeros(rng, rng.standard_normal((nb, c, h, w))), th, tw
 
 
+def batch_inner_draw(rng):
+    """An input whose batch, 3–9 images, is longer than its 1–2 px rows, and a
+    kernel extent: `depthwise_conv` and `dimconv_fused` sweep it with the batch
+    innermost, which `_rand_shape`'s batch of 1–2 and width of 2 or more never
+    reach."""
+    nb, c = int(rng.integers(3, 10)), int(rng.integers(1, 7))
+    h, w = int(rng.integers(1, 8)), int(rng.integers(1, 3))
+    return rng.standard_normal((nb, c, h, w)), int(rng.choice([1, 3, 5]))
+
+
 def signed_zeros(rng, a, share=0.1):
     """Set about `share` of the entries of `a` to +0.0 and as many to -0.0."""
     u = rng.random(a.shape)
@@ -122,7 +132,9 @@ def signed_zeros(rng, a, share=0.1):
 
 def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
     """Fast kernels against the naive oracle, bitwise in f64; conv2d and the
-    global average within `dot_bound`.
+    global average within `dot_bound`. The `.batch_inner` kinds draw from
+    `batch_inner_draw`, on the path where `depthwise_conv` and
+    `dimconv_fused` sweep with the batch innermost.
 
     `fault` perturbs the named fast path before comparison; it exists so the
     harness can prove a broken kernel is actually detected.
@@ -134,7 +146,7 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
     pw_rng = np.random.default_rng([seed, 2])
     conv_rng = np.random.default_rng([seed, 3])
     gap_rng = np.random.default_rng([seed, 4])
-    results = []
+    batch_rng = np.random.default_rng([seed, 5])
     worst = {}
 
     def record(kind, check):
@@ -142,6 +154,16 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
         if prev is None or (prev.passed and not check.passed) \
                 or check.max_err > prev.max_err:
             worst[kind] = check
+
+    def check_dimconv(suffix, x, p):
+        fused = dimconv_fused(x, p)
+        if fault == "dimconv":
+            fused = fused.copy()
+            fused.flat[0] += 1e-6
+        ref, _ = orc.oracle_dimconv(x, p)
+        record("dimconv" + suffix, _bitwise("dimconv" + suffix, fused, ref))
+        record("dimconv_fusion" + suffix,
+               _bitwise("dimconv_fusion" + suffix, fused, dimconv_unfused(x, p)))
 
     for i in range(draws):
         nb, c, h, w = _rand_shape(rng)
@@ -214,18 +236,18 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
         record("bilinear", _bitwise("bilinear", T.bilinear_resize(xr, th, tw),
                                     orc.oracle_bilinear(xr, th, tw)))
 
-        p = DimConvParams.init(c, h, w, n, rng)
-        fused = dimconv_fused(x, p)
-        if fault == "dimconv":
-            fused = fused.copy()
-            fused.flat[0] += 1e-6
-        ref, _ = orc.oracle_dimconv(x, p)
-        record("dimconv", _bitwise("dimconv", fused, ref))
-        record("dimconv_fusion",
-               _bitwise("dimconv_fusion", fused, dimconv_unfused(x, p)))
+        check_dimconv("", x, DimConvParams.init(c, h, w, n, rng))
 
-    results = [worst[k] for k in sorted(worst)]
-    return results
+        # the batch-innermost sweep: batch longer than the rows
+        xb, nk = batch_inner_draw(batch_rng)
+        for sb in (1, 2):
+            bank = ConvKernelBank.random(xb.shape[1], nk, batch_rng)
+            ref, _ = orc.oracle_depthwise(xb, bank, sb)
+            record("depth.batch_inner",
+                   _bitwise("depth.batch_inner", T.depthwise_conv(xb, bank, sb), ref))
+        check_dimconv(".batch_inner", xb, DimConvParams.init(*xb.shape[1:], nk, batch_rng))
+
+    return [worst[k] for k in sorted(worst)]
 
 
 def _rel_err(a, b, floor=1e-7):
@@ -242,10 +264,116 @@ def grad_check(name, loss_of, analytic_grad_of, theta0, h=1e-5,
     return CheckResult(name, err < threshold, err)
 
 
-def run_gradients(seed: int = 0):
-    """Spot checks of a few backward passes on tiny shapes."""
-    rng = np.random.default_rng(seed)
+def _dot(a, b) -> float:
+    return float(np.dot(np.ravel(a).astype(np.float64), np.ravel(b).astype(np.float64)))
+
+
+def adjoint_check(name, rng, fn, values, k_in, abs_out=None) -> CheckResult:
+    """Checks a linear op's backward pass against its forward:
+    ⟨dy, y⟩ = ⟨dx, x⟩ = ⟨dtaps, taps⟩, within 2·γ_K·⟨|dy|, |A||x|⟩.
+
+    fn(x, *taps) is linear in x and in each tap array, values = (x, *taps),
+    and dy is a random cotangent. y = A·x, where each output is a sum of
+    products a·x; dx = Aᵀ·dy, and dtaps sums the products x·dy of each tap.
+    All three inner products sum the same triple products dy·a·x, in
+    different nested orders: ⟨dy, y⟩ sums each output over at most k_y
+    products, then y.size of those; ⟨dx, x⟩ sums each dx over at most k_x
+    products, then x.size of those; ⟨dtaps, taps⟩ sums each tap's gradient
+    over at most k_t products, then taps.size of those. Every triple product
+    thus meets at most k_in + k_out roundings, k_in = max(k_y, k_x, k_t)
+    (given by the caller from the op's shapes) and k_out = the longest of
+    the outer sums. By Higham (Accuracy and Stability of Numerical
+    Algorithms, §3.1 and Lemma 3.3), (1 + θ_j)(1 + θ_k) = 1 + θ_{j+k}, so
+    each side lies within γ_K·Σ|dy·a·x| of the exact value, K = k_in + k_out,
+    and two sides within twice that: `dot_bound(K, ⟨|dy|, |A||x|⟩)`.
+    |A||x| is fn on |x| and |taps|, or `abs_out` where A depends on x (max
+    pooling: the selected |x|, which is |y|); its own rounding moves the
+    bound by a relative γ, a second-order term.
+    """
+    vs = [ag.param(np.array(v)) for v in values]
+    out = fn(*vs)
+    y = out.data
+    dy = rng.standard_normal(y.shape)
+    ag.backward(out, seed=dy)
+    if abs_out is None:
+        with ag.no_grad():
+            abs_out = fn(*(np.abs(v) for v in values)).data
+    ref = _dot(dy, y)
+    sides = [_dot(vs[0].grad, values[0])]
+    if len(values) > 1:
+        sides.append(sum(_dot(v.grad, t) for v, t in zip(vs[1:], values[1:])))
+    k_out = max(y.size, values[0].size, sum(t.size for t in values[1:]))
+    bound = float(dot_bound(k_in + k_out, _dot(np.abs(dy), abs_out)))
+    err = max(abs(side - ref) for side in sides)
+    return CheckResult(name, err <= bound, err, f"err/bound={err / bound:.3f}")
+
+
+def _wide_batch_shape(rng):
+    """(N, C, H, W) with the batch, up to 6 images, longer than the 1–3 px rows."""
+    w = int(rng.integers(1, 4))
+    return (int(rng.integers(w + 1, 7)), int(rng.integers(1, 5)), int(rng.integers(1, 6)), w)
+
+
+def _adjoint_checks(rng):
+    """`adjoint_check` on every linear op's backward pass, batch longer than
+    the width."""
     results = []
+    for stride in (1, 2):
+        nb, c, h, w = _wide_batch_shape(rng)
+        n = int(rng.choice([1, 3, 5]))
+        x, taps = rng.standard_normal((nb, c, h, w)), rng.standard_normal((c, n, n))
+        k_t = nb * T.ceil_div(h, stride) * T.ceil_div(w, stride)
+        results.append(adjoint_check(f"adjoint.depthwise.s{stride}", rng,
+                                     lambda a, t, s=stride: ag.depthwise(a, t, s),
+                                     (x, taps), max(n * n, k_t)))
+    nb, c, h, w = _wide_batch_shape(rng)
+    x = rng.standard_normal((nb, c, h, w))
+    results.append(adjoint_check("adjoint.widthwise", rng, ag.widthwise,
+                                 (x, rng.standard_normal((w, 3, 3))), max(9, nb * c * h)))
+    results.append(adjoint_check("adjoint.heightwise", rng, ag.heightwise,
+                                 (x, rng.standard_normal((h, 3, 3))), max(9, nb * c * w)))
+    banks = tuple(rng.standard_normal((k, 3, 3)) for k in (c, w, h))
+    results.append(adjoint_check("adjoint.dimconv", rng, ag.dimconv, (x,) + banks,
+                                 max(3 * 9, nb * h * w, nb * c * h, nb * c * w)))
+
+    nb, c, h, w = _wide_batch_shape(rng)
+    x = rng.standard_normal((nb, c, h, w))
+    cout = int(rng.integers(1, 5))
+    k_t = nb * T.ceil_div(h, 2) * T.ceil_div(w, 2)
+    results.append(adjoint_check("adjoint.spatial_conv", rng,
+                                 lambda a, t: ag.spatial_conv(a, t, 2),
+                                 (x, rng.standard_normal((cout, c, 3, 3))),
+                                 max(9 * c, 9 * cout, k_t)))
+    results.append(adjoint_check("adjoint.avg_pool", rng, lambda a: ag.avg_pool(a, 3, 2),
+                                 (x,), 9))
+    with ag.no_grad():
+        top = ag.max_pool(x, 3, 2).data
+    results.append(adjoint_check("adjoint.max_pool", rng, lambda a: ag.max_pool(a, 3, 2),
+                                 (x,), 9, abs_out=np.abs(top)))
+
+    groups, cig, cog = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    nb, _, h, w = _wide_batch_shape(rng)
+    x = rng.standard_normal((nb, groups * cig, h, w))
+    stride = int(rng.integers(1, 3))
+    k_t = nb * T.ceil_div(h, stride) * T.ceil_div(w, stride)
+    results.append(adjoint_check("adjoint.pointwise", rng,
+                                 lambda a, t: ag.pointwise(a, t, groups, stride),
+                                 (x, rng.standard_normal((groups * cog, cig))),
+                                 max(cig, cog, k_t)))
+    fig, fog = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+    x = rng.standard_normal((nb, groups * fig))
+    results.append(adjoint_check("adjoint.linear", rng,
+                                 lambda a, t: ag.linear(a, t, groups=groups),
+                                 (x, rng.standard_normal((groups * fog, fig))),
+                                 max(fig, fog, nb)))
+    return results
+
+
+def run_gradients(seed: int = 0):
+    """Spot checks of a few backward passes on tiny shapes against central
+    differences, and `_adjoint_checks` on draws from their own generator."""
+    rng = np.random.default_rng(seed)
+    results = _adjoint_checks(np.random.default_rng([seed, 1]))
     x = rng.standard_normal((2, 3, 5, 4))
     wgt = rng.standard_normal((2, 3, 5, 4))
 

@@ -51,6 +51,7 @@ def test_c1_kernels_match_oracle_bitwise():
     rng = np.random.default_rng(1)
     resize_rng = np.random.default_rng(11)
     pw_rng = np.random.default_rng(12)
+    batch_rng = np.random.default_rng(13)
     for _ in range(50):
         nb, c, h, w = (int(rng.integers(1, 3)), int(rng.integers(1, 10)),
                        int(rng.integers(2, 12)), int(rng.integers(2, 12)))
@@ -100,6 +101,17 @@ def test_c1_kernels_match_oracle_bitwise():
         xr = xr.astype(np.float32)
         ref = orc.oracle_bilinear(xr, th, tw)
         assert T.bilinear_resize(xr, th, tw).tobytes() == ref.tobytes()
+
+        # batch longer than the rows: the batch-innermost sweep
+        xb, nk = verify.batch_inner_draw(batch_rng)
+        xb = xb.astype(np.float32)
+        for sb in (1, 2):
+            bank = ConvKernelBank.random(xb.shape[1], nk, batch_rng, np.float32)
+            ref, _ = orc.oracle_depthwise(xb, bank, sb)
+            assert T.depthwise_conv(xb, bank, sb).tobytes() == ref.tobytes()
+        pb = DimConvParams.init(*xb.shape[1:], nk, batch_rng, np.float32)
+        ref, _ = orc.oracle_dimconv(xb, pb)
+        assert dimconv_fused(xb, pb).tobytes() == ref.tobytes()
 
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"kernel equivalence took {elapsed:.1f}s"

@@ -150,6 +150,30 @@ def test_pool_grads(rng):
     check_param_grad(lambda v: ag.sum_all(ag.mul(ag.global_avg(v), gw)), x)
 
 
+def test_max_pool_ties_go_to_the_first_maximal_tap():
+    # k=3, stride 2 on 2x2: one window per image, its first tap in padding,
+    # its first real tap pixel (0, 0); batch longer than the width
+    xv = ag.param(np.zeros((3, 2, 2, 2)))
+    ag.backward(ag.sum_all(ag.max_pool(xv, 3, 2)))
+    want = np.zeros((3, 2, 2, 2))
+    want[:, :, 0, 0] = 1.0
+    np.testing.assert_array_equal(xv.grad, want)
+
+
+def test_adjoint_checks_catch_a_wrong_bank_gradient(monkeypatch):
+    from dicekit import verify
+    real = ag._bank_grad
+
+    def off(x, taps, dy, stride=1):
+        dx, dt = real(x, taps, dy, stride)
+        return dx, dt * (1.0 + 1e-9)
+
+    monkeypatch.setattr(ag, "_bank_grad", off)
+    failed = {r.name for r in verify.run_gradients(0) if not r.passed}
+    assert failed == {"adjoint.depthwise.s1", "adjoint.depthwise.s2", "adjoint.widthwise",
+                      "adjoint.heightwise", "adjoint.dimconv"}
+
+
 def test_max_pool_forward_does_not_stack_windows(rng):
     # the s1.0 stem's max pool: its forward builds no stack of the k*k windows
     x = ag.Var(rng.standard_normal((1, 24, 112, 112)))

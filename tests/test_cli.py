@@ -84,6 +84,14 @@ def test_verify_flops_suite(capsys):
     assert "closed_form" in out and "component_sum" in out
 
 
+def test_verify_gradients_suite(capsys):
+    assert main(["verify", "--suite", "gradients"]) == EXIT_OK
+    out = capsys.readouterr().out
+    for op in ("depthwise.s1", "depthwise.s2", "widthwise", "heightwise", "dimconv",
+               "spatial_conv", "avg_pool", "max_pool", "pointwise", "linear"):
+        assert f"[PASS] adjoint.{op}:" in out
+
+
 def test_verify_exit_code_on_failure(monkeypatch, capsys):
     # a perturbed kernel must be caught and named
     from dicekit import verify as vmod

@@ -79,3 +79,58 @@ def test_checkpoint_round_trip(tmp_path, rng):
     for name, arr in named:
         np.testing.assert_array_equal(back[name], arr)
         assert back[name].dtype == arr.dtype
+
+
+def _assert_same_checkpoint(back, named):
+    assert set(back) == {name for name, _ in named}
+    for name, arr in named:
+        assert back[name].dtype == arr.dtype
+        assert back[name].tobytes() == arr.tobytes(), name
+
+
+def test_checkpoint_save_interrupted_between_files_keeps_old(tmp_path, rng, monkeypatch):
+    from dicekit import serialize
+    old = [(f"t{i}", rng.standard_normal((3, i + 1))) for i in range(5)]
+    save_checkpoint(tmp_path / "ck", old)
+    real_save, calls = serialize.save_tensor, []
+
+    def save_then_stop(path, arr):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        real_save(path, arr)
+
+    monkeypatch.setattr(serialize, "save_tensor", save_then_stop)
+    new = [(name, arr + 1.0) for name, arr in old]
+    with pytest.raises(OSError):
+        save_checkpoint(tmp_path / "ck", new)
+    _assert_same_checkpoint(load_checkpoint(tmp_path / "ck"), old)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+
+
+def test_checkpoint_save_failing_inside_a_file_keeps_old(tmp_path, rng):
+    old = [("a", rng.standard_normal((2, 3))), ("b", rng.standard_normal(4)),
+           ("c", rng.standard_normal((1, 2)).astype(np.float32))]
+    save_checkpoint(tmp_path / "ck", old)
+    new = [("a", old[0][1] * 2.0), ("b", np.arange(4)), ("c", old[2][1])]
+    with pytest.raises(ContainerError):
+        save_checkpoint(tmp_path / "ck", new)
+    _assert_same_checkpoint(load_checkpoint(tmp_path / "ck"), old)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+
+
+def test_checkpoint_save_replaces_a_larger_checkpoint(tmp_path, rng):
+    save_checkpoint(tmp_path / "ck", [(f"t{i}", rng.standard_normal(2)) for i in range(4)])
+    new = [("only", rng.standard_normal((2, 2)))]
+    save_checkpoint(tmp_path / "ck", new)
+    _assert_same_checkpoint(load_checkpoint(tmp_path / "ck"), new)
+    assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == ["manifest.json", "p0000.dck"]
+
+
+def test_checkpoint_save_refuses_a_directory_with_other_files(tmp_path, rng):
+    (tmp_path / "ck").mkdir()
+    (tmp_path / "ck" / "notes.txt").write_text("keep me")
+    with pytest.raises(ContainerError):
+        save_checkpoint(tmp_path / "ck", [("a", rng.standard_normal(2))])
+    assert (tmp_path / "ck" / "notes.txt").read_text() == "keep me"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
