@@ -294,21 +294,27 @@ def spatial_conv(x, w, stride: int = 1) -> Var:
     cout, c, n, _ = w.data.shape
 
     def bw(dy):
-        # batch-last, as in _bank_grad: each tap is two matmuls over
-        # (C, Ho*Wo*N) rows
+        # the im2col matrix the forward multiplied, (N, C*n*n, Ho*Wo), rebuilt:
+        # one batched matmul gives each image's weight gradient. The input
+        # gradient is built only when the input needs one (the stem's image
+        # never does)
         nb, _, h, wd = x.data.shape
         ho, wo = dy.shape[2], dy.shape[3]
+        dy3 = dy.reshape(nb, cout, ho * wo)
+        cols = T.im2col(x.data, n, stride).reshape(nb, c * n * n, ho * wo)
+        _accum(w, np.matmul(dy3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape))
+        if not x.requires_grad:
+            return
         p = (n - 1) // 2
-        xp = _pad_batch_last(x.data.transpose(1, 2, 3, 0), n, ho, wo, stride)
-        dy2 = _batch_last(dy).reshape(cout, -1)
-        dxp = np.zeros_like(xp)
-        w64 = w.data.astype(np.float64, copy=False)
-        dw = np.empty(w.data.shape, dtype=np.float64)
-        for i, j, sl in _taps(n, ho, wo, stride):
-            dxp[sl] += (w64[:, :, i, j].T @ dy2).reshape(c, ho, wo, nb)
-            dw[:, :, i, j] = dy2 @ xp[sl].reshape(c, -1).T
-        _accum(x, dxp[:, p:p + h, p:p + wd].transpose(3, 0, 1, 2))
-        _accum(w, dw)
+        w2 = w.data.astype(np.float64, copy=False).reshape(cout, c * n * n)
+        dcols = np.matmul(w2.T, dy3).reshape(nb, c, n, n, ho, wo)
+        dxp = np.zeros((nb, c, p + h + T.right_pad(h, ho, stride, n),
+                        p + wd + T.right_pad(wd, wo, stride, n)))
+        for i in range(n):
+            for j in range(n):
+                dxp[:, :, i:i + stride * (ho - 1) + 1:stride,
+                    j:j + stride * (wo - 1) + 1:stride] += dcols[:, :, i, j]
+        _accum(x, dxp[:, :, p:p + h, p:p + wd])
 
     return _make(out, (x, w), bw)
 
@@ -391,53 +397,127 @@ def global_avg(x) -> Var:
 
 # ----------------------------------------------------- norm and activations
 
-def batch_norm_train(x, gamma, beta, state: T.BatchNormParams,
-                     momentum: float = 0.1) -> Var:
-    """Batch-statistics normalization; updates state's running stats in place."""
-    x, gamma, beta = as_var(x), as_var(gamma), as_var(beta)
-    x64 = x.data.astype(np.float64)
-    mean = x64.mean(axis=(0, 2, 3))
-    var = x64.var(axis=(0, 2, 3))
-    state.running_mean[:] = (1 - momentum) * state.running_mean + momentum * mean
-    state.running_var[:] = (1 - momentum) * state.running_var + momentum * var
-    inv_std = 1.0 / np.sqrt(var + state.eps)
-    x_hat = (x64 - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = (gamma.data[None, :, None, None] * x_hat
-           + beta.data[None, :, None, None]).astype(x.data.dtype)
-    m = x64.shape[0] * x64.shape[2] * x64.shape[3]
+def _channels(a) -> np.ndarray:
+    """A per-channel vector as a column against (C, N*H*W) rows."""
+    return np.asarray(a)[:, None]
 
-    def bw(dy):
-        dgamma = np.einsum("nchw->c", dy * x_hat)
-        dbeta = np.einsum("nchw->c", dy)
-        dx = (gamma.data * inv_std)[None, :, None, None] * (
-            dy - dbeta[None, :, None, None] / m
-            - x_hat * dgamma[None, :, None, None] / m)
-        _accum(x, dx)
+
+def _channel_major(a) -> np.ndarray:
+    """A float64 copy of an (N, C, H, W) array laid out (C, N*H*W)."""
+    return np.array(a.transpose(1, 0, 2, 3), dtype=np.float64, order="C") \
+        .reshape(a.shape[1], -1)
+
+
+def _prelu_factor(y, s) -> np.ndarray:
+    """1 where y >= 0 and s where y < 0, with s per channel and shaped to
+    broadcast against y: PReLU(y) is y*f bit for bit (y*1 == y, y*s == s*y),
+    and f is its derivative. f is picked on the bits, 1 ^ ((1 ^ s) & mask)
+    with mask all ones where y < 0, so every slope comes through unchanged,
+    -0.0 and non-finite ones too. np.where would give the same bytes, but its
+    per-element branch costs more on rows of mixed signs than every other
+    pass of the op together."""
+    it = np.dtype(f"i{y.dtype.itemsize}")
+    one = np.ones(1, dtype=y.dtype).view(it)
+    mask = (y < 0).view(np.int8)
+    np.negative(mask, out=mask)          # -1, all ones once widened to `it`
+    f = np.bitwise_and(s.view(it) ^ one, mask)
+    f ^= one
+    return f.view(y.dtype)
+
+
+def _bn_prelu_infer(x, mean, inv_std, gamma, beta, s) -> np.ndarray:
+    """((x - mean)*inv_std)*gamma + beta in one float64 buffer, cast to x's
+    dtype, then where(y >= 0, y, s*y), byte for byte, finished in place. A
+    tensor larger than BLOCK_BYTES runs in image blocks, which stay in cache
+    across the passes."""
+    mean, inv_std, gamma, beta, s = (a[None, :, None, None]
+                                     for a in (mean, inv_std, gamma, beta, s))
+    per = max(1, T.BLOCK_BYTES // (8 * x[0].size))
+    y = x.astype(np.float64)
+    out = y if y.dtype == x.dtype else np.empty_like(x)
+    for i in range(0, x.shape[0], per):
+        b = y[i:i + per]
+        b -= mean
+        b *= inv_std
+        b *= gamma
+        b += beta
+        o = out[i:i + per]
+        if out is not y:
+            o[...] = b
+        o *= _prelu_factor(o, s)
+    return out
+
+
+def bn_prelu(x, gamma, beta, slope, state: T.BatchNormParams, train: bool,
+             momentum: float = 0.1) -> Var:
+    """Batch norm then a per-channel PReLU: y = gamma*x_hat + beta with
+    x_hat = (x - mean)*inv_std, cast to x's dtype, then where(y >= 0, y, s*y).
+
+    In training the statistics are the batch's (biased variance), and they
+    update state's running statistics in place. The op then works in one
+    channel-major float64 buffer, (C, N*H*W), with one transpose in and one
+    out: the statistics, the PReLU factor and every per-channel reduction of
+    the backward run along rows N*H*W long. In inference the statistics are
+    state's running ones, and the bytes are the formula's, evaluated in that
+    order (`_bn_prelu_infer`); the backward rebuilds x_hat, y and the factor
+    from x. Either backward gives the input gradient only when x needs one.
+    """
+    x, gamma, beta, slope = as_var(x), as_var(gamma), as_var(beta), as_var(slope)
+    nb, c, h, w = x.data.shape
+    if gamma.data.shape != (c,):
+        raise KernelError(f"batch-norm sized for {gamma.data.shape} channels, input has {c}")
+    s = slope.data.astype(x.data.dtype, copy=False)
+
+    def normalized(x_hat):
+        """x_hat, y and the PReLU factor; scales the centred rows to x_hat
+        in place."""
+        x_hat *= _channels(inv_std)
+        y = x_hat * _channels(gamma.data)
+        y += _channels(beta.data)
+        y = y.astype(x.data.dtype, copy=False)
+        return x_hat, y, _prelu_factor(y, _channels(s))
+
+    if train:
+        xc = _channel_major(x.data)
+        mean = xc.mean(axis=1)
+        xc -= _channels(mean)
+        var = np.einsum("cm,cm->c", xc, xc) / xc.shape[1]
+        state.running_mean[:] = (1 - momentum) * state.running_mean + momentum * mean
+        state.running_var[:] = (1 - momentum) * state.running_var + momentum * var
+        inv_std = 1.0 / np.sqrt(var + state.eps)
+        saved = normalized(xc)
+        z = saved[1] * saved[2]
+        out = np.ascontiguousarray(z.reshape(c, nb, h, w).transpose(1, 0, 2, 3))
+    else:
+        # a copy: backward must see the statistics this forward used
+        mean = state.running_mean.copy()
+        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+        out = _bn_prelu_infer(x.data, mean, inv_std, gamma.data, beta.data, s)
+
+    def bw(dz):
+        if train:
+            x_hat, y, f = saved
+        else:
+            xc = _channel_major(x.data)
+            xc -= _channels(mean)
+            x_hat, y, f = normalized(xc)
+        dy = _channel_major(dz)
+        _accum(slope, np.einsum("cm,cm->c", dy, np.minimum(y, 0.0)))
+        dy *= f
+        dbeta = dy.sum(axis=1)
+        dgamma = np.einsum("cm,cm->c", dy, x_hat)
         _accum(gamma, dgamma)
         _accum(beta, dbeta)
+        if not x.requires_grad:
+            return
+        if train:
+            m = dy.shape[1]
+            dy -= _channels(dbeta / m)
+            dy -= x_hat * _channels(dgamma / m)
+        dy *= _channels(gamma.data * inv_std)
+        _accum(x, dy.reshape(c, nb, h, w).transpose(1, 0, 2, 3))
 
-    return _make(out, (x, gamma, beta), bw)
-
-
-def batch_norm_infer(x, gamma, beta, state: T.BatchNormParams) -> Var:
-    x, gamma, beta = as_var(x), as_var(gamma), as_var(beta)
-    # a copy: backward must see the statistics this forward used
-    mean = state.running_mean.copy()[None, :, None, None]
-    inv_std = (1.0 / np.sqrt(state.running_var + state.eps))[None, :, None, None]
-    # one float64 buffer, in place: ((x - mean) * inv_std) * gamma + beta
-    out = x.data.astype(np.float64)
-    out -= mean
-    out *= inv_std
-    out *= gamma.data[None, :, None, None]
-    out += beta.data[None, :, None, None]
-
-    def bw(dy):
-        x_hat = (x.data.astype(np.float64) - mean) * inv_std
-        _accum(x, dy * (gamma.data[None, :, None, None] * inv_std))
-        _accum(gamma, np.einsum("nchw->c", dy * x_hat))
-        _accum(beta, np.einsum("nchw->c", dy))
-
-    return _make(out.astype(x.data.dtype, copy=False), (x, gamma, beta), bw)
+    return _make(out, (x, gamma, beta, slope), bw)
 
 
 def relu(x) -> Var:
@@ -448,25 +528,6 @@ def relu(x) -> Var:
         _accum(x, dy * (x.data > 0))
 
     return _make(out, (x,), bw)
-
-
-def prelu(x, slope) -> Var:
-    """slope: per-channel Var of length C (4D input) or matching 2D layout."""
-    x, slope = as_var(x), as_var(slope)
-    out = T.prelu(x.data, slope.data)
-
-    def bw(dy):
-        neg = x.data < 0
-        s = slope.data
-        if x.data.ndim == 4 and s.ndim == 1:
-            sb = s[None, :, None, None]
-            _accum(slope, np.einsum("nchw->c", dy * np.where(neg, x.data, 0.0)))
-        else:
-            sb = s
-            _accum(slope, _reduce_to(dy * np.where(neg, x.data, 0.0), s.shape))
-        _accum(x, dy * np.where(neg, sb, 1.0))
-
-    return _make(out, (x, slope), bw)
 
 
 def sigmoid(x) -> Var:

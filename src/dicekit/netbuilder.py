@@ -45,11 +45,7 @@ class _BNAct:
         self.slope = param(np.full(c, 0.25, dtype=dtype))
 
     def forward(self, v: Var, train: bool) -> Var:
-        if train:
-            v = ag.batch_norm_train(v, self.gamma, self.beta, self.state)
-        else:
-            v = ag.batch_norm_infer(v, self.gamma, self.beta, self.state)
-        return ag.prelu(v, self.slope)
+        return ag.bn_prelu(v, self.gamma, self.beta, self.slope, self.state, train)
 
     def forward_np(self, x):
         from .tensorops import batch_norm, prelu

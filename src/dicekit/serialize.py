@@ -131,5 +131,8 @@ def load_checkpoint(directory) -> dict:
         arr = load_tensor(os.path.join(directory, meta["file"]))
         if list(arr.shape) != meta["shape"]:
             raise ContainerError(f"checkpoint shape mismatch for {name}")
+        if str(arr.dtype) != meta.get("dtype"):
+            raise ContainerError(f"checkpoint dtype mismatch for {name}: the file holds "
+                                 f"{arr.dtype}, the manifest says {meta.get('dtype')}")
         out[name] = arr
     return out

@@ -7,7 +7,8 @@ calls produce bit-identical outputs.
 All convolution kernels accumulate in float64 with a fixed tap order
 (row-major over the tap grid) so that results match the naive loop
 oracle bit-for-bit in float64 and after a single final rounding in
-float32.
+float32. The exception is the dense `conv2d`, a BLAS product gated by an
+error bound instead.
 """
 
 from __future__ import annotations
@@ -137,12 +138,6 @@ def right_pad(size: int, out: int, stride: int, n: int) -> int:
     """Padding after the last of `size` rows, so that the strided slices of an
     n-tap window, `out` outputs long, never run off the array."""
     return max(0, (out - 1) * stride + n - 1 - (n - 1) // 2 - (size - 1))
-
-
-def _pad_hw(x64, p, ho, wo, stride, n):
-    h, w = x64.shape[2], x64.shape[3]
-    return np.pad(x64, ((0, 0), (0, 0), (p, right_pad(h, ho, stride, n)),
-                        (p, right_pad(w, wo, stride, n))))
 
 
 def chwn_zeros(c: int, h: int, w: int, nb: int, batch_inner: bool) -> np.ndarray:
@@ -298,9 +293,36 @@ def _pointwise_conv(x, weights, groups, stride, bias):
     return np.ascontiguousarray(y, dtype=x.dtype)
 
 
+def im2col(x: np.ndarray, n: int, stride: int) -> np.ndarray:
+    """The float64 im2col matrix of x for an n x n window at `stride`, 'same'
+    padding, (N, C, n, n, Ho, Wo): [b, c, i, j] holds the Ho x Wo pixels of
+    channel c of image b that tap (i, j) meets. It is C-contiguous, so
+    (N, C*n*n, Ho*Wo) is a view of it."""
+    nb, c, h, w = x.shape
+    p = (n - 1) // 2
+    ho, wo = ceil_div(h, stride), ceil_div(w, stride)
+    xp = np.zeros((nb, c, p + h + right_pad(h, ho, stride, n),
+                   p + w + right_pad(w, wo, stride, n)))
+    xp[:, :, p:p + h, p:p + w] = x
+    cols = np.empty((nb, c, n, n, ho, wo))
+    for i in range(n):
+        for j in range(n):
+            cols[:, :, i, j] = xp[:, :, i:i + stride * (ho - 1) + 1:stride,
+                                  j:j + stride * (wo - 1) + 1:stride]
+    return cols
+
+
 def conv2d(x: np.ndarray, weights: np.ndarray, stride: int = 1,
            bias: np.ndarray | None = None) -> np.ndarray:
-    """Standard dense convolution, weights (C_out, C_in, n, n), same padding."""
+    """Standard dense convolution, weights (C_out, C_in, n, n), same padding.
+
+    One matrix product per image block: the weights as (C_out, C_in*n*n)
+    times the block's im2col matrix, (N, C_in*n*n, Ho*Wo). BLAS sums each
+    output's taps*C_in products in an order of its own, so conv2d is outside
+    the bitwise set; `verify` gates it by the dot-product bound. numpy runs
+    one GEMM per image, so an image's bytes do not depend on the batch or on
+    the block it falls in.
+    """
     return _image_blocks(_conv2d, x, weights, stride, bias)
 
 
@@ -312,18 +334,13 @@ def _conv2d(x, weights, stride, bias):
         raise KernelError(f"bad conv2d weights {weights.shape} for input {x.shape}")
     if stride < 1:
         raise KernelError(f"stride must be >= 1, got {stride}")
-    p = (n - 1) // 2
-    ho, wo = ceil_div(h, stride), ceil_div(w, stride)
-    xp = _pad_hw(x.astype(np.float64, copy=False), p, ho, wo, stride, n)
-    w64 = weights.astype(np.float64, copy=False)
-    acc = np.zeros((nb, cout, ho, wo), dtype=np.float64)
-    for i in range(n):
-        for j in range(n):
-            patch = xp[:, :, i:i + stride * (ho - 1) + 1:stride, j:j + stride * (wo - 1) + 1:stride]
-            acc += np.einsum("nchw,oc->nohw", patch, w64[:, :, i, j])
+    cols = im2col(x, n, stride)
+    ho, wo = cols.shape[4], cols.shape[5]
+    w2 = weights.astype(np.float64, copy=False).reshape(cout, c * n * n)
+    acc = np.matmul(w2, cols.reshape(nb, c * n * n, ho * wo))
     if bias is not None:
-        acc += bias.astype(np.float64)[None, :, None, None]
-    return acc.astype(x.dtype, copy=False)
+        acc += bias.astype(np.float64)[None, :, None]
+    return acc.reshape(nb, cout, ho, wo).astype(x.dtype, copy=False)
 
 
 def pool(x: np.ndarray, kind: str, k: int = 3, stride: int = 1) -> np.ndarray:

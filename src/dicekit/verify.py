@@ -122,6 +122,18 @@ def batch_inner_draw(rng):
     return rng.standard_normal((nb, c, h, w)), int(rng.choice([1, 3, 5]))
 
 
+def stem_draw(rng):
+    """An input and weights at the stem's shapes for `conv2d`: 3 channels in,
+    8–24 out, 3×3 at stride 2, 1–4 images with sides 20–64, so that each
+    GEMM runs 27-term dot products over hundreds to a thousand pixels.
+    `run_kernels`' other conv2d draws have ≤2 images, ≤4 channels and sides
+    ≤8. Three or four images with sides past about 53 span more than one
+    image block."""
+    nb, cout = int(rng.integers(1, 5)), int(rng.integers(8, 25))
+    h, w = (int(v) for v in rng.integers(20, 65, size=2))
+    return rng.standard_normal((nb, 3, h, w)), rng.standard_normal((cout, 3, 3, 3))
+
+
 def signed_zeros(rng, a, share=0.1):
     """Set about `share` of the entries of `a` to +0.0 and as many to -0.0."""
     u = rng.random(a.shape)
@@ -134,19 +146,23 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
     """Fast kernels against the naive oracle, bitwise in f64; conv2d and the
     global average within `dot_bound`. The `.batch_inner` kinds draw from
     `batch_inner_draw`, on the path where `depthwise_conv` and
-    `dimconv_fused` sweep with the batch innermost.
+    `dimconv_fused` sweep with the batch innermost; `conv2d.stem` draws from
+    `stem_draw` on one draw in five, since the oracle takes about a second
+    per draw at those shapes.
 
     `fault` perturbs the named fast path before comparison; it exists so the
     harness can prove a broken kernel is actually detected.
     """
     rng = np.random.default_rng(seed)
-    # resize, both-orientation pointwise, conv2d and global-average draws come
-    # from their own generators and leave the others' draws alone
+    # resize, both-orientation pointwise, conv2d, global-average, batch-inner
+    # and stem draws come from their own generators and leave the others'
+    # draws alone
     resize_rng = np.random.default_rng([seed, 1])
     pw_rng = np.random.default_rng([seed, 2])
     conv_rng = np.random.default_rng([seed, 3])
     gap_rng = np.random.default_rng([seed, 4])
     batch_rng = np.random.default_rng([seed, 5])
+    stem_rng = np.random.default_rng([seed, 6])
     worst = {}
 
     def record(kind, check):
@@ -224,6 +240,12 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
         abs_dot, _ = orc.oracle_conv2d(np.abs(xc), np.abs(wc), sc)
         record("conv2d", _bounded("conv2d", T.conv2d(xc, wc, sc), ref,
                                   dot_bound(nc * nc * xc.shape[1], abs_dot)))
+        if i % 5 == 0:
+            xs, ws = stem_draw(stem_rng)
+            ref, _ = orc.oracle_conv2d(xs, ws, 2)
+            abs_dot, _ = orc.oracle_conv2d(np.abs(xs), np.abs(ws), 2)
+            record("conv2d.stem", _bounded("conv2d.stem", T.conv2d(xs, ws, 2), ref,
+                                           dot_bound(ws[0].size, abs_dot)))
 
         xa = gap_rng.standard_normal((int(gap_rng.integers(1, 3)), int(gap_rng.integers(1, 6)),
                                       int(gap_rng.integers(1, 15)), int(gap_rng.integers(1, 15))))
@@ -369,11 +391,47 @@ def _adjoint_checks(rng):
     return results
 
 
+def _bn_prelu_checks(rng):
+    """`grad_check` of `ag.bn_prelu` in x, gamma, beta and slope, in train and
+    in infer mode, on 2×2 planes at a batch of 3, longer than their width.
+    The output is weighted so the loss is not invariant to the
+    normalization."""
+    c = 2
+    args = {"x": rng.standard_normal((3, c, 2, 2)), "gamma": 1.0 + rng.random(c),
+            "beta": rng.standard_normal(c), "slope": rng.random(c) + 0.1}
+    wgt = rng.standard_normal(args["x"].shape)
+    running = (rng.standard_normal(c), 1.0 + rng.random(c))
+    results = []
+    for train in (True, False):
+        def bn_prelu(vals, train=train):
+            mean, var = (np.zeros(c), np.ones(c)) if train else running
+            state = T.BatchNormParams(args["gamma"], args["beta"], mean.copy(), var.copy())
+            return ag.bn_prelu(*vals, state, train)
+
+        for name in args:
+            def loss(t, name=name, bn_prelu=bn_prelu):
+                with ag.no_grad():
+                    out = bn_prelu([ag.Var(t if k == name else a) for k, a in args.items()])
+                return float(np.sum(out.data * wgt))
+
+            def grad(t, name=name, bn_prelu=bn_prelu):
+                vals = {k: ag.Var(a) for k, a in args.items()}
+                vals[name] = ag.param(t.copy())
+                ag.backward(ag.sum_all(ag.mul(bn_prelu(list(vals.values())), ag.Var(wgt))))
+                return vals[name].grad
+
+            mode = "train" if train else "infer"
+            results.append(grad_check(f"bn_prelu.{mode}.{name}", loss, grad, args[name]))
+    return results
+
+
 def run_gradients(seed: int = 0):
     """Spot checks of a few backward passes on tiny shapes against central
-    differences, and `_adjoint_checks` on draws from their own generator."""
+    differences, `_adjoint_checks` and `_bn_prelu_checks` on draws from their
+    own generators."""
     rng = np.random.default_rng(seed)
     results = _adjoint_checks(np.random.default_rng([seed, 1]))
+    results += _bn_prelu_checks(np.random.default_rng([seed, 2]))
     x = rng.standard_normal((2, 3, 5, 4))
     wgt = rng.standard_normal((2, 3, 5, 4))
 

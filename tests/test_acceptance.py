@@ -207,6 +207,27 @@ def _check(build, theta0, label):
     assert err < 1e-4, f"{label}: rel_err={err:.3e}"
 
 
+def _check_bn_prelu(rng, x, suffix):
+    """bn_prelu's gradient in x, gamma, beta and slope, in train and in infer
+    mode; the output is weighted so the loss is not invariant to the
+    normalization."""
+    c = x.shape[1]
+    args = {"x": x, "gamma": 1.0 + rng.random(c), "beta": rng.standard_normal(c),
+            "slope": rng.random(c) + 0.1}
+    wgt = ag.Var(rng.standard_normal(x.shape))
+    running = T.BatchNormParams(args["gamma"], args["beta"], rng.standard_normal(c),
+                                1.0 + rng.random(c))
+    for train in (True, False):
+        state = T.BatchNormParams.identity(c) if train else running
+        for name in args:
+            def build(t, name=name):
+                vals = [t if k == name else ag.Var(a) for k, a in args.items()]
+                return ag.sum_all(ag.mul(ag.bn_prelu(*vals, state, train), wgt))
+
+            mode = "train" if train else "infer"
+            _check(build, args[name], f"bn_prelu.{mode}.{name}{suffix}")
+
+
 def test_c6_gradients_every_op_and_micro_net():
     t0 = time.monotonic()
     rng = np.random.default_rng(6)
@@ -238,19 +259,14 @@ def test_c6_gradients_every_op_and_micro_net():
         _check(lambda v: sq(ag.avg_pool(v, 3, 2)), x, f"avg_pool#{draw}")
         _check(lambda v: sq(ag.max_pool(v, 3, 2)), x, f"max_pool#{draw}")
         _check(lambda v: sq(ag.global_avg(v)), x, f"global_avg#{draw}")
-        state = T.BatchNormParams.identity(c)
-        gamma, beta = 1.0 + rng.random(c), rng.standard_normal(c)
-        # weight the output so the loss is not invariant to the normalization
-        bw = ag.Var(rng.standard_normal(x.shape))
-        _check(lambda v: ag.sum_all(ag.mul(ag.batch_norm_train(
-            v, ag.Var(gamma), ag.Var(beta), state), bw)), x,
-               f"batch_norm#{draw}")
+        # batch norm + PReLU on this draw's planes and on 2x2 planes at a
+        # batch longer than their width
+        _check_bn_prelu(rng, x, f"#{draw}")
+        _check_bn_prelu(rng, rng.standard_normal((3, c, 2, 2)), f".2x2#{draw}")
         # keep activation inputs away from the kink at zero
         xk = x + 0.05 * np.sign(x)
         _check(lambda v: sq(ag.relu(v)), xk, f"relu#{draw}")
         _check(lambda v: sq(ag.sigmoid(v)), x, f"sigmoid#{draw}")
-        _check(lambda s: sq(ag.prelu(ag.Var(xk), s)),
-               rng.random(c) + 0.1, f"prelu#{draw}")
         xl, bl = rng.standard_normal((2, 4)), rng.standard_normal(4)
         _check(lambda t: sq(ag.linear(ag.Var(xl), t, bias=ag.Var(bl),
                                       groups=2)),

@@ -189,24 +189,35 @@ def test_max_pool_forward_does_not_stack_windows(rng):
     assert peak < padded + 3 * out, f"peak {peak} B"
 
 
+def _bn_prelu_args(rng, shape):
+    """x, gamma, beta, slope for bn_prelu, a weight for its output (so the loss
+    is not invariant to the normalization), and a state holding running
+    statistics for infer mode."""
+    c = shape[1]
+    args = {"x": rng.standard_normal(shape), "gamma": rng.standard_normal(c) + 1.0,
+            "beta": rng.standard_normal(c), "slope": rng.random(c) + 0.1}
+    running = BatchNormParams(args["gamma"], args["beta"], rng.standard_normal(c),
+                              1.0 + rng.random(c))
+    return args, ag.Var(rng.standard_normal(shape)), running
+
+
+def _check_bn_prelu_grad(args, wgt, running, name, train):
+    state = BatchNormParams.identity(len(args["gamma"])) if train else running
+
+    def build(t):
+        vals = [t if k == name else ag.Var(a) for k, a in args.items()]
+        return ag.sum_all(ag.mul(ag.bn_prelu(*vals, state, train), wgt))
+
+    check_param_grad(build, args[name])
+
+
 def test_batch_norm_grads(rng):
-    x = rng.standard_normal((3, 2, 4, 4))
-    gamma = rng.standard_normal(2) + 1.0
-    beta = rng.standard_normal(2)
-    wgt = ag.Var(rng.standard_normal(x.shape))
-
-    def bn_loss(xv, gv, bv):
-        state = BatchNormParams.identity(2)
-        return ag.sum_all(ag.mul(ag.batch_norm_train(xv, gv, bv, state), wgt))
-
-    check_param_grad(lambda v: bn_loss(v, ag.Var(gamma), ag.Var(beta)), x)
-    check_param_grad(lambda g: bn_loss(ag.Var(x), g, ag.Var(beta)), gamma)
-    check_param_grad(lambda b: bn_loss(ag.Var(x), ag.Var(gamma), b), beta)
-    state = BatchNormParams.identity(2)
-    state.running_mean[:] = rng.standard_normal(2)
-    state.running_var[:] = 1.0 + rng.random(2)
-    check_param_grad(lambda v: ag.sum_all(ag.mul(
-        ag.batch_norm_infer(v, ag.Var(gamma), ag.Var(beta), state), wgt)), x)
+    # 2x2 planes at a batch longer than their width, and 4x4 ones
+    for shape in ((3, 2, 2, 2), (2, 3, 4, 4)):
+        args, wgt, running = _bn_prelu_args(rng, shape)
+        for train in (True, False):
+            for name in ("x", "gamma", "beta"):
+                _check_bn_prelu_grad(args, wgt, running, name, train)
 
 
 def test_activation_grads(rng):
@@ -214,9 +225,78 @@ def test_activation_grads(rng):
     wgt = ag.Var(rng.standard_normal(x.shape))
     check_param_grad(lambda v: ag.sum_all(ag.mul(ag.relu(v), wgt)), x)
     check_param_grad(lambda v: ag.sum_all(ag.mul(ag.sigmoid(v), wgt)), x)
-    slope = np.full(3, 0.25)
-    check_param_grad(lambda v: ag.sum_all(ag.mul(ag.prelu(v, ag.Var(slope)), wgt)), x)
-    check_param_grad(lambda s: ag.sum_all(ag.mul(ag.prelu(ag.Var(x), s), wgt)), slope)
+    # PReLU's slope, through bn_prelu
+    for shape in ((3, 2, 2, 2), (2, 3, 4, 4)):
+        args, wgt, running = _bn_prelu_args(rng, shape)
+        for train in (True, False):
+            _check_bn_prelu_grad(args, wgt, running, "slope", train)
+
+
+def _bn_prelu_formula(x, state, slope):
+    """The inference epilogue spelled out: ((x - mean)*inv_std)*gamma + beta
+    in float64, cast to x's dtype, then where(y >= 0, y, s*y)."""
+    col = lambda a: np.asarray(a)[None, :, None, None]
+    inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+    y = (((x.astype(np.float64) - col(state.running_mean)) * col(inv_std))
+         * col(state.gamma) + col(state.beta)).astype(x.dtype)
+    s = col(slope.astype(x.dtype))
+    return np.where(y >= 0, y, s * y)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_bn_prelu_infer_keeps_the_bytes(dtype):
+    rng = np.random.default_rng(4)
+    c = 5
+    state = BatchNormParams(rng.standard_normal(c).astype(dtype),
+                            rng.standard_normal(c).astype(dtype),
+                            rng.standard_normal(c).astype(dtype),
+                            (1.0 + rng.random(c)).astype(dtype))
+    # slopes of both signs, -0.0 and infinity all pass through unchanged
+    slope = np.array([0.3, -0.2, -0.0, np.inf, 1.5], dtype=dtype)
+    # an input at the running mean leaves channel 0 at -0.0 and channel 1 at +0.0
+    state.gamma[0] = -abs(state.gamma[0])
+    state.beta[:2] = (-0.0, 0.0)
+    # one that fits one image block, and one in blocks of 2, 2 and 1 images
+    hw = int(np.sqrt(T.BLOCK_BYTES // 2 // 8 / c))
+    for nb, hw in ((2, 6), (5, hw)):
+        x = rng.standard_normal((nb, c, hw, hw)).astype(dtype)
+        # +0.0 and -0.0 inputs, and inputs at the running mean
+        x[0, :, 0, 0] = 0.0
+        x[0, :, 0, 1] = -0.0
+        x[-1, :, 1, 0] = state.running_mean
+        if nb == 5:
+            assert x.size * 8 > T.BLOCK_BYTES and T.BLOCK_BYTES // (8 * x[0].size) == 2
+        with ag.no_grad():
+            y = ag.bn_prelu(x, state.gamma, state.beta, slope, state, False).data
+        with np.errstate(invalid="ignore"):
+            want = _bn_prelu_formula(x, state, slope)
+        assert y.dtype == dtype and y.shape == x.shape
+        assert y.tobytes() == want.tobytes()
+        assert np.signbit(y[-1, :2, 1, 0]).tolist() == [True, False]
+
+
+def test_stem_backward_builds_no_input_gradient(rng):
+    # the stem's image needs no gradient. The weight gradient needs only the
+    # im2col matrix and the padded input it is cut from; an input gradient
+    # would add a matrix as large and a padded gradient buffer
+    nb, c, h, w = 16, 3, 64, 64
+    padded = nb * c * (h + 1) * (w + 1) * 8
+    cols = nb * c * 9 * 32 * 32 * 8
+    w_conv = ag.param(rng.standard_normal((8, c, 3, 3)))
+    peaks = {}
+    for needs_grad in (False, True):
+        image = ag.Var(rng.standard_normal((nb, c, h, w)), requires_grad=needs_grad)
+        y = ag.spatial_conv(image, w_conv, stride=2)
+        dy = np.ones(y.shape)
+        tracemalloc.start()
+        try:
+            y._backward(dy)
+            peaks[needs_grad] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (image.grad is not None) == needs_grad
+    bound = padded + cols + dy.nbytes
+    assert peaks[False] < bound < peaks[True], f"peaks {peaks}, bound {bound} B"
 
 
 def test_linear_grads(rng):

@@ -90,6 +90,9 @@ def test_verify_gradients_suite(capsys):
     for op in ("depthwise.s1", "depthwise.s2", "widthwise", "heightwise", "dimconv",
                "spatial_conv", "avg_pool", "max_pool", "pointwise", "linear"):
         assert f"[PASS] adjoint.{op}:" in out
+    for mode in ("train", "infer"):
+        for arg in ("x", "gamma", "beta", "slope"):
+            assert f"[PASS] bn_prelu.{mode}.{arg}:" in out
 
 
 def test_verify_exit_code_on_failure(monkeypatch, capsys):
@@ -173,6 +176,19 @@ def test_infer_checkpoint_must_match_network(micro_cfg_path, tmp_path, capsys):
         assert main(["infer", micro_cfg_path, str(tensor), "--checkpoint",
                      str(tmp_path / label)]) == EXIT_USAGE, label
         assert "checkpoint" in capsys.readouterr().err, label
+
+
+def test_infer_checkpoint_dtype_must_match_manifest(micro_cfg_path, tmp_path, capsys):
+    import json
+    tensor = tmp_path / "x.dck"
+    save_tensor(tensor, np.ones((3, 32, 32)))
+    named = build_network(parse_config(MICRO_CFG), seed=5).named_state()
+    save_checkpoint(tmp_path / "ck", named)
+    entry = json.loads((tmp_path / "ck" / "manifest.json").read_text())["bn0.running_mean"]
+    save_tensor(tmp_path / "ck" / entry["file"], dict(named)["bn0.running_mean"].astype(np.float32))
+    assert main(["infer", micro_cfg_path, str(tensor),
+                 "--checkpoint", str(tmp_path / "ck")]) == EXIT_USAGE
+    assert "dtype" in capsys.readouterr().err
 
 
 def test_infer_bad_input_exit_2(micro_cfg_path, tmp_path, capsys):

@@ -81,6 +81,18 @@ def test_checkpoint_round_trip(tmp_path, rng):
         assert back[name].dtype == arr.dtype
 
 
+def test_checkpoint_dtype_must_match_manifest(tmp_path, rng):
+    import json
+    named = [("a.w", rng.standard_normal((2, 3))), ("b.mean", rng.standard_normal(4))]
+    save_checkpoint(tmp_path / "ck", named)
+    entry = json.loads((tmp_path / "ck" / "manifest.json").read_text())["b.mean"]
+    assert entry["dtype"] == "float64"
+    # same name and shape, stored as float32 under a manifest that says float64
+    save_tensor(tmp_path / "ck" / entry["file"], named[1][1].astype(np.float32))
+    with pytest.raises(ContainerError, match="dtype"):
+        load_checkpoint(tmp_path / "ck")
+
+
 def _assert_same_checkpoint(back, named):
     assert set(back) == {name for name, _ in named}
     for name, arr in named:

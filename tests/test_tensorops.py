@@ -1,7 +1,10 @@
 """Primitive kernel behavior: shapes, error paths, hand-checked values."""
 
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +150,35 @@ def test_conv2d_shape_and_delta(rng):
         w[i, i, 1, 1] = 1.0
     np.testing.assert_array_equal(T.conv2d(x, w), x)
     assert T.conv2d(x, rng.standard_normal((5, 3, 3, 3)), stride=2).shape == (1, 5, 3, 3)
+
+
+_CONV2D_DIGEST = """
+import hashlib
+import numpy as np
+from dicekit import tensorops as T
+digest = hashlib.sha256()
+rng = np.random.default_rng(0)
+# the stems of train-micro, infer-s1.0-b1 and infer-s1.0-b8-288
+for shape, cout in (((64, 3, 32, 32), 8), ((1, 3, 224, 224), 24), ((8, 3, 288, 288), 24)):
+    x, w = rng.standard_normal(shape), rng.standard_normal((cout, 3, 3, 3))
+    digest.update(T.conv2d(x, w, 2).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_conv2d_bytes_do_not_depend_on_blas_threads():
+    # conv2d's GEMM runs on as many BLAS threads as the environment asks for;
+    # its bytes must not depend on how many that is
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _CONV2D_DIGEST], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        digests.add(run.stdout.strip())
+    assert len(digests) == 1, digests
 
 
 def test_pool_kinds(rng):
