@@ -101,17 +101,22 @@ def dimconv_unfused(x: np.ndarray, p: DimConvParams) -> np.ndarray:
 
 
 def dimconv_fused(x: np.ndarray, p: DimConvParams) -> np.ndarray:
-    """Single-pass variant: one padded buffer, one tap sweep, all three dot
-    products accumulated per neighborhood. Bit-identical to the unfused
-    reference (same per-element accumulation order).
+    """Fused variant: one padded buffer serves all three branches, and each
+    channel block is swept once per branch while it is in cache.
+    Bit-identical to the unfused reference (same per-element accumulation
+    order).
 
-    An image larger than `tensorops.BLOCK_BYTES` is swept in channel blocks
-    of at most that size, so the three accumulators of a block stay in cache
-    for all n*n taps. When a block's batch is longer than its rows (the
-    width), the padded buffer and the accumulators are laid out with the
-    batch innermost, so each tap's step runs along the batch, as in
-    `tensorops.depthwise_conv`. Each output still depends on the same inputs,
-    added in the same order, so neither choice changes a byte."""
+    The buffer is `tensorops.tap_runs`, so each tap of each branch is one
+    contiguous run per channel: the depth branch reads channel c at the tap's
+    offset, the width and height branches read channel c + i at a column or
+    row offset, times per-position weights built once per call. The blocks
+    are `tensorops.channel_blocks`', so a block's runs stay in cache for all
+    n*n taps of a branch; sweeping one branch at a time is faster at 28x28
+    than adding all three per tap, and no slower at the other shapes of the
+    shipped networks. The loops run with numpy's ufunc buffer at 16
+    elements, as in `tensorops.pointwise_conv`. Every real output still
+    starts at 0.0 and adds the same products in the same tap order, so no
+    byte changes."""
     return T._image_blocks(_dimconv_fused, x, p)
 
 
@@ -120,27 +125,40 @@ def _dimconv_fused(x, p):
     nb, c, h, w = x.shape
     n = p.n
     pd = (n - 1) // 2
-    batch_inner = nb > w
-    # every buffer below is indexed (C, H, W, N), whatever its memory order
-    xp = T.chwn_zeros(c + 2 * pd, h + 2 * pd, w + 2 * pd, nb, batch_inner)
-    xp[pd:pd + c, pd:pd + h, pd:pd + w] = x.transpose(1, 2, 3, 0)
+    wp = w + 2 * pd
+    run = h * wp * nb
+    xf = T.tap_runs(x, pd, pd)
     kd = p.k_d.taps.astype(np.float64, copy=False)
-    kw = p.k_w.taps.astype(np.float64, copy=False)
-    kh = p.k_h.taps.astype(np.float64, copy=False)
+    # the width and height branches' weight at each position of a run, (n, n, run)
+    kw = np.zeros((n, n, 1, wp, 1))
+    kw[:, :, 0, :w, 0] = p.k_w.taps.transpose(1, 2, 0)
+    kw = np.broadcast_to(kw, (n, n, h, wp, nb)).reshape(n, n, run)
+    kh = p.k_h.taps.astype(np.float64, copy=False).transpose(1, 2, 0)[:, :, :, None, None]
+    kh = np.broadcast_to(kh, (n, n, h, wp, nb)).reshape(n, n, run)
     out = np.empty((nb, 3 * c, h, w), dtype=x.dtype)
     out_v = out.transpose(1, 2, 3, 0)
-    cb = max(1, T.BLOCK_BYTES // (8 * nb * h * w))
-    for c0 in range(0, c, cb):
-        c1 = min(c0 + cb, c)
-        a_d, a_w, a_h = (T.chwn_zeros(c1 - c0, h, w, nb, batch_inner) for _ in range(3))
+
+    def sweep(c0, c1, k):
+        """Branch k of output channels c0..c1, tap by tap, one run per channel."""
+        a = np.zeros((c1 - c0, run))
         for i in range(n):
             for j in range(n):
-                a_d += kd[c0:c1, i, j][:, None, None, None] * xp[pd + c0:pd + c1, i:i + h, j:j + w]
-                a_w += kw[:, i, j][None, None, :, None] * xp[c0 + i:c1 + i, j:j + h, pd:pd + w]
-                a_h += kh[:, i, j][None, :, None, None] * xp[c0 + i:c1 + i, pd:pd + h, j:j + w]
-        out_v[3 * c0:3 * c1:3] = a_d
-        out_v[3 * c0 + 1:3 * c1:3] = a_w
-        out_v[3 * c0 + 2:3 * c1:3] = a_h
+                if k == 0:
+                    wt, ch, s = kd[c0:c1, i, j, None], pd + c0, (i * wp + j) * nb
+                elif k == 1:
+                    wt, ch, s = kw[i, j], c0 + i, (j * wp + pd) * nb
+                else:
+                    wt, ch, s = kh[i, j], c0 + i, (pd * wp + j) * nb
+                a += wt * xf[ch:ch + c1 - c0, s:s + run]
+        return a.reshape(c1 - c0, h, wp, nb)[:, :, :w]
+
+    old = np.setbufsize(16)
+    try:
+        for c0, c1 in T.channel_blocks(c, run):
+            for k in range(3):
+                out_v[3 * c0 + k:3 * c1:3] = sweep(c0, c1, k)
+    finally:
+        np.setbufsize(old)
     return out
 
 

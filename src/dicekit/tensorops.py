@@ -150,15 +150,43 @@ def chwn_zeros(c: int, h: int, w: int, nb: int, batch_inner: bool) -> np.ndarray
     return np.zeros((nb, c, h, w)).transpose(1, 2, 3, 0)
 
 
+def tap_runs(x: np.ndarray, pc: int, p: int) -> np.ndarray:
+    """x zero-padded by pc channels and p pixels on each side, in float64,
+    laid out batch-last, (C + 2pc, H + 2p + 1, W + 2p, N), and viewed as one
+    row per channel.
+
+    With Wp = W + 2p and L = H*Wp*N, the slice of L values starting at
+    (i*Wp + j)*N holds, at (r*Wp + col)*N + b, the pixel that output (r, col)
+    of image b meets at tap (i, j): one contiguous run per channel per tap.
+    Columns W..Wp-1 of each output row are junk and are dropped; only they
+    reach the spare last row.
+    """
+    nb, c, h, w = x.shape
+    xp = np.zeros((c + 2 * pc, h + 2 * p + 1, w + 2 * p, nb))
+    xp[pc:pc + c, p:p + h, p:p + w] = x.transpose(1, 2, 3, 0)
+    return xp.reshape(c + 2 * pc, -1)
+
+
+def channel_blocks(c: int, run: int) -> list[tuple[int, int]]:
+    """Ranges (c0, c1) of channels whose float64 runs of `run` values hold
+    at most BLOCK_BYTES together, and at least one channel."""
+    cb = max(1, BLOCK_BYTES // (8 * run))
+    return [(c0, min(c0 + cb, c)) for c0 in range(0, c, cb)]
+
+
 def depthwise_conv(x: np.ndarray, bank: ConvKernelBank, stride: int = 1) -> np.ndarray:
     """Per-channel n x n spatial convolution, zero padding, 'same' grid.
 
-    Each tap is one numpy step over a whole block. When the block's batch is
-    longer than an output row, the padded input and the accumulator are laid
-    out with the batch innermost, so each step runs along the batch instead
-    of along rows a few pixels long. The bytes cannot change: every output
-    still starts at 0.0 and adds the same products in the same tap order; only
-    the order in which numpy visits the elements differs."""
+    At stride 1 the padded input is `tap_runs`' buffer, so each tap is one
+    multiply-add over one contiguous run per channel; the loop runs in the
+    channel blocks of `channel_blocks`, with numpy's ufunc buffer at 16
+    elements, as in `pointwise_conv`. At larger strides each tap is one
+    numpy step over a whole block; when the block's batch is longer than an
+    output row, the padded input and the accumulator are laid out with the
+    batch innermost, so each step runs along the batch instead of along rows
+    a few pixels long. The bytes cannot change: every output still starts at
+    0.0 and adds the same products in the same tap order; only the order in
+    which numpy visits the elements differs."""
     return _image_blocks(_depthwise_conv, x, bank, stride)
 
 
@@ -171,20 +199,48 @@ def _depthwise_conv(x, bank, stride):
         raise KernelError(f"stride must be >= 1, got {stride}")
     n = bank.n
     p = (n - 1) // 2
+    taps = bank.taps.astype(np.float64, copy=False)
+    bias = None if bank.bias is None else bank.bias.astype(np.float64)
+    if stride == 1:
+        return _depthwise_runs(x, taps, bias)
     ho, wo = ceil_div(h, stride), ceil_div(w, stride)
     batch_inner = nb > wo
     xp = chwn_zeros(c, p + h + right_pad(h, ho, stride, n),
                     p + w + right_pad(w, wo, stride, n), nb, batch_inner)
     xp[:, p:p + h, p:p + w] = x.transpose(1, 2, 3, 0)
-    taps = bank.taps.astype(np.float64, copy=False)
     acc = chwn_zeros(c, ho, wo, nb, batch_inner)
     for i in range(n):
         for j in range(n):
             acc += taps[:, i, j][:, None, None, None] * \
                 xp[:, i:i + stride * (ho - 1) + 1:stride, j:j + stride * (wo - 1) + 1:stride]
-    if bank.bias is not None:
-        acc += bank.bias.astype(np.float64)[:, None, None, None]
+    if bias is not None:
+        acc += bias[:, None, None, None]
     return np.ascontiguousarray(acc.transpose(3, 0, 1, 2), dtype=x.dtype)
+
+
+def _depthwise_runs(x, taps, bias):
+    nb, c, h, w = x.shape
+    n = taps.shape[1]
+    p = (n - 1) // 2
+    wp = w + 2 * p
+    run = h * wp * nb
+    xf = tap_runs(x, 0, p)
+    out = np.empty(x.shape, dtype=x.dtype)
+    out_v = out.transpose(1, 2, 3, 0)
+    old = np.setbufsize(16)
+    try:
+        for c0, c1 in channel_blocks(c, run):
+            acc = np.zeros((c1 - c0, run))
+            for i in range(n):
+                for j in range(n):
+                    s = (i * wp + j) * nb
+                    acc += taps[c0:c1, i, j, None] * xf[c0:c1, s:s + run]
+            if bias is not None:
+                acc += bias[c0:c1, None]
+            out_v[c0:c1] = acc.reshape(c1 - c0, h, wp, nb)[:, :, :w]
+    finally:
+        np.setbufsize(old)
+    return out
 
 
 def widthwise_conv(x: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
@@ -377,7 +433,8 @@ def _pool(x, kind, k, stride):
 
 def batch_norm(x: np.ndarray, p: BatchNormParams, mode: str = "infer",
                momentum: float = 0.1) -> np.ndarray:
-    """Per-channel normalization.
+    """Per-channel normalization, ((x - mean)*(1/sqrt(var + eps)))*gamma + beta,
+    evaluated in that order, as `autograd.bn_prelu` evaluates it in inference.
 
     'infer' uses the stored running statistics; 'train' normalizes with the
     batch statistics (biased variance) and updates the running stats in place
@@ -396,9 +453,9 @@ def batch_norm(x: np.ndarray, p: BatchNormParams, mode: str = "infer",
         p.running_var[:] = (1.0 - momentum) * p.running_var + momentum * var
     else:
         raise KernelError(f"unknown batch-norm mode {mode!r}")
-    inv = p.gamma / np.sqrt(var + p.eps)
-    out = (x64 - mean[None, :, None, None]) * inv[None, :, None, None] \
-        + p.beta[None, :, None, None]
+    inv_std = 1.0 / np.sqrt(var + p.eps)
+    out = ((x64 - mean[None, :, None, None]) * inv_std[None, :, None, None]) \
+        * p.gamma[None, :, None, None] + p.beta[None, :, None, None]
     return out.astype(x.dtype)
 
 

@@ -114,9 +114,10 @@ def resize_draw(rng):
 
 def batch_inner_draw(rng):
     """An input whose batch, 3–9 images, is longer than its 1–2 px rows, and a
-    kernel extent: `depthwise_conv` and `dimconv_fused` sweep it with the batch
-    innermost, which `_rand_shape`'s batch of 1–2 and width of 2 or more never
-    reach."""
+    kernel extent, which `_rand_shape`'s batch of 1–2 and width of 2 or more
+    never reach. At stride 2 `depthwise_conv` sweeps it with the batch
+    innermost; at stride 1 it and `dimconv_fused` run taps over runs where
+    junk columns outnumber real ones."""
     nb, c = int(rng.integers(3, 10)), int(rng.integers(1, 7))
     h, w = int(rng.integers(1, 8)), int(rng.integers(1, 3))
     return rng.standard_normal((nb, c, h, w)), int(rng.choice([1, 3, 5]))
@@ -145,24 +146,27 @@ def signed_zeros(rng, a, share=0.1):
 def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
     """Fast kernels against the naive oracle, bitwise in f64; conv2d and the
     global average within `dot_bound`. The `.batch_inner` kinds draw from
-    `batch_inner_draw`, on the path where `depthwise_conv` and
-    `dimconv_fused` sweep with the batch innermost; `conv2d.stem` draws from
-    `stem_draw` on one draw in five, since the oracle takes about a second
-    per draw at those shapes.
+    `batch_inner_draw`: batches longer than 1–2 px rows, where
+    `depthwise_conv` at stride 2 sweeps with the batch innermost and the
+    stride-1 tap runs are mostly junk columns. `depth` and `dimconv` also
+    get one draw each with ±0.0 in the input and the taps. `conv2d.stem`
+    draws from `stem_draw` on one draw in five, since the oracle takes about
+    a second per draw at those shapes.
 
     `fault` perturbs the named fast path before comparison; it exists so the
     harness can prove a broken kernel is actually detected.
     """
     rng = np.random.default_rng(seed)
-    # resize, both-orientation pointwise, conv2d, global-average, batch-inner
-    # and stem draws come from their own generators and leave the others'
-    # draws alone
+    # resize, both-orientation pointwise, conv2d, global-average, batch-inner,
+    # stem and signed-zero draws come from their own generators and leave the
+    # others' draws alone
     resize_rng = np.random.default_rng([seed, 1])
     pw_rng = np.random.default_rng([seed, 2])
     conv_rng = np.random.default_rng([seed, 3])
     gap_rng = np.random.default_rng([seed, 4])
     batch_rng = np.random.default_rng([seed, 5])
     stem_rng = np.random.default_rng([seed, 6])
+    zero_rng = np.random.default_rng([seed, 7])
     worst = {}
 
     def record(kind, check):
@@ -268,6 +272,18 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
             record("depth.batch_inner",
                    _bitwise("depth.batch_inner", T.depthwise_conv(xb, bank, sb), ref))
         check_dimconv(".batch_inner", xb, DimConvParams.init(*xb.shape[1:], nk, batch_rng))
+
+        # ±0.0 in the input and the taps, which the draws above never hold
+        xz = signed_zeros(zero_rng, zero_rng.standard_normal(_rand_shape(zero_rng)))
+        nz, sz = int(zero_rng.choice([1, 3, 5])), int(zero_rng.choice([1, 2]))
+        bank = ConvKernelBank.random(xz.shape[1], nz, zero_rng)
+        signed_zeros(zero_rng, bank.taps)
+        ref, _ = orc.oracle_depthwise(xz, bank, sz)
+        record("depth", _bitwise("depth", T.depthwise_conv(xz, bank, sz), ref))
+        pz = DimConvParams.init(*xz.shape[1:], nz, zero_rng)
+        for b in (pz.k_d, pz.k_w, pz.k_h):
+            signed_zeros(zero_rng, b.taps)
+        check_dimconv("", xz, pz)
 
     return [worst[k] for k in sorted(worst)]
 

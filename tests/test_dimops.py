@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dicekit import bench
+from dicekit import bench, verify
 from dicekit import tensorops as T
 from dicekit.dimops import (
     DimConvParams,
@@ -45,6 +45,19 @@ def test_fused_equals_unfused_bitwise(rng):
         np.testing.assert_array_equal(dimconv_fused(x, p), dimconv_unfused(x, p))
 
 
+def _spy_channel_blocks(monkeypatch):
+    """Record the channel blocks of every tap-run sweep."""
+    seen = []
+    real = T.channel_blocks
+
+    def spy(c, run):
+        seen.append(real(c, run))
+        return seen[-1]
+
+    monkeypatch.setattr(T, "channel_blocks", spy)
+    return seen
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_fused_channel_blocks_keep_the_bytes(monkeypatch, dtype):
     from dicekit import oracle as orc
@@ -53,13 +66,51 @@ def test_fused_channel_blocks_keep_the_bytes(monkeypatch, dtype):
     for n in (1, 3, 5):
         p = DimConvParams.init(5, 6, 7, n, rng, dtype)
         whole = dimconv_fused(x, p)
-        # two channels of one image per block: each image runs as 2 + 2 + 1
-        monkeypatch.setattr(T, "BLOCK_BYTES", 2 * 8 * 6 * 7)
-        blocked = dimconv_fused(x, p)
-        monkeypatch.undo()
+        # two channels of one image per block, whose runs are 6 rows of
+        # 7 + n - 1 columns: each image runs as 2 + 2 + 1
+        with monkeypatch.context() as m:
+            m.setattr(T, "BLOCK_BYTES", 2 * 8 * 6 * (7 + n - 1))
+            seen = _spy_channel_blocks(m)
+            blocked = dimconv_fused(x, p)
+        assert seen == [[(0, 2), (2, 4), (4, 5)]] * 2, n
         ref, _ = orc.oracle_dimconv(x, p)
         for out in (blocked, dimconv_unfused(x, p), ref):
             assert out.dtype == whole.dtype and out.tobytes() == whole.tobytes(), n
+
+
+# (batch, channels, height, width, n): 1 px wide planes at n = 5, where junk
+# columns outnumber real ones and the runs reach the spare row; a batch
+# longer and one shorter than the rows
+TAP_RUN_CASES = [(1, 3, 4, 1, 5), (3, 2, 1, 1, 5), (7, 4, 5, 1, 5), (6, 3, 3, 2, 3),
+                 (1, 4, 5, 7, 3), (2, 3, 6, 9, 1), (2, 2, 2, 3, 5)]
+
+
+@pytest.mark.parametrize("blocked", [False, True], ids=["whole", "channel_blocks"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_tap_runs_match_the_oracle(monkeypatch, dtype, blocked):
+    from dicekit import oracle as orc
+    rng = np.random.default_rng(17)
+    for nb, c, h, w, n in TAP_RUN_CASES:
+        x = verify.signed_zeros(rng, rng.standard_normal((nb, c, h, w))).astype(dtype)
+        bank = ConvKernelBank(ConvKernelBank.random(c, n, rng, dtype).taps,
+                              rng.standard_normal(c).astype(dtype))
+        p = DimConvParams.init(c, h, w, n, rng, dtype)
+        with monkeypatch.context() as m:
+            seen = _spy_channel_blocks(m)
+            if blocked:
+                # one image block holds the whole batch, a channel block less
+                # than all channels
+                m.setattr(T, "BLOCK_BYTES", 8 * x.size)
+            y_depth = T.depthwise_conv(x, bank)
+            y_dim = dimconv_fused(x, p)
+        assert len(seen) == 2
+        if blocked and n > 1:
+            assert all(len(blocks) > 1 for blocks in seen)
+        ref, _ = orc.oracle_depthwise(x, bank, 1)
+        assert y_depth.dtype == x.dtype and y_depth.tobytes() == ref.tobytes()
+        ref, _ = orc.oracle_dimconv(x, p)
+        for other in (ref, dimconv_unfused(x, p)):
+            assert y_dim.dtype == other.dtype and y_dim.tobytes() == other.tobytes()
 
 
 def test_dimconv_rejects_off_nominal(rng):

@@ -1,5 +1,6 @@
 """Primitive kernel behavior: shapes, error paths, hand-checked values."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -9,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dicekit import autograd as ag
 from dicekit import tensorops as T
 from dicekit import verify
+from dicekit.dimops import DimConvParams, dimconv_fused
 from dicekit.tensorops import ConvKernelBank, KernelError
 
 
@@ -92,14 +95,26 @@ def test_pointwise_groups(rng):
     assert np.allclose(y, np.concatenate([top, bot], axis=1), atol=1e-12)
 
 
-def test_pointwise_restores_the_ufunc_buffer():
+# the kernels that run their loop with numpy's ufunc buffer at 16 elements
+BUFFERED = {
+    "pointwise_conv": lambda x, rng: functools.partial(
+        T.pointwise_conv, x, rng.standard_normal((x.shape[1], x.shape[1]))),
+    "depthwise_conv": lambda x, rng: functools.partial(
+        T.depthwise_conv, x, ConvKernelBank.random(x.shape[1], 3, rng), 1),
+    "dimconv_fused": lambda x, rng: functools.partial(
+        dimconv_fused, x, DimConvParams.init(*x.shape[1:], 3, rng)),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(BUFFERED))
+def test_kernels_restore_the_ufunc_buffer(kernel):
     x = np.random.default_rng(3).standard_normal((1, 116, 14, 14))
-    w = np.random.default_rng(4).standard_normal((116, 116))
+    run = BUFFERED[kernel](x, np.random.default_rng(4))
     default = np.getbufsize()
     try:
         with np.errstate():
             np.setbufsize(4096)
-            T.pointwise_conv(x, w)
+            run()
             assert np.getbufsize() == 4096
     finally:
         # numpy 2 restores the size when errstate exits, numpy 1.x does not
@@ -111,7 +126,7 @@ def test_pointwise_restores_the_ufunc_buffer():
     def work():
         try:
             for _ in range(20):
-                T.pointwise_conv(x, w)
+                run()
         except Exception as e:  # reported by the assertion below
             errors.append(e)
         finally:
@@ -219,6 +234,21 @@ def test_activations(rng):
     np.testing.assert_array_equal(T.prelu(x, 0.25), [[-0.5, 0, 3]])
     s = T.sigmoid(np.array([0.0, 800.0, -800.0]))
     assert np.allclose(s, [0.5, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_batch_norm_then_prelu_is_bn_prelu_in_inference(dtype):
+    # the oracle forward runs batch_norm then prelu; infer runs bn_prelu
+    rng = np.random.default_rng(6)
+    c = 5
+    state = T.BatchNormParams(*(rng.standard_normal(c).astype(dtype) for _ in range(3)),
+                              (1.0 + rng.random(c)).astype(dtype))
+    slope = (rng.random(c) - 0.5).astype(dtype)
+    x = verify.signed_zeros(rng, rng.standard_normal((3, c, 6, 7))).astype(dtype)
+    with ag.no_grad():
+        want = ag.bn_prelu(x, state.gamma, state.beta, slope, state, False).data
+    got = T.prelu(T.batch_norm(x, state, "infer"), slope)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_linear_groups_and_bias(rng):
