@@ -64,8 +64,10 @@ def _accum(v: Var, g):
     if not v.requires_grad:
         return
     if v.grad is None:
-        v.grad = np.zeros_like(v.data, dtype=np.float64)
-    v.grad += g
+        # one pass; g + 0.0 is 0.0 + g, bit for bit, -0.0 included
+        v.grad = np.add(g, 0.0, out=np.empty(v.data.shape))
+    else:
+        v.grad += g
 
 
 def _make(data, parents, backward_fn) -> Var:
@@ -288,21 +290,32 @@ def pointwise(x, w, groups: int = 1, stride: int = 1) -> Var:
 
 
 def spatial_conv(x, w, stride: int = 1) -> Var:
-    """Dense n x n convolution; weights (C_out, C_in, n, n)."""
+    """Dense n x n convolution; weights (C_out, C_in, n, n).
+
+    While the tape records a weight gradient, the forward keeps the im2col
+    matrix of each of conv2d's image blocks for the backward; otherwise
+    nothing is kept."""
     x, w = as_var(x), as_var(w)
-    out = T.conv2d(x.data, w.data, stride)
     cout, c, n, _ = w.data.shape
+    cols = [] if _grad_enabled.get() and w.requires_grad else None
+    out = T.conv2d(x.data, w.data, stride, keep=cols)
 
     def bw(dy):
-        # the im2col matrix the forward multiplied, (N, C*n*n, Ho*Wo), rebuilt:
-        # one batched matmul gives each image's weight gradient. The input
-        # gradient is built only when the input needs one (the stem's image
-        # never does)
+        # one batched matmul per kept block, (N, C*n*n, Ho*Wo), gives each
+        # image's weight gradient. The input gradient is built only when the
+        # input needs one (the stem's image never does)
         nb, _, h, wd = x.data.shape
         ho, wo = dy.shape[2], dy.shape[3]
         dy3 = dy.reshape(nb, cout, ho * wo)
-        cols = T.im2col(x.data, n, stride).reshape(nb, c * n * n, ho * wo)
-        _accum(w, np.matmul(dy3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape))
+        if cols is not None:
+            per_image = np.empty((nb, cout, c * n * n))
+            i = 0
+            for block in cols:
+                k = block.shape[0]
+                np.matmul(dy3[i:i + k], block.reshape(k, c * n * n, ho * wo).transpose(0, 2, 1),
+                          out=per_image[i:i + k])
+                i += k
+            _accum(w, per_image.sum(axis=0).reshape(w.data.shape))
         if not x.requires_grad:
             return
         p = (n - 1) // 2
@@ -427,17 +440,17 @@ def _prelu_factor(y, s) -> np.ndarray:
 
 def _bn_prelu_infer(x, mean, inv_std, gamma, beta, s) -> np.ndarray:
     """((x - mean)*inv_std)*gamma + beta in one float64 buffer, cast to x's
-    dtype, then where(y >= 0, y, s*y), byte for byte, finished in place. A
-    tensor larger than BLOCK_BYTES runs in image blocks, which stay in cache
-    across the passes."""
+    dtype, then where(y >= 0, y, s*y), byte for byte, finished in place. The
+    first pass writes x - mean, widened to float64, into that buffer; the
+    others run over a tensor larger than BLOCK_BYTES in image blocks, which
+    stay in cache across them."""
     mean, inv_std, gamma, beta, s = (a[None, :, None, None]
                                      for a in (mean, inv_std, gamma, beta, s))
     per = max(1, T.BLOCK_BYTES // (8 * x[0].size))
-    y = x.astype(np.float64)
+    y = np.subtract(x, mean, dtype=np.float64)
     out = y if y.dtype == x.dtype else np.empty_like(x)
     for i in range(0, x.shape[0], per):
         b = y[i:i + per]
-        b -= mean
         b *= inv_std
         b *= gamma
         b += beta

@@ -120,7 +120,7 @@ def dimconv_fused(x: np.ndarray, p: DimConvParams) -> np.ndarray:
     return T._image_blocks(_dimconv_fused, x, p)
 
 
-def _dimconv_fused(x, p):
+def _dimconv_fused(x, p, out=None):
     _check_nominal(x, p)
     nb, c, h, w = x.shape
     n = p.n
@@ -135,8 +135,8 @@ def _dimconv_fused(x, p):
     kw = np.broadcast_to(kw, (n, n, h, wp, nb)).reshape(n, n, run)
     kh = p.k_h.taps.astype(np.float64, copy=False).transpose(1, 2, 0)[:, :, :, None, None]
     kh = np.broadcast_to(kh, (n, n, h, wp, nb)).reshape(n, n, run)
-    out = np.empty((nb, 3 * c, h, w), dtype=x.dtype)
-    out_v = out.transpose(1, 2, 3, 0)
+    res = T._output(out, (nb, 3 * c, h, w), x.dtype)
+    out_v = res.transpose(1, 2, 3, 0)
 
     def sweep(c0, c1, k):
         """Branch k of output channels c0..c1, tap by tap, one run per channel."""
@@ -159,7 +159,7 @@ def _dimconv_fused(x, p):
                 out_v[3 * c0 + k:3 * c1:3] = sweep(c0, c1, k)
     finally:
         np.setbufsize(old)
-    return out
+    return res
 
 
 def separable_conv(x: np.ndarray, dw_bank: ConvKernelBank, pw_weights: np.ndarray,

@@ -24,6 +24,10 @@ FLOAT_DTYPES = (np.float32, np.float64)
 # N * F_out * LINEAR_BLOCK values whatever F_in is
 LINEAR_BLOCK = 64
 
+# `linear` runs `_pointwise_conv`'s loop over input features once a feature's
+# outer product, N x F_out/G, holds this many values and N >= 2
+LINEAR_FEATURE_LOOP = 1024
+
 # float64 input bytes per image block of the kernels that sweep their
 # accumulator once per tap or input channel: a block's accumulator then stays
 # in a 2 MiB L2 cache between sweeps, where a whole batch would not
@@ -52,21 +56,53 @@ def _image_blocks(kernel, x: np.ndarray, *args) -> np.ndarray:
     """kernel(x, *args), run over the batch in blocks of whole images holding
     at most BLOCK_BYTES of float64 input, and at least one image.
 
+    A kernel takes its result array from `_output(out, shape, dtype)`. A call
+    that fits in one block passes no `out`, and the kernel allocates its
+    result. Over several blocks `out` hands each block its slice of the batch
+    output, allocated when the first block asks for it: the kernels write
+    their images in place, and no block's result is copied. Where the result
+    is float64 and the kernel's accumulator has the result's layout, the
+    accumulator is the result itself.
+
     The bytes are those of one call on the whole batch: each output element
     depends only on its own image, and no kernel's per-element order of
-    operations depends on the batch size.
+    operations depends on the batch size or on where its result lives.
     """
     check_tensor(x)
     nb = x.shape[0]
     per = max(1, BLOCK_BYTES // (8 * x[0].size))
     if per >= nb:
         return kernel(x, *args)
-    first = kernel(x[:per], *args)
-    out = np.empty((nb,) + first.shape[1:], dtype=first.dtype)
-    out[:per] = first
-    for i in range(per, nb, per):
-        out[i:i + per] = kernel(x[i:i + per], *args)
-    return out
+    res = None
+
+    def out(shape, dtype):
+        # the running block's slice, images i.. of the batch output
+        nonlocal res
+        if res is None:
+            res = np.empty((nb,) + tuple(shape[1:]), dtype=dtype)
+        return res[i:i + shape[0]]
+
+    for i in range(0, nb, per):
+        kernel(x[i:i + per], *args, out=out)
+    return res
+
+
+def _output(out, shape, dtype, zeros: bool = False) -> np.ndarray:
+    """A kernel's result array, of zeros if asked: a new one, or the slice
+    `_image_blocks` hands it through `out`."""
+    if out is None:
+        return (np.zeros if zeros else np.empty)(shape, dtype=dtype)
+    res = out(shape, dtype)
+    if zeros:
+        res[...] = 0.0
+    return res
+
+
+def _store(res: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """res, holding acc (indexed as res) unless acc is already res's memory."""
+    if not np.may_share_memory(res, acc):
+        res[...] = acc
+    return res
 
 
 @dataclass(frozen=True)
@@ -190,7 +226,7 @@ def depthwise_conv(x: np.ndarray, bank: ConvKernelBank, stride: int = 1) -> np.n
     return _image_blocks(_depthwise_conv, x, bank, stride)
 
 
-def _depthwise_conv(x, bank, stride):
+def _depthwise_conv(x, bank, stride, out=None):
     check_tensor(x)
     nb, c, h, w = x.shape
     if bank.count != c:
@@ -202,31 +238,33 @@ def _depthwise_conv(x, bank, stride):
     taps = bank.taps.astype(np.float64, copy=False)
     bias = None if bank.bias is None else bank.bias.astype(np.float64)
     if stride == 1:
-        return _depthwise_runs(x, taps, bias)
+        return _depthwise_runs(x, taps, bias, out)
     ho, wo = ceil_div(h, stride), ceil_div(w, stride)
     batch_inner = nb > wo
     xp = chwn_zeros(c, p + h + right_pad(h, ho, stride, n),
                     p + w + right_pad(w, wo, stride, n), nb, batch_inner)
     xp[:, p:p + h, p:p + w] = x.transpose(1, 2, 3, 0)
-    acc = chwn_zeros(c, ho, wo, nb, batch_inner)
+    in_place = not batch_inner and x.dtype == np.float64
+    res = _output(out, (nb, c, ho, wo), x.dtype, zeros=in_place)
+    acc = res.transpose(1, 2, 3, 0) if in_place else chwn_zeros(c, ho, wo, nb, batch_inner)
     for i in range(n):
         for j in range(n):
             acc += taps[:, i, j][:, None, None, None] * \
                 xp[:, i:i + stride * (ho - 1) + 1:stride, j:j + stride * (wo - 1) + 1:stride]
     if bias is not None:
         acc += bias[:, None, None, None]
-    return np.ascontiguousarray(acc.transpose(3, 0, 1, 2), dtype=x.dtype)
+    return _store(res, acc.transpose(3, 0, 1, 2))
 
 
-def _depthwise_runs(x, taps, bias):
+def _depthwise_runs(x, taps, bias, out):
     nb, c, h, w = x.shape
     n = taps.shape[1]
     p = (n - 1) // 2
     wp = w + 2 * p
     run = h * wp * nb
     xf = tap_runs(x, 0, p)
-    out = np.empty(x.shape, dtype=x.dtype)
-    out_v = out.transpose(1, 2, 3, 0)
+    res = _output(out, x.shape, x.dtype)
+    out_v = res.transpose(1, 2, 3, 0)
     old = np.setbufsize(16)
     try:
         for c0, c1 in channel_blocks(c, run):
@@ -240,7 +278,7 @@ def _depthwise_runs(x, taps, bias):
             out_v[c0:c1] = acc.reshape(c1 - c0, h, wp, nb)[:, :, :w]
     finally:
         np.setbufsize(old)
-    return out
+    return res
 
 
 def widthwise_conv(x: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
@@ -307,7 +345,7 @@ def pointwise_conv(x: np.ndarray, weights: np.ndarray, groups: int = 1,
     return _image_blocks(_pointwise_conv, x, weights, groups, stride, bias)
 
 
-def _pointwise_conv(x, weights, groups, stride, bias):
+def _pointwise_conv(x, weights, groups, stride, bias, out=None):
     check_tensor(x)
     nb, c, h, w = x.shape
     if weights.ndim != 2:
@@ -333,7 +371,13 @@ def _pointwise_conv(x, weights, groups, stride, bias):
         a, b = wt[..., None], xg[:, :, None]
     else:
         a, b = xg[..., None], np.ascontiguousarray(wt)[:, :, None]
-    acc = np.zeros((groups, a.shape[2], b.shape[3]), dtype=np.float64)
+    # one image's (G, C_out/G, pixels) accumulator is laid out as its result
+    in_place = pixels_inner and nb == 1 and x.dtype == np.float64
+    res = _output(out, (nb, cout, ho, wo), x.dtype, zeros=in_place)
+    if in_place:
+        acc = res.reshape(groups, cog, npix)
+    else:
+        acc = np.zeros((groups, a.shape[2], b.shape[3]), dtype=np.float64)
     # numpy's smallest buffer; numpy 1.x also needs a multiple of 16
     old = np.setbufsize(16)
     try:
@@ -345,8 +389,7 @@ def _pointwise_conv(x, weights, groups, stride, bias):
         acc = acc.transpose(0, 2, 1)
     if bias is not None:
         acc += bias.astype(np.float64).reshape(groups, cog, 1)
-    y = acc.reshape(cout, nb, ho, wo).transpose(1, 0, 2, 3)
-    return np.ascontiguousarray(y, dtype=x.dtype)
+    return _store(res, acc.reshape(cout, nb, ho, wo).transpose(1, 0, 2, 3))
 
 
 def im2col(x: np.ndarray, n: int, stride: int) -> np.ndarray:
@@ -369,7 +412,7 @@ def im2col(x: np.ndarray, n: int, stride: int) -> np.ndarray:
 
 
 def conv2d(x: np.ndarray, weights: np.ndarray, stride: int = 1,
-           bias: np.ndarray | None = None) -> np.ndarray:
+           bias: np.ndarray | None = None, keep: list | None = None) -> np.ndarray:
     """Standard dense convolution, weights (C_out, C_in, n, n), same padding.
 
     One matrix product per image block: the weights as (C_out, C_in*n*n)
@@ -377,12 +420,13 @@ def conv2d(x: np.ndarray, weights: np.ndarray, stride: int = 1,
     output's taps*C_in products in an order of its own, so conv2d is outside
     the bitwise set; `verify` gates it by the dot-product bound. numpy runs
     one GEMM per image, so an image's bytes do not depend on the batch or on
-    the block it falls in.
+    the block it falls in. Given a list `keep`, each block appends its
+    im2col matrix to it, in batch order, for a backward pass to reuse.
     """
-    return _image_blocks(_conv2d, x, weights, stride, bias)
+    return _image_blocks(_conv2d, x, weights, stride, bias, keep)
 
 
-def _conv2d(x, weights, stride, bias):
+def _conv2d(x, weights, stride, bias, keep, out=None):
     check_tensor(x)
     nb, c, h, w = x.shape
     cout, cin, n, n2 = weights.shape
@@ -391,12 +435,16 @@ def _conv2d(x, weights, stride, bias):
     if stride < 1:
         raise KernelError(f"stride must be >= 1, got {stride}")
     cols = im2col(x, n, stride)
+    if keep is not None:
+        keep.append(cols)
     ho, wo = cols.shape[4], cols.shape[5]
     w2 = weights.astype(np.float64, copy=False).reshape(cout, c * n * n)
-    acc = np.matmul(w2, cols.reshape(nb, c * n * n, ho * wo))
+    res = _output(out, (nb, cout, ho, wo), x.dtype)
+    acc = np.matmul(w2, cols.reshape(nb, c * n * n, ho * wo),
+                    out=res.reshape(nb, cout, ho * wo) if res.dtype == np.float64 else None)
     if bias is not None:
         acc += bias.astype(np.float64)[None, :, None]
-    return acc.reshape(nb, cout, ho, wo).astype(x.dtype, copy=False)
+    return _store(res, acc.reshape(res.shape))
 
 
 def pool(x: np.ndarray, kind: str, k: int = 3, stride: int = 1) -> np.ndarray:
@@ -411,7 +459,7 @@ def pool(x: np.ndarray, kind: str, k: int = 3, stride: int = 1) -> np.ndarray:
     return _image_blocks(_pool, x, kind, k, stride)
 
 
-def _pool(x, kind, k, stride):
+def _pool(x, kind, k, stride, out=None):
     nb, c, h, w = x.shape
     p = (k - 1) // 2
     ho, wo = ceil_div(h, stride), ceil_div(w, stride)
@@ -419,7 +467,9 @@ def _pool(x, kind, k, stride):
     x64 = x.astype(np.float64, copy=False)
     xp = np.pad(x64, ((0, 0), (0, 0), (p, right_pad(h, ho, stride, k)),
                       (p, right_pad(w, wo, stride, k))), constant_values=fill)
-    acc = np.full((nb, c, ho, wo), 0.0 if kind == "avg" else -np.inf)
+    res = _output(out, (nb, c, ho, wo), x.dtype)
+    acc = res if res.dtype == np.float64 else np.empty(res.shape)
+    acc[...] = fill
     inv = 1.0 / (k * k)
     for i in range(k):
         for j in range(k):
@@ -428,7 +478,7 @@ def _pool(x, kind, k, stride):
                 acc += inv * win
             else:
                 np.maximum(acc, win, out=acc)
-    return acc.astype(x.dtype, copy=False)
+    return _store(res, acc)
 
 
 def batch_norm(x: np.ndarray, p: BatchNormParams, mode: str = "infer",
@@ -486,16 +536,28 @@ def linear(x: np.ndarray, weights: np.ndarray, groups: int = 1,
     """Block-diagonal matrix product: x (N, F_in), weights (F_out, F_in // groups).
 
     Group g maps input slice g to output slice g. Keeps the oracle's order:
-    each output is ((0.0 + p0) + p1) + ... over its group's products. The
-    products are laid out in weight order, (N, G, F_out/G, features), and
-    `np.add.accumulate` runs the sum along the feature axis, which adds one
-    term at a time. Features go in blocks of LINEAR_BLOCK, so no product
-    array grows with F_in; the running sum of one block is added into the
-    first product of the next, starting from 0.0. `sum`, `einsum` and `@`
-    would sum pairwise or use FMA, and so would not match the oracle bitwise.
+    each output is ((0.0 + p0) + p1) + ... over its group's products, then
+    the bias. `sum`, `einsum` and `@` would sum pairwise or use FMA, and so
+    would not match the oracle bitwise. One of two loops runs, chosen by
+    shape; both keep that order, so the choice changes no byte:
+
+    - At N >= 2 with N*F_out/G >= LINEAR_FEATURE_LOOP, x is the (N, F_in,
+      1, 1) image batch of a 1x1 convolution, and `_pointwise_conv`'s loop
+      adds one input feature's products per step, all outputs at once. The
+      private kernel is called, so the call is not counted as a
+      `pointwise_conv` call.
+    - Otherwise the products are laid out in weight order, (N, G, F_out/G,
+      features), and `np.add.accumulate` runs the sum along the feature
+      axis, which adds one term at a time. Features go in blocks of
+      LINEAR_BLOCK, so no product array grows with F_in; the running sum of
+      one block is added into the first product of the next, starting from
+      0.0. At batch 1, and for a short output row, this is the faster loop.
     """
     if x.ndim != 2:
         raise KernelError(f"linear expects (N, F) input, got {x.shape}")
+    # both loops take the same inputs; the pointwise one takes floats only
+    if x.dtype.type not in FLOAT_DTYPES:
+        raise KernelError(f"expected float32/float64 input, got dtype {x.dtype}")
     nb, fin = x.shape
     fout = weights.shape[0]
     if fin % groups != 0 or fout % groups != 0:
@@ -503,6 +565,9 @@ def linear(x: np.ndarray, weights: np.ndarray, groups: int = 1,
     fig, fog = fin // groups, fout // groups
     if weights.shape[1] != fig:
         raise KernelError(f"weight rows have {weights.shape[1]} coefficients, expected {fig}")
+    if nb >= 2 and nb * fog >= LINEAR_FEATURE_LOOP:
+        y = _pointwise_conv(x.reshape(nb, fin, 1, 1), weights, groups, 1, bias)
+        return y.reshape(nb, fout)
     xg = x.astype(np.float64, copy=False).reshape(nb, groups, 1, fig)
     wg = weights.astype(np.float64, copy=False).reshape(groups, fog, fig)
     acc = np.zeros((nb, groups, fog), dtype=np.float64)
@@ -541,25 +606,38 @@ def bilinear_resize(x: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
     Keeps the oracle's order for each output: with g = 1 - f,
     ((gh*gw*x00 + gh*fw*x01) + fh*gw*x10) + fh*fw*x11, where the weight
     products come first and every term is added, zero weights included.
-    Rows are gathered first, then columns. At the input's own size it
-    returns a copy.
+    The coordinates and the four (H_out, W_out) weight tables are computed
+    once per call. Each image block gathers source columns w0 and w1 over all
+    input rows, the only two single-element gathers, then copies the rows h0
+    and h1 of those two arrays: x00 and x10 come from column w0, x01 and x11
+    from column w1. Each term is gathered into one reused buffer, scaled by
+    its weight and added. At the input's own size it returns a copy.
     """
     check_tensor(x)
     if target_h < 1 or target_w < 1:
         raise KernelError(f"resize targets must be >= 1, got {(target_h, target_w)}")
     if (target_h, target_w) == x.shape[2:]:
         return x.copy()
-    return _image_blocks(_bilinear_resize, x, target_h, target_w)
-
-
-def _bilinear_resize(x, target_h, target_w):
     h0, h1, fh = _resize_coords(x.shape[2], target_h)
     w0, w1, fw = _resize_coords(x.shape[3], target_w)
     gh, gw = 1.0 - fh, 1.0 - fw
-    x64 = x.astype(np.float64, copy=False)
-    r0, r1 = x64[:, :, h0], x64[:, :, h1]
-    out = np.outer(gh, gw) * r0[..., w0]
-    out += np.outer(gh, fw) * r0[..., w1]
-    out += np.outer(fh, gw) * r1[..., w0]
-    out += np.outer(fh, fw) * r1[..., w1]
-    return out.astype(x.dtype, copy=False)
+    weights = (np.outer(gh, gw), np.outer(gh, fw), np.outer(fh, gw), np.outer(fh, fw))
+    return _image_blocks(_bilinear_resize, x, h0, h1, w0, w1, weights)
+
+
+def _bilinear_resize(x, h0, h1, w0, w1, weights, out=None):
+    res = _output(out, x.shape[:2] + (len(h0), len(w0)), x.dtype)
+    acc = res if res.dtype == np.float64 else np.empty(res.shape)
+    term = np.empty(res.shape)
+    # mode="clip" lets np.take write its out= array directly, unbuffered;
+    # every index is in range, so nothing is clipped. x*w == w*x exactly
+    col0, col1 = (np.take(x, w, axis=3, mode="clip").astype(np.float64, copy=False)
+                  for w in (w0, w1))
+    np.take(col0, h0, axis=2, out=acc, mode="clip")
+    acc *= weights[0]
+    for wt, col, rows in ((weights[1], col1, h0), (weights[2], col0, h1),
+                          (weights[3], col1, h1)):
+        np.take(col, rows, axis=2, out=term, mode="clip")
+        term *= wt
+        acc += term
+    return _store(res, acc)

@@ -112,6 +112,19 @@ def resize_draw(rng):
     return signed_zeros(rng, rng.standard_normal((nb, c, h, w))), th, tw
 
 
+def linear_draw(rng):
+    """An input, weights and, on half the draws, a bias, all with signed
+    zeros, for `linear` at batch 2–9 with up to 300 outputs per group, so
+    that N·F_out/G lands on both sides of `tensorops.LINEAR_FEATURE_LOOP`
+    and `linear` runs either of its loops."""
+    nb, groups = int(rng.integers(2, 10)), int(rng.choice([1, 2, 4]))
+    fig, fog = int(rng.integers(1, 25)), int(rng.integers(1, 301))
+    x = signed_zeros(rng, rng.standard_normal((nb, groups * fig)))
+    wts = signed_zeros(rng, rng.standard_normal((groups * fog, fig)))
+    bias = signed_zeros(rng, rng.standard_normal(groups * fog)) if rng.random() < 0.5 else None
+    return x, wts, groups, bias
+
+
 def batch_inner_draw(rng):
     """An input whose batch, 3–9 images, is longer than its 1–2 px rows, and a
     kernel extent, which `_rand_shape`'s batch of 1–2 and width of 2 or more
@@ -149,7 +162,9 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
     `batch_inner_draw`: batches longer than 1–2 px rows, where
     `depthwise_conv` at stride 2 sweeps with the batch innermost and the
     stride-1 tap runs are mostly junk columns. `depth` and `dimconv` also
-    get one draw each with ±0.0 in the input and the taps. `conv2d.stem`
+    get one draw each with ±0.0 in the input and the taps. `linear` draws
+    from `linear_draw`: batches of 2–9, on both sides of the shape that
+    picks `linear`'s loop. `conv2d.stem`
     draws from `stem_draw` on one draw in five, since the oracle takes about
     a second per draw at those shapes.
 
@@ -158,8 +173,8 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
     """
     rng = np.random.default_rng(seed)
     # resize, both-orientation pointwise, conv2d, global-average, batch-inner,
-    # stem and signed-zero draws come from their own generators and leave the
-    # others' draws alone
+    # stem, signed-zero and batched linear draws come from their own
+    # generators and leave the others' draws alone
     resize_rng = np.random.default_rng([seed, 1])
     pw_rng = np.random.default_rng([seed, 2])
     conv_rng = np.random.default_rng([seed, 3])
@@ -167,6 +182,7 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
     batch_rng = np.random.default_rng([seed, 5])
     stem_rng = np.random.default_rng([seed, 6])
     zero_rng = np.random.default_rng([seed, 7])
+    linear_rng = np.random.default_rng([seed, 8])
     worst = {}
 
     def record(kind, check):
@@ -226,6 +242,9 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
         bias = rng.standard_normal(fout) if i % 4 == 3 else None
         ref, _ = orc.oracle_linear(xf, wf, groups, bias)
         record("grouped", _bitwise("grouped", T.linear(xf, wf, groups, bias), ref))
+        xl, wl, gl, bl = linear_draw(linear_rng)
+        ref, _ = orc.oracle_linear(xl, wl, gl, bl)
+        record("linear", _bitwise("linear", T.linear(xl, wl, gl, bl), ref))
 
         xp, wp, groups, stride_p = pointwise_draw(pw_rng, channels_inner=i % 2 == 0)
         ref, _ = orc.oracle_pointwise(xp, wp, groups, stride_p)

@@ -52,6 +52,7 @@ def test_c1_kernels_match_oracle_bitwise():
     resize_rng = np.random.default_rng(11)
     pw_rng = np.random.default_rng(12)
     batch_rng = np.random.default_rng(13)
+    linear_rng = np.random.default_rng(14)
     for _ in range(50):
         nb, c, h, w = (int(rng.integers(1, 3)), int(rng.integers(1, 10)),
                        int(rng.integers(2, 12)), int(rng.integers(2, 12)))
@@ -92,6 +93,13 @@ def test_c1_kernels_match_oracle_bitwise():
         wf = rng.standard_normal((4, 4)).astype(np.float32)
         ref, _ = orc.oracle_linear(xf, wf, 2)
         assert np.array_equal(T.linear(xf, wf, 2), ref)
+
+        # a batch of 2-9, on either side of the shape that picks linear's loop
+        xl, wl, gl, bl = verify.linear_draw(linear_rng)
+        xl, wl = xl.astype(np.float32), wl.astype(np.float32)
+        bl = None if bl is None else bl.astype(np.float32)
+        ref, _ = orc.oracle_linear(xl, wl, gl, bl)
+        assert T.linear(xl, wl, gl, bl).tobytes() == ref.tobytes()
 
         p = DimConvParams.init(c, h, w, n, rng, np.float32)
         ref, _ = orc.oracle_dimconv(x, p)

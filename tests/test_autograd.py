@@ -299,6 +299,63 @@ def test_stem_backward_builds_no_input_gradient(rng):
     assert peaks[False] < bound < peaks[True], f"peaks {peaks}, bound {bound} B"
 
 
+def test_spatial_conv_keeps_im2col_only_while_recording(monkeypatch, rng):
+    # the im2col matrices of the forward's image blocks serve the weight
+    # gradient; under no_grad() nothing is kept
+    x = rng.standard_normal((5, 3, 20, 18))
+    w_conv = ag.param(rng.standard_normal((8, 3, 3, 3)))
+    kept = []
+    conv2d = T.conv2d
+
+    def spy(*args, keep=None):
+        kept.append(keep)
+        return conv2d(*args, keep=keep)
+
+    monkeypatch.setattr(T, "conv2d", spy)
+    # two images per block: the batch of 5 runs as 2 + 2 + 1
+    monkeypatch.setattr(T, "BLOCK_BYTES", 2 * 8 * x[0].size)
+    with ag.no_grad():
+        y0 = ag.spatial_conv(x, w_conv, stride=2)
+    assert kept == [None] and y0._backward is None
+    y = ag.spatial_conv(x, w_conv, stride=2)
+    assert [b.shape[0] for b in kept[1]] == [2, 2, 1]
+    assert y.data.tobytes() == y0.data.tobytes()
+    dy = rng.standard_normal(y.shape)
+    im2col = T.im2col
+    monkeypatch.setattr(T, "im2col", None)   # the backward builds no second one
+    y._backward(dy)
+    # the weight gradient from the whole batch's im2col matrix, bit for bit
+    cols = im2col(x, 3, 2).reshape(5, 27, -1)
+    want = np.matmul(dy.reshape(5, 8, -1), cols.transpose(0, 2, 1)).sum(axis=0)
+    assert w_conv.grad.tobytes() == want.reshape(w_conv.shape).tobytes()
+
+
+def test_first_gradient_is_written_in_one_pass(monkeypatch):
+    # _accum writes a Var's first gradient as g + 0.0; the zeros-then-add it
+    # replaced gave 0.0 + g. One dicenet-micro step gives every gradient's
+    # bytes either way
+    from pathlib import Path
+
+    from dicekit import netbuilder, netconfig, train
+
+    def zeros_then_add(v, g):
+        if not v.requires_grad:
+            return
+        if v.grad is None:
+            v.grad = np.zeros_like(v.data, dtype=np.float64)
+        v.grad += g
+
+    text = (Path(__file__).resolve().parents[1] / "configs" / "dicenet-micro.cfg").read_text()
+    x, y = train.synth_dataset(0, 16)
+    grads = []
+    for accum in (ag._accum, zeros_then_add):
+        monkeypatch.setattr(ag, "_accum", accum)
+        net = netbuilder.build_network(netconfig.parse_config(text), seed=0)
+        ag.backward(ag.cross_entropy_ls(net.forward(x, train=True), y, 0.1))
+        grads.append([p.grad.tobytes() for _, p in net.parameters()])
+    assert len(grads[0]) == 78 and grads[0] == grads[1]
+
+
 def test_linear_grads(rng):
     x = rng.standard_normal((3, 6))
     w = rng.standard_normal((4, 3))

@@ -262,6 +262,45 @@ def test_linear_groups_and_bias(rng):
     assert np.allclose(y[:, 2:], x[:, 2:] @ wg[2:].T, atol=1e-12)
 
 
+def test_linear_loops_keep_the_oracle_order(monkeypatch):
+    # N >= 2 and N*F_out/G >= LINEAR_FEATURE_LOOP run pointwise_conv's loop;
+    # every other shape runs np.add.accumulate. Both give the oracle's bytes,
+    # signed zeros and a bias included
+    from dicekit.oracle import oracle_linear
+
+    def no_public_pointwise(*args):
+        raise AssertionError("linear must not count as a pointwise_conv call")
+
+    monkeypatch.setattr(T, "pointwise_conv", no_public_pointwise)
+    # either loop refuses what the other would
+    for nb in (1, 8):
+        with pytest.raises(KernelError):
+            T.linear(np.ones((nb, 4), dtype=np.int64), np.ones((T.LINEAR_FEATURE_LOOP, 4)))
+    rng = np.random.default_rng(8)
+    loop = T.LINEAR_FEATURE_LOOP
+    for nb, fin, fout, groups in ((8, 24, loop // 8, 1), (2, 12, loop, 4),
+                                  (1, 24, 2 * loop, 1), (8, 24, loop // 8 - 1, 1),
+                                  (3, 8, 40, 2)):
+        for dtype in (np.float64, np.float32):
+            x = verify.signed_zeros(rng, rng.standard_normal((nb, fin))).astype(dtype)
+            w = verify.signed_zeros(rng, rng.standard_normal((fout, fin // groups))).astype(dtype)
+            for bias in (None, rng.standard_normal(fout).astype(dtype)):
+                ref, _ = oracle_linear(x, w, groups, bias)
+                got = T.linear(x, w, groups, bias)
+                assert got.dtype == dtype and got.tobytes() == ref.tobytes(), (nb, fout, groups)
+
+
+def test_linear_draws_cover_both_loops():
+    # verify's batched linear draws run both of linear's loops
+    rng = np.random.default_rng(0)
+    sides = set()
+    for _ in range(40):
+        x, w, groups, _ = verify.linear_draw(rng)
+        assert x.shape[0] >= 2
+        sides.add(x.shape[0] * w.shape[0] // groups >= T.LINEAR_FEATURE_LOOP)
+    assert sides == {False, True}
+
+
 def test_resize_matrix_rows_sum_to_one():
     for src, dst in ((7, 13), (14, 7), (5, 5)):
         m = T.resize_matrix(src, dst)
@@ -298,13 +337,19 @@ def _blocked_calls(x):
     bank = ConvKernelBank.random(c, 3, rng)
     w2 = rng.standard_normal((2, c, 3, 3))
     dc = DimConvParams.init(c, h, w, 3, rng)
+    wide = rng.standard_normal((3 * h * w, c))
     return {
         "pointwise": lambda: T.pointwise_conv(x, wp, 1, 2, bp),
+        # more outputs than an image has pixels: the outputs are the long axis
+        "pointwise_outputs_inner": lambda: T.pointwise_conv(x, wide),
         "depthwise": lambda: T.depthwise_conv(x, bank, 2),
+        "depthwise_runs": lambda: T.depthwise_conv(x, bank, 1),
         "conv2d": lambda: T.conv2d(x, w2, 2),
         "avg_pool": lambda: T.pool(x, "avg", 3, 2),
         "max_pool": lambda: T.pool(x, "max", 3, 2),
         "bilinear": lambda: T.bilinear_resize(x, 9, 4),
+        "bilinear_up": lambda: T.bilinear_resize(x, 2 * h + 1, 2 * w + 1),
+        "bilinear_down": lambda: T.bilinear_resize(x, 3, 2),
         "dimconv_fused": lambda: dimconv_fused(x, dc),
     }
 
@@ -314,21 +359,27 @@ def test_image_blocks_keep_the_bytes(monkeypatch, dtype):
     x = np.random.default_rng(5).standard_normal((3, 4, 7, 6)).astype(dtype)
     seen = []
 
-    def spy(xb):
+    def spy(xb, out=None):
         seen.append(xb.shape[0])
-        return xb
+        res = T._output(out, xb.shape, xb.dtype)
+        res[...] = xb
+        return res
 
-    # two images per block, so a batch of 3 runs as 2 + 1
-    two_images = 2 * 8 * x[0].size
-    monkeypatch.setattr(T, "BLOCK_BYTES", two_images)
-    assert T._image_blocks(spy, x).tobytes() == x.tobytes() and seen == [2, 1]
-    for name, call in _blocked_calls(x).items():
-        monkeypatch.setattr(T, "BLOCK_BYTES", two_images)
-        blocked = call()
-        monkeypatch.setattr(T, "BLOCK_BYTES", 3 * two_images)
-        whole = call()
-        assert blocked.dtype == whole.dtype == dtype, name
-        assert blocked.shape == whole.shape and blocked.tobytes() == whole.tobytes(), name
+    # two images per block, so a batch of 3 runs as 2 + 1, and one, so it
+    # runs as 1 + 1 + 1, as a batch of large images does
+    one_image = 8 * x[0].size
+    for per, split in ((2, [2, 1]), (1, [1, 1, 1])):
+        seen.clear()
+        monkeypatch.setattr(T, "BLOCK_BYTES", per * one_image)
+        assert T._image_blocks(spy, x).tobytes() == x.tobytes() and seen == split
+        for name, call in _blocked_calls(x).items():
+            monkeypatch.setattr(T, "BLOCK_BYTES", per * one_image)
+            blocked = call()
+            monkeypatch.setattr(T, "BLOCK_BYTES", 3 * one_image)
+            whole = call()
+            assert blocked.dtype == whole.dtype == dtype, (name, per)
+            assert blocked.shape == whole.shape, (name, per)
+            assert blocked.tobytes() == whole.tobytes(), (name, per)
 
 
 def test_image_blocks_reject_an_empty_batch(monkeypatch):
