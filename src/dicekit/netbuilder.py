@@ -1,30 +1,56 @@
-"""Elaborate a NetConfig into an executable, differentiable layer graph and
-compute multiply-accumulate / parameter reports for it.
+"""Elaborate a NetConfig into a layer graph, and run it three ways.
 
-The cost report uses the same conventions as the naive oracle counter: a
-convolution is charged one MAC per tap per output element (padded taps
-included), pooling is charged its window accumulations, normalization and
-activations are free. On a small graph the report total equals the oracle
-tally exactly.
+Each layer is defined once, by a `forward(x, ops)` method written against a
+small op vocabulary: `spatial_conv`, `bn_prelu`, `max_pool`, `avg_pool`,
+`dimconv`, `depthwise`, `pointwise`, `bilinear`, `global_avg`, `linear`,
+`relu`, `sigmoid`, `mul`, `add`, `narrow`, `concat`, `shuffle` and
+`reshape`. `ops.row(name, kind)` scopes name the `analyze()` row that the
+ops run inside it belong to; a scope without a kind only prefixes the names
+of the rows within it. Three interpreters run that one definition:
+
+- `AutogradOps` calls the `autograd` ops, which run the fast kernels and
+  record the tape. `Network.forward`, and through it `infer`, training and
+  evaluation, use it. Its `bilinear` counts the resize (`dice.note_resize`).
+- `OracleOps` calls the naive `oracle` loops and tallies every MAC on a
+  counter: `Network.oracle_forward`.
+- `CostOps` tracks shapes only and sums each op's MACs and parameters into
+  the row it runs in: `analyze()`.
+
+The cost convention is the oracle's: a convolution is charged one MAC per
+tap per output element (padded taps included), pooling its window
+accumulations, DimFuse's gate product one MAC per element; normalization,
+activations and resizes are free. So on a small graph the report total
+equals the oracle tally exactly.
+
+A new block style is one class, entered in `_BLOCK_TYPES` (its name in
+`netconfig._BLOCK_STYLES`): a constructor that assigns its parameters,
+which `_members` names after the attributes, and a `forward(x, ops)`. The
+interpreters reach `autograd`, `tensorops` and `dimops` through their
+module attributes at call time, so a tracer that replaces them sees every
+call.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import autograd as ag
-from . import dice
+from . import dice, dimops
 from . import oracle as orc
+from . import tensorops as T
 from .autograd import Var, param
 from .netconfig import ConfigError, NetConfig, default_stem_channels
 from .serialize import ContainerError
 from .tensorops import BatchNormParams, KernelError, ceil_div
 
-__all__ = ["Network", "FlopReport", "build_network", "analyze", "infer"]
+__all__ = ["Network", "FlopReport", "build_network", "analyze", "infer",
+           "AutogradOps", "OracleOps", "CostOps"]
 
 
 def _he(rng, fan_in, shape, dtype):
@@ -32,74 +58,35 @@ def _he(rng, fan_in, shape, dtype):
 
 
 class _BNAct:
-    """BatchNorm + PReLU pair appended after a convolution."""
+    """BatchNorm + PReLU parameters after a convolution (`ops.bn_prelu`)."""
 
     def __init__(self, c, dtype):
         self.gamma = param(np.ones(c, dtype=dtype))
         self.beta = param(np.zeros(c, dtype=dtype))
-        # the state aliases the trainable buffers so both forward paths agree
+        # the state aliases the trainable buffers so every interpreter agrees
         self.state = BatchNormParams(
             gamma=self.gamma.data, beta=self.beta.data,
             running_mean=np.zeros(c, dtype=dtype),
             running_var=np.ones(c, dtype=dtype))
         self.slope = param(np.full(c, 0.25, dtype=dtype))
 
-    def forward(self, v: Var, train: bool) -> Var:
-        return ag.bn_prelu(v, self.gamma, self.beta, self.slope, self.state, train)
-
-    def forward_np(self, x):
-        from .tensorops import batch_norm, prelu
-        return prelu(batch_norm(x, self.state, "infer"), self.slope.data)
-
-    def params(self, prefix):
-        return [(prefix + ".gamma", self.gamma), (prefix + ".beta", self.beta),
-                (prefix + ".slope", self.slope)]
-
-    @property
-    def n_params(self):
-        return 3 * self.gamma.data.shape[0]
-
 
 class StemConv:
     """3x3 stride-2 dense convolution, the network entry."""
 
     def __init__(self, cin, cout, rng, dtype):
-        self.cin, self.cout = cin, cout
         self.w = param(_he(rng, cin * 9, (cout, cin, 3, 3), dtype))
         self.post = _BNAct(cout, dtype)
 
-    def forward(self, v, train):
-        return self.post.forward(ag.spatial_conv(v, self.w, stride=2), train)
-
-    def oracle_forward(self, x, counter):
-        y, _ = orc.oracle_conv2d(x, self.w.data, 2, counter)
-        return self.post.forward_np(y)
-
-    def params(self, prefix):
-        return [(prefix + ".w", self.w)] + self.post.params(prefix + ".post")
-
-    def report(self, c, h, w):
-        ho, wo = ceil_div(h, 2), ceil_div(w, 2)
-        rows = [("conv1", "conv", 9 * self.cin * self.cout * ho * wo,
-                 9 * self.cin * self.cout + self.post.n_params,
-                 (self.cout, ho, wo))]
-        return rows, (self.cout, ho, wo)
+    def forward(self, x, ops):
+        with ops.row("conv1", "conv"):
+            return ops.bn_prelu(ops.spatial_conv(x, self.w, 2), self.post)
 
 
 class MaxPool:
-    def forward(self, v, train):
-        return ag.max_pool(v, 3, 2)
-
-    def oracle_forward(self, x, counter):
-        from .tensorops import pool
-        return pool(x, "max", 3, 2)
-
-    def params(self, prefix):
-        return []
-
-    def report(self, c, h, w):
-        ho, wo = ceil_div(h, 2), ceil_div(w, 2)
-        return [("maxpool", "pool", 0, 0, (c, ho, wo))], (c, ho, wo)
+    def forward(self, x, ops):
+        with ops.row("maxpool", "pool"):
+            return ops.max_pool(x, 3, 2)
 
 
 class DiceUnit:
@@ -113,7 +100,7 @@ class DiceUnit:
 
     def __init__(self, c, nominal_h, nominal_w, n, conv_kind, fusion_kind,
                  strided, rng, dtype):
-        self.c, self.n, self.strided = c, n, strided
+        self.c, self.strided = c, strided
         self.conv_kind, self.fusion_kind = conv_kind, fusion_kind
         if strided:
             nominal_h, nominal_w = ceil_div(nominal_h, 2), ceil_div(nominal_w, 2)
@@ -126,122 +113,45 @@ class DiceUnit:
         else:
             self.k_w = self.k_h = None
             mid = c
-        self.mid = mid
-        self.post1 = _BNAct(mid, dtype)
-        self.r = max(c // 4, 1)
+        r = max(c // 4, 1)
         if fusion_kind == "dimfuse":
             self.k_g = param(_he(rng, 3, (c, 3), dtype)) if conv_kind == "dimconv" else None
             self.k_s = param(_he(rng, n * n, (c, n, n), dtype))
-            self.fc1 = param(_he(rng, c, (self.r, c), dtype))
-            self.fc2 = param(_he(rng, self.r, (c, self.r), dtype))
+            self.fc1 = param(_he(rng, c, (r, c), dtype))
+            self.fc2 = param(_he(rng, r, (c, r), dtype))
             self.w_fuse = None
         else:
             self.k_g = self.k_s = self.fc1 = self.fc2 = None
             self.w_fuse = param(_he(rng, mid, (c, mid), dtype))
+        self.post1 = _BNAct(mid, dtype)
         self.post2 = _BNAct(c, dtype)
 
-    # ----- forward ---------------------------------------------------------
-
-    def forward(self, v: Var, train: bool) -> Var:
+    def forward(self, x, ops):
         if self.strided:
-            v = ag.avg_pool(v, 3, 2)
-        h, w = v.data.shape[2], v.data.shape[3]
+            with ops.row("downpool", "pool"):
+                x = ops.avg_pool(x, 3, 2)
         if self.conv_kind == "dimconv":
-            if (h, w) != (self.nominal_h, self.nominal_w):
-                dice.note_resize()
-                v = ag.bilinear(v, self.nominal_h, self.nominal_w)
-                v = ag.dimconv(v, self.k_d, self.k_w, self.k_h)
-                dice.note_resize()
-                v = ag.bilinear(v, h, w)
-            else:
-                v = ag.dimconv(v, self.k_d, self.k_w, self.k_h)
+            with ops.row("dimconv", "dimconv"):
+                h, w = x.shape[2:]
+                if (h, w) == (self.nominal_h, self.nominal_w):
+                    x = ops.dimconv(x, self.k_d, self.k_w, self.k_h)
+                else:
+                    x = ops.bilinear(x, self.nominal_h, self.nominal_w)
+                    x = ops.bilinear(ops.dimconv(x, self.k_d, self.k_w, self.k_h), h, w)
+                x = ops.bn_prelu(x, self.post1)
         else:
-            v = ag.depthwise(v, self.k_d)
-        v = self.post1.forward(v, train)
-        if self.fusion_kind == "dimfuse":
-            y_g = ag.pointwise(v, self.k_g, groups=self.c) if self.k_g is not None else v
-            y_s = ag.depthwise(y_g, self.k_s)
-            z = ag.reshape(ag.global_avg(y_g), (y_g.data.shape[0], self.c))
-            g = ag.sigmoid(ag.linear(ag.relu(ag.linear(z, self.fc1)), self.fc2))
-            v = ag.mul(y_s, ag.reshape(g, (y_g.data.shape[0], self.c, 1, 1)))
-        else:
-            v = ag.pointwise(v, self.w_fuse)
-        return self.post2.forward(v, train)
-
-    # ----- oracle path -----------------------------------------------------
-
-    def oracle_forward(self, x, counter):
-        from .dimops import DimConvParams
-        from .tensorops import ConvKernelBank, pool, relu, sigmoid
-        if self.strided:
-            y, _ = orc.oracle_avg_pool(x, 3, 2, counter)
-            x = y
-        if self.conv_kind == "dimconv":
-            p = DimConvParams(ConvKernelBank(self.k_d.data),
-                              ConvKernelBank(self.k_w.data),
-                              ConvKernelBank(self.k_h.data))
-            x, _ = orc.oracle_dimconv(x, p, counter)
-        else:
-            x, _ = orc.oracle_depthwise(x, ConvKernelBank(self.k_d.data), 1, counter)
-        x = self.post1.forward_np(x)
-        if self.fusion_kind == "dimfuse":
-            if self.k_g is not None:
-                y_g, _ = orc.oracle_pointwise(x, self.k_g.data, self.c, 1, counter)
-            else:
-                y_g = x
-            y_s, _ = orc.oracle_depthwise(y_g, ConvKernelBank(self.k_s.data), 1, counter)
-            z, _ = orc.oracle_global_avg(y_g, counter)
-            a, _ = orc.oracle_linear(z[:, :, 0, 0], self.fc1.data, 1, None, counter)
-            a = relu(a)
-            g, _ = orc.oracle_linear(a, self.fc2.data, 1, None, counter)
-            g = sigmoid(g)
-            out = np.empty_like(y_s)
-            nb, c, h, w = y_s.shape
-            for b in range(nb):
-                for ci in range(c):
-                    for oh in range(h):
-                        for ow in range(w):
-                            out[b, ci, oh, ow] = y_s[b, ci, oh, ow] * g[b, ci]
-                            counter.tally()
-            x = out
-        else:
-            x, _ = orc.oracle_pointwise(x, self.w_fuse.data, 1, 1, counter)
-        return self.post2.forward_np(x)
-
-    # ----- bookkeeping -----------------------------------------------------
-
-    def params(self, prefix):
-        out = [(prefix + ".k_d", self.k_d)]
-        for name in ("k_w", "k_h", "k_g", "k_s", "fc1", "fc2", "w_fuse"):
-            v = getattr(self, name)
-            if v is not None:
-                out.append((f"{prefix}.{name}", v))
-        return out + self.post1.params(prefix + ".post1") + self.post2.params(prefix + ".post2")
-
-    def report(self, prefix, h, w):
-        """Rows for this unit with the given size treated as nominal."""
-        rows = []
-        c, n = self.c, self.n
-        if self.strided:
-            h, w = ceil_div(h, 2), ceil_div(w, 2)
-            rows.append((prefix + ".downpool", "pool", 9 * h * w * c, 0, (c, h, w)))
-        if self.conv_kind == "dimconv":
-            macs = 3 * n * n * h * w * c
-            params = n * n * (c + h + w) + self.post1.n_params
-            rows.append((prefix + ".dimconv", "dimconv", macs, params, (3 * c, h, w)))
-        else:
-            rows.append((prefix + ".depthwise", "depthwise", n * n * h * w * c,
-                         n * n * c + self.post1.n_params, (c, h, w)))
-        if self.fusion_kind == "dimfuse":
-            local = 3 * h * w * c if self.k_g is not None else 0
-            macs = local + n * n * h * w * c + c * self.r + self.r * c + 2 * h * w * c
-            params = (3 * c if self.k_g is not None else 0) + n * n * c \
-                + 2 * self.r * c + self.post2.n_params
-            rows.append((prefix + ".dimfuse", "dimfuse", macs, params, (c, h, w)))
-        else:
-            rows.append((prefix + ".fuse", "pointwise", self.mid * c * h * w,
-                         self.mid * c + self.post2.n_params, (c, h, w)))
-        return rows, (c, h, w)
+            with ops.row("depthwise", "depthwise"):
+                x = ops.bn_prelu(ops.depthwise(x, self.k_d), self.post1)
+        if self.fusion_kind == "pointwise":
+            with ops.row("fuse", "pointwise"):
+                return ops.bn_prelu(ops.pointwise(x, self.w_fuse), self.post2)
+        with ops.row("dimfuse", "dimfuse"):
+            y_g = ops.pointwise(x, self.k_g, self.c) if self.k_g is not None else x
+            y_s = ops.depthwise(y_g, self.k_s)
+            z = ops.reshape(ops.global_avg(y_g), (-1, self.c))
+            g = ops.sigmoid(ops.linear(ops.relu(ops.linear(z, self.fc1)), self.fc2))
+            x = ops.mul(y_s, ops.reshape(g, (-1, self.c, 1, 1)))
+            return ops.bn_prelu(x, self.post2)
 
 
 class ShuffleBlock:
@@ -250,7 +160,7 @@ class ShuffleBlock:
 
     def __init__(self, cin, cout, nominal_h, nominal_w, n, conv_kind,
                  fusion_kind, strided, rng, dtype):
-        self.cin, self.cout, self.strided, self.n = cin, cout, strided, n
+        self.cin, self.strided = cin, strided
         if strided:
             if cout <= cin:
                 raise ConfigError("strided block needs out channels > in channels")
@@ -259,7 +169,6 @@ class ShuffleBlock:
             self.branch_dw = param(_he(rng, n * n, (cin, n, n), dtype))
             self.branch_pw = param(_he(rng, cin, (cout - cin, cin), dtype))
             self.branch_post = _BNAct(cout - cin, dtype)
-            self.proj = None
         else:
             if cin != cout or cin % 2:
                 raise ConfigError("non-strided block needs equal, even channel counts")
@@ -269,63 +178,22 @@ class ShuffleBlock:
             self.unit = DiceUnit(half, nominal_h, nominal_w, n, conv_kind,
                                  fusion_kind, False, rng, dtype)
 
-    def forward(self, v, train):
+    def forward(self, x, ops):
         if self.strided:
-            a = self.unit.forward(v, train)
-            b = ag.depthwise(v, self.branch_dw, stride=2)
-            b = self.branch_post.forward(ag.pointwise(b, self.branch_pw), train)
-            return ag.channel_shuffle(ag.concat_channels([a, b]), 2)
+            with ops.row("unit"):
+                a = self.unit.forward(x, ops)
+            with ops.row("branch_dw", "depthwise"):
+                b = ops.depthwise(x, self.branch_dw, 2)
+            with ops.row("branch_pw", "pointwise"):
+                b = ops.bn_prelu(ops.pointwise(b, self.branch_pw), self.branch_post)
+            return ops.shuffle(ops.concat([a, b]), 2)
         half = self.cin // 2
-        left = ag.narrow_channels(v, 0, half)
-        right = ag.narrow_channels(v, half, half)
-        right = self.proj_post.forward(ag.pointwise(right, self.proj), train)
-        right = self.unit.forward(right, train)
-        return ag.channel_shuffle(ag.concat_channels([left, right]), 2)
-
-    def oracle_forward(self, x, counter):
-        from .tensorops import ConvKernelBank
-        if self.strided:
-            a = self.unit.oracle_forward(x, counter)
-            b, _ = orc.oracle_depthwise(x, ConvKernelBank(self.branch_dw.data), 2, counter)
-            b, _ = orc.oracle_pointwise(b, self.branch_pw.data, 1, 1, counter)
-            b = self.branch_post.forward_np(b)
-            return dice.channel_shuffle(np.concatenate([a, b], axis=1), 2)
-        half = self.cin // 2
-        left, right = x[:, :half], x[:, half:]
-        right, _ = orc.oracle_pointwise(right, self.proj.data, 1, 1, counter)
-        right = self.proj_post.forward_np(right)
-        right = self.unit.oracle_forward(right, counter)
-        return dice.channel_shuffle(np.concatenate([left, right], axis=1), 2)
-
-    def params(self, prefix):
-        out = []
-        if self.strided:
-            out += [(prefix + ".branch_dw", self.branch_dw),
-                    (prefix + ".branch_pw", self.branch_pw)]
-            out += self.branch_post.params(prefix + ".branch_post")
-        else:
-            out += [(prefix + ".proj", self.proj)]
-            out += self.proj_post.params(prefix + ".proj_post")
-        return out + self.unit.params(prefix + ".unit")
-
-    def report(self, prefix, c, h, w):
-        rows = []
-        if self.strided:
-            urows, _ = self.unit.report(prefix + ".unit", h, w)
-            rows += urows
-            ho, wo = ceil_div(h, 2), ceil_div(w, 2)
-            n = self.n
-            extra = self.cout - self.cin
-            rows.append((prefix + ".branch_dw", "depthwise", n * n * ho * wo * c,
-                         n * n * c, (c, ho, wo)))
-            rows.append((prefix + ".branch_pw", "pointwise", c * extra * ho * wo,
-                         c * extra + self.branch_post.n_params, (extra, ho, wo)))
-            return rows, (self.cout, ho, wo)
-        half = c // 2
-        rows.append((prefix + ".proj", "pointwise", half * half * h * w,
-                     half * half + self.proj_post.n_params, (half, h, w)))
-        urows, _ = self.unit.report(prefix + ".unit", h, w)
-        return rows + urows, (c, h, w)
+        left, right = ops.narrow(x, 0, half), ops.narrow(x, half, half)
+        with ops.row("proj", "pointwise"):
+            right = ops.bn_prelu(ops.pointwise(right, self.proj), self.proj_post)
+        with ops.row("unit"):
+            right = self.unit.forward(right, ops)
+        return ops.shuffle(ops.concat([left, right]), 2)
 
 
 class MobileBlock:
@@ -333,7 +201,6 @@ class MobileBlock:
 
     def __init__(self, cin, cout, nominal_h, nominal_w, n, conv_kind,
                  fusion_kind, strided, rng, dtype):
-        self.cin, self.cout = cin, cout
         self.proj = None
         if cin != cout:
             self.proj = param(_he(rng, cin, (cout, cin), dtype))
@@ -341,30 +208,12 @@ class MobileBlock:
         self.unit = DiceUnit(cout, nominal_h, nominal_w, n, conv_kind,
                              fusion_kind, strided, rng, dtype)
 
-    def forward(self, v, train):
+    def forward(self, x, ops):
         if self.proj is not None:
-            v = self.proj_post.forward(ag.pointwise(v, self.proj), train)
-        return self.unit.forward(v, train)
-
-    def oracle_forward(self, x, counter):
-        if self.proj is not None:
-            x, _ = orc.oracle_pointwise(x, self.proj.data, 1, 1, counter)
-            x = self.proj_post.forward_np(x)
-        return self.unit.oracle_forward(x, counter)
-
-    def params(self, prefix):
-        out = []
-        if self.proj is not None:
-            out += [(prefix + ".proj", self.proj)] + self.proj_post.params(prefix + ".proj_post")
-        return out + self.unit.params(prefix + ".unit")
-
-    def report(self, prefix, c, h, w):
-        rows = []
-        if self.proj is not None:
-            rows.append((prefix + ".proj", "pointwise", c * self.cout * h * w,
-                         c * self.cout + self.proj_post.n_params, (self.cout, h, w)))
-        urows, (co, ho, wo) = self.unit.report(prefix + ".unit", h, w)
-        return rows + urows, (co, ho, wo)
+            with ops.row("proj", "pointwise"):
+                x = ops.bn_prelu(ops.pointwise(x, self.proj), self.proj_post)
+        with ops.row("unit"):
+            return self.unit.forward(x, ops)
 
 
 class ResBlock:
@@ -372,61 +221,29 @@ class ResBlock:
 
     def __init__(self, cin, cout, nominal_h, nominal_w, n, conv_kind,
                  fusion_kind, strided, rng, dtype):
-        self.cin, self.cout, self.strided = cin, cout, strided
-        self.mid = max(cout // 4, 1)
-        self.reduce = param(_he(rng, cin, (self.mid, cin), dtype))
-        self.reduce_post = _BNAct(self.mid, dtype)
-        self.unit = DiceUnit(self.mid, nominal_h, nominal_w, n, conv_kind,
+        self.strided = strided
+        mid = max(cout // 4, 1)
+        self.reduce = param(_he(rng, cin, (mid, cin), dtype))
+        self.reduce_post = _BNAct(mid, dtype)
+        self.unit = DiceUnit(mid, nominal_h, nominal_w, n, conv_kind,
                              fusion_kind, strided, rng, dtype)
-        self.expand = param(_he(rng, self.mid, (cout, self.mid), dtype))
+        self.expand = param(_he(rng, mid, (cout, mid), dtype))
         self.expand_post = _BNAct(cout, dtype)
         self.shortcut = None
         if cin != cout or strided:
             self.shortcut = param(_he(rng, cin, (cout, cin), dtype))
 
-    def forward(self, v, train):
-        y = self.reduce_post.forward(ag.pointwise(v, self.reduce), train)
-        y = self.unit.forward(y, train)
-        y = self.expand_post.forward(ag.pointwise(y, self.expand), train)
-        sc = v
+    def forward(self, x, ops):
+        with ops.row("reduce", "pointwise"):
+            y = ops.bn_prelu(ops.pointwise(x, self.reduce), self.reduce_post)
+        with ops.row("unit"):
+            y = self.unit.forward(y, ops)
+        with ops.row("expand", "pointwise"):
+            y = ops.bn_prelu(ops.pointwise(y, self.expand), self.expand_post)
         if self.shortcut is not None:
-            sc = ag.pointwise(v, self.shortcut, stride=2 if self.strided else 1)
-        return ag.add(y, sc)
-
-    def oracle_forward(self, x, counter):
-        y, _ = orc.oracle_pointwise(x, self.reduce.data, 1, 1, counter)
-        y = self.reduce_post.forward_np(y)
-        y = self.unit.oracle_forward(y, counter)
-        y, _ = orc.oracle_pointwise(y, self.expand.data, 1, 1, counter)
-        y = self.expand_post.forward_np(y)
-        sc = x
-        if self.shortcut is not None:
-            sc, _ = orc.oracle_pointwise(x, self.shortcut.data, 1,
-                                         2 if self.strided else 1, counter)
-        return y + sc
-
-    def params(self, prefix):
-        out = [(prefix + ".reduce", self.reduce)]
-        out += self.reduce_post.params(prefix + ".reduce_post")
-        out += self.unit.params(prefix + ".unit")
-        out += [(prefix + ".expand", self.expand)]
-        out += self.expand_post.params(prefix + ".expand_post")
-        if self.shortcut is not None:
-            out.append((prefix + ".shortcut", self.shortcut))
-        return out
-
-    def report(self, prefix, c, h, w):
-        rows = [(prefix + ".reduce", "pointwise", c * self.mid * h * w,
-                 c * self.mid + self.reduce_post.n_params, (self.mid, h, w))]
-        urows, (_, ho, wo) = self.unit.report(prefix + ".unit", h, w)
-        rows += urows
-        rows.append((prefix + ".expand", "pointwise", self.mid * self.cout * ho * wo,
-                     self.mid * self.cout + self.expand_post.n_params,
-                     (self.cout, ho, wo)))
-        if self.shortcut is not None:
-            rows.append((prefix + ".shortcut", "pointwise", c * self.cout * ho * wo,
-                         c * self.cout, (self.cout, ho, wo)))
-        return rows, (self.cout, ho, wo)
+            with ops.row("shortcut", "pointwise"):
+                x = ops.pointwise(x, self.shortcut, 1, 2 if self.strided else 1)
+        return ops.add(y, x)
 
 
 class Head:
@@ -434,49 +251,253 @@ class Head:
     classifier FC."""
 
     def __init__(self, cin, pool_width, groups, classes, rng, dtype):
-        self.cin, self.pool_width = cin, pool_width
-        self.groups, self.classes = groups, classes
+        self.cin, self.groups = cin, groups
         self.expand = param(_he(rng, cin, (pool_width, cin), dtype))
         self.gfc = param(_he(rng, pool_width // groups,
                              (pool_width, pool_width // groups), dtype))
         self.fc = param(_he(rng, pool_width, (classes, pool_width), dtype))
         self.fc_bias = param(np.zeros(classes, dtype=dtype))
 
-    def forward(self, v, train):
-        z = ag.reshape(ag.global_avg(v), (v.data.shape[0], self.cin))
-        z = ag.relu(ag.linear(z, self.expand))
-        z = ag.relu(ag.linear(z, self.gfc, groups=self.groups))
-        return ag.linear(z, self.fc, bias=self.fc_bias)
-
-    def oracle_forward(self, x, counter):
-        from .tensorops import relu
-        z, _ = orc.oracle_global_avg(x, counter)
-        z = z[:, :, 0, 0]
-        z, _ = orc.oracle_linear(z, self.expand.data, 1, None, counter)
-        z = relu(z)
-        z, _ = orc.oracle_linear(z, self.gfc.data, self.groups, None, counter)
-        z = relu(z)
-        z, _ = orc.oracle_linear(z, self.fc.data, 1, self.fc_bias.data, counter)
-        return z
-
-    def params(self, prefix):
-        return [(prefix + ".expand", self.expand), (prefix + ".gfc", self.gfc),
-                (prefix + ".fc", self.fc), (prefix + ".fc_bias", self.fc_bias)]
-
-    def report(self, c, h, w):
-        pw, g = self.pool_width, self.groups
-        rows = [
-            ("global_pool", "pool", h * w * c, 0, (c, 1, 1)),
-            ("expand", "pointwise", c * pw, c * pw, (pw,)),
-            ("grouped_fc", "fc", pw * (pw // g), pw * (pw // g), (pw,)),
-            ("fc", "fc", pw * self.classes, pw * self.classes + self.classes,
-             (self.classes,)),
-        ]
-        return rows, (self.classes,)
+    def forward(self, x, ops):
+        with ops.row("global_pool", "pool"):
+            z = ops.global_avg(x)
+        z = ops.reshape(z, (-1, self.cin))
+        with ops.row("expand", "pointwise"):
+            z = ops.relu(ops.linear(z, self.expand))
+        with ops.row("grouped_fc", "fc"):
+            z = ops.relu(ops.linear(z, self.gfc, groups=self.groups))
+        with ops.row("fc", "fc"):
+            return ops.linear(z, self.fc, self.fc_bias)
 
 
 _BLOCK_TYPES = {"shufflenetv2": ShuffleBlock, "mobilenet": MobileBlock,
                 "resnet": ResBlock}
+
+
+def _members(obj, prefix):
+    """(name, member) for each parameter and batch norm that obj holds, its
+    unit's included, in the order its constructor assigned them."""
+    for attr, v in vars(obj).items():
+        name = f"{prefix}.{attr}"
+        if isinstance(v, Var):
+            yield name, v
+        elif isinstance(v, (_BNAct, DiceUnit)):
+            if isinstance(v, _BNAct):
+                yield name, v
+            yield from _members(v, name)
+
+
+# -------------------------------------------------------------- interpreters
+
+_NO_ROW = contextlib.nullcontext()
+
+
+def _autograd(name):
+    """An op that is `autograd.<name>`, looked up at each call."""
+    def op(self, *args, **kwargs):
+        return getattr(ag, name)(*args, **kwargs)
+    return op
+
+
+class AutogradOps:
+    """The fast kernels through the autograd tape; `train` selects batch
+    statistics in `bn_prelu`."""
+
+    def __init__(self, train: bool):
+        self.train = train
+
+    def row(self, name, kind=None):
+        return _NO_ROW
+
+    def bn_prelu(self, x, bn):
+        return ag.bn_prelu(x, bn.gamma, bn.beta, bn.slope, bn.state, self.train)
+
+    def bilinear(self, x, h, w):
+        dice.note_resize()
+        return ag.bilinear(x, h, w)
+
+    spatial_conv = _autograd("spatial_conv")
+    max_pool = _autograd("max_pool")
+    avg_pool = _autograd("avg_pool")
+    dimconv = _autograd("dimconv")
+    depthwise = _autograd("depthwise")
+    pointwise = _autograd("pointwise")
+    global_avg = _autograd("global_avg")
+    linear = _autograd("linear")
+    relu = _autograd("relu")
+    sigmoid = _autograd("sigmoid")
+    mul = _autograd("mul")
+    add = _autograd("add")
+    narrow = _autograd("narrow_channels")
+    concat = _autograd("concat_channels")
+    shuffle = _autograd("channel_shuffle")
+    reshape = _autograd("reshape")
+
+
+class OracleOps:
+    """The naive `oracle` loops on plain arrays; every MAC is tallied on
+    `counter`, DimFuse's gate product one per element."""
+
+    def __init__(self, counter: orc.OracleCounter):
+        self.counter = counter
+
+    def row(self, name, kind=None):
+        return _NO_ROW
+
+    def spatial_conv(self, x, w, stride):
+        return orc.oracle_conv2d(x, w.data, stride, self.counter)[0]
+
+    def bn_prelu(self, x, bn):
+        return orc.oracle_bn_prelu(x, bn.state, bn.slope.data)
+
+    def max_pool(self, x, k, stride):
+        return T.pool(x, "max", k, stride)
+
+    def avg_pool(self, x, k, stride):
+        return orc.oracle_avg_pool(x, k, stride, self.counter)[0]
+
+    def dimconv(self, x, k_d, k_w, k_h):
+        banks = (T.ConvKernelBank(k.data) for k in (k_d, k_w, k_h))
+        return orc.oracle_dimconv(x, dimops.DimConvParams(*banks), self.counter)[0]
+
+    def depthwise(self, x, taps, stride=1):
+        return orc.oracle_depthwise(x, T.ConvKernelBank(taps.data), stride, self.counter)[0]
+
+    def pointwise(self, x, w, groups=1, stride=1):
+        return orc.oracle_pointwise(x, w.data, groups, stride, self.counter)[0]
+
+    def bilinear(self, x, h, w):
+        return orc.oracle_bilinear(x, h, w)
+
+    def global_avg(self, x):
+        return orc.oracle_global_avg(x, self.counter)[0]
+
+    def linear(self, x, w, bias=None, groups=1):
+        return orc.oracle_linear(x, w.data, groups, None if bias is None else bias.data,
+                                 self.counter)[0]
+
+    def relu(self, x):
+        return T.relu(x)
+
+    def sigmoid(self, x):
+        return T.sigmoid(x)
+
+    def mul(self, a, b):
+        out = a * b
+        self.counter.tally(out.size)
+        return out
+
+    def add(self, a, b):
+        return a + b
+
+    def narrow(self, x, start, length):
+        return x[:, start:start + length]
+
+    def concat(self, parts):
+        return np.concatenate(parts, axis=1)
+
+    def shuffle(self, x, groups):
+        return dice.channel_shuffle(x, groups)
+
+    def reshape(self, x, shape):
+        return x.reshape(shape)
+
+
+class CostOps:
+    """Shapes only: a value is anything with a `.shape`. Each op adds its
+    MACs and parameters to the row it runs in, and its output shape less the
+    batch becomes the row's. `bilinear` is the identity, so a network run at
+    another size is priced as one built for it: DimConv's parameters come
+    from the shape, n^2 (C + H + W)."""
+
+    def __init__(self):
+        self.rows = []            # [name, kind, macs, params, out_shape]
+        self._names = []
+        self._row = None
+
+    @contextlib.contextmanager
+    def row(self, name, kind=None):
+        outer = self._row
+        self._names.append(name)
+        if kind is not None:
+            self._row = [".".join(self._names), kind, 0, 0, ()]
+            self.rows.append(self._row)
+        try:
+            yield
+        finally:
+            self._names.pop()
+            self._row = outer
+
+    def _out(self, shape, macs=0, params=0):
+        if self._row is not None:
+            self._row[2] += macs
+            self._row[3] += params
+            self._row[4] = tuple(shape[1:])
+        elif macs or params:
+            raise KernelError("an op with a cost ran outside every analyze() row")
+        return SimpleNamespace(shape=tuple(shape))
+
+    def _same(self, x, *args):
+        return self._out(x.shape)
+
+    # free, and the shape is the input's
+    relu = sigmoid = shuffle = bilinear = _same
+
+    def _conv(self, x, cout, stride, per_out, params):
+        """A window or 1x1 op: per_out MACs for each output element."""
+        nb, _, h, w = x.shape
+        shape = (nb, cout, ceil_div(h, stride), ceil_div(w, stride))
+        return self._out(shape, math.prod(shape) * per_out, params)
+
+    def spatial_conv(self, x, w, stride):
+        return self._conv(x, w.data.shape[0], stride, w.data[0].size, w.data.size)
+
+    def bn_prelu(self, x, bn):
+        return self._out(x.shape, 0, sum(p.data.size for p in (bn.gamma, bn.beta, bn.slope)))
+
+    def max_pool(self, x, k, stride):
+        return self._conv(x, x.shape[1], stride, 0, 0)
+
+    def avg_pool(self, x, k, stride):
+        return self._conv(x, x.shape[1], stride, k * k, 0)
+
+    def dimconv(self, x, k_d, k_w, k_h):
+        nb, c, h, w = x.shape
+        n2 = k_d.data[0].size
+        return self._out((nb, 3 * c, h, w), 3 * n2 * nb * c * h * w, n2 * (c + h + w))
+
+    def depthwise(self, x, taps, stride=1):
+        return self._conv(x, x.shape[1], stride, taps.data[0].size, taps.data.size)
+
+    def pointwise(self, x, w, groups=1, stride=1):
+        return self._conv(x, w.data.shape[0], stride, w.data.shape[1], w.data.size)
+
+    def global_avg(self, x):
+        return self._out(x.shape[:2] + (1, 1), math.prod(x.shape))
+
+    def linear(self, x, w, bias=None, groups=1):
+        shape = (x.shape[0], w.data.shape[0])
+        return self._out(shape, math.prod(shape) * w.data.shape[1],
+                         w.data.size + (0 if bias is None else bias.data.size))
+
+    def mul(self, a, b):
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        return self._out(shape, math.prod(shape))
+
+    def add(self, a, b):
+        return self._out(np.broadcast_shapes(a.shape, b.shape))
+
+    def narrow(self, x, start, length):
+        return self._out((x.shape[0], length) + x.shape[2:])
+
+    def concat(self, parts):
+        c = sum(p.shape[1] for p in parts)
+        return self._out(parts[0].shape[:1] + (c,) + parts[0].shape[2:])
+
+    def reshape(self, x, shape):
+        known = math.prod(s for s in shape if s != -1)
+        return self._out(tuple(math.prod(x.shape) // known if s == -1 else s
+                               for s in shape))
 
 
 @dataclass
@@ -486,36 +507,32 @@ class Network:
     head: Head
     seed: int
 
+    def run(self, x, ops):
+        """The forward pass, interpreted by `ops`; block i's rows are stage.<i>.*"""
+        stem, pool, *blocks = self.layers
+        x = pool.forward(stem.forward(x, ops), ops)
+        for i, block in enumerate(blocks):
+            with ops.row(f"stage.{i}"):
+                x = block.forward(x, ops)
+        return self.head.forward(x, ops)
+
     def forward(self, x, train: bool = False) -> Var:
-        v = x if isinstance(x, Var) else Var(np.asarray(x))
-        for layer in self.layers:
-            v = layer.forward(v, train)
-        return self.head.forward(v, train)
+        return self.run(ag.as_var(x), AutogradOps(train))
 
     def oracle_forward(self, x, counter=None):
         counter = counter or orc.OracleCounter()
-        for layer in self.layers:
-            x = layer.oracle_forward(x, counter)
-        return self.head.oracle_forward(x, counter), counter
+        return self.run(x, OracleOps(counter)), counter
+
+    def _members(self):
+        for idx, layer in enumerate(self.layers):
+            yield from _members(layer, f"layer{idx}")
+        yield from _members(self.head, "head")
 
     def parameters(self) -> list:
-        out = []
-        for idx, layer in enumerate(self.layers):
-            out += layer.params(f"layer{idx}")
-        return out + self.head.params("head")
+        return [(name, v) for name, v in self._members() if isinstance(v, Var)]
 
     def bn_states(self):
-        states = []
-
-        def collect(obj):
-            for attr in vars(obj).values():
-                if isinstance(attr, _BNAct):
-                    states.append(attr.state)
-                elif isinstance(attr, DiceUnit):
-                    collect(attr)
-        for layer in self.layers:
-            collect(layer)
-        return states
+        return [v.state for _, v in self._members() if isinstance(v, _BNAct)]
 
     def named_state(self) -> list:
         """Parameters, then each batch norm's running statistics as
@@ -615,24 +632,15 @@ _SHARE_BUCKET = {"pointwise": "pointwise", "conv": "conv", "fc": "fc",
 
 
 def analyze(net: Network, input_size: int | None = None) -> FlopReport:
-    """Cost report treating `input_size` as the nominal spatial size.
+    """Cost report of one image for a network built for `input_size`
+    (default: the config's), from `CostOps`.
 
     Pure in the graph structure: parameter values never enter the counts.
     """
-    from .dimops import dimfuse_cost
     size = input_size or net.cfg.input_size
-    c, h, w = 3, size, size
-    rows = []
-    for idx, layer in enumerate(net.layers):
-        if isinstance(layer, (StemConv, MaxPool)):
-            lrows, (c, h, w) = layer.report(c, h, w)
-        else:
-            lrows, (c, h, w) = layer.report(f"stage.{idx - 2}", c, h, w)
-        if idx == 2:
-            stage1_hw = h, w      # the first block sets stage 1's grid
-        rows += lrows
-    hrows, _ = net.head.report(c, h, w)
-    rows += hrows
+    cost = CostOps()
+    net.run(SimpleNamespace(shape=(1, 3, size, size)), cost)
+    rows = [tuple(r) for r in cost.rows]
     total_macs = sum(r[2] for r in rows)
     total_params = sum(r[3] for r in rows)
     buckets = {"pointwise": 0, "efficient": 0, "conv": 0, "fc": 0}
@@ -641,8 +649,10 @@ def analyze(net: Network, input_size: int | None = None) -> FlopReport:
     shares = {k: (v / total_macs if total_macs else 0.0) for k, v in buckets.items()}
     notes = {}
     if net.cfg.conv == "dimconv" and net.cfg.fusion == "dimfuse":
+        # the first block's output sets stage 1's grid
+        stage1_hw = [r[4][-2:] for r in rows if r[0].startswith("stage.0.")][-1]
         c0 = net.cfg.resolved_channels()[0]
-        cost = dimfuse_cost(c0, *stage1_hw, net.cfg.kernel_size)
+        cost = dimops.dimfuse_cost(c0, *stage1_hw, net.cfg.kernel_size)
         notes["dimfuse_closed_form_stage1"] = cost["closed_form"]
         notes["dimfuse_component_sum_stage1"] = cost["component_sum"]
         notes["dimfuse_reduction_factor_stage1"] = cost["reduction_factor"]

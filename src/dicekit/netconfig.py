@@ -18,6 +18,7 @@ defaults derived from the width scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 __all__ = [
@@ -94,8 +95,8 @@ class NetConfig:
     def __post_init__(self):
         if not self.name:
             raise ConfigError("field 'name': must be a non-empty string")
-        if not self.width_scale > 0:
-            raise ConfigError(f"field 'width_scale': must be > 0, got {self.width_scale}")
+        if not 0 < self.width_scale < math.inf:
+            raise ConfigError(f"field 'width_scale': must be finite and > 0, got {self.width_scale}")
         if self.input_size < 32:
             raise ConfigError(f"field 'input_size': must be >= 32, got {self.input_size}")
         if self.classes < 2:

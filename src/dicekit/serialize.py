@@ -123,16 +123,31 @@ def save_checkpoint(directory, named_params) -> None:
         raise
 
 
+def _valid_entry(meta) -> bool:
+    """A manifest entry names a file of the checkpoint, a shape and a dtype."""
+    return (isinstance(meta, dict) and isinstance(meta.get("file"), str)
+            and _CHECKPOINT_FILE.fullmatch(meta["file"]) is not None
+            and isinstance(meta.get("shape"), list)
+            and all(type(s) is int for s in meta["shape"])
+            and isinstance(meta.get("dtype"), str))
+
+
 def load_checkpoint(directory) -> dict:
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ContainerError("checkpoint manifest is not a JSON object")
+    bad = sorted(name for name, meta in manifest.items() if not _valid_entry(meta))
+    if bad:
+        raise ContainerError(f"checkpoint manifest entries need a file of the checkpoint, "
+                             f"a shape of ints and a dtype string: {bad[:3]}")
     out = {}
     for name, meta in manifest.items():
         arr = load_tensor(os.path.join(directory, meta["file"]))
         if list(arr.shape) != meta["shape"]:
             raise ContainerError(f"checkpoint shape mismatch for {name}")
-        if str(arr.dtype) != meta.get("dtype"):
+        if str(arr.dtype) != meta["dtype"]:
             raise ContainerError(f"checkpoint dtype mismatch for {name}: the file holds "
-                                 f"{arr.dtype}, the manifest says {meta.get('dtype')}")
+                                 f"{arr.dtype}, the manifest says {meta['dtype']}")
         out[name] = arr
     return out

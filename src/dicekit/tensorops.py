@@ -481,44 +481,8 @@ def _pool(x, kind, k, stride, out=None):
     return _store(res, acc)
 
 
-def batch_norm(x: np.ndarray, p: BatchNormParams, mode: str = "infer",
-               momentum: float = 0.1) -> np.ndarray:
-    """Per-channel normalization, ((x - mean)*(1/sqrt(var + eps)))*gamma + beta,
-    evaluated in that order, as `autograd.bn_prelu` evaluates it in inference.
-
-    'infer' uses the stored running statistics; 'train' normalizes with the
-    batch statistics (biased variance) and updates the running stats in place
-    with the given momentum.
-    """
-    check_tensor(x)
-    if x.shape[1] != p.gamma.shape[0]:
-        raise KernelError(f"batch-norm sized for {p.gamma.shape[0]} channels, input has {x.shape[1]}")
-    x64 = x.astype(np.float64, copy=False)
-    if mode == "infer":
-        mean, var = p.running_mean, p.running_var
-    elif mode == "train":
-        mean = x64.mean(axis=(0, 2, 3))
-        var = x64.var(axis=(0, 2, 3))
-        p.running_mean[:] = (1.0 - momentum) * p.running_mean + momentum * mean
-        p.running_var[:] = (1.0 - momentum) * p.running_var + momentum * var
-    else:
-        raise KernelError(f"unknown batch-norm mode {mode!r}")
-    inv_std = 1.0 / np.sqrt(var + p.eps)
-    out = ((x64 - mean[None, :, None, None]) * inv_std[None, :, None, None]) \
-        * p.gamma[None, :, None, None] + p.beta[None, :, None, None]
-    return out.astype(x.dtype)
-
-
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
-
-
-def prelu(x: np.ndarray, slope) -> np.ndarray:
-    """slope is a scalar or a per-channel vector."""
-    s = np.asarray(slope, dtype=x.dtype)
-    if s.ndim == 1:
-        s = s[None, :, None, None] if x.ndim == 4 else s[None, :]
-    return np.where(x >= 0, x, s * x)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

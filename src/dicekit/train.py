@@ -111,10 +111,6 @@ def synth_dataset(seed: int, count: int, classes: int = 10, size: int = 32):
     return images, labels
 
 
-def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
-    return float((scores.argmax(axis=1) == labels).mean())
-
-
 def evaluate(net, images, labels, batch_size: int = 64) -> float:
     """Inference-mode accuracy over a labeled set."""
     correct = 0

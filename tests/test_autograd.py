@@ -9,7 +9,7 @@ import pytest
 
 from dicekit import autograd as ag
 from dicekit import tensorops as T
-from dicekit.oracle import finite_diff_grad
+from dicekit.oracle import finite_diff_grad, oracle_bn_prelu
 from dicekit.tensorops import BatchNormParams, KernelError
 
 from conftest import rel_err
@@ -220,6 +220,17 @@ def test_batch_norm_grads(rng):
                 _check_bn_prelu_grad(args, wgt, running, name, train)
 
 
+def test_bn_prelu_train_normalizes_and_updates(rng):
+    # with unit slopes PReLU is the identity, so the output is the batch norm
+    x = rng.standard_normal((4, 3, 5, 5)) * 3 + 1
+    state = BatchNormParams.identity(3)
+    y = ag.bn_prelu(x, state.gamma, state.beta, np.ones(3), state, True).data
+    assert np.allclose(y.mean(axis=(0, 2, 3)), 0, atol=1e-10)
+    assert np.allclose(y.var(axis=(0, 2, 3)), 1, atol=1e-3)
+    np.testing.assert_allclose(state.running_mean, 0.1 * x.mean(axis=(0, 2, 3)))
+    np.testing.assert_allclose(state.running_var, 0.9 + 0.1 * x.var(axis=(0, 2, 3)))
+
+
 def test_activation_grads(rng):
     x = rng.standard_normal((2, 3, 4, 4)) + 0.05   # keep clear of the kink
     wgt = ag.Var(rng.standard_normal(x.shape))
@@ -230,17 +241,6 @@ def test_activation_grads(rng):
         args, wgt, running = _bn_prelu_args(rng, shape)
         for train in (True, False):
             _check_bn_prelu_grad(args, wgt, running, "slope", train)
-
-
-def _bn_prelu_formula(x, state, slope):
-    """The inference epilogue spelled out: ((x - mean)*inv_std)*gamma + beta
-    in float64, cast to x's dtype, then where(y >= 0, y, s*y)."""
-    col = lambda a: np.asarray(a)[None, :, None, None]
-    inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-    y = (((x.astype(np.float64) - col(state.running_mean)) * col(inv_std))
-         * col(state.gamma) + col(state.beta)).astype(x.dtype)
-    s = col(slope.astype(x.dtype))
-    return np.where(y >= 0, y, s * y)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -269,7 +269,7 @@ def test_bn_prelu_infer_keeps_the_bytes(dtype):
         with ag.no_grad():
             y = ag.bn_prelu(x, state.gamma, state.beta, slope, state, False).data
         with np.errstate(invalid="ignore"):
-            want = _bn_prelu_formula(x, state, slope)
+            want = oracle_bn_prelu(x, state, slope)
         assert y.dtype == dtype and y.shape == x.shape
         assert y.tobytes() == want.tobytes()
         assert np.signbit(y[-1, :2, 1, 0]).tolist() == [True, False]

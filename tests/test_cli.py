@@ -54,6 +54,13 @@ def test_analyze_bad_schema_exit_2(tmp_path):
     assert main(["analyze", str(path)]) == EXIT_USAGE
 
 
+def test_analyze_infinite_width_scale_exit_2(tmp_path, capsys):
+    path = tmp_path / "inf.cfg"
+    path.write_text("name: x\nwidth_scale: inf\n")
+    assert main(["analyze", str(path)]) == EXIT_USAGE
+    assert "width_scale" in capsys.readouterr().err
+
+
 def test_bench_checksums_match(capsys):
     assert main(["--format", "csv", "bench", "--op", "dimconv",
                  "--shape", "8,10,10", "--repeats", "2", "--warmup", "1"]) == EXIT_OK
@@ -189,6 +196,17 @@ def test_infer_checkpoint_dtype_must_match_manifest(micro_cfg_path, tmp_path, ca
     assert main(["infer", micro_cfg_path, str(tensor),
                  "--checkpoint", str(tmp_path / "ck")]) == EXIT_USAGE
     assert "dtype" in capsys.readouterr().err
+
+
+def test_infer_malformed_manifest_exit_2(micro_cfg_path, tmp_path, capsys):
+    tensor = tmp_path / "x.dck"
+    save_tensor(tensor, np.ones((3, 32, 32)))
+    save_checkpoint(tmp_path / "ck", build_network(parse_config(MICRO_CFG)).named_state())
+    for manifest in ({"a": {}}, [1, 2]):
+        (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["infer", micro_cfg_path, str(tensor),
+                     "--checkpoint", str(tmp_path / "ck")]) == EXIT_USAGE, manifest
+        assert "manifest" in capsys.readouterr().err
 
 
 def test_infer_bad_input_exit_2(micro_cfg_path, tmp_path, capsys):

@@ -1,18 +1,26 @@
 """Layer-graph construction, cost reports, and inference properties."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dicekit import dice
 from dicekit import tensorops as T
+from dicekit.cli import main
 from dicekit.dimops import dimfuse_cost
-from dicekit.netbuilder import analyze, build_network, infer
+from dicekit.netbuilder import AutogradOps, CostOps, OracleOps, analyze, build_network, infer
 from dicekit.netconfig import parse_config
 from dicekit.tensorops import KernelError
 
 from conftest import MICRO_CFG
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# `dicekit --format csv analyze configs/<name>.cfg [--input-size 288]`, kept
+# apart from the code: an op dropped from a layer's forward would vanish from
+# analyze() and from the oracle tally alike, but not from these files
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +88,31 @@ def test_fast_forward_matches_oracle_values(micro_net, rng):
     ref, _ = micro_net.oracle_forward(x)
     fast = infer(micro_net, x)
     assert np.abs(fast - ref).max() < 1e-10
+
+
+def test_oracle_forward_off_nominal_matches_infer(micro_net, rng):
+    # the oracle resizes around DimConv at 40 px, as infer does
+    x = rng.standard_normal((1, 3, 40, 40))
+    ref, _ = micro_net.oracle_forward(x)
+    assert np.abs(infer(micro_net, x) - ref).max() < 1e-10
+
+
+def test_interpreters_share_one_op_vocabulary():
+    def ops(cls):
+        return {name for name in vars(cls) if not name.startswith("_")}
+    vocabulary = {"row", "spatial_conv", "bn_prelu", "max_pool", "avg_pool", "dimconv",
+                  "depthwise", "pointwise", "bilinear", "global_avg", "linear", "relu",
+                  "sigmoid", "mul", "add", "narrow", "concat", "shuffle", "reshape"}
+    assert ops(AutogradOps) == ops(OracleOps) == ops(CostOps) == vocabulary
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.cfg")))
+def test_analyze_csv_matches_golden(name, tmp_path):
+    out = tmp_path / "report.csv"
+    for extra, suffix in (([], ""), (["--input-size", "288"], "-288")):
+        assert main(["--format", "csv", "--out", str(out), "analyze",
+                     str(CONFIGS / f"{name}.cfg")] + extra) == 0
+        assert out.read_bytes() == (GOLDEN / f"{name}{suffix}.csv").read_bytes(), suffix
 
 
 def test_doubling_input_quadruples_conv_macs(micro_net):

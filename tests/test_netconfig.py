@@ -27,6 +27,13 @@ def test_width_scale_zero_rejected():
         parse_config("name: x\nwidth_scale: 0\n")
 
 
+def test_width_scale_non_finite_rejected():
+    # an infinite scale used to reach int(round(inf)) in the channel defaults
+    for value in ("inf", "-inf", "nan"):
+        with pytest.raises(ConfigError, match="width_scale"):
+            parse_config(f"name: x\nwidth_scale: {value}\n")
+
+
 def test_round_trip():
     cfg = parse_config("""
 name: demo

@@ -93,6 +93,31 @@ def test_checkpoint_dtype_must_match_manifest(tmp_path, rng):
         load_checkpoint(tmp_path / "ck")
 
 
+MALFORMED_MANIFESTS = {
+    "not an object": [1, 2],
+    "entry not an object": {"a.w": 1},
+    "no file": {"a.w": {}},
+    "file outside": {"a.w": {"file": "../p0000.dck", "shape": [2, 3], "dtype": "float64"}},
+    "absolute file": {"a.w": {"file": "/etc/passwd", "shape": [2, 3], "dtype": "float64"}},
+    "file not a string": {"a.w": {"file": 7, "shape": [2, 3], "dtype": "float64"}},
+    "no shape": {"a.w": {"file": "p0000.dck", "dtype": "float64"}},
+    "shape not a list": {"a.w": {"file": "p0000.dck", "shape": "2,3", "dtype": "float64"}},
+    "shape of floats": {"a.w": {"file": "p0000.dck", "shape": [2.0, 3], "dtype": "float64"}},
+    "shape of bools": {"a.w": {"file": "p0000.dck", "shape": [True, 3], "dtype": "float64"}},
+    "no dtype": {"a.w": {"file": "p0000.dck", "shape": [2, 3]}},
+    "dtype not a string": {"a.w": {"file": "p0000.dck", "shape": [2, 3], "dtype": 8}},
+}
+
+
+@pytest.mark.parametrize("label", sorted(MALFORMED_MANIFESTS))
+def test_checkpoint_malformed_manifest_rejected(tmp_path, rng, label):
+    import json
+    save_checkpoint(tmp_path / "ck", [("a.w", rng.standard_normal((2, 3)))])
+    (tmp_path / "ck" / "manifest.json").write_text(json.dumps(MALFORMED_MANIFESTS[label]))
+    with pytest.raises(ContainerError, match="manifest"):
+        load_checkpoint(tmp_path / "ck")
+
+
 def _assert_same_checkpoint(back, named):
     assert set(back) == {name for name, _ in named}
     for name, arr in named:

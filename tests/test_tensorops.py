@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from dicekit import autograd as ag
+from dicekit import oracle as orc
 from dicekit import tensorops as T
 from dicekit import verify
 from dicekit.dimops import DimConvParams, dimconv_fused
@@ -212,33 +213,23 @@ def test_max_pool_constant_input():
 
 
 def test_batch_norm_infer_identity(rng):
+    # the oracle's batch norm then PReLU, with the identity statistics
     x = rng.standard_normal((2, 3, 4, 4))
     p = T.BatchNormParams.identity(3)
-    y = T.batch_norm(x, p, "infer")
-    assert np.allclose(y, x / np.sqrt(1 + p.eps), atol=1e-12)
-
-
-def test_batch_norm_train_normalizes_and_updates(rng):
-    x = rng.standard_normal((4, 3, 5, 5)) * 3 + 1
-    p = T.BatchNormParams.identity(3)
-    y = T.batch_norm(x, p, "train")
-    assert np.allclose(y.mean(axis=(0, 2, 3)), 0, atol=1e-10)
-    assert np.allclose(y.var(axis=(0, 2, 3)), 1, atol=1e-3)
-    assert not np.allclose(p.running_mean, 0)
-    assert not np.allclose(p.running_var, 1)
+    y = orc.oracle_bn_prelu(x, p, np.full(3, 0.25))
+    assert np.allclose(y, np.where(x >= 0, x, 0.25 * x) / np.sqrt(1 + p.eps), atol=1e-12)
 
 
 def test_activations(rng):
     x = np.array([[-2.0, 0.0, 3.0]])
     np.testing.assert_array_equal(T.relu(x), [[0, 0, 3]])
-    np.testing.assert_array_equal(T.prelu(x, 0.25), [[-0.5, 0, 3]])
     s = T.sigmoid(np.array([0.0, 800.0, -800.0]))
     assert np.allclose(s, [0.5, 1.0, 0.0])
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_batch_norm_then_prelu_is_bn_prelu_in_inference(dtype):
-    # the oracle forward runs batch_norm then prelu; infer runs bn_prelu
+    # the oracle forward runs oracle_bn_prelu; infer runs bn_prelu
     rng = np.random.default_rng(6)
     c = 5
     state = T.BatchNormParams(*(rng.standard_normal(c).astype(dtype) for _ in range(3)),
@@ -247,8 +238,14 @@ def test_batch_norm_then_prelu_is_bn_prelu_in_inference(dtype):
     x = verify.signed_zeros(rng, rng.standard_normal((3, c, 6, 7))).astype(dtype)
     with ag.no_grad():
         want = ag.bn_prelu(x, state.gamma, state.beta, slope, state, False).data
-    got = T.prelu(T.batch_norm(x, state, "infer"), slope)
+    got = orc.oracle_bn_prelu(x, state, slope)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # and the formula, one element at a time in Python floats
+    for (b, ci, i, j), v in np.ndenumerate(x):
+        inv_std = 1.0 / np.sqrt(state.running_var[ci] + state.eps)
+        y = dtype(((float(v) - float(state.running_mean[ci])) * float(inv_std))
+                  * float(state.gamma[ci]) + float(state.beta[ci]))
+        assert got[b, ci, i, j] == (y if y >= 0 else slope[ci] * y)
 
 
 def test_linear_groups_and_bias(rng):
