@@ -14,7 +14,7 @@ import contextvars
 import numpy as np
 
 from . import tensorops as T
-from .tensorops import ConvKernelBank, KernelError, ceil_div
+from .tensorops import ConvKernelBank, KernelError
 
 # Per context, so a no_grad() block in one thread leaves tape recording on
 # in every other thread (each thread starts from the default).
@@ -170,15 +170,16 @@ def _batch_last(a) -> np.ndarray:
     return np.ascontiguousarray(a.transpose(1, 2, 3, 0), dtype=np.float64)
 
 
-def _pad_batch_last(x, n: int, ao: int, bo: int, stride: int, fill=0.0) -> np.ndarray:
-    """x, indexed (K, A, B, N), in a float64 buffer with the batch contiguous,
-    A and B padded for an n-tap window with ao x bo outputs."""
-    k, a, b, nb = x.shape
+def _pad_batch_last(shape, n: int, ao: int, bo: int, stride: int, fill=0.0):
+    """(buffer, interior): a float64 buffer of `fill` for an array of `shape`,
+    indexed (K, A, B, N), with the batch contiguous and A and B padded for
+    an n-tap window with ao x bo outputs; and the view of the array's place
+    in it."""
+    k, a, b, nb = shape
     p = (n - 1) // 2
-    xp = np.full((k, p + a + T.right_pad(a, ao, stride, n),
-                  p + b + T.right_pad(b, bo, stride, n), nb), fill)
-    xp[:, p:p + a, p:p + b] = x
-    return xp
+    buf = np.full((k, p + a + T.right_pad(a, ao, stride, n),
+                   p + b + T.right_pad(b, bo, stride, n), nb), fill)
+    return buf, buf[:, p:p + a, p:p + b]
 
 
 def _taps(n: int, ao: int, bo: int, stride: int):
@@ -190,27 +191,30 @@ def _taps(n: int, ao: int, bo: int, stride: int):
                               j:j + stride * (bo - 1) + 1:stride]
 
 
-def _bank_grad(x, taps, dy, stride: int = 1):
-    """(dx, dtaps) of a convolution by a per-index bank of n x n kernels.
+def _bank_grad(x, taps: Var, dy, stride: int = 1):
+    """(dx, dtaps) of a convolution by a per-index bank of n x n kernels;
+    dtaps is None when the taps need no gradient (average pooling's).
 
     x is indexed (K, A, B, N): K picks the bank's kernel, the taps shift A
     and B, and N, the batch, is not shifted; dy is indexed (K, Ao, Bo, N),
     and dx comes back indexed as x. Whatever the layout of the arguments,
     the work runs in buffers with the batch innermost, so each per-tap step
     runs along rows as long as the batch."""
-    n = taps.shape[1]
-    p = (n - 1) // 2
-    k, a, b, nb = x.shape
+    n = taps.data.shape[1]
     ao, bo = dy.shape[1], dy.shape[2]
-    xp = _pad_batch_last(x, n, ao, bo, stride)
     dy = np.ascontiguousarray(dy, dtype=np.float64)
-    t64 = taps.astype(np.float64, copy=False)
-    dxp = np.zeros_like(xp)
-    dt = np.empty(taps.shape, dtype=np.float64)
+    t64 = taps.data.astype(np.float64, copy=False)
+    dt = np.empty(t64.shape) if taps.requires_grad else None
+    dxp, dx = _pad_batch_last(x.shape, n, ao, bo, stride)
+    if dt is not None:
+        # the padded input serves the tap gradient only
+        xp, inner = _pad_batch_last(x.shape, n, ao, bo, stride)
+        inner[...] = x
     for i, j, sl in _taps(n, ao, bo, stride):
         dxp[sl] += t64[:, i, j][:, None, None, None] * dy
-        dt[:, i, j] = np.einsum("kabn,kabn->k", xp[sl], dy)
-    return dxp[:, p:p + a, p:p + b], dt
+        if dt is not None:
+            dt[:, i, j] = np.einsum("kabn,kabn->k", xp[sl], dy)
+    return dx, dt
 
 
 # (to, back): the axes that index x and dy as _bank_grad wants them, and
@@ -233,7 +237,7 @@ def depthwise(x, taps, stride: int = 1) -> Var:
     out = T.depthwise_conv(x.data, _bank(taps.data), stride)
 
     def bw(dy):
-        dx, dt = _branch_grad(_DEPTH, x.data, taps.data, dy, stride)
+        dx, dt = _branch_grad(_DEPTH, x.data, taps, dy, stride)
         _accum(x, dx)
         _accum(taps, dt)
 
@@ -245,7 +249,7 @@ def widthwise(x, taps) -> Var:
     out = T.widthwise_conv(x.data, _bank(taps.data))
 
     def bw(dy):
-        dx, dt = _branch_grad(_WIDTH, x.data, taps.data, dy)
+        dx, dt = _branch_grad(_WIDTH, x.data, taps, dy)
         _accum(x, dx)
         _accum(taps, dt)
 
@@ -257,7 +261,7 @@ def heightwise(x, taps) -> Var:
     out = T.heightwise_conv(x.data, _bank(taps.data))
 
     def bw(dy):
-        dx, dt = _branch_grad(_HEIGHT, x.data, taps.data, dy)
+        dx, dt = _branch_grad(_HEIGHT, x.data, taps, dy)
         _accum(x, dx)
         _accum(taps, dt)
 
@@ -340,9 +344,9 @@ def dimconv(x, k_d, k_w, k_h) -> Var:
     out = dimconv_fused(x.data, p_obj)
 
     def bw(dy):
-        dxd, dkd = _branch_grad(_DEPTH, x.data, k_d.data, dy[:, 0::3])
-        dxw, dkw = _branch_grad(_WIDTH, x.data, k_w.data, dy[:, 1::3])
-        dxh, dkh = _branch_grad(_HEIGHT, x.data, k_h.data, dy[:, 2::3])
+        dxd, dkd = _branch_grad(_DEPTH, x.data, k_d, dy[:, 0::3])
+        dxw, dkw = _branch_grad(_WIDTH, x.data, k_w, dy[:, 1::3])
+        dxh, dkh = _branch_grad(_HEIGHT, x.data, k_h, dy[:, 2::3])
         _accum(x, dxd + dxw + dxh)
         _accum(k_d, dkd)
         _accum(k_w, dkw)
@@ -354,23 +358,9 @@ def dimconv(x, k_d, k_w, k_h) -> Var:
 # ----------------------------------------------------------------- pooling
 
 def avg_pool(x, k: int = 3, stride: int = 1) -> Var:
+    """`depthwise` by `tensorops.avg_bank`, whose taps need no gradient."""
     x = as_var(x)
-    out = T.pool(x.data, "avg", k, stride)
-    nb, c, h, w = x.data.shape
-    p = (k - 1) // 2
-    ho, wo = ceil_div(h, stride), ceil_div(w, stride)
-    inv = 1.0 / (k * k)
-
-    def bw(dy):
-        dxp = np.zeros((nb, c, p + h + T.right_pad(h, ho, stride, k),
-                        p + w + T.right_pad(w, wo, stride, k)), dtype=np.float64)
-        for i in range(k):
-            for j in range(k):
-                dxp[:, :, i:i + stride * (ho - 1) + 1:stride,
-                    j:j + stride * (wo - 1) + 1:stride] += inv * dy
-        _accum(x, dxp[:, :, p:p + h, p:p + w])
-
-    return _make(out, (x,), bw)
+    return depthwise(x, T.avg_bank(x.data.shape[1], k).taps, stride)
 
 
 def max_pool(x, k: int = 3, stride: int = 1) -> Var:
@@ -380,19 +370,19 @@ def max_pool(x, k: int = 3, stride: int = 1) -> Var:
     def bw(dy):
         # batch-last, as in _bank_grad; the first tap of each window that
         # holds the window's maximum gets the gradient
-        h, w = x.data.shape[2], x.data.shape[3]
         ho, wo = out.shape[2], out.shape[3]
-        p = (k - 1) // 2
-        xp = _pad_batch_last(x.data.transpose(1, 2, 3, 0), k, ho, wo, stride, -np.inf)
+        xt = x.data.transpose(1, 2, 3, 0)
+        xp, inner = _pad_batch_last(xt.shape, k, ho, wo, stride, -np.inf)
+        inner[...] = xt
         top, dyl = _batch_last(out), _batch_last(dy)
         free = np.ones(top.shape, dtype=bool)
-        dxp = np.zeros_like(xp)
+        dxp, dx = _pad_batch_last(xt.shape, k, ho, wo, stride)
         for _, _, sl in _taps(k, ho, wo, stride):
             hit = xp[sl] == top
             hit &= free
             free ^= hit
             dxp[sl] += dyl * hit
-        _accum(x, dxp[:, p:p + h, p:p + w].transpose(3, 0, 1, 2))
+        _accum(x, dx.transpose(3, 0, 1, 2))
 
     return _make(out, (x,), bw)
 

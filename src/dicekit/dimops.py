@@ -107,8 +107,8 @@ def dimconv_fused(x: np.ndarray, p: DimConvParams) -> np.ndarray:
     order).
 
     The buffer is `tensorops.tap_runs`, so each tap of each branch is one
-    contiguous run per channel: the depth branch reads channel c at the tap's
-    offset, the width and height branches read channel c + i at a column or
+    contiguous run per channel: the depth branch is `depthwise_conv`'s tap
+    loop, the width and height branches read channel c + i at a column or
     row offset, times per-position weights built once per call. The blocks
     are `tensorops.channel_blocks`', so a block's runs stay in cache for all
     n*n taps of a branch; sweeping one branch at a time is faster at 28x28
@@ -125,9 +125,8 @@ def _dimconv_fused(x, p, out=None):
     nb, c, h, w = x.shape
     n = p.n
     pd = (n - 1) // 2
-    wp = w + 2 * pd
+    xf, start, wp = T.tap_runs(x, pd, n)
     run = h * wp * nb
-    xf = T.tap_runs(x, pd, pd)
     kd = p.k_d.taps.astype(np.float64, copy=False)
     # the width and height branches' weight at each position of a run, (n, n, run)
     kw = np.zeros((n, n, 1, wp, 1))
@@ -137,28 +136,23 @@ def _dimconv_fused(x, p, out=None):
     kh = np.broadcast_to(kh, (n, n, h, wp, nb)).reshape(n, n, run)
     res = T._output(out, (nb, 3 * c, h, w), x.dtype)
     out_v = res.transpose(1, 2, 3, 0)
+    taps = [(i, j) for i in range(n) for j in range(n)]
 
     def sweep(c0, c1, k):
-        """Branch k of output channels c0..c1, tap by tap, one run per channel."""
-        a = np.zeros((c1 - c0, run))
-        for i in range(n):
-            for j in range(n):
-                if k == 0:
-                    wt, ch, s = kd[c0:c1, i, j, None], pd + c0, (i * wp + j) * nb
-                elif k == 1:
-                    wt, ch, s = kw[i, j], c0 + i, (j * wp + pd) * nb
-                else:
-                    wt, ch, s = kh[i, j], c0 + i, (pd * wp + j) * nb
-                a += wt * xf[ch:ch + c1 - c0, s:s + run]
-        return a.reshape(c1 - c0, h, wp, nb)[:, :, :w]
+        """Branch k of output channels c0..c1: the depth branch reads channel c
+        at tap (i, j)'s run, width c + i at (j, pd)'s, height c + i at (pd, j)'s."""
+        if k == 0:
+            terms = ((kd[c0:c1, i, j, None], pd + c0, start[i][j]) for i, j in taps)
+        elif k == 1:
+            terms = ((kw[i, j], c0 + i, start[j][pd]) for i, j in taps)
+        else:
+            terms = ((kh[i, j], c0 + i, start[pd][j]) for i, j in taps)
+        return T._tap_sum(xf, c1 - c0, run, terms).reshape(c1 - c0, h, wp, nb)[:, :, :w]
 
-    old = np.setbufsize(16)
-    try:
+    with T._small_buffer():
         for c0, c1 in T.channel_blocks(c, run):
             for k in range(3):
                 out_v[3 * c0 + k:3 * c1:3] = sweep(c0, c1, k)
-    finally:
-        np.setbufsize(old)
     return res
 
 

@@ -351,10 +351,10 @@ class OracleOps:
         return orc.oracle_bn_prelu(x, bn.state, bn.slope.data)
 
     def max_pool(self, x, k, stride):
-        return T.pool(x, "max", k, stride)
+        return orc.oracle_max_pool(x, k, stride)
 
     def avg_pool(self, x, k, stride):
-        return orc.oracle_avg_pool(x, k, stride, self.counter)[0]
+        return orc.oracle_depthwise(x, T.avg_bank(x.shape[1], k), stride, self.counter)[0]
 
     def dimconv(self, x, k_d, k_w, k_h):
         banks = (T.ConvKernelBank(k.data) for k in (k_d, k_w, k_h))

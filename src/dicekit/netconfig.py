@@ -42,6 +42,8 @@ _BASE_CHANNELS = (116, 232, 464)
 
 
 def _round_even(v: float) -> int:
+    if not math.isfinite(v):
+        raise ConfigError(f"field 'width_scale': a scaled stage width, {v}, is not finite")
     return max(2, 2 * int(round(v / 2.0)))
 
 

@@ -174,27 +174,22 @@ def oracle_conv2d(x, weights, stride: int = 1, counter: OracleCounter | None = N
     return out.astype(x.dtype), counter
 
 
-def oracle_avg_pool(x, k: int, stride: int, counter: OracleCounter | None = None):
-    counter = counter or OracleCounter()
+def oracle_max_pool(x, k: int, stride: int):
+    """Max pooling, one output at a time: it starts at -inf and becomes
+    np.maximum(out, v) for each tap's value v in row-major order, padding
+    -inf. So NaN propagates, and of equal values the later tap's is kept,
+    which decides between -0.0 and +0.0. No MACs are tallied."""
     nb, c, h, w = x.shape
     p = (k - 1) // 2
-    ho, wo = ceil_div(h, stride), ceil_div(w, stride)
-    prh = max(p, (ho - 1) * stride + k - 1 - p - (h - 1))
-    prw = max(p, (wo - 1) * stride + k - 1 - p - (w - 1))
-    xp = _pad4(x, 0, p, p, prh, prw)
-    inv = 1.0 / (k * k)
-    out = np.zeros((nb, c, ho, wo), dtype=np.float64)
-    for b in range(nb):
-        for ci in range(c):
-            for oh in range(ho):
-                for ow in range(wo):
-                    acc = 0.0
-                    for i in range(k):
-                        for j in range(k):
-                            acc += inv * xp[b, ci, oh * stride + i, ow * stride + j]
-                            counter.tally()
-                    out[b, ci, oh, ow] = acc
-    return out.astype(x.dtype), counter
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (p, p + k), (p, p + k)),
+                constant_values=-np.inf)
+    out = np.full((nb, c, ceil_div(h, stride), ceil_div(w, stride)), -np.inf)
+    for b, ci, oh, ow in np.ndindex(out.shape):
+        for i in range(k):
+            for j in range(k):
+                out[b, ci, oh, ow] = np.maximum(out[b, ci, oh, ow],
+                                                xp[b, ci, oh * stride + i, ow * stride + j])
+    return out.astype(x.dtype)
 
 
 def oracle_global_avg(x, counter: OracleCounter | None = None):

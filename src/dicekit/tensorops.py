@@ -13,6 +13,7 @@ error bound instead.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -176,31 +177,60 @@ def right_pad(size: int, out: int, stride: int, n: int) -> int:
     return max(0, (out - 1) * stride + n - 1 - (n - 1) // 2 - (size - 1))
 
 
-def chwn_zeros(c: int, h: int, w: int, nb: int, batch_inner: bool) -> np.ndarray:
-    """float64 zeros indexed (C, H, W, N). With `batch_inner` the batch is the
-    contiguous axis; otherwise the memory is laid out (N, C, H, W), as the
-    tensors are. A loop written on this view runs unchanged in either order,
-    and numpy sweeps each elementwise step in memory order."""
-    if batch_inner:
-        return np.zeros((c, h, w, nb))
-    return np.zeros((nb, c, h, w)).transpose(1, 2, 3, 0)
+def _phase(size: int, p: int, s: int, a: int, q: int):
+    """(input slice, phase slice): the rows of an axis of `size`, padded by p
+    in front, that phase a of a stride-s split, q rows long, holds, and the
+    rows of the phase they go to. Phase row r is padded row r*s + a."""
+    r0 = max(0, ceil_div(p - a, s))
+    k = max(0, min(q, ceil_div(size + p - a, s)) - r0)
+    y0 = r0 * s + a - p
+    return slice(y0, y0 + s * k, s), slice(r0, r0 + k)
 
 
-def tap_runs(x: np.ndarray, pc: int, p: int) -> np.ndarray:
-    """x zero-padded by pc channels and p pixels on each side, in float64,
-    laid out batch-last, (C + 2pc, H + 2p + 1, W + 2p, N), and viewed as one
-    row per channel.
+def tap_runs(x: np.ndarray, pc: int, n: int, stride: int = 1):
+    """(xf, start, Wq): x zero-padded for an n x n window at stride s, 'same'
+    grid, and by pc channels on each side, in float64, one row per channel.
 
-    With Wp = W + 2p and L = H*Wp*N, the slice of L values starting at
-    (i*Wp + j)*N holds, at (r*Wp + col)*N + b, the pixel that output (r, col)
-    of image b meets at tap (i, j): one contiguous run per channel per tap.
-    Columns W..Wp-1 of each output row are junk and are dropped; only they
-    reach the spare last row.
-    """
+    The padded grid is split into s*s phases, (a, b) holding padded rows a,
+    a + s, ... and columns b, b + s, ...: (C + 2pc, s, s, Hq, Wq, N), batch
+    last, with Wq = Wo + (n - 1) // s and Hq = Ho + (n - 1) // s + 1. Tap
+    (i, j) reads phase (i mod s, j mod s) at offset (i div s, j div s): the
+    run of L = Ho*Wq*N values from start[i][j] holds, at (r*Wq + col)*N + b,
+    the pixel output (r, col) of image b meets at that tap. Columns Wo..Wq-1
+    are junk and are dropped; only they reach a phase's spare last row. At
+    stride 1 there is one phase, and Wq = W + n - 1."""
     nb, c, h, w = x.shape
-    xp = np.zeros((c + 2 * pc, h + 2 * p + 1, w + 2 * p, nb))
-    xp[pc:pc + c, p:p + h, p:p + w] = x.transpose(1, 2, 3, 0)
-    return xp.reshape(c + 2 * pc, -1)
+    s, p = stride, (n - 1) // 2
+    hq, wq = ceil_div(h, s) + (n - 1) // s + 1, ceil_div(w, s) + (n - 1) // s
+    xp = np.zeros((c + 2 * pc, s, s, hq, wq, nb))
+    xt = x.transpose(1, 2, 3, 0)
+    for a in range(s):
+        for b in range(s):
+            (ys, rs), (xs, cs) = _phase(h, p, s, a, hq), _phase(w, p, s, b, wq)
+            xp[pc:pc + c, a, b, rs, cs] = xt[:, ys, xs]
+    start = [[((((i % s) * s + j % s) * hq + i // s) * wq + j // s) * nb for j in range(n)]
+             for i in range(n)]
+    return xp.reshape(c + 2 * pc, -1), start, wq
+
+
+def _tap_sum(xf: np.ndarray, rows: int, run: int, terms) -> np.ndarray:
+    """0.0 plus wt * xf[ch:ch + rows, s:s + run] for each (wt, ch, s) of
+    `terms`, in order: a (rows, run) float64 array."""
+    acc = np.zeros((rows, run))
+    for wt, ch, s in terms:
+        acc += wt * xf[ch:ch + rows, s:s + run]
+    return acc
+
+
+@contextlib.contextmanager
+def _small_buffer():
+    """numpy's ufunc buffer at its minimum, 16 elements (1.x needs a multiple
+    of 16), restored on the way out; per thread in numpy 1.24 and 2.x."""
+    old = np.setbufsize(16)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 def channel_blocks(c: int, run: int) -> list[tuple[int, int]]:
@@ -210,19 +240,22 @@ def channel_blocks(c: int, run: int) -> list[tuple[int, int]]:
     return [(c0, min(c0 + cb, c)) for c0 in range(0, c, cb)]
 
 
+def avg_bank(c: int, k: int) -> ConvKernelBank:
+    """Average pooling over a k x k window as a depthwise bank: each of c
+    kernels holds 1/(k*k) at every tap, in float64 whatever the input's
+    dtype. Padded taps count, as they do in every window op here."""
+    return ConvKernelBank(np.full((c, k, k), 1.0 / (k * k)))
+
+
 def depthwise_conv(x: np.ndarray, bank: ConvKernelBank, stride: int = 1) -> np.ndarray:
     """Per-channel n x n spatial convolution, zero padding, 'same' grid.
 
-    At stride 1 the padded input is `tap_runs`' buffer, so each tap is one
-    multiply-add over one contiguous run per channel; the loop runs in the
-    channel blocks of `channel_blocks`, with numpy's ufunc buffer at 16
-    elements, as in `pointwise_conv`. At larger strides each tap is one
-    numpy step over a whole block; when the block's batch is longer than an
-    output row, the padded input and the accumulator are laid out with the
-    batch innermost, so each step runs along the batch instead of along rows
-    a few pixels long. The bytes cannot change: every output still starts at
-    0.0 and adds the same products in the same tap order; only the order in
-    which numpy visits the elements differs."""
+    The padded input is `tap_runs`' buffer at every stride, so each tap is
+    one multiply-add over one contiguous run per channel. The loop runs in
+    the channel blocks of `channel_blocks`, with numpy's ufunc buffer at 16
+    elements, as in `pointwise_conv`. Every output starts at 0.0 and adds
+    its products in row-major tap order, then the bias, as the oracle does.
+    Average pooling is this kernel with `avg_bank`."""
     return _image_blocks(_depthwise_conv, x, bank, stride)
 
 
@@ -234,50 +267,19 @@ def _depthwise_conv(x, bank, stride, out=None):
     if stride < 1:
         raise KernelError(f"stride must be >= 1, got {stride}")
     n = bank.n
-    p = (n - 1) // 2
     taps = bank.taps.astype(np.float64, copy=False)
-    bias = None if bank.bias is None else bank.bias.astype(np.float64)
-    if stride == 1:
-        return _depthwise_runs(x, taps, bias, out)
+    xf, start, wq = tap_runs(x, 0, n, stride)
     ho, wo = ceil_div(h, stride), ceil_div(w, stride)
-    batch_inner = nb > wo
-    xp = chwn_zeros(c, p + h + right_pad(h, ho, stride, n),
-                    p + w + right_pad(w, wo, stride, n), nb, batch_inner)
-    xp[:, p:p + h, p:p + w] = x.transpose(1, 2, 3, 0)
-    in_place = not batch_inner and x.dtype == np.float64
-    res = _output(out, (nb, c, ho, wo), x.dtype, zeros=in_place)
-    acc = res.transpose(1, 2, 3, 0) if in_place else chwn_zeros(c, ho, wo, nb, batch_inner)
-    for i in range(n):
-        for j in range(n):
-            acc += taps[:, i, j][:, None, None, None] * \
-                xp[:, i:i + stride * (ho - 1) + 1:stride, j:j + stride * (wo - 1) + 1:stride]
-    if bias is not None:
-        acc += bias[:, None, None, None]
-    return _store(res, acc.transpose(3, 0, 1, 2))
-
-
-def _depthwise_runs(x, taps, bias, out):
-    nb, c, h, w = x.shape
-    n = taps.shape[1]
-    p = (n - 1) // 2
-    wp = w + 2 * p
-    run = h * wp * nb
-    xf = tap_runs(x, 0, p)
-    res = _output(out, x.shape, x.dtype)
+    run = ho * wq * nb
+    res = _output(out, (nb, c, ho, wo), x.dtype)
     out_v = res.transpose(1, 2, 3, 0)
-    old = np.setbufsize(16)
-    try:
+    with _small_buffer():
         for c0, c1 in channel_blocks(c, run):
-            acc = np.zeros((c1 - c0, run))
-            for i in range(n):
-                for j in range(n):
-                    s = (i * wp + j) * nb
-                    acc += taps[c0:c1, i, j, None] * xf[c0:c1, s:s + run]
-            if bias is not None:
-                acc += bias[c0:c1, None]
-            out_v[c0:c1] = acc.reshape(c1 - c0, h, wp, nb)[:, :, :w]
-    finally:
-        np.setbufsize(old)
+            acc = _tap_sum(xf, c1 - c0, run, ((taps[c0:c1, i, j, None], c0, start[i][j])
+                                              for i in range(n) for j in range(n)))
+            if bank.bias is not None:
+                acc += bank.bias.astype(np.float64)[c0:c1, None]
+            out_v[c0:c1] = acc.reshape(c1 - c0, ho, wq, nb)[:, :, :wo]
     return res
 
 
@@ -378,13 +380,9 @@ def _pointwise_conv(x, weights, groups, stride, bias, out=None):
         acc = res.reshape(groups, cog, npix)
     else:
         acc = np.zeros((groups, a.shape[2], b.shape[3]), dtype=np.float64)
-    # numpy's smallest buffer; numpy 1.x also needs a multiple of 16
-    old = np.setbufsize(16)
-    try:
+    with _small_buffer():
         for ci in range(cig):
             acc += a[:, ci] * b[:, ci]
-    finally:
-        np.setbufsize(old)
     if not pixels_inner:
         acc = acc.transpose(0, 2, 1)
     if bias is not None:
@@ -448,36 +446,31 @@ def _conv2d(x, weights, stride, bias, keep, out=None):
 
 
 def pool(x: np.ndarray, kind: str, k: int = 3, stride: int = 1) -> np.ndarray:
-    """Pooling: kind is 'avg', 'max' or 'global_avg'."""
+    """Pooling: kind is 'max' or 'global_avg'. Average pooling over a window
+    is `depthwise_conv` by `avg_bank`."""
     check_tensor(x)
     if stride < 1:
         raise KernelError(f"stride must be >= 1, got {stride}")
     if kind == "global_avg":
         return x.astype(np.float64, copy=False).mean(axis=(2, 3), keepdims=True).astype(x.dtype)
-    if kind not in ("avg", "max"):
+    if kind != "max":
         raise KernelError(f"unknown pool kind {kind!r}")
-    return _image_blocks(_pool, x, kind, k, stride)
+    return _image_blocks(_max_pool, x, k, stride)
 
 
-def _pool(x, kind, k, stride, out=None):
+def _max_pool(x, k, stride, out=None):
     nb, c, h, w = x.shape
     p = (k - 1) // 2
     ho, wo = ceil_div(h, stride), ceil_div(w, stride)
-    fill = 0.0 if kind == "avg" else -np.inf
-    x64 = x.astype(np.float64, copy=False)
-    xp = np.pad(x64, ((0, 0), (0, 0), (p, right_pad(h, ho, stride, k)),
-                      (p, right_pad(w, wo, stride, k))), constant_values=fill)
+    xp = np.pad(x.astype(np.float64, copy=False), ((0, 0), (0, 0), (p, right_pad(h, ho, stride, k)),
+                (p, right_pad(w, wo, stride, k))), constant_values=-np.inf)
     res = _output(out, (nb, c, ho, wo), x.dtype)
     acc = res if res.dtype == np.float64 else np.empty(res.shape)
-    acc[...] = fill
-    inv = 1.0 / (k * k)
+    acc[...] = -np.inf
     for i in range(k):
         for j in range(k):
-            win = xp[:, :, i:i + stride * (ho - 1) + 1:stride, j:j + stride * (wo - 1) + 1:stride]
-            if kind == "avg":
-                acc += inv * win
-            else:
-                np.maximum(acc, win, out=acc)
+            np.maximum(acc, xp[:, :, i:i + stride * (ho - 1) + 1:stride,
+                               j:j + stride * (wo - 1) + 1:stride], out=acc)
     return _store(res, acc)
 
 

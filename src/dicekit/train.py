@@ -12,6 +12,9 @@ import numpy as np
 
 from . import autograd as ag
 
+# images per block of `synth_dataset`'s noise (1.5 MiB at 3x32x32)
+NOISE_BLOCK = 64
+
 
 class TrainError(RuntimeError):
     """Raised when optimization cannot proceed (divergence, bad shapes)."""
@@ -107,7 +110,11 @@ def synth_dataset(seed: int, count: int, classes: int = 10, size: int = 32):
         for j, i in enumerate(idx):
             grating = np.sin(2 * math.pi * freq * axis + phases[j])
             images[i] = mix[:, None, None] * grating[None]
-    images += 0.3 * rng.normal(size=images.shape)
+    # in blocks of images: the same draws in the same order, with no
+    # temporaries the size of the dataset
+    for i in range(0, count, NOISE_BLOCK):
+        block = images[i:i + NOISE_BLOCK]
+        block += 0.3 * rng.normal(size=block.shape)
     return images, labels
 
 

@@ -128,12 +128,22 @@ def linear_draw(rng):
 def batch_inner_draw(rng):
     """An input whose batch, 3–9 images, is longer than its 1–2 px rows, and a
     kernel extent, which `_rand_shape`'s batch of 1–2 and width of 2 or more
-    never reach. At stride 2 `depthwise_conv` sweeps it with the batch
-    innermost; at stride 1 it and `dimconv_fused` run taps over runs where
-    junk columns outnumber real ones."""
+    never reach. `depthwise_conv` at strides 1–3 and `dimconv_fused` run
+    their taps over runs where junk columns outnumber real ones."""
     nb, c = int(rng.integers(3, 10)), int(rng.integers(1, 7))
     h, w = int(rng.integers(1, 8)), int(rng.integers(1, 3))
     return rng.standard_normal((nb, c, h, w)), int(rng.choice([1, 3, 5]))
+
+
+def max_pool_draw(rng):
+    """An input for max pooling, a window of 1, 3 or 5 and a stride of 1–3.
+    Its values are small integers, ±0.0 and about one in ten -inf, so that
+    windows tie (the later tap's value is kept, which picks a zero's sign)."""
+    nb, c = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    h, w = (int(v) for v in rng.integers(1, 10, size=2))
+    x = signed_zeros(rng, rng.integers(-2, 3, size=(nb, c, h, w)).astype(np.float64), 0.2)
+    x[rng.random(x.shape) < 0.1] = -np.inf
+    return x, int(rng.choice([1, 3, 5])), int(rng.integers(1, 4))
 
 
 def stem_draw(rng):
@@ -159,22 +169,22 @@ def signed_zeros(rng, a, share=0.1):
 def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
     """Fast kernels against the naive oracle, bitwise in f64; conv2d and the
     global average within `dot_bound`. The `.batch_inner` kinds draw from
-    `batch_inner_draw`: batches longer than 1–2 px rows, where
-    `depthwise_conv` at stride 2 sweeps with the batch innermost and the
-    stride-1 tap runs are mostly junk columns. `depth` and `dimconv` also
-    get one draw each with ±0.0 in the input and the taps. `linear` draws
-    from `linear_draw`: batches of 2–9, on both sides of the shape that
-    picks `linear`'s loop. `conv2d.stem`
-    draws from `stem_draw` on one draw in five, since the oracle takes about
-    a second per draw at those shapes.
+    `batch_inner_draw`: batches longer than 1–2 px rows, where the tap runs
+    are mostly junk columns. `depth` and `dimconv` also get one draw each
+    with ±0.0 in the input and the taps. `depth` runs at strides 1–3, each
+    over one phase run per tap. `max_pool` draws from `max_pool_draw`,
+    `linear` from `linear_draw`: batches of 2–9, on both sides of the shape
+    that picks `linear`'s loop. `conv2d.stem` draws from `stem_draw` on one
+    draw in five, since the oracle takes about a second per draw at those
+    shapes.
 
     `fault` perturbs the named fast path before comparison; it exists so the
     harness can prove a broken kernel is actually detected.
     """
     rng = np.random.default_rng(seed)
     # resize, both-orientation pointwise, conv2d, global-average, batch-inner,
-    # stem, signed-zero and batched linear draws come from their own
-    # generators and leave the others' draws alone
+    # stem, signed-zero, batched linear and max-pool draws come from their
+    # own generators and leave the others' draws alone
     resize_rng = np.random.default_rng([seed, 1])
     pw_rng = np.random.default_rng([seed, 2])
     conv_rng = np.random.default_rng([seed, 3])
@@ -183,6 +193,7 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
     stem_rng = np.random.default_rng([seed, 6])
     zero_rng = np.random.default_rng([seed, 7])
     linear_rng = np.random.default_rng([seed, 8])
+    max_rng = np.random.default_rng([seed, 9])
     worst = {}
 
     def record(kind, check):
@@ -205,7 +216,7 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
         nb, c, h, w = _rand_shape(rng)
         n = int(rng.choice([1, 3, 5]))
         x = rng.standard_normal((nb, c, h, w))
-        stride = int(rng.choice([1, 2]))
+        stride = int(rng.choice([1, 2, 3]))
 
         bank = ConvKernelBank.random(c, n, rng)
         ref, _ = orc.oracle_depthwise(x, bank, stride)
@@ -283,9 +294,9 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
 
         check_dimconv("", x, DimConvParams.init(c, h, w, n, rng))
 
-        # the batch-innermost sweep: batch longer than the rows
+        # batch longer than the rows
         xb, nk = batch_inner_draw(batch_rng)
-        for sb in (1, 2):
+        for sb in (1, 2, 3):
             bank = ConvKernelBank.random(xb.shape[1], nk, batch_rng)
             ref, _ = orc.oracle_depthwise(xb, bank, sb)
             record("depth.batch_inner",
@@ -294,7 +305,7 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
 
         # ±0.0 in the input and the taps, which the draws above never hold
         xz = signed_zeros(zero_rng, zero_rng.standard_normal(_rand_shape(zero_rng)))
-        nz, sz = int(zero_rng.choice([1, 3, 5])), int(zero_rng.choice([1, 2]))
+        nz, sz = int(zero_rng.choice([1, 3, 5])), int(zero_rng.choice([1, 2, 3]))
         bank = ConvKernelBank.random(xz.shape[1], nz, zero_rng)
         signed_zeros(zero_rng, bank.taps)
         ref, _ = orc.oracle_depthwise(xz, bank, sz)
@@ -303,6 +314,10 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
         for b in (pz.k_d, pz.k_w, pz.k_h):
             signed_zeros(zero_rng, b.taps)
         check_dimconv("", xz, pz)
+
+        xm, km, sm = max_pool_draw(max_rng)
+        record("max_pool", _bitwise("max_pool", T.pool(xm, "max", km, sm),
+                                    orc.oracle_max_pool(xm, km, sm)))
 
     return [worst[k] for k in sorted(worst)]
 
@@ -512,7 +527,7 @@ def run_gradients(seed: int = 0):
     results.append(grad_check("dimconv.k_d", dc_loss, dc_grad, p.k_d.taps.copy()))
 
     def in_loss(xi):
-        return np.sum(T.pool(xi, "avg", 3, 2) * wgt[:, :, :3, :2])
+        return np.sum(T.depthwise_conv(xi, T.avg_bank(3, 3), 2) * wgt[:, :, :3, :2])
 
     def in_grad(xi):
         xv = ag.param(xi.copy())

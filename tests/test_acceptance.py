@@ -53,12 +53,13 @@ def test_c1_kernels_match_oracle_bitwise():
     pw_rng = np.random.default_rng(12)
     batch_rng = np.random.default_rng(13)
     linear_rng = np.random.default_rng(14)
+    max_rng = np.random.default_rng(15)
     for _ in range(50):
         nb, c, h, w = (int(rng.integers(1, 3)), int(rng.integers(1, 10)),
                        int(rng.integers(2, 12)), int(rng.integers(2, 12)))
         n = int(rng.choice([1, 3]))
         x = rng.standard_normal((nb, c, h, w)).astype(np.float32)
-        stride = int(rng.choice([1, 2]))
+        stride = int(rng.choice([1, 2, 3]))
 
         bank = ConvKernelBank.random(c, n, rng, np.float32)
         ref, _ = orc.oracle_depthwise(x, bank, stride)
@@ -110,16 +111,21 @@ def test_c1_kernels_match_oracle_bitwise():
         ref = orc.oracle_bilinear(xr, th, tw)
         assert T.bilinear_resize(xr, th, tw).tobytes() == ref.tobytes()
 
-        # batch longer than the rows: the batch-innermost sweep
+        # batch longer than the rows: runs mostly of junk columns
         xb, nk = verify.batch_inner_draw(batch_rng)
         xb = xb.astype(np.float32)
-        for sb in (1, 2):
+        for sb in (1, 2, 3):
             bank = ConvKernelBank.random(xb.shape[1], nk, batch_rng, np.float32)
             ref, _ = orc.oracle_depthwise(xb, bank, sb)
             assert T.depthwise_conv(xb, bank, sb).tobytes() == ref.tobytes()
         pb = DimConvParams.init(*xb.shape[1:], nk, batch_rng, np.float32)
         ref, _ = orc.oracle_dimconv(xb, pb)
         assert dimconv_fused(xb, pb).tobytes() == ref.tobytes()
+
+        # max pooling with ties, ±0.0 and -inf
+        xm, km, sm = verify.max_pool_draw(max_rng)
+        xm = xm.astype(np.float32)
+        assert T.pool(xm, "max", km, sm).tobytes() == orc.oracle_max_pool(xm, km, sm).tobytes()
 
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"kernel equivalence took {elapsed:.1f}s"

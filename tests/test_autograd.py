@@ -165,8 +165,9 @@ def test_adjoint_checks_catch_a_wrong_bank_gradient(monkeypatch):
     real = ag._bank_grad
 
     def off(x, taps, dy, stride=1):
+        # average pooling's constant taps take no gradient: dt is None
         dx, dt = real(x, taps, dy, stride)
-        return dx, dt * (1.0 + 1e-9)
+        return dx, None if dt is None else dt * (1.0 + 1e-9)
 
     monkeypatch.setattr(ag, "_bank_grad", off)
     failed = {r.name for r in verify.run_gradients(0) if not r.passed}
@@ -419,3 +420,22 @@ def test_cross_entropy_grad(rng):
     s = rng.standard_normal((3, 5))
     t = np.array([1, 4, 0])
     check_param_grad(lambda v: ag.cross_entropy_ls(v, t, 0.1), s)
+
+
+def test_avg_pool_backward_builds_no_tap_gradient(monkeypatch, rng):
+    # the constant bank needs no gradient, so no per-tap reduction runs
+    real = ag._bank_grad
+    seen = []
+
+    def spy(x, taps, dy, stride=1):
+        dx, dt = real(x, taps, dy, stride)
+        seen.append(dt)
+        return dx, dt
+
+    monkeypatch.setattr(ag, "_bank_grad", spy)
+    x = ag.param(rng.standard_normal((8, 3, 6, 6)))
+    ag.backward(ag.sum_all(ag.avg_pool(x, 3, 2)))
+    assert seen == [None] and x.grad.shape == x.shape
+    taps = ag.param(rng.standard_normal((3, 3, 3)))
+    ag.backward(ag.sum_all(ag.depthwise(x, taps, 2)))
+    assert seen[1] is not None and taps.grad.shape == (3, 3, 3)

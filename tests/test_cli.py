@@ -61,6 +61,14 @@ def test_analyze_infinite_width_scale_exit_2(tmp_path, capsys):
     assert "width_scale" in capsys.readouterr().err
 
 
+def test_analyze_overflowing_width_scale_exit_2(tmp_path, capsys):
+    # finite, but the scaled stage widths are not
+    path = tmp_path / "huge.cfg"
+    path.write_text("name: x\nwidth_scale: 1e306\n")
+    assert main(["analyze", str(path)]) == EXIT_USAGE
+    assert "width_scale" in capsys.readouterr().err
+
+
 def test_bench_checksums_match(capsys):
     assert main(["--format", "csv", "bench", "--op", "dimconv",
                  "--shape", "8,10,10", "--repeats", "2", "--warmup", "1"]) == EXIT_OK

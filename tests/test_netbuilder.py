@@ -237,3 +237,20 @@ def test_ablation_variants_analyze(rng):
             _, counter = net.oracle_forward(x)
             assert counter.mac_count == rep.total_macs, (conv, fusion)
     assert {"dimconv", "dimfuse", "depthwise", "pointwise"} <= kinds
+
+
+def test_oracle_forward_has_its_own_max_pool(monkeypatch, micro_net, rng):
+    # a fault in the fast max pool shows in infer, not in the oracle forward
+    x = rng.standard_normal((2, 3, 32, 32))
+    ref, counter = micro_net.oracle_forward(x)
+    real = T.pool
+
+    def off(x, kind, *args):
+        y = real(x, kind, *args)
+        return y + 1.0 if kind == "max" else y
+
+    monkeypatch.setattr(T, "pool", off)
+    faulty, faulty_counter = micro_net.oracle_forward(x)
+    assert faulty.tobytes() == ref.tobytes()
+    assert faulty_counter.mac_count == counter.mac_count
+    assert not np.allclose(infer(micro_net, x), ref, atol=1e-6)

@@ -111,3 +111,9 @@ def test_fc_groups_must_divide_pool_width():
 def test_bad_kernel_size():
     with pytest.raises(ConfigError, match="kernel_size"):
         NetConfig(name="x", width_scale=1.0, kernel_size=4)
+
+
+def test_width_scale_overflowing_a_stage_width_rejected():
+    # 464 * 1e306 overflows to inf in the channel defaults
+    with pytest.raises(ConfigError, match="width_scale"):
+        parse_config("name: x\nwidth_scale: 1e306\n")

@@ -56,9 +56,10 @@ def test_oracle_linear_bias(rng):
 
 
 def test_oracle_avg_pool_counts_window(rng):
+    # average pooling is the oracle's depthwise loop with the constant bank
     x = rng.standard_normal((1, 2, 6, 6))
-    y, counter = orc.oracle_avg_pool(x, 3, 2)
-    np.testing.assert_array_equal(y, T.pool(x, "avg", 3, 2))
+    y, counter = orc.oracle_depthwise(x, T.avg_bank(2, 3), 2)
+    np.testing.assert_array_equal(y, T.depthwise_conv(x, T.avg_bank(2, 3), 2))
     assert counter.mac_count == 2 * 3 * 3 * 9
 
 
@@ -92,3 +93,17 @@ def test_finite_diff_rejects_bad_inputs():
         finite_diff_grad(lambda p: 0.0, np.zeros(2), h=0.0)
     with pytest.raises(ValueError):
         finite_diff_grad(lambda p: float("nan"), np.zeros(2))
+
+
+def test_oracle_max_pool_follows_np_maximum_tap_by_tap():
+    # k = 3 at stride 2 on a 1x2 plane: one window, whose real taps are the
+    # two pixels, in order, after four -inf padding taps
+    for a, b in ((0.0, -0.0), (-0.0, 0.0), (np.nan, 1.0), (1.0, np.nan),
+                 (-np.inf, -np.inf), (2.0, 2.0)):
+        x = np.array([[[[a, b]]]])
+        want = np.maximum(np.maximum(np.float64(-np.inf), a), b)
+        for dtype in (np.float64, np.float32):
+            y = orc.oracle_max_pool(x.astype(dtype), 3, 2)
+            assert y.shape == (1, 1, 1, 1) and y.dtype == dtype
+            assert y.tobytes() == np.array(want, dtype=dtype).tobytes(), (a, b)
+            assert y.tobytes() == T.pool(x.astype(dtype), "max", 3, 2).tobytes(), (a, b)

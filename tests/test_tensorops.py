@@ -203,8 +203,10 @@ def test_pool_kinds(rng):
     g = T.pool(x, "global_avg")
     assert g.shape == (1, 2, 1, 1)
     assert np.allclose(g[0, :, 0, 0], x.mean(axis=(0, 2, 3)))
-    with pytest.raises(KernelError):
-        T.pool(x, "median")
+    # average pooling over a window is depthwise_conv by avg_bank
+    for kind in ("median", "avg"):
+        with pytest.raises(KernelError):
+            T.pool(x, kind)
 
 
 def test_max_pool_constant_input():
@@ -322,7 +324,7 @@ def test_dtype_preserved(rng):
     x = rng.standard_normal((1, 3, 4, 4)).astype(np.float32)
     bank = ConvKernelBank.random(3, 3, rng, dtype=np.float32)
     assert T.depthwise_conv(x, bank).dtype == np.float32
-    assert T.pool(x, "avg", 3, 2).dtype == np.float32
+    assert T.depthwise_conv(x, T.avg_bank(3, 3), 2).dtype == np.float32
 
 
 def _blocked_calls(x):
@@ -342,7 +344,8 @@ def _blocked_calls(x):
         "depthwise": lambda: T.depthwise_conv(x, bank, 2),
         "depthwise_runs": lambda: T.depthwise_conv(x, bank, 1),
         "conv2d": lambda: T.conv2d(x, w2, 2),
-        "avg_pool": lambda: T.pool(x, "avg", 3, 2),
+        # average pooling at stride 3: three phases a side
+        "avg_pool": lambda: T.depthwise_conv(x, T.avg_bank(c, 3), 3),
         "max_pool": lambda: T.pool(x, "max", 3, 2),
         "bilinear": lambda: T.bilinear_resize(x, 9, 4),
         "bilinear_up": lambda: T.bilinear_resize(x, 2 * h + 1, 2 * w + 1),
@@ -385,3 +388,90 @@ def test_image_blocks_reject_an_empty_batch(monkeypatch):
     for name, call in _blocked_calls(np.zeros((0, 4, 7, 6))).items():
         with pytest.raises(KernelError):
             call()
+
+
+# (batch, channels, height, width, n, stride) for phase runs: 1 px planes,
+# odd sizes, a batch longer and one shorter than the rows, and n = 5 at
+# stride 2 and 3, where a tap's offset in its phase is 1 or 2 rows
+PHASE_CASES = [(1, 3, 1, 1, 3, 2), (5, 2, 1, 3, 5, 3), (9, 3, 7, 2, 3, 2),
+               (2, 4, 9, 7, 5, 2), (3, 2, 5, 5, 1, 3), (1, 2, 2, 3, 3, 3),
+               (4, 1, 8, 1, 5, 2), (2, 3, 11, 10, 5, 3)]
+
+
+def test_tap_runs_hold_each_taps_pixels(rng):
+    # the run of tap (i, j), junk columns dropped, is the strided window the
+    # tap meets in the zero-padded input, laid out (C, Ho, Wo, N)
+    for nb, c, h, w, n, s in PHASE_CASES + [(2, 3, 4, 5, 3, 1)]:
+        x = rng.standard_normal((nb, c, h, w))
+        xf, start, wq = T.tap_runs(x, 0, n, s)
+        ho, wo, p = T.ceil_div(h, s), T.ceil_div(w, s), (n - 1) // 2
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p + n), (p, p + n)))
+        for i in range(n):
+            for j in range(n):
+                got = xf[:, start[i][j]:start[i][j] + ho * wq * nb]
+                want = xp[:, :, i:i + s * (ho - 1) + 1:s, j:j + s * (wo - 1) + 1:s]
+                assert np.array_equal(got.reshape(c, ho, wq, nb)[:, :, :wo],
+                                      want.transpose(1, 2, 3, 0)), (nb, c, h, w, n, s, i, j)
+
+
+@pytest.mark.parametrize("blocked", [False, True], ids=["whole", "blocks"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_phase_runs_match_the_oracle(monkeypatch, dtype, blocked):
+    rng = np.random.default_rng(19)
+    if blocked:
+        # one image and one channel per block
+        monkeypatch.setattr(T, "BLOCK_BYTES", 8)
+    for nb, c, h, w, n, s in PHASE_CASES:
+        x = verify.signed_zeros(rng, rng.standard_normal((nb, c, h, w))).astype(dtype)
+        taps = verify.signed_zeros(rng, rng.standard_normal((c, n, n))).astype(dtype)
+        bank = ConvKernelBank(taps, rng.standard_normal(c).astype(dtype))
+        ref, _ = orc.oracle_depthwise(x, bank, s)
+        y = T.depthwise_conv(x, bank, s)
+        assert y.dtype == x.dtype and y.tobytes() == ref.tobytes(), (nb, c, h, w, n, s)
+
+
+def _avg_pool_loops(x, k, stride, dy):
+    """Average pooling and its input gradient as dicekit computed them before
+    pooling became depthwise: (N, C, H, W) buffers, each output 0.0 plus
+    (1/k^2)*x per tap, each input gradient 0.0 plus (1/k^2)*dy per tap, both
+    in row-major tap order."""
+    nb, c, h, w = x.shape
+    p, inv = (k - 1) // 2, 1.0 / (k * k)
+    ho, wo = T.ceil_div(h, stride), T.ceil_div(w, stride)
+    pad = ((0, 0), (0, 0), (p, T.right_pad(h, ho, stride, k)), (p, T.right_pad(w, wo, stride, k)))
+    xp = np.pad(x.astype(np.float64), pad)
+    y, dxp = np.zeros((nb, c, ho, wo)), np.zeros(xp.shape)
+    for i in range(k):
+        for j in range(k):
+            win = np.s_[:, :, i:i + stride * (ho - 1) + 1:stride,
+                        j:j + stride * (wo - 1) + 1:stride]
+            y += inv * xp[win]
+            dxp[win] += inv * dy
+    return y.astype(x.dtype), dxp[:, :, p:p + h, p:p + w]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_avg_pool_is_depthwise_by_the_constant_bank(dtype):
+    from dicekit.netbuilder import CostOps, OracleOps
+    rng = np.random.default_rng(23)
+    for stride in (1, 2, 3):
+        for shape in ((1, 3, 7, 6), (6, 2, 5, 1), (2, 4, 9, 9)):
+            x = verify.signed_zeros(rng, rng.standard_normal(shape)).astype(dtype)
+            bank = T.avg_bank(shape[1], 3)
+            assert bank.taps.dtype == np.float64 and np.all(bank.taps == 1.0 / 9)
+            xv = ag.param(x)
+            y = ag.avg_pool(xv, 3, stride)
+            dy = verify.signed_zeros(rng, rng.standard_normal(y.shape))
+            ag.backward(y, seed=dy)
+            ref, dx_ref = _avg_pool_loops(x, 3, stride, dy)
+            counter = orc.OracleCounter()
+            oracle_y = OracleOps(counter).avg_pool(x, 3, stride)
+            for out in (y.data, T.depthwise_conv(x, bank, stride), oracle_y):
+                assert out.dtype == x.dtype and out.tobytes() == ref.tobytes(), (stride, shape)
+            # the first gradient is written as g + 0.0
+            assert xv.grad.tobytes() == (dx_ref + 0.0).tobytes(), (stride, shape)
+            cost = CostOps()
+            with cost.row("pool", "pool"):
+                cost.avg_pool(x, 3, stride)
+            assert counter.mac_count == cost.rows[0][2] == 9 * ref.size
+            assert cost.rows[0][3] == 0

@@ -196,3 +196,24 @@ def test_metrics_csv_format():
     lines = csv.strip().splitlines()
     assert lines[0] == "epoch,loss,acc,ema_acc"
     assert lines[1].startswith("0,1.5")
+
+
+def test_synth_dataset_adds_noise_in_blocks(monkeypatch):
+    import tracemalloc
+
+    from dicekit import train
+    # the blocks draw the same noise, in the same order, as one call would
+    images, labels = synth_dataset(5, 300, size=16)
+    monkeypatch.setattr(train, "NOISE_BLOCK", 300)
+    one_call, labels_one = synth_dataset(5, 300, size=16)
+    assert images.tobytes() == one_call.tobytes() and np.array_equal(labels, labels_one)
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        images, _ = synth_dataset(1, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one call held three dataset-sized arrays: the images, the draws and
+    # 0.3 times the draws
+    assert peak < 1.3 * images.nbytes, (peak, images.nbytes)
