@@ -11,6 +11,7 @@ of the rows within it. Three interpreters run that one definition:
 - `AutogradOps` calls the `autograd` ops, which run the fast kernels and
   record the tape. `Network.forward`, and through it `infer`, training and
   evaluation, use it. Its `bilinear` counts the resize (`dice.note_resize`).
+  When nothing records, its `bn_prelu` and `mul` write in place (below).
 - `OracleOps` calls the naive `oracle` loops and tallies every MAC on a
   counter: `Network.oracle_forward`.
 - `CostOps` tracks shapes only and sums each op's MACs and parameters into
@@ -21,6 +22,12 @@ tap per output element (padded taps included), pooling its window
 accumulations, DimFuse's gate product one MAC per element; normalization,
 activations and resizes are free. So on a small graph the report total
 equals the oracle tally exactly.
+
+The consume rule binds layer code: `bn_prelu` and `mul` consume their
+first operand. Layer code never reads that value again, nor any other value
+on its buffer (`reshape`, `narrow` and `shuffle` make views that share it),
+and never hands them the network input. `CostOps` raises KernelError on
+every `analyze()` that breaks it.
 
 A new block style is one class, entered in `_BLOCK_TYPES` (its name in
 `netconfig._BLOCK_STYLES`): a constructor that assigns its parameters,
@@ -54,7 +61,7 @@ __all__ = ["Network", "FlopReport", "build_network", "analyze", "infer",
 
 
 def _he(rng, fan_in, shape, dtype):
-    return rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape).astype(dtype)
+    return rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape).astype(dtype, copy=False)
 
 
 class _BNAct:
@@ -301,7 +308,9 @@ def _autograd(name):
 
 class AutogradOps:
     """The fast kernels through the autograd tape; `train` selects batch
-    statistics in `bn_prelu`."""
+    statistics in `bn_prelu`. When nothing records (not `train`, under
+    `no_grad`), `bn_prelu` and `mul` write their result into their first
+    operand's buffer, which the layer code has given up."""
 
     def __init__(self, train: bool):
         self.train = train
@@ -309,8 +318,19 @@ class AutogradOps:
     def row(self, name, kind=None):
         return _NO_ROW
 
+    def _consumes(self):
+        # a recorded backward would read the operand the result overwrote
+        return not self.train and not ag._grad_enabled.get()
+
     def bn_prelu(self, x, bn):
-        return ag.bn_prelu(x, bn.gamma, bn.beta, bn.slope, bn.state, self.train)
+        return ag.bn_prelu(x, bn.gamma, bn.beta, bn.slope, bn.state, self.train,
+                           out=x.data if self._consumes() else None)
+
+    def mul(self, a, b):
+        # only a product of a's shape and dtype can take a's place
+        into = (self._consumes() and a.shape == np.broadcast_shapes(a.shape, b.shape)
+                and a.data.dtype == np.result_type(a.data, b.data))
+        return ag.mul(a, b, out=a.data if into else None)
 
     def bilinear(self, x, h, w):
         dice.note_resize()
@@ -326,7 +346,6 @@ class AutogradOps:
     linear = _autograd("linear")
     relu = _autograd("relu")
     sigmoid = _autograd("sigmoid")
-    mul = _autograd("mul")
     add = _autograd("add")
     narrow = _autograd("narrow_channels")
     concat = _autograd("concat_channels")
@@ -403,12 +422,31 @@ class OracleOps:
         return x.reshape(shape)
 
 
+class _Value:
+    """A CostOps value: a shape, and the buffer it lives in, which its views
+    share: a one-item list naming the op that consumed it, or None for the
+    network input. Every op reads its operands' shapes, so reading one whose
+    buffer was consumed raises."""
+
+    __slots__ = ("_shape", "buffer")
+
+    def __init__(self, shape, buffer):
+        self._shape, self.buffer = tuple(shape), buffer
+
+    @property
+    def shape(self):
+        if self.buffer and self.buffer[0]:
+            raise KernelError(f"a value was read after {self.buffer[0]} consumed it")
+        return self._shape
+
+
 class CostOps:
-    """Shapes only: a value is anything with a `.shape`. Each op adds its
-    MACs and parameters to the row it runs in, and its output shape less the
-    batch becomes the row's. `bilinear` is the identity, so a network run at
-    another size is priced as one built for it: DimConv's parameters come
-    from the shape, n^2 (C + H + W)."""
+    """Shapes only: the network input is anything with a `.shape`. Each op
+    adds its MACs and parameters to the row it runs in, and its output shape
+    less the batch becomes the row's. `bilinear` is the identity, so a
+    network run at another size is priced as one built for it: DimConv's
+    parameters come from the shape, n^2 (C + H + W). It enforces the
+    module's consume rule through the buffers its values carry."""
 
     def __init__(self):
         self.rows = []            # [name, kind, macs, params, out_shape]
@@ -428,20 +466,31 @@ class CostOps:
             self._names.pop()
             self._row = outer
 
-    def _out(self, shape, macs=0, params=0):
+    def _out(self, shape, macs=0, params=0, view_of=None):
         if self._row is not None:
             self._row[2] += macs
             self._row[3] += params
             self._row[4] = tuple(shape[1:])
         elif macs or params:
             raise KernelError("an op with a cost ran outside every analyze() row")
-        return SimpleNamespace(shape=tuple(shape))
+        # a value made outside CostOps is the network input
+        return _Value(shape, [None] if view_of is None else getattr(view_of, "buffer", None))
+
+    def _consume(self, x, op):
+        where = f"{op} in {'.'.join(self._names) or 'the network'}"
+        buffer = getattr(x, "buffer", None)
+        if buffer is None:
+            raise KernelError(f"{where} would consume the network input")
+        buffer[0] = where
 
     def _same(self, x, *args):
         return self._out(x.shape)
 
     # free, and the shape is the input's
-    relu = sigmoid = shuffle = bilinear = _same
+    relu = sigmoid = bilinear = _same
+
+    def shuffle(self, x, groups):
+        return self._out(x.shape, view_of=x)
 
     def _conv(self, x, cout, stride, per_out, params):
         """A window or 1x1 op: per_out MACs for each output element."""
@@ -453,7 +502,9 @@ class CostOps:
         return self._conv(x, w.data.shape[0], stride, w.data[0].size, w.data.size)
 
     def bn_prelu(self, x, bn):
-        return self._out(x.shape, 0, sum(p.data.size for p in (bn.gamma, bn.beta, bn.slope)))
+        out = self._out(x.shape, 0, sum(p.data.size for p in (bn.gamma, bn.beta, bn.slope)))
+        self._consume(x, "bn_prelu")
+        return out
 
     def max_pool(self, x, k, stride):
         return self._conv(x, x.shape[1], stride, 0, 0)
@@ -482,13 +533,15 @@ class CostOps:
 
     def mul(self, a, b):
         shape = np.broadcast_shapes(a.shape, b.shape)
-        return self._out(shape, math.prod(shape))
+        out = self._out(shape, math.prod(shape))
+        self._consume(a, "mul")
+        return out
 
     def add(self, a, b):
         return self._out(np.broadcast_shapes(a.shape, b.shape))
 
     def narrow(self, x, start, length):
-        return self._out((x.shape[0], length) + x.shape[2:])
+        return self._out((x.shape[0], length) + x.shape[2:], view_of=x)
 
     def concat(self, parts):
         c = sum(p.shape[1] for p in parts)
@@ -497,7 +550,7 @@ class CostOps:
     def reshape(self, x, shape):
         known = math.prod(s for s in shape if s != -1)
         return self._out(tuple(math.prod(x.shape) // known if s == -1 else s
-                               for s in shape))
+                               for s in shape), view_of=x)
 
 
 @dataclass

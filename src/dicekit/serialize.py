@@ -66,9 +66,13 @@ def read_tensor(fh) -> np.ndarray:
     if nbytes > remaining:
         raise ContainerError(f"truncated tensor payload: shape {shape} needs "
                              f"{nbytes} bytes, {remaining} remain")
-    raw = fh.read(nbytes)
-    arr = np.frombuffer(raw, dtype=dtype.newbyteorder("<")).astype(dtype)
-    return arr.reshape(shape)
+    # read straight into the array; little-endian on disk, native in memory
+    arr = np.empty(shape, dtype=dtype.newbyteorder("<"))
+    got = fh.readinto(arr.reshape(-1).view(np.uint8))
+    if got != nbytes:
+        raise ContainerError(f"truncated tensor payload: shape {shape} needs "
+                             f"{nbytes} bytes, read {got}")
+    return arr.astype(dtype, copy=False)
 
 
 def load_tensor(path) -> np.ndarray:

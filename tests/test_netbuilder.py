@@ -1,17 +1,22 @@
 """Layer-graph construction, cost reports, and inference properties."""
 
+import hashlib
 import json
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dicekit import dice
+from dicekit import autograd as ag
+from dicekit import dice, train
 from dicekit import tensorops as T
 from dicekit.cli import main
 from dicekit.dimops import dimfuse_cost
-from dicekit.netbuilder import AutogradOps, CostOps, OracleOps, analyze, build_network, infer
-from dicekit.netconfig import parse_config
+from dicekit.netbuilder import (AutogradOps, CostOps, OracleOps, _BNAct, analyze,
+                                build_network, infer)
+from dicekit.netconfig import default_stem_channels, parse_config
 from dicekit.tensorops import KernelError
 
 from conftest import MICRO_CFG
@@ -254,3 +259,149 @@ def test_oracle_forward_has_its_own_max_pool(monkeypatch, micro_net, rng):
     assert faulty.tobytes() == ref.tobytes()
     assert faulty_counter.mac_count == counter.mac_count
     assert not np.allclose(infer(micro_net, x), ref, atol=1e-6)
+
+
+def _micro(dtype):
+    return build_network(parse_config((CONFIGS / "dicenet-micro.cfg").read_text()),
+                         seed=2, dtype=dtype)
+
+
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_inference_is_pure(dtype):
+    # bn_prelu and mul write into their operands in inference; neither the
+    # caller's input nor any parameter or running statistic may change
+    net = _micro(dtype)
+    rng = np.random.default_rng(5)
+    for nb, size in ((1, 32), (3, 40)):
+        x = rng.standard_normal((nb, 3, size, size)).astype(dtype)
+        labels = np.arange(nb) % 10
+        before = [_sha(x)] + [_sha(a) for _, a in net.named_state()]
+        scores = infer(net, x)
+        train.evaluate(net, x, labels, batch_size=2)
+        assert [_sha(x)] + [_sha(a) for _, a in net.named_state()] == before, (nb, size)
+        assert infer(net, x).tobytes() == scores.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_two_threads_infer_on_one_network(dtype):
+    net = _micro(dtype)
+    x = np.random.default_rng(6).standard_normal((4, 3, 40, 40)).astype(dtype)
+    serial = infer(net, x).tobytes()
+    start = threading.Barrier(2, timeout=30)
+    results = [[], []]
+
+    def run(slot):
+        start.wait()
+        for _ in range(3):
+            results[slot].append(infer(net, x).tobytes())
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[serial] * 3] * 2
+
+
+def test_inference_peak_memory_stays_below_two_stem_outputs():
+    # the stem's conv output takes its BN-PReLU result, so the two are never
+    # alive together. Without that, the peak here was 2.41 stem outputs
+    net = _micro(np.float64)
+    nb, size = 16, 64
+    x = np.random.default_rng(7).standard_normal((nb, 3, size, size))
+    stem = nb * default_stem_channels(net.cfg.width_scale) * (size // 2) ** 2 * 8
+    infer(net, x)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        infer(net, x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * stem, f"peak {peak / stem:.2f} stem outputs"
+
+
+def test_autograd_ops_consume_only_when_nothing_records():
+    bn = _BNAct(3, np.float64)
+    y = np.random.default_rng(8).standard_normal((2, 3, 4, 4))
+    for train_mode, grad in ((False, False), (False, True), (True, False)):
+        x = ag.Var(y.copy())
+        ops = AutogradOps(train_mode)
+        if grad:
+            out = ops.bn_prelu(x, bn)
+        else:
+            with ag.no_grad():
+                out = ops.bn_prelu(x, bn)
+        assert np.shares_memory(out.data, x.data) == (not train_mode and not grad)
+    gate = ag.Var(np.full((2, 3, 1, 1), 0.5))
+    with ag.no_grad():
+        a = ag.Var(y.copy())
+        assert np.shares_memory(AutogradOps(False).mul(a, gate).data, a.data)
+        # a product of another shape or dtype than the first operand gets its own buffer
+        small = ag.Var(y[:, :, :1, :1].copy())
+        assert AutogradOps(False).mul(small, ag.Var(y)).shape == y.shape
+        narrow = ag.Var(y.astype(np.float32))
+        assert AutogradOps(False).mul(narrow, gate).data.dtype == np.float64
+
+
+class _Toy:
+    """A block of one analyze() row: a pointwise conv y of its input x, then
+    tail(x, y, bn, ops), with bn the block's batch norm."""
+
+    def __init__(self, c, tail):
+        self.w = ag.param(np.eye(c))
+        self.post = _BNAct(c, np.float64)
+        self.tail = tail
+
+    def forward(self, x, ops):
+        with ops.row("toy", "pointwise"):
+            return self.tail(x, ops.pointwise(x, self.w), self.post, ops)
+
+
+def _with_toy(tail, at=2):
+    """The micro network with a _Toy as layer `at`: 0 puts it on the network
+    input, 2 after the stem and the max pool."""
+    net = build_network(parse_config(MICRO_CFG), seed=1)
+    c = 3 if at == 0 else default_stem_channels(net.cfg.width_scale)
+    net.layers.insert(at, _Toy(c, tail))
+    return net
+
+
+def test_reading_a_consumed_value_fails_analyze():
+    def reread(x, y, bn, ops):
+        return ops.add(ops.bn_prelu(y, bn), y)
+
+    def consume_twice(x, y, bn, ops):
+        ops.bn_prelu(y, bn)
+        return ops.bn_prelu(y, bn)
+
+    def gate_then_read(x, y, bn, ops):
+        return ops.add(ops.mul(y, y), y)
+
+    def view_taken_before(x, y, bn, ops):
+        v = ops.shuffle(y, 2)
+        return ops.add(ops.bn_prelu(y, bn), v)
+
+    def base_of_consumed_view(x, y, bn, ops):
+        return ops.add(ops.bn_prelu(ops.reshape(y, y.shape), bn), y)
+
+    for tail in (reread, consume_twice, gate_then_read, view_taken_before,
+                 base_of_consumed_view):
+        with pytest.raises(KernelError, match=r"after (bn_prelu|mul) in stage.0.toy consumed it"):
+            analyze(_with_toy(tail))
+    # what a consuming op returns is live, and so is the block's input
+    ok = _with_toy(lambda x, y, bn, ops: ops.add(ops.bn_prelu(y, bn), x))
+    assert analyze(ok).total_macs == analyze(_with_toy(lambda x, y, bn, ops: y)).total_macs
+
+
+def test_the_network_input_is_never_consumed():
+    first = [lambda x, y, bn, ops: ops.bn_prelu(x, bn),
+             lambda x, y, bn, ops: ops.bn_prelu(ops.reshape(x, x.shape), bn)]
+    for tail in first:
+        with pytest.raises(KernelError, match="would consume the network input"):
+            analyze(_with_toy(tail, at=0))

@@ -30,6 +30,9 @@ def test_round_trip_dtypes_and_shapes(tmp_path, rng):
         back = load_tensor(path)
         assert back.dtype == arr.dtype
         np.testing.assert_array_equal(back, arr)
+        # read in place: a native, writeable array of the same bytes
+        assert back.tobytes() == arr.tobytes()
+        assert back.dtype.isnative and back.flags.writeable and back.flags.c_contiguous
 
 
 def test_header_layout(rng):
@@ -53,6 +56,18 @@ def test_truncated_payload_rejected(rng):
     raw = buf.getvalue()[:-8]
     with pytest.raises(ContainerError):
         read_tensor(io.BytesIO(raw))
+
+
+def test_short_read_rejected(rng):
+    # a stream that holds the payload but hands back less of it
+    class Short(io.BytesIO):
+        def readinto(self, b):
+            return super().readinto(memoryview(b)[:-1])
+
+    buf = io.BytesIO()
+    dump_tensor(rng.standard_normal((4, 4)), buf)
+    with pytest.raises(ContainerError, match="truncated tensor payload"):
+        read_tensor(Short(buf.getvalue()))
 
 
 def test_overflowing_shape_rejected():
