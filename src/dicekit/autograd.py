@@ -45,9 +45,6 @@ class Var:
     def shape(self):
         return self.data.shape
 
-    def detach(self):
-        return Var(self.data)
-
     def __repr__(self):
         return f"Var(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -128,19 +125,9 @@ def add(a, b) -> Var:
     return _make(out, (a, b), bw)
 
 
-def _no_out_while_recording(out, parents) -> None:
-    """`out` may take the result only when nothing records: a backward reads
-    the operands that the result would overwrite."""
-    if out is not None and _grad_enabled.get() and any(p.requires_grad for p in parents):
-        raise KernelError("out= is refused while the tape records")
-
-
-def mul(a, b, *, out=None) -> Var:
-    """a * b; `out`, like numpy's, is where the product is written (a.data
-    itself, say). Without it no operand is written."""
+def mul(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    _no_out_while_recording(out, (a, b))
-    out = np.multiply(a.data, b.data, out=out)
+    out = a.data * b.data
 
     def bw(dy):
         _accum(a, _reduce_to(dy * b.data, a.data.shape))
@@ -439,32 +426,35 @@ def _prelu_factor(y, s) -> np.ndarray:
 
 
 def _bn_prelu_infer(x, mean, inv_std, gamma, beta, s, out=None) -> np.ndarray:
-    """((x - mean)*inv_std)*gamma + beta in one float64 buffer, cast to x's
-    dtype, then where(y >= 0, y, s*y), byte for byte, finished in place. The
-    first pass writes x - mean, widened to float64, into that buffer; the
-    others run over a tensor larger than BLOCK_BYTES in image blocks, which
-    stay in cache across them. An `out` of x's shape and dtype (x itself,
-    say) is that buffer if float64, and takes the cast result if float32."""
+    """((x - mean)*inv_std)*gamma + beta in float64, cast to x's dtype, then
+    where(y >= 0, y, s*y), byte for byte, finished in place. Every pass is
+    elementwise and runs over one image block of at most BLOCK_BYTES of
+    float64 before the next block starts, so the block stays in cache. The
+    result goes into `out` (x itself, say), or a new array, of x's shape and
+    dtype. A float64 result is also the float64 buffer; for float32 the
+    blocks share one float64 buffer of a block's size."""
     mean, inv_std, gamma, beta, s = (a[None, :, None, None]
                                      for a in (mean, inv_std, gamma, beta, s))
+    nb = x.shape[0]
     per = max(1, T.BLOCK_BYTES // (8 * x[0].size))
-    y = np.subtract(x, mean, dtype=np.float64, out=out if x.dtype == np.float64 else None)
     if out is None:
-        out = y if y.dtype == x.dtype else np.empty_like(x)
-    for i in range(0, x.shape[0], per):
-        b = y[i:i + per]
+        out = np.empty_like(x)
+    wide = None if x.dtype == np.float64 else np.empty((min(per, nb),) + x.shape[1:])
+    for i in range(0, nb, per):
+        o = out[i:i + per]
+        b = o if wide is None else wide[:len(o)]
+        np.subtract(x[i:i + per], mean, dtype=np.float64, out=b)
         b *= inv_std
         b *= gamma
         b += beta
-        o = out[i:i + per]
-        if out is not y:
+        if b is not o:
             o[...] = b
         o *= _prelu_factor(o, s)
     return out
 
 
 def bn_prelu(x, gamma, beta, slope, state: T.BatchNormParams, train: bool,
-             momentum: float = 0.1, *, out=None) -> Var:
+             momentum: float = 0.1) -> Var:
     """Batch norm then a per-channel PReLU: y = gamma*x_hat + beta with
     x_hat = (x - mean)*inv_std, cast to x's dtype, then where(y >= 0, y, s*y).
 
@@ -476,18 +466,12 @@ def bn_prelu(x, gamma, beta, slope, state: T.BatchNormParams, train: bool,
     state's running ones, and the bytes are the formula's, evaluated in that
     order (`_bn_prelu_infer`); the backward rebuilds x_hat, y and the factor
     from x. Either backward gives the input gradient only when x needs one.
-
-    `out`, like numpy's, is where an inference result is written (x.data
-    itself, say); it is refused in training and while the tape records.
-    Without it no argument is written but the running statistics.
+    No argument is written but the running statistics.
     """
     x, gamma, beta, slope = as_var(x), as_var(gamma), as_var(beta), as_var(slope)
     nb, c, h, w = x.data.shape
     if gamma.data.shape != (c,):
         raise KernelError(f"batch-norm sized for {gamma.data.shape} channels, input has {c}")
-    if out is not None and (train or (out.shape, out.dtype) != (x.data.shape, x.data.dtype)):
-        raise KernelError("out= takes an inference result of x's shape and dtype")
-    _no_out_while_recording(out, (x, gamma, beta, slope))
     s = slope.data.astype(x.data.dtype, copy=False)
 
     def normalized(x_hat):
@@ -514,7 +498,7 @@ def bn_prelu(x, gamma, beta, slope, state: T.BatchNormParams, train: bool,
         # a copy: backward must see the statistics this forward used
         mean = state.running_mean.copy()
         inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-        out = _bn_prelu_infer(x.data, mean, inv_std, gamma.data, beta.data, s, out)
+        out = _bn_prelu_infer(x.data, mean, inv_std, gamma.data, beta.data, s)
 
     def bw(dz):
         if train:

@@ -1,4 +1,4 @@
-"""Elaborate a NetConfig into a layer graph, and run it three ways.
+"""Elaborate a NetConfig into a layer graph, and run it four ways.
 
 Each layer is defined once, by a `forward(x, ops)` method written against a
 small op vocabulary: `spatial_conv`, `bn_prelu`, `max_pool`, `avg_pool`,
@@ -6,16 +6,18 @@ small op vocabulary: `spatial_conv`, `bn_prelu`, `max_pool`, `avg_pool`,
 `relu`, `sigmoid`, `mul`, `add`, `narrow`, `concat`, `shuffle` and
 `reshape`. `ops.row(name, kind)` scopes name the `analyze()` row that the
 ops run inside it belong to; a scope without a kind only prefixes the names
-of the rows within it. Three interpreters run that one definition:
+of the rows within it. Each op is defined once too, by its record in one
+table, `OPS`. Four interpreters run the layers, each through one field of
+every record:
 
-- `AutogradOps` calls the `autograd` ops, which run the fast kernels and
-  record the tape. `Network.forward`, and through it `infer`, training and
-  evaluation, use it. Its `bilinear` counts the resize (`dice.note_resize`).
-  When nothing records, its `bn_prelu` and `mul` write in place (below).
-- `OracleOps` calls the naive `oracle` loops and tallies every MAC on a
-  counter: `Network.oracle_forward`.
-- `CostOps` tracks shapes only and sums each op's MACs and parameters into
-  the row it runs in: `analyze()`.
+- `AutogradOps` (`grad`): the `autograd` ops, which run the fast kernels
+  and record the tape: `Network.forward`, so training.
+- `ArrayOps` (`array`): the same kernels on plain arrays, with no tape:
+  `infer` and `train.evaluate`. Both count each resize (`dice.note_resize`).
+- `OracleOps` (`oracle`): the naive `oracle` loops, which tally every MAC
+  on a counter: `Network.oracle_forward`.
+- `CostOps` (`cost`): shapes only, summing each op's MACs and parameters
+  into the row it runs in: `analyze()`.
 
 The cost convention is the oracle's: a convolution is charged one MAC per
 tap per output element (padded taps included), pooling its window
@@ -23,25 +25,25 @@ accumulations, DimFuse's gate product one MAC per element; normalization,
 activations and resizes are free. So on a small graph the report total
 equals the oracle tally exactly.
 
-The consume rule binds layer code: `bn_prelu` and `mul` consume their
-first operand. Layer code never reads that value again, nor any other value
-on its buffer (`reshape`, `narrow` and `shuffle` make views that share it),
-and never hands them the network input. `CostOps` raises KernelError on
-every `analyze()` that breaks it.
+The consume rule is a record's `consumes`: `bn_prelu` and `mul` consume
+their first operand. Layer code never reads that value again, nor any other
+value on its buffer (`reshape`, `narrow` and `shuffle` make views that
+share it), and never hands them the network input. `CostOps` raises
+KernelError on every `analyze()` that breaks it, and `ArrayOps` writes the
+result into that buffer.
 
 A new block style is one class, entered in `_BLOCK_TYPES` (its name in
 `netconfig._BLOCK_STYLES`): a constructor that assigns its parameters,
-which `_members` names after the attributes, and a `forward(x, ops)`. The
-interpreters reach `autograd`, `tensorops` and `dimops` through their
-module attributes at call time, so a tracer that replaces them sees every
-call.
+which `_members` names after the attributes, and a `forward(x, ops)`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -56,8 +58,8 @@ from .netconfig import ConfigError, NetConfig, default_stem_channels
 from .serialize import ContainerError
 from .tensorops import BatchNormParams, KernelError, ceil_div
 
-__all__ = ["Network", "FlopReport", "build_network", "analyze", "infer",
-           "AutogradOps", "OracleOps", "CostOps"]
+__all__ = ["Network", "FlopReport", "build_network", "analyze", "infer", "OPS",
+           "AutogradOps", "ArrayOps", "OracleOps", "CostOps"]
 
 
 def _he(rng, fan_in, shape, dtype):
@@ -294,132 +296,227 @@ def _members(obj, prefix):
             yield from _members(v, name)
 
 
+# ---------------------------------------------------------------- the op table
+
+@dataclass(frozen=True)
+class Op:
+    """One vocabulary op. `grad`, `array` and `oracle` take the interpreter,
+    then the op's arguments as layer code passes them (parameters as Vars).
+    `cost` takes those arguments, activations as anything with a `.shape`,
+    and returns the output shape, MACs and parameters, plus True if the
+    result is a view on the first operand's buffer. `consumes`: the op
+    consumes its first operand, and `array` takes its buffer as `out`."""
+
+    grad: Callable
+    array: Callable
+    oracle: Callable
+    cost: Callable
+    consumes: bool = False
+
+
+def _ag(name):
+    """A `grad` field: `autograd.<name>` on the op's arguments."""
+    return lambda ops, *args, **kwargs: getattr(ag, name)(*args, **kwargs)
+
+
+def _plain(grad, run, cost):
+    """An op whose inference and oracle are the same code, `run`."""
+    return Op(grad=grad, array=run, oracle=run, cost=cost)
+
+
+def _counted(resize):
+    """A `bilinear` that counts the resize (`dice.note_resize`)."""
+    def op(ops, x, h, w):
+        dice.note_resize()
+        return resize(x, h, w)
+    return op
+
+
+def _window(x, cout, stride, per_out, params):
+    """The cost of a window or 1x1 op: per_out MACs per output element."""
+    nb, _, h, w = x.shape
+    shape = (nb, cout, ceil_div(h, stride), ceil_div(w, stride))
+    return shape, math.prod(shape) * per_out, params
+
+
+def _dimconv_params(k_d, k_w, k_h):
+    return dimops.DimConvParams(*(T.ConvKernelBank(k.data) for k in (k_d, k_w, k_h)))
+
+
+def _dimconv_cost(x, k_d, k_w, k_h):
+    nb, c, h, w = x.shape
+    n2 = k_d.data[0].size
+    return (nb, 3 * c, h, w), 3 * n2 * nb * c * h * w, n2 * (c + h + w)
+
+
+def _bn_prelu_array(ops, x, bn, out):
+    st = bn.state
+    return ag._bn_prelu_infer(x, st.running_mean, 1.0 / np.sqrt(st.running_var + st.eps),
+                              st.gamma, st.beta, bn.slope.data.astype(x.dtype, copy=False),
+                              out)
+
+
+def _data(v):
+    return None if v is None else v.data
+
+
+def _linear_cost(x, w, bias=None, groups=1):
+    shape = (x.shape[0], w.data.shape[0])
+    return (shape, math.prod(shape) * w.data.shape[1],
+            w.data.size + (0 if bias is None else bias.data.size))
+
+
+def _oracle_mul(ops, a, b):
+    out = a * b
+    ops.counter.tally(out.size)
+    return out
+
+
+def _mul_cost(a, b):
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    return shape, math.prod(shape), 0
+
+
+def _reshape_cost(x, shape):
+    known = math.prod(s for s in shape if s != -1)
+    return tuple(math.prod(x.shape) // known if s == -1 else s for s in shape), 0, 0, True
+
+
+# Every field reaches `autograd`, `tensorops`, `dimops` and `oracle` through
+# their module attributes at call time, so a tracer that replaces them sees
+# every call.
+OPS = {
+    "spatial_conv": Op(
+        grad=_ag("spatial_conv"),
+        array=lambda ops, x, w, stride: T.conv2d(x, w.data, stride),
+        oracle=lambda ops, x, w, stride: orc.oracle_conv2d(x, w.data, stride, ops.counter)[0],
+        cost=lambda x, w, stride: _window(x, w.data.shape[0], stride, w.data[0].size,
+                                          w.data.size)),
+    "bn_prelu": Op(
+        grad=lambda ops, x, bn: ag.bn_prelu(x, bn.gamma, bn.beta, bn.slope, bn.state,
+                                            ops.train),
+        array=_bn_prelu_array,
+        oracle=lambda ops, x, bn: orc.oracle_bn_prelu(x, bn.state, bn.slope.data),
+        cost=lambda x, bn: (x.shape, 0, sum(p.data.size for p in (bn.gamma, bn.beta, bn.slope))),
+        consumes=True),
+    "max_pool": Op(
+        grad=_ag("max_pool"),
+        array=lambda ops, x, k, stride: T.pool(x, "max", k, stride),
+        oracle=lambda ops, x, k, stride: orc.oracle_max_pool(x, k, stride),
+        cost=lambda x, k, stride: _window(x, x.shape[1], stride, 0, 0)),
+    "avg_pool": Op(
+        grad=_ag("avg_pool"),
+        array=lambda ops, x, k, stride: T.depthwise_conv(x, T.avg_bank(x.shape[1], k), stride),
+        oracle=lambda ops, x, k, stride: orc.oracle_depthwise(
+            x, T.avg_bank(x.shape[1], k), stride, ops.counter)[0],
+        cost=lambda x, k, stride: _window(x, x.shape[1], stride, k * k, 0)),
+    "dimconv": Op(
+        grad=_ag("dimconv"),
+        array=lambda ops, x, *banks: dimops.dimconv_fused(x, _dimconv_params(*banks)),
+        oracle=lambda ops, x, *banks: orc.oracle_dimconv(x, _dimconv_params(*banks),
+                                                         ops.counter)[0],
+        cost=_dimconv_cost),
+    "depthwise": Op(
+        grad=_ag("depthwise"),
+        array=lambda ops, x, taps, stride=1: T.depthwise_conv(x, T.ConvKernelBank(taps.data),
+                                                              stride),
+        oracle=lambda ops, x, taps, stride=1: orc.oracle_depthwise(
+            x, T.ConvKernelBank(taps.data), stride, ops.counter)[0],
+        cost=lambda x, taps, stride=1: _window(x, x.shape[1], stride, taps.data[0].size,
+                                               taps.data.size)),
+    "pointwise": Op(
+        grad=_ag("pointwise"),
+        array=lambda ops, x, w, groups=1, stride=1: T.pointwise_conv(x, w.data, groups, stride),
+        oracle=lambda ops, x, w, groups=1, stride=1: orc.oracle_pointwise(
+            x, w.data, groups, stride, ops.counter)[0],
+        cost=lambda x, w, groups=1, stride=1: _window(x, w.data.shape[0], stride,
+                                                      w.data.shape[1], w.data.size)),
+    "bilinear": Op(
+        grad=_counted(lambda x, h, w: ag.bilinear(x, h, w)),
+        array=_counted(lambda x, h, w: T.bilinear_resize(x, h, w)),
+        oracle=lambda ops, x, h, w: orc.oracle_bilinear(x, h, w),
+        # the identity: a network run at another size is priced as one built for it
+        cost=lambda x, h, w: (x.shape, 0, 0)),
+    "global_avg": Op(
+        grad=_ag("global_avg"),
+        array=lambda ops, x: T.pool(x, "global_avg"),
+        oracle=lambda ops, x: orc.oracle_global_avg(x, ops.counter)[0],
+        cost=lambda x: (x.shape[:2] + (1, 1), math.prod(x.shape), 0)),
+    "linear": Op(
+        grad=_ag("linear"),
+        array=lambda ops, x, w, bias=None, groups=1: T.linear(x, w.data, groups, _data(bias)),
+        oracle=lambda ops, x, w, bias=None, groups=1: orc.oracle_linear(
+            x, w.data, groups, _data(bias), ops.counter)[0],
+        cost=_linear_cost),
+    "relu": _plain(_ag("relu"), lambda ops, x: T.relu(x), lambda x: (x.shape, 0, 0)),
+    "sigmoid": _plain(_ag("sigmoid"), lambda ops, x: T.sigmoid(x), lambda x: (x.shape, 0, 0)),
+    # DimFuse's gate product, one MAC per element
+    "mul": Op(grad=_ag("mul"), array=lambda ops, a, b, out: np.multiply(a, b, out=out),
+              oracle=_oracle_mul, cost=_mul_cost, consumes=True),
+    "add": _plain(_ag("add"), lambda ops, a, b: a + b,
+                  lambda a, b: (np.broadcast_shapes(a.shape, b.shape), 0, 0)),
+    "narrow": _plain(_ag("narrow_channels"), lambda ops, x, start, n: x[:, start:start + n],
+                     lambda x, start, n: ((x.shape[0], n) + x.shape[2:], 0, 0, True)),
+    "concat": _plain(_ag("concat_channels"), lambda ops, parts: np.concatenate(parts, axis=1),
+                     lambda parts: (parts[0].shape[:1] + (sum(p.shape[1] for p in parts),)
+                                    + parts[0].shape[2:], 0, 0)),
+    "shuffle": _plain(_ag("channel_shuffle"), lambda ops, x, g: dice.channel_shuffle(x, g),
+                      lambda x, g: (x.shape, 0, 0, True)),
+    "reshape": _plain(_ag("reshape"), lambda ops, x, shape: x.reshape(shape), _reshape_cost),
+}
+
+
 # -------------------------------------------------------------- interpreters
 
 _NO_ROW = contextlib.nullcontext()
 
 
-def _autograd(name):
-    """An op that is `autograd.<name>`, looked up at each call."""
-    def op(self, *args, **kwargs):
-        return getattr(ag, name)(*args, **kwargs)
-    return op
+class _Interpreter:
+    """Runs each vocabulary op, `ops.<name>(...)`, by the `field` of its
+    `OPS` record; `row` scopes are no-ops."""
+
+    field = ""
+
+    def row(self, name, kind=None):
+        return _NO_ROW
+
+    def __getattr__(self, name):
+        if name not in OPS:
+            raise AttributeError(name)
+        return functools.partial(self.apply, name, OPS[name])
+
+    def apply(self, name, op, *args, **kwargs):
+        return getattr(op, self.field)(self, *args, **kwargs)
 
 
-class AutogradOps:
+class AutogradOps(_Interpreter):
     """The fast kernels through the autograd tape; `train` selects batch
-    statistics in `bn_prelu`. When nothing records (not `train`, under
-    `no_grad`), `bn_prelu` and `mul` write their result into their first
-    operand's buffer, which the layer code has given up."""
+    statistics in `bn_prelu`. No operand is written."""
+
+    field = "grad"
 
     def __init__(self, train: bool):
         self.train = train
 
-    def row(self, name, kind=None):
-        return _NO_ROW
 
-    def _consumes(self):
-        # a recorded backward would read the operand the result overwrote
-        return not self.train and not ag._grad_enabled.get()
+class ArrayOps(_Interpreter):
+    """The fast kernels on plain arrays, with nothing recorded: inference.
+    A consuming op writes its result into its first operand's buffer."""
 
-    def bn_prelu(self, x, bn):
-        return ag.bn_prelu(x, bn.gamma, bn.beta, bn.slope, bn.state, self.train,
-                           out=x.data if self._consumes() else None)
-
-    def mul(self, a, b):
-        # only a product of a's shape and dtype can take a's place
-        into = (self._consumes() and a.shape == np.broadcast_shapes(a.shape, b.shape)
-                and a.data.dtype == np.result_type(a.data, b.data))
-        return ag.mul(a, b, out=a.data if into else None)
-
-    def bilinear(self, x, h, w):
-        dice.note_resize()
-        return ag.bilinear(x, h, w)
-
-    spatial_conv = _autograd("spatial_conv")
-    max_pool = _autograd("max_pool")
-    avg_pool = _autograd("avg_pool")
-    dimconv = _autograd("dimconv")
-    depthwise = _autograd("depthwise")
-    pointwise = _autograd("pointwise")
-    global_avg = _autograd("global_avg")
-    linear = _autograd("linear")
-    relu = _autograd("relu")
-    sigmoid = _autograd("sigmoid")
-    add = _autograd("add")
-    narrow = _autograd("narrow_channels")
-    concat = _autograd("concat_channels")
-    shuffle = _autograd("channel_shuffle")
-    reshape = _autograd("reshape")
+    def apply(self, name, op, *args, **kwargs):
+        if op.consumes:
+            kwargs["out"] = args[0]
+        return op.array(self, *args, **kwargs)
 
 
-class OracleOps:
+class OracleOps(_Interpreter):
     """The naive `oracle` loops on plain arrays; every MAC is tallied on
     `counter`, DimFuse's gate product one per element."""
 
+    field = "oracle"
+
     def __init__(self, counter: orc.OracleCounter):
         self.counter = counter
-
-    def row(self, name, kind=None):
-        return _NO_ROW
-
-    def spatial_conv(self, x, w, stride):
-        return orc.oracle_conv2d(x, w.data, stride, self.counter)[0]
-
-    def bn_prelu(self, x, bn):
-        return orc.oracle_bn_prelu(x, bn.state, bn.slope.data)
-
-    def max_pool(self, x, k, stride):
-        return orc.oracle_max_pool(x, k, stride)
-
-    def avg_pool(self, x, k, stride):
-        return orc.oracle_depthwise(x, T.avg_bank(x.shape[1], k), stride, self.counter)[0]
-
-    def dimconv(self, x, k_d, k_w, k_h):
-        banks = (T.ConvKernelBank(k.data) for k in (k_d, k_w, k_h))
-        return orc.oracle_dimconv(x, dimops.DimConvParams(*banks), self.counter)[0]
-
-    def depthwise(self, x, taps, stride=1):
-        return orc.oracle_depthwise(x, T.ConvKernelBank(taps.data), stride, self.counter)[0]
-
-    def pointwise(self, x, w, groups=1, stride=1):
-        return orc.oracle_pointwise(x, w.data, groups, stride, self.counter)[0]
-
-    def bilinear(self, x, h, w):
-        return orc.oracle_bilinear(x, h, w)
-
-    def global_avg(self, x):
-        return orc.oracle_global_avg(x, self.counter)[0]
-
-    def linear(self, x, w, bias=None, groups=1):
-        return orc.oracle_linear(x, w.data, groups, None if bias is None else bias.data,
-                                 self.counter)[0]
-
-    def relu(self, x):
-        return T.relu(x)
-
-    def sigmoid(self, x):
-        return T.sigmoid(x)
-
-    def mul(self, a, b):
-        out = a * b
-        self.counter.tally(out.size)
-        return out
-
-    def add(self, a, b):
-        return a + b
-
-    def narrow(self, x, start, length):
-        return x[:, start:start + length]
-
-    def concat(self, parts):
-        return np.concatenate(parts, axis=1)
-
-    def shuffle(self, x, groups):
-        return dice.channel_shuffle(x, groups)
-
-    def reshape(self, x, shape):
-        return x.reshape(shape)
 
 
 class _Value:
@@ -440,13 +537,13 @@ class _Value:
         return self._shape
 
 
-class CostOps:
+class CostOps(_Interpreter):
     """Shapes only: the network input is anything with a `.shape`. Each op
     adds its MACs and parameters to the row it runs in, and its output shape
     less the batch becomes the row's. `bilinear` is the identity, so a
     network run at another size is priced as one built for it: DimConv's
-    parameters come from the shape, n^2 (C + H + W). It enforces the
-    module's consume rule through the buffers its values carry."""
+    parameters come from the shape, n^2 (C + H + W). The buffers its values
+    carry enforce `consumes`."""
 
     def __init__(self):
         self.rows = []            # [name, kind, macs, params, out_shape]
@@ -466,7 +563,8 @@ class CostOps:
             self._names.pop()
             self._row = outer
 
-    def _out(self, shape, macs=0, params=0, view_of=None):
+    def apply(self, name, op, *args, **kwargs):
+        shape, macs, params, *view = op.cost(*args, **kwargs)
         if self._row is not None:
             self._row[2] += macs
             self._row[3] += params
@@ -474,83 +572,14 @@ class CostOps:
         elif macs or params:
             raise KernelError("an op with a cost ran outside every analyze() row")
         # a value made outside CostOps is the network input
-        return _Value(shape, [None] if view_of is None else getattr(view_of, "buffer", None))
-
-    def _consume(self, x, op):
-        where = f"{op} in {'.'.join(self._names) or 'the network'}"
-        buffer = getattr(x, "buffer", None)
-        if buffer is None:
-            raise KernelError(f"{where} would consume the network input")
-        buffer[0] = where
-
-    def _same(self, x, *args):
-        return self._out(x.shape)
-
-    # free, and the shape is the input's
-    relu = sigmoid = bilinear = _same
-
-    def shuffle(self, x, groups):
-        return self._out(x.shape, view_of=x)
-
-    def _conv(self, x, cout, stride, per_out, params):
-        """A window or 1x1 op: per_out MACs for each output element."""
-        nb, _, h, w = x.shape
-        shape = (nb, cout, ceil_div(h, stride), ceil_div(w, stride))
-        return self._out(shape, math.prod(shape) * per_out, params)
-
-    def spatial_conv(self, x, w, stride):
-        return self._conv(x, w.data.shape[0], stride, w.data[0].size, w.data.size)
-
-    def bn_prelu(self, x, bn):
-        out = self._out(x.shape, 0, sum(p.data.size for p in (bn.gamma, bn.beta, bn.slope)))
-        self._consume(x, "bn_prelu")
+        out = _Value(shape, getattr(args[0], "buffer", None) if view else [None])
+        if op.consumes:
+            where = f"{name} in {'.'.join(self._names) or 'the network'}"
+            buffer = getattr(args[0], "buffer", None)
+            if buffer is None:
+                raise KernelError(f"{where} would consume the network input")
+            buffer[0] = where
         return out
-
-    def max_pool(self, x, k, stride):
-        return self._conv(x, x.shape[1], stride, 0, 0)
-
-    def avg_pool(self, x, k, stride):
-        return self._conv(x, x.shape[1], stride, k * k, 0)
-
-    def dimconv(self, x, k_d, k_w, k_h):
-        nb, c, h, w = x.shape
-        n2 = k_d.data[0].size
-        return self._out((nb, 3 * c, h, w), 3 * n2 * nb * c * h * w, n2 * (c + h + w))
-
-    def depthwise(self, x, taps, stride=1):
-        return self._conv(x, x.shape[1], stride, taps.data[0].size, taps.data.size)
-
-    def pointwise(self, x, w, groups=1, stride=1):
-        return self._conv(x, w.data.shape[0], stride, w.data.shape[1], w.data.size)
-
-    def global_avg(self, x):
-        return self._out(x.shape[:2] + (1, 1), math.prod(x.shape))
-
-    def linear(self, x, w, bias=None, groups=1):
-        shape = (x.shape[0], w.data.shape[0])
-        return self._out(shape, math.prod(shape) * w.data.shape[1],
-                         w.data.size + (0 if bias is None else bias.data.size))
-
-    def mul(self, a, b):
-        shape = np.broadcast_shapes(a.shape, b.shape)
-        out = self._out(shape, math.prod(shape))
-        self._consume(a, "mul")
-        return out
-
-    def add(self, a, b):
-        return self._out(np.broadcast_shapes(a.shape, b.shape))
-
-    def narrow(self, x, start, length):
-        return self._out((x.shape[0], length) + x.shape[2:], view_of=x)
-
-    def concat(self, parts):
-        c = sum(p.shape[1] for p in parts)
-        return self._out(parts[0].shape[:1] + (c,) + parts[0].shape[2:])
-
-    def reshape(self, x, shape):
-        known = math.prod(s for s in shape if s != -1)
-        return self._out(tuple(math.prod(x.shape) // known if s == -1 else s
-                               for s in shape), view_of=x)
 
 
 @dataclass
@@ -722,5 +751,4 @@ def infer(net: Network, x: np.ndarray) -> np.ndarray:
         raise KernelError("inference input must be at least 32 pixels on a side")
     if not np.isfinite(x).all():
         raise KernelError("inference input contains NaN or infinite values")
-    with ag.no_grad():
-        return net.forward(x, train=False).data
+    return net.run(x, ArrayOps())

@@ -54,8 +54,6 @@ def oracle_depthwise(x, bank: ConvKernelBank, stride: int = 1,
                         for j in range(n):
                             acc += taps[ci, i, j] * xp[b, ci, oh * stride + i, ow * stride + j]
                             counter.tally()
-                    if bank.bias is not None:
-                        acc += float(bank.bias[ci])
                     out[b, ci, oh, ow] = acc
     return out.astype(x.dtype), counter
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,15 +111,12 @@ class ConvKernelBank:
     """A bank of per-index 2D kernels: taps has shape (count, n, n)."""
 
     taps: np.ndarray
-    bias: np.ndarray | None = None
 
     def __post_init__(self):
         if self.taps.ndim != 3 or self.taps.shape[1] != self.taps.shape[2]:
             raise KernelError(f"taps must be (count, n, n), got {self.taps.shape}")
         if self.n % 2 == 0:
             raise KernelError(f"kernel extent must be odd, got n={self.n}")
-        if self.bias is not None and self.bias.shape != (self.count,):
-            raise KernelError("bias length must equal kernel count")
 
     @property
     def count(self) -> int:
@@ -254,7 +251,7 @@ def depthwise_conv(x: np.ndarray, bank: ConvKernelBank, stride: int = 1) -> np.n
     one multiply-add over one contiguous run per channel. The loop runs in
     the channel blocks of `channel_blocks`, with numpy's ufunc buffer at 16
     elements, as in `pointwise_conv`. Every output starts at 0.0 and adds
-    its products in row-major tap order, then the bias, as the oracle does.
+    its products in row-major tap order, as the oracle does.
     Average pooling is this kernel with `avg_bank`."""
     return _image_blocks(_depthwise_conv, x, bank, stride)
 
@@ -277,8 +274,6 @@ def _depthwise_conv(x, bank, stride, out=None):
         for c0, c1 in channel_blocks(c, run):
             acc = _tap_sum(xf, c1 - c0, run, ((taps[c0:c1, i, j, None], c0, start[i][j])
                                               for i in range(n) for j in range(n)))
-            if bank.bias is not None:
-                acc += bank.bias.astype(np.float64)[c0:c1, None]
             out_v[c0:c1] = acc.reshape(c1 - c0, ho, wq, nb)[:, :, :wo]
     return res
 
@@ -297,8 +292,6 @@ def widthwise_conv(x: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
     for i in range(n):
         for j in range(n):
             acc += taps[:, i, j][None, None, None, :] * xp[:, i:i + c, j:j + h, :]
-    if bank.bias is not None:
-        acc += bank.bias.astype(np.float64)[None, None, None, :]
     return acc.astype(x.dtype)
 
 
@@ -316,13 +309,11 @@ def heightwise_conv(x: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
     for i in range(n):
         for j in range(n):
             acc += taps[:, i, j][None, None, :, None] * xp[:, i:i + c, :, j:j + w]
-    if bank.bias is not None:
-        acc += bank.bias.astype(np.float64)[None, None, :, None]
     return acc.astype(x.dtype)
 
 
 def pointwise_conv(x: np.ndarray, weights: np.ndarray, groups: int = 1,
-                   stride: int = 1, bias: np.ndarray | None = None) -> np.ndarray:
+                   stride: int = 1) -> np.ndarray:
     """1x1 convolution: weights has shape (C_out, C_in // groups).
 
     Keeps the oracle's order: every output starts at 0.0 and adds its
@@ -344,7 +335,7 @@ def pointwise_conv(x: np.ndarray, weights: np.ndarray, groups: int = 1,
     the buffer only moves data. Kernels with short rows keep the default
     buffer, which is faster for them.
     """
-    return _image_blocks(_pointwise_conv, x, weights, groups, stride, bias)
+    return _image_blocks(_pointwise_conv, x, weights, groups, stride, None)
 
 
 def _pointwise_conv(x, weights, groups, stride, bias, out=None):
@@ -410,7 +401,7 @@ def im2col(x: np.ndarray, n: int, stride: int) -> np.ndarray:
 
 
 def conv2d(x: np.ndarray, weights: np.ndarray, stride: int = 1,
-           bias: np.ndarray | None = None, keep: list | None = None) -> np.ndarray:
+           keep: list | None = None) -> np.ndarray:
     """Standard dense convolution, weights (C_out, C_in, n, n), same padding.
 
     One matrix product per image block: the weights as (C_out, C_in*n*n)
@@ -421,10 +412,10 @@ def conv2d(x: np.ndarray, weights: np.ndarray, stride: int = 1,
     the block it falls in. Given a list `keep`, each block appends its
     im2col matrix to it, in batch order, for a backward pass to reuse.
     """
-    return _image_blocks(_conv2d, x, weights, stride, bias, keep)
+    return _image_blocks(_conv2d, x, weights, stride, keep)
 
 
-def _conv2d(x, weights, stride, bias, keep, out=None):
+def _conv2d(x, weights, stride, keep, out=None):
     check_tensor(x)
     nb, c, h, w = x.shape
     cout, cin, n, n2 = weights.shape
@@ -440,8 +431,6 @@ def _conv2d(x, weights, stride, bias, keep, out=None):
     res = _output(out, (nb, cout, ho, wo), x.dtype)
     acc = np.matmul(w2, cols.reshape(nb, c * n * n, ho * wo),
                     out=res.reshape(nb, cout, ho * wo) if res.dtype == np.float64 else None)
-    if bias is not None:
-        acc += bias.astype(np.float64)[None, :, None]
     return _store(res, acc.reshape(res.shape))
 
 

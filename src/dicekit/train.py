@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
+from .netbuilder import ArrayOps
 
 # images per block of `synth_dataset`'s noise (1.5 MiB at 3x32x32)
 NOISE_BLOCK = 64
@@ -119,12 +120,11 @@ def synth_dataset(seed: int, count: int, classes: int = 10, size: int = 32):
 
 
 def evaluate(net, images, labels, batch_size: int = 64) -> float:
-    """Inference-mode accuracy over a labeled set."""
+    """Inference-mode accuracy over a labeled set, run by `ArrayOps`."""
     correct = 0
-    with ag.no_grad():
-        for lo in range(0, len(labels), batch_size):
-            scores = net.forward(images[lo:lo + batch_size], train=False).data
-            correct += int((scores.argmax(axis=1) == labels[lo:lo + batch_size]).sum())
+    for lo in range(0, len(labels), batch_size):
+        scores = net.run(images[lo:lo + batch_size], ArrayOps())
+        correct += int((scores.argmax(axis=1) == labels[lo:lo + batch_size]).sum())
     return correct / len(labels)
 
 

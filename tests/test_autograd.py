@@ -3,12 +3,14 @@
 import math
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dicekit import autograd as ag
 from dicekit import tensorops as T
+from dicekit.netbuilder import ArrayOps
 from dicekit.oracle import finite_diff_grad, oracle_bn_prelu
 from dicekit.tensorops import BatchNormParams, KernelError
 
@@ -274,39 +276,20 @@ def test_bn_prelu_infer_keeps_the_bytes(dtype):
         assert y.dtype == dtype and y.shape == x.shape
         assert y.tobytes() == want.tobytes()
         assert np.signbit(y[-1, :2, 1, 0]).tolist() == [True, False]
-        # written into x itself, the bytes are the same
-        with ag.no_grad():
-            into = ag.bn_prelu(x, state.gamma, state.beta, slope, state, False, out=x).data
+        # written into x itself, as inference writes it, the bytes are the same
+        into = ArrayOps().bn_prelu(x, SimpleNamespace(state=state, slope=ag.Var(slope)))
         assert into is x and x.tobytes() == want.tobytes()
 
 
 def test_public_ops_write_no_argument_without_out(rng):
-    # bn_prelu and mul are pure unless handed `out`, under no_grad() too: the
-    # finite-difference checks pass their own arrays in
+    # bn_prelu and mul are pure, under no_grad() too: the finite-difference
+    # checks pass their own arrays in
     args, wgt, running = _bn_prelu_args(rng, (2, 3, 4, 4))
     kept = {k: a.copy() for k, a in args.items()}
     with ag.no_grad():
         ag.bn_prelu(*args.values(), running, False)
         ag.mul(args["x"], wgt)
     assert all(args[k].tobytes() == kept[k].tobytes() for k in args)
-
-
-def test_out_is_refused_while_the_operand_is_read(rng):
-    args, _, running = _bn_prelu_args(rng, (2, 3, 4, 4))
-    x = args["x"]
-    kept = x.copy()
-    params = [ag.param(a) for a in args.values()]
-    # the tape records, so a backward would read x
-    with pytest.raises(KernelError, match="out="):
-        ag.bn_prelu(*params, running, False, out=x)
-    with pytest.raises(KernelError, match="out="):
-        ag.mul(params[0], params[0], out=x)
-    with ag.no_grad():
-        # training takes no out; an inference one must be x's shape and dtype
-        for train, out in ((True, x), (False, x.astype(np.float32)), (False, x[:1])):
-            with pytest.raises(KernelError, match="out="):
-                ag.bn_prelu(*args.values(), running, train, out=out)
-    assert x.tobytes() == kept.tobytes()
 
 
 def test_stem_backward_builds_no_input_gradient(rng):

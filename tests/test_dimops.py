@@ -92,8 +92,7 @@ def test_tap_runs_match_the_oracle(monkeypatch, dtype, blocked):
     rng = np.random.default_rng(17)
     for nb, c, h, w, n in TAP_RUN_CASES:
         x = verify.signed_zeros(rng, rng.standard_normal((nb, c, h, w))).astype(dtype)
-        bank = ConvKernelBank(ConvKernelBank.random(c, n, rng, dtype).taps,
-                              rng.standard_normal(c).astype(dtype))
+        bank = ConvKernelBank.random(c, n, rng, dtype)
         p = DimConvParams.init(c, h, w, n, rng, dtype)
         with monkeypatch.context() as m:
             seen = _spy_channel_blocks(m)

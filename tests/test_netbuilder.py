@@ -1,5 +1,6 @@
 """Layer-graph construction, cost reports, and inference properties."""
 
+import contextlib
 import hashlib
 import json
 import threading
@@ -11,10 +12,11 @@ import pytest
 
 from dicekit import autograd as ag
 from dicekit import dice, train
+from dicekit import oracle as orc
 from dicekit import tensorops as T
 from dicekit.cli import main
 from dicekit.dimops import dimfuse_cost
-from dicekit.netbuilder import (AutogradOps, CostOps, OracleOps, _BNAct, analyze,
+from dicekit.netbuilder import (OPS, ArrayOps, AutogradOps, CostOps, Op, _BNAct, analyze,
                                 build_network, infer)
 from dicekit.netconfig import default_stem_channels, parse_config
 from dicekit.tensorops import KernelError
@@ -102,13 +104,82 @@ def test_oracle_forward_off_nominal_matches_infer(micro_net, rng):
     assert np.abs(infer(micro_net, x) - ref).max() < 1e-10
 
 
-def test_interpreters_share_one_op_vocabulary():
-    def ops(cls):
-        return {name for name in vars(cls) if not name.startswith("_")}
-    vocabulary = {"row", "spatial_conv", "bn_prelu", "max_pool", "avg_pool", "dimconv",
-                  "depthwise", "pointwise", "bilinear", "global_avg", "linear", "relu",
-                  "sigmoid", "mul", "add", "narrow", "concat", "shuffle", "reshape"}
-    assert ops(AutogradOps) == ops(OracleOps) == ops(CostOps) == vocabulary
+_ABLATIONS = ("name: x\nwidth_scale: 0.1\ninput_size: 32\nclasses: 10\n"
+              "stages {\n repeats: [1]\n channels: [16]\n}\npool_width: 32\n")
+
+
+def test_op_table_is_complete():
+    # every record fills every field, and the table holds exactly the ops
+    # the layers call, across the block styles and the conv/fusion ablations
+    fields = [f for f in Op.__dataclass_fields__ if f != "consumes"]
+    assert all(callable(getattr(op, f)) for op in OPS.values() for f in fields)
+    called = set()
+
+    class Seen(CostOps):
+        def apply(self, name, op, *args, **kwargs):
+            called.add(name)
+            return super().apply(name, op, *args, **kwargs)
+
+    texts = [(CONFIGS / "dicenet-micro.cfg").read_text()]
+    texts += [_ABLATIONS + f"block_style: {style}\nconv: {conv}\nfusion: {fusion}\n"
+              for style in ("shufflenetv2", "mobilenet", "resnet")
+              for conv in ("dimconv", "depthwise") for fusion in ("dimfuse", "pointwise")]
+    for text in texts:
+        net = build_network(parse_config(text), seed=0)
+        for size in (32, 40):           # 40 px resizes around DimConv
+            net.run(np.zeros((1, 3, size, size)), Seen())
+    assert called == set(OPS)
+    assert {name for name, op in OPS.items() if op.consumes} == {"bn_prelu", "mul"}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_array_ops_match_the_tape_forward(dtype):
+    # infer runs ArrayOps, with no tape; the scores and the resize count are
+    # those of the autograd forward
+    rng = np.random.default_rng(11)
+    for name in ("dicenet-micro", "separable-micro"):
+        net = build_network(parse_config((CONFIGS / f"{name}.cfg").read_text()),
+                            seed=3, dtype=dtype)
+        for nb, size in ((1, 32), (3, 40), (1, 40), (3, 32)):
+            x = rng.standard_normal((nb, 3, size, size)).astype(dtype)
+            dice.reset_resize_count()
+            with ag.no_grad():
+                want = net.forward(x, train=False).data
+            resizes = dice.resize_count()
+            dice.reset_resize_count()
+            got = infer(net, x)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, nb, size)
+            assert dice.resize_count() == resizes, (name, nb, size)
+
+
+def test_interpreters_look_kernels_up_at_call_time(monkeypatch):
+    # perfbench's tracer replaces module attributes; every interpreter must
+    # see the replacement. A net of its own: training updates its statistics
+    net = build_network(parse_config(MICRO_CFG), seed=1)
+    seen = []
+
+    def counting(module, attr):
+        real = getattr(module, attr)
+
+        def op(*args, **kwargs):
+            seen.append(attr)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, attr, op)
+
+    counting(T, "pointwise_conv")
+    counting(ag, "pointwise")
+    counting(orc, "oracle_pointwise")
+    x = np.random.default_rng(12).standard_normal((2, 3, 32, 32))
+    runs = {"infer": lambda: infer(net, x), "forward": lambda: net.forward(x, train=True),
+            "oracle": lambda: net.oracle_forward(x)}
+    calls = {}
+    for key, run in runs.items():
+        seen.clear()
+        run()
+        calls[key] = sorted(set(seen))
+    # the autograd op calls the kernel; the oracle calls neither
+    assert calls == {"infer": ["pointwise_conv"], "forward": ["pointwise", "pointwise_conv"],
+                     "oracle": ["oracle_pointwise"]}
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.cfg")))
@@ -326,27 +397,46 @@ def test_inference_peak_memory_stays_below_two_stem_outputs():
     assert peak < 2 * stem, f"peak {peak / stem:.2f} stem outputs"
 
 
-def test_autograd_ops_consume_only_when_nothing_records():
+def test_float32_inference_peaks_below_float64():
+    # BN-PReLU widens to float64 one image block at a time, so a float32
+    # network's intermediates stay float32-sized. With a whole-batch float64
+    # buffer the float32 peak here was 1.72 stem outputs, against 1.62 for
+    # float64
+    nb, size = 16, 64
+    x = np.random.default_rng(7).standard_normal((nb, 3, size, size))
+    peaks = {}
+    for dtype in (np.float64, np.float32):
+        net, xd = _micro(dtype), x.astype(dtype)
+        infer(net, xd)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            infer(net, xd)
+            peaks[dtype] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peaks[np.float32] < peaks[np.float64], peaks
+
+
+def test_array_ops_consume_the_first_operand():
+    # ArrayOps writes a consuming op's result into its first operand;
+    # AutogradOps writes no operand, recording or not
     bn = _BNAct(3, np.float64)
     y = np.random.default_rng(8).standard_normal((2, 3, 4, 4))
+    gate = np.full((2, 3, 1, 1), 0.5)
+    for dtype in (np.float64, np.float32):
+        x = y.astype(dtype)
+        assert ArrayOps().bn_prelu(x, bn) is x
+        a = y.astype(dtype)
+        assert ArrayOps().mul(a, gate.astype(dtype)) is a
     for train_mode, grad in ((False, False), (False, True), (True, False)):
         x = ag.Var(y.copy())
-        ops = AutogradOps(train_mode)
-        if grad:
-            out = ops.bn_prelu(x, bn)
-        else:
-            with ag.no_grad():
-                out = ops.bn_prelu(x, bn)
-        assert np.shares_memory(out.data, x.data) == (not train_mode and not grad)
-    gate = ag.Var(np.full((2, 3, 1, 1), 0.5))
-    with ag.no_grad():
-        a = ag.Var(y.copy())
-        assert np.shares_memory(AutogradOps(False).mul(a, gate).data, a.data)
-        # a product of another shape or dtype than the first operand gets its own buffer
-        small = ag.Var(y[:, :, :1, :1].copy())
-        assert AutogradOps(False).mul(small, ag.Var(y)).shape == y.shape
-        narrow = ag.Var(y.astype(np.float32))
-        assert AutogradOps(False).mul(narrow, gate).data.dtype == np.float64
+        with contextlib.nullcontext() if grad else ag.no_grad():
+            out = AutogradOps(train_mode).bn_prelu(x, bn)
+            prod = AutogradOps(train_mode).mul(x, ag.Var(gate))
+        assert not np.shares_memory(out.data, x.data)
+        assert not np.shares_memory(prod.data, x.data)
+        assert x.data.tobytes() == y.tobytes()
 
 
 class _Toy:

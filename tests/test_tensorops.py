@@ -332,13 +332,13 @@ def _blocked_calls(x):
     from dicekit.dimops import DimConvParams, dimconv_fused
     rng = np.random.default_rng(1)
     c, h, w = x.shape[1:]
-    wp, bp = rng.standard_normal((4, c)), rng.standard_normal(4)
+    wp = rng.standard_normal((4, c))
     bank = ConvKernelBank.random(c, 3, rng)
     w2 = rng.standard_normal((2, c, 3, 3))
     dc = DimConvParams.init(c, h, w, 3, rng)
     wide = rng.standard_normal((3 * h * w, c))
     return {
-        "pointwise": lambda: T.pointwise_conv(x, wp, 1, 2, bp),
+        "pointwise": lambda: T.pointwise_conv(x, wp, 1, 2),
         # more outputs than an image has pixels: the outputs are the long axis
         "pointwise_outputs_inner": lambda: T.pointwise_conv(x, wide),
         "depthwise": lambda: T.depthwise_conv(x, bank, 2),
@@ -424,7 +424,7 @@ def test_phase_runs_match_the_oracle(monkeypatch, dtype, blocked):
     for nb, c, h, w, n, s in PHASE_CASES:
         x = verify.signed_zeros(rng, rng.standard_normal((nb, c, h, w))).astype(dtype)
         taps = verify.signed_zeros(rng, rng.standard_normal((c, n, n))).astype(dtype)
-        bank = ConvKernelBank(taps, rng.standard_normal(c).astype(dtype))
+        bank = ConvKernelBank(taps)
         ref, _ = orc.oracle_depthwise(x, bank, s)
         y = T.depthwise_conv(x, bank, s)
         assert y.dtype == x.dtype and y.tobytes() == ref.tobytes(), (nb, c, h, w, n, s)
