@@ -31,15 +31,14 @@ def no_grad():
 
 
 class Var:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, parents=(), backward_fn=None, name=None):
+    def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
         self.data = np.asarray(data)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = parents
         self._backward = backward_fn
-        self.name = name
 
     @property
     def shape(self):
@@ -49,8 +48,8 @@ class Var:
         return f"Var(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def param(data, name=None) -> Var:
-    return Var(np.asarray(data), requires_grad=True, name=name)
+def param(data) -> Var:
+    return Var(data, requires_grad=True)
 
 
 def as_var(x) -> Var:

@@ -19,6 +19,14 @@ every record:
 - `CostOps` (`cost`): shapes only, summing each op's MACs and parameters
   into the row it runs in: `analyze()`.
 
+`ops.image_blocks(fn, x)` is an interpreter method outside the vocabulary,
+with no `OPS` record. `fn` maps a batch to a batch, each output image
+depending on its own input image alone. `ArrayOps` runs it over
+`tensorops._image_blocks`' blocks of whole images and copies each block's
+result into its slice of the batch result; the others return `fn(x)`.
+`Network.run` passes the stem and max pool through it, so inference never
+allocates the whole batch's stem output.
+
 The cost convention is the oracle's: a convolution is charged one MAC per
 tap per output element (padded taps included), pooling its window
 accumulations, DimFuse's gate product one MAC per element; normalization,
@@ -480,6 +488,10 @@ class _Interpreter:
     def row(self, name, kind=None):
         return _NO_ROW
 
+    def image_blocks(self, fn, x):
+        """fn(x), on the whole batch at once."""
+        return fn(x)
+
     def __getattr__(self, name):
         if name not in OPS:
             raise AttributeError(name)
@@ -507,6 +519,15 @@ class ArrayOps(_Interpreter):
         if op.consumes:
             kwargs["out"] = args[0]
         return op.array(self, *args, **kwargs)
+
+    def image_blocks(self, fn, x):
+        """fn run over `tensorops._image_blocks`' blocks of x, each block's
+        result copied into its slice of the batch result: fn's intermediates
+        are never allocated for the whole batch."""
+        def block(xb, out=None):
+            y = fn(xb)
+            return y if out is None else T._store(out(y.shape, y.dtype), y)
+        return T._image_blocks(block, x)
 
 
 class OracleOps(_Interpreter):
@@ -592,7 +613,7 @@ class Network:
     def run(self, x, ops):
         """The forward pass, interpreted by `ops`; block i's rows are stage.<i>.*"""
         stem, pool, *blocks = self.layers
-        x = pool.forward(stem.forward(x, ops), ops)
+        x = ops.image_blocks(lambda xb: pool.forward(stem.forward(xb, ops), ops), x)
         for i, block in enumerate(blocks):
             with ops.row(f"stage.{i}"):
                 x = block.forward(x, ops)

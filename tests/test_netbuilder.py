@@ -135,12 +135,13 @@ def test_op_table_is_complete():
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_array_ops_match_the_tape_forward(dtype):
     # infer runs ArrayOps, with no tape; the scores and the resize count are
-    # those of the autograd forward
+    # those of the autograd forward. 7 images of 64 px run the stem in four
+    # image blocks, the last one ragged; the tape runs it on the whole batch
     rng = np.random.default_rng(11)
     for name in ("dicenet-micro", "separable-micro"):
         net = build_network(parse_config((CONFIGS / f"{name}.cfg").read_text()),
                             seed=3, dtype=dtype)
-        for nb, size in ((1, 32), (3, 40), (1, 40), (3, 32)):
+        for nb, size in ((1, 32), (3, 40), (1, 40), (3, 32), (7, 64)):
             x = rng.standard_normal((nb, 3, size, size)).astype(dtype)
             dice.reset_resize_count()
             with ag.no_grad():
@@ -395,6 +396,25 @@ def test_inference_peak_memory_stays_below_two_stem_outputs():
     finally:
         tracemalloc.stop()
     assert peak < 2 * stem, f"peak {peak / stem:.2f} stem outputs"
+
+
+def test_inference_peak_memory_stays_below_one_stem_output():
+    # the stem and max pool run one image block at a time, so the whole
+    # batch's stem output never exists. With the stem run on the whole batch
+    # the peak here was 1.62 stem outputs
+    net = _micro(np.float64)
+    nb, size = 16, 64
+    x = np.random.default_rng(7).standard_normal((nb, 3, size, size))
+    stem = nb * default_stem_channels(net.cfg.width_scale) * (size // 2) ** 2 * 8
+    infer(net, x)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        infer(net, x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < stem, f"peak {peak / stem:.2f} stem outputs"
 
 
 def test_float32_inference_peaks_below_float64():

@@ -10,6 +10,7 @@ from dicekit.train import (
     TrainConfig,
     TrainError,
     ema_update,
+    evaluate,
     metrics_csv,
     sgd_step,
     swap_params,
@@ -138,6 +139,23 @@ def test_synth_dataset_linearly_separable_above_chance():
     w, *_ = np.linalg.lstsq(flat, onehot, rcond=None)
     acc = float((np.argmax(flat @ w, axis=1) == labels).mean())
     assert acc > 0.5
+
+
+def test_evaluate_over_image_blocks_matches_the_whole_batch(monkeypatch):
+    # 25 images of 32 px run the stem and max pool in three image blocks,
+    # 10 + 10 + 5; the tape forward runs them on the whole batch
+    net = build_network(parse_config(MICRO_CFG), seed=4)
+    images, labels = synth_dataset(4, 25)
+    with ag.no_grad():
+        want = net.forward(images, train=False).data
+    stem_forward, run, blocks, scores = net.layers[0].forward, net.run, [], []
+    monkeypatch.setattr(net.layers[0], "forward",
+                        lambda x, ops: blocks.append(len(x)) or stem_forward(x, ops))
+    monkeypatch.setattr(net, "run", lambda x, ops: scores.append(run(x, ops)) or scores[-1])
+    acc = evaluate(net, images, labels, batch_size=25)
+    assert blocks == [10, 10, 5]
+    assert scores[0].tobytes() == want.tobytes()
+    assert acc == int((want.argmax(axis=1) == labels).sum()) / 25
 
 
 def test_train_config_validation():
