@@ -20,6 +20,9 @@ from .tensorops import ConvKernelBank, KernelError
 # in every other thread (each thread starts from the default).
 _grad_enabled = contextvars.ContextVar("dicekit_grad_enabled", default=True)
 
+# the share of a training batch's statistics in bn_prelu's running ones
+BN_MOMENTUM = 0.1
+
 
 @contextlib.contextmanager
 def no_grad():
@@ -452,20 +455,20 @@ def _bn_prelu_infer(x, mean, inv_std, gamma, beta, s, out=None) -> np.ndarray:
     return out
 
 
-def bn_prelu(x, gamma, beta, slope, state: T.BatchNormParams, train: bool,
-             momentum: float = 0.1) -> Var:
+def bn_prelu(x, gamma, beta, slope, state: T.BatchNormParams, train: bool) -> Var:
     """Batch norm then a per-channel PReLU: y = gamma*x_hat + beta with
     x_hat = (x - mean)*inv_std, cast to x's dtype, then where(y >= 0, y, s*y).
 
     In training the statistics are the batch's (biased variance), and they
-    update state's running statistics in place. The op then works in one
-    channel-major float64 buffer, (C, N*H*W), with one transpose in and one
-    out: the statistics, the PReLU factor and every per-channel reduction of
-    the backward run along rows N*H*W long. In inference the statistics are
-    state's running ones, and the bytes are the formula's, evaluated in that
-    order (`_bn_prelu_infer`); the backward rebuilds x_hat, y and the factor
-    from x. Either backward gives the input gradient only when x needs one.
-    No argument is written but the running statistics.
+    update state's running statistics in place, at momentum `BN_MOMENTUM`. The
+    op then works in one channel-major float64 buffer, (C, N*H*W), with one
+    transpose in and one out: the statistics, the PReLU factor and every
+    per-channel reduction of the backward run along rows N*H*W long. In
+    inference the statistics are state's running ones, and the bytes are the
+    formula's, evaluated in that order (`_bn_prelu_infer`); the backward
+    rebuilds x_hat, y and the factor from x. Either backward gives the input
+    gradient only when x needs one. No argument is written but the running
+    statistics.
     """
     x, gamma, beta, slope = as_var(x), as_var(gamma), as_var(beta), as_var(slope)
     nb, c, h, w = x.data.shape
@@ -487,8 +490,8 @@ def bn_prelu(x, gamma, beta, slope, state: T.BatchNormParams, train: bool,
         mean = xc.mean(axis=1)
         xc -= _channels(mean)
         var = np.einsum("cm,cm->c", xc, xc) / xc.shape[1]
-        state.running_mean[:] = (1 - momentum) * state.running_mean + momentum * mean
-        state.running_var[:] = (1 - momentum) * state.running_var + momentum * var
+        state.running_mean[:] = (1 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mean
+        state.running_var[:] = (1 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * var
         inv_std = 1.0 / np.sqrt(var + state.eps)
         saved = normalized(xc)
         z = saved[1] * saved[2]

@@ -134,11 +134,10 @@ class ConvKernelBank:
         return ConvKernelBank(taps)
 
     @staticmethod
-    def random(count: int, n: int, rng: np.random.Generator, dtype=np.float64,
-               scale: float | None = None) -> "ConvKernelBank":
-        if scale is None:
-            scale = math.sqrt(2.0 / (n * n))
-        taps = rng.normal(0.0, scale, size=(count, n, n)).astype(dtype)
+    def random(count: int, n: int, rng: np.random.Generator,
+               dtype=np.float64) -> "ConvKernelBank":
+        """Taps drawn from N(0, 2/n²), He initialisation for n×n taps."""
+        taps = rng.normal(0.0, math.sqrt(2.0 / (n * n)), size=(count, n, n)).astype(dtype)
         return ConvKernelBank(taps)
 
 

@@ -327,12 +327,14 @@ def _rel_err(a, b, floor=1e-7):
     return float((np.abs(a - b) / denom).max())
 
 
-def grad_check(name, loss_of, analytic_grad_of, theta0, h=1e-5,
-               threshold=1e-4) -> CheckResult:
-    """Compare an analytic parameter gradient against central differences."""
-    analytic = analytic_grad_of(theta0)
-    numeric = orc.finite_diff_grad(lambda t: loss_of(t), theta0, h)
-    err = _rel_err(analytic, numeric)
+def grad_check(name, build, theta0, threshold=1e-4) -> CheckResult:
+    """Compare the tape's gradient of build(Var) -> scalar Var at theta0
+    against central differences of the same function, on unrecorded Vars.
+    The differences perturb theta0 in place and restore it."""
+    tv = ag.param(theta0.copy())
+    ag.backward(build(tv))
+    numeric = orc.finite_diff_grad(lambda t: float(build(ag.Var(t)).data), theta0)
+    err = _rel_err(tv.grad, numeric)
     return CheckResult(name, err < threshold, err)
 
 
@@ -368,8 +370,7 @@ def adjoint_check(name, rng, fn, values, k_in, abs_out=None) -> CheckResult:
     dy = rng.standard_normal(y.shape)
     ag.backward(out, seed=dy)
     if abs_out is None:
-        with ag.no_grad():
-            abs_out = fn(*(np.abs(v) for v in values)).data
+        abs_out = fn(*(np.abs(v) for v in values)).data
     ref = _dot(dy, y)
     sides = [_dot(vs[0].grad, values[0])]
     if len(values) > 1:
@@ -418,10 +419,8 @@ def _adjoint_checks(rng):
                                  max(9 * c, 9 * cout, k_t)))
     results.append(adjoint_check("adjoint.avg_pool", rng, lambda a: ag.avg_pool(a, 3, 2),
                                  (x,), 9))
-    with ag.no_grad():
-        top = ag.max_pool(x, 3, 2).data
     results.append(adjoint_check("adjoint.max_pool", rng, lambda a: ag.max_pool(a, 3, 2),
-                                 (x,), 9, abs_out=np.abs(top)))
+                                 (x,), 9, abs_out=np.abs(T.pool(x, "max", 3, 2))))
 
     groups, cig, cog = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
     nb, _, h, w = _wide_batch_shape(rng)
@@ -453,25 +452,15 @@ def _bn_prelu_checks(rng):
     running = (rng.standard_normal(c), 1.0 + rng.random(c))
     results = []
     for train in (True, False):
-        def bn_prelu(vals, train=train):
-            mean, var = (np.zeros(c), np.ones(c)) if train else running
-            state = T.BatchNormParams(args["gamma"], args["beta"], mean.copy(), var.copy())
-            return ag.bn_prelu(*vals, state, train)
-
         for name in args:
-            def loss(t, name=name, bn_prelu=bn_prelu):
-                with ag.no_grad():
-                    out = bn_prelu([ag.Var(t if k == name else a) for k, a in args.items()])
-                return float(np.sum(out.data * wgt))
-
-            def grad(t, name=name, bn_prelu=bn_prelu):
-                vals = {k: ag.Var(a) for k, a in args.items()}
-                vals[name] = ag.param(t.copy())
-                ag.backward(ag.sum_all(ag.mul(bn_prelu(list(vals.values())), ag.Var(wgt))))
-                return vals[name].grad
+            def build(v, name=name, train=train):
+                mean, var = (np.zeros(c), np.ones(c)) if train else running
+                state = T.BatchNormParams(args["gamma"], args["beta"], mean.copy(), var.copy())
+                vals = [v if k == name else ag.Var(a) for k, a in args.items()]
+                return ag.sum_all(ag.mul(ag.bn_prelu(*vals, state, train), ag.Var(wgt)))
 
             mode = "train" if train else "infer"
-            results.append(grad_check(f"bn_prelu.{mode}.{name}", loss, grad, args[name]))
+            results.append(grad_check(f"bn_prelu.{mode}.{name}", build, args[name]))
     return results
 
 
@@ -484,58 +473,24 @@ def run_gradients(seed: int = 0):
     results += _bn_prelu_checks(np.random.default_rng([seed, 2]))
     x = rng.standard_normal((2, 3, 5, 4))
     wgt = rng.standard_normal((2, 3, 5, 4))
+    xv = ag.Var(x)
 
-    def dw_loss(t):
-        return np.sum(T.depthwise_conv(x, ConvKernelBank(t)) * wgt)
+    def sum_sq(y):
+        return ag.sum_all(ag.mul(y, y))
 
-    def dw_grad(t):
-        tv = ag.param(t.copy())
-        loss = ag.sum_all(ag.mul(ag.depthwise(ag.Var(x), tv), ag.Var(wgt)))
-        ag.backward(loss)
-        return tv.grad
-
-    results.append(grad_check("depthwise.taps", dw_loss, dw_grad,
+    results.append(grad_check("depthwise.taps",
+                              lambda t: ag.sum_all(ag.mul(ag.depthwise(xv, t), ag.Var(wgt))),
                               rng.standard_normal((3, 3, 3))))
-
-    pw = rng.standard_normal((4, 3))
-
-    def pw_loss(w):
-        return np.sum(T.pointwise_conv(x, w) ** 2)
-
-    def pw_grad(w):
-        wv = ag.param(w.copy())
-        y = ag.pointwise(ag.Var(x), wv)
-        loss = ag.sum_all(ag.mul(y, y))
-        ag.backward(loss)
-        return wv.grad
-
-    results.append(grad_check("pointwise.weights", pw_loss, pw_grad, pw))
-
+    results.append(grad_check("pointwise.weights", lambda w: sum_sq(ag.pointwise(xv, w)),
+                              rng.standard_normal((4, 3))))
     p = DimConvParams.init(3, 5, 4, 3, rng)
-
-    def dc_loss(kd):
-        pp = DimConvParams(ConvKernelBank(kd), p.k_w, p.k_h)
-        return np.sum(dimconv_fused(x, pp) ** 2)
-
-    def dc_grad(kd):
-        kv = ag.param(kd.copy())
-        y = ag.dimconv(ag.Var(x), kv, ag.Var(p.k_w.taps), ag.Var(p.k_h.taps))
-        loss = ag.sum_all(ag.mul(y, y))
-        ag.backward(loss)
-        return kv.grad
-
-    results.append(grad_check("dimconv.k_d", dc_loss, dc_grad, p.k_d.taps.copy()))
-
-    def in_loss(xi):
-        return np.sum(T.depthwise_conv(xi, T.avg_bank(3, 3), 2) * wgt[:, :, :3, :2])
-
-    def in_grad(xi):
-        xv = ag.param(xi.copy())
-        loss = ag.sum_all(ag.mul(ag.avg_pool(xv, 3, 2), ag.Var(wgt[:, :, :3, :2])))
-        ag.backward(loss)
-        return xv.grad
-
-    results.append(grad_check("avg_pool.input", in_loss, in_grad, x.copy()))
+    kw, kh = ag.Var(p.k_w.taps), ag.Var(p.k_h.taps)
+    results.append(grad_check("dimconv.k_d", lambda kd: sum_sq(ag.dimconv(xv, kd, kw, kh)),
+                              p.k_d.taps.copy()))
+    pooled_wgt = ag.Var(wgt[:, :, :3, :2])
+    results.append(grad_check("avg_pool.input",
+                              lambda xi: ag.sum_all(ag.mul(ag.avg_pool(xi, 3, 2), pooled_wgt)),
+                              x.copy()))
     return results
 
 
