@@ -231,40 +231,31 @@ def _branch_grad(axes, x, taps, dy, stride: int = 1):
     return dx.transpose(back), dt
 
 
-def depthwise(x, taps, stride: int = 1) -> Var:
+def _branch(axes, forward, x, taps, stride: int = 1) -> Var:
+    """The tape op of a convolution by a per-index bank of n x n kernels:
+    `forward(x, bank)` runs it, and `axes` (see `_branch_grad`) says which
+    axis of x the bank indexes."""
     x, taps = as_var(x), as_var(taps)
-    out = T.depthwise_conv(x.data, _bank(taps.data), stride)
+    out = forward(x.data, _bank(taps.data))
 
     def bw(dy):
-        dx, dt = _branch_grad(_DEPTH, x.data, taps, dy, stride)
+        dx, dt = _branch_grad(axes, x.data, taps, dy, stride)
         _accum(x, dx)
         _accum(taps, dt)
 
     return _make(out, (x, taps), bw)
+
+
+def depthwise(x, taps, stride: int = 1) -> Var:
+    return _branch(_DEPTH, lambda a, b: T.depthwise_conv(a, b, stride), x, taps, stride)
 
 
 def widthwise(x, taps) -> Var:
-    x, taps = as_var(x), as_var(taps)
-    out = T.widthwise_conv(x.data, _bank(taps.data))
-
-    def bw(dy):
-        dx, dt = _branch_grad(_WIDTH, x.data, taps, dy)
-        _accum(x, dx)
-        _accum(taps, dt)
-
-    return _make(out, (x, taps), bw)
+    return _branch(_WIDTH, lambda a, b: T.widthwise_conv(a, b), x, taps)
 
 
 def heightwise(x, taps) -> Var:
-    x, taps = as_var(x), as_var(taps)
-    out = T.heightwise_conv(x.data, _bank(taps.data))
-
-    def bw(dy):
-        dx, dt = _branch_grad(_HEIGHT, x.data, taps, dy)
-        _accum(x, dx)
-        _accum(taps, dt)
-
-    return _make(out, (x, taps), bw)
+    return _branch(_HEIGHT, lambda a, b: T.heightwise_conv(a, b), x, taps)
 
 
 def pointwise(x, w, groups: int = 1, stride: int = 1) -> Var:

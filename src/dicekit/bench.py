@@ -23,7 +23,7 @@ from .dimops import (
     dimconv_unfused,
     separable_conv,
 )
-from .tensorops import ConvKernelBank, KernelError
+from .tensorops import ConvKernelBank
 
 DEFAULT_SHAPE = (64, 56, 56)
 DEFAULT_N = 3
@@ -38,38 +38,23 @@ class BenchResult:
     op: str
     impl: str
     shape: tuple
-    repeats: int
     times: list = field(default_factory=list)
     checksum: str = ""
     macs: int = 0
-
-    def __post_init__(self):
-        if self.times and len(self.times) != self.repeats:
-            raise BenchError("trial count disagrees with repeats")
 
     @property
     def median(self) -> float:
         return statistics.median(self.times)
 
-    @property
-    def mean(self) -> float:
-        return statistics.fmean(self.times)
-
-    @property
-    def stddev(self) -> float:
-        return statistics.pstdev(self.times) if len(self.times) > 1 else 0.0
-
-    @property
-    def macs_per_second(self) -> float:
-        return self.macs / self.median if self.median > 0 else float("inf")
-
     def row(self) -> dict:
         return {
             "op": self.op, "impl": self.impl,
             "shape": "x".join(str(s) for s in self.shape),
-            "repeats": self.repeats,
-            "median_s": self.median, "mean_s": self.mean, "stddev_s": self.stddev,
-            "macs_per_s": self.macs_per_second, "checksum": self.checksum,
+            "repeats": len(self.times),
+            "median_s": self.median, "mean_s": statistics.fmean(self.times),
+            "stddev_s": statistics.pstdev(self.times),
+            "macs_per_s": self.macs / self.median if self.median > 0 else float("inf"),
+            "checksum": self.checksum,
         }
 
 
@@ -80,43 +65,27 @@ def _checksum(arr: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def _make_inputs(op: str, shape, n: int, seed: int, dtype=np.float64):
-    c, h, w = shape
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((1, c, h, w)).astype(dtype)
-    if op == "dimconv":
-        params = DimConvParams.init(c, h, w, n, rng, dtype)
-        return x, params
-    if op == "separable":
-        bank = ConvKernelBank.random(c, n, rng, dtype)
-        pw = rng.normal(0.0, (2.0 / c) ** 0.5, size=(c, c)).astype(dtype)
-        return x, (bank, pw)
-    raise BenchError(f"unknown bench op {op!r}")
-
-
 def run_bench(op: str, impl: str, shape=DEFAULT_SHAPE, n: int = DEFAULT_N,
               repeats: int = 10, warmup: int = 2, seed: int = 0) -> BenchResult:
-    """Time one (op, impl) pair on deterministic inputs."""
+    """Time one (op, impl) pair on deterministic inputs: dimconv `fused` or
+    `unfused`, or separable `default`."""
     if repeats < 1 or warmup < 0:
         raise BenchError("need repeats >= 1 and warmup >= 0")
-    x, params = _make_inputs(op, shape, n, seed)
-    if op == "dimconv":
-        if impl == "fused":
-            fn = lambda: dimconv_fused(x, params)
-        elif impl == "unfused":
-            fn = lambda: dimconv_unfused(x, params)
-        else:
-            raise BenchError(f"unknown impl {impl!r} for dimconv")
-        macs = dimconv_macs(shape[0], shape[1], shape[2], n)
-    elif op == "separable":
-        bank, pw = params
+    c, h, w = shape
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((1, c, h, w))
+    if op == "dimconv" and impl in ("fused", "unfused"):
+        params = DimConvParams.init(c, h, w, n, rng)
+        kernel = dimconv_fused if impl == "fused" else dimconv_unfused
+        fn = lambda: kernel(x, params)
+        macs = dimconv_macs(c, h, w, n)
+    elif op == "separable" and impl == "default":
+        bank = ConvKernelBank.random(c, n, rng)
+        pw = rng.normal(0.0, (2.0 / c) ** 0.5, size=(c, c))
         fn = lambda: separable_conv(x, bank, pw)
-        c, h, w = shape
         macs = n * n * h * w * c + c * c * h * w
-        if impl not in ("fused", "unfused", "default"):
-            raise BenchError(f"unknown impl {impl!r} for separable")
     else:
-        raise BenchError(f"unknown bench op {op!r}")
+        raise BenchError(f"unknown bench variant: op {op!r}, impl {impl!r}")
     out = None
     for _ in range(warmup):
         out = fn()
@@ -125,8 +94,8 @@ def run_bench(op: str, impl: str, shape=DEFAULT_SHAPE, n: int = DEFAULT_N,
         t0 = time.monotonic()
         out = fn()
         times.append(time.monotonic() - t0)
-    return BenchResult(op=op, impl=impl, shape=tuple(shape), repeats=repeats,
-                       times=times, checksum=_checksum(out), macs=macs)
+    return BenchResult(op=op, impl=impl, shape=tuple(shape), times=times,
+                       checksum=_checksum(out), macs=macs)
 
 
 def compare_fused_unfused(shape=DEFAULT_SHAPE, n: int = DEFAULT_N,

@@ -13,6 +13,7 @@ if os.environ.get("DICEKIT_THREADS"):
         os.environ.setdefault(_var, _cap)
 
 import argparse
+import json
 import sys
 
 EXIT_OK = 0
@@ -66,6 +67,8 @@ def cmd_bench(args) -> int:
         lines = [",".join(keys)]
         lines += [",".join(str(row[k]) for k in keys) for row in rows]
         _write_out("\n".join(lines) + "\n", args.out)
+    elif args.format == "json":
+        _write_out(json.dumps(rows) + "\n", args.out)
     else:
         lines = []
         for row in rows:

@@ -42,10 +42,6 @@ class DimConvParams:
         return self.k_d.n
 
     @property
-    def channels(self) -> int:
-        return self.k_d.count
-
-    @property
     def nominal_h(self) -> int:
         return self.k_h.count
 

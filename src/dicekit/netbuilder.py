@@ -353,8 +353,8 @@ def _dimconv_params(k_d, k_w, k_h):
 
 def _dimconv_cost(x, k_d, k_w, k_h):
     nb, c, h, w = x.shape
-    n2 = k_d.data[0].size
-    return (nb, 3 * c, h, w), 3 * n2 * nb * c * h * w, n2 * (c + h + w)
+    n = k_d.data.shape[1]
+    return (nb, 3 * c, h, w), nb * dimops.dimconv_macs(c, h, w, n), n * n * (c + h + w)
 
 
 def _bn_prelu_array(ops, x, bn, out):

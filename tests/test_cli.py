@@ -69,14 +69,30 @@ def test_analyze_overflowing_width_scale_exit_2(tmp_path, capsys):
     assert "width_scale" in capsys.readouterr().err
 
 
-def test_bench_checksums_match(capsys):
-    assert main(["--format", "csv", "bench", "--op", "dimconv",
+# the inputs are drawn from fixed PCG64 streams and the kernels are
+# bitwise, so these digests pin both the draws and the outputs
+@pytest.mark.parametrize("op,impls,checksum", [
+    ("dimconv", ["fused", "unfused"],
+     "28aa621deb435ab52b3d68b54bcc4cf3ddd2bc37c5ae3312a34898040c10ebae"),
+    ("separable", ["default"],
+     "fa447d228e79fe456167a76ffdf2841fedd29c2d7c3cc5ab06bb3a1255ad30f1"),
+], ids=["dimconv", "separable"])
+def test_bench_checksums_match(capsys, op, impls, checksum):
+    assert main(["--format", "csv", "bench", "--op", op,
                  "--shape", "8,10,10", "--repeats", "2", "--warmup", "1"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
     header = lines[0].split(",")
-    ck = header.index("checksum")
-    sums = {line.split(",")[ck] for line in lines[1:]}
-    assert len(sums) == 1
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert [row["impl"] for row in rows] == impls
+    assert {row["checksum"] for row in rows} == {checksum}
+
+
+def test_bench_json_parses(capsys):
+    assert main(["--format", "json", "bench", "--shape", "4,6,6",
+                 "--repeats", "2", "--warmup", "0"]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["impl"] for row in rows] == ["fused", "unfused"]
+    assert all(row["repeats"] == 2 and row["shape"] == "4x6x6" for row in rows)
 
 
 def test_bench_single_repeat_zero_stddev(capsys):

@@ -164,3 +164,10 @@ def test_bench_refuses_slot_swapped_dimconv(monkeypatch, shape):
     monkeypatch.setattr(bench, "dimconv_fused", swapped)
     with pytest.raises(bench.BenchError):
         bench.compare_fused_unfused(shape, repeats=1, warmup=0)
+
+
+@pytest.mark.parametrize("op,impl", [("separable", "fused"), ("dimconv", "default"),
+                                     ("dimfuse", "fused")])
+def test_bench_rejects_unknown_variant(op, impl):
+    with pytest.raises(bench.BenchError, match="unknown bench variant"):
+        bench.run_bench(op, impl, (4, 6, 6), repeats=1, warmup=0)
