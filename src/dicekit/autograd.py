@@ -1,36 +1,21 @@
-"""Reverse-mode differentiation over the CPU kernels.
+"""Reverse-mode differentiation over the CPU kernels, for training.
 
 A small tape: every op returns a Var holding the forward result plus a
-closure that scatters the incoming gradient to its parents. Forward values
-are produced by the fast kernels in tensorops/dimops, so a no-grad forward
-through this module is bit-identical to composing those kernels directly.
+closure that scatters the incoming gradient to its parents; an op records
+only when a parent requires a gradient. Forward values are the fast kernels'
+of tensorops/dimops, bit for bit, but for `bn_prelu`, which normalizes by
+the batch's statistics where inference uses the running ones.
 """
 
 from __future__ import annotations
-
-import contextlib
-import contextvars
 
 import numpy as np
 
 from . import tensorops as T
 from .tensorops import ConvKernelBank, KernelError
 
-# Per context, so a no_grad() block in one thread leaves tape recording on
-# in every other thread (each thread starts from the default).
-_grad_enabled = contextvars.ContextVar("dicekit_grad_enabled", default=True)
-
 # the share of a training batch's statistics in bn_prelu's running ones
 BN_MOMENTUM = 0.1
-
-
-@contextlib.contextmanager
-def no_grad():
-    token = _grad_enabled.set(False)
-    try:
-        yield
-    finally:
-        _grad_enabled.reset(token)
 
 
 class Var:
@@ -70,7 +55,7 @@ def _accum(v: Var, g):
 
 
 def _make(data, parents, backward_fn) -> Var:
-    if _grad_enabled.get() and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         return Var(data, requires_grad=True, parents=tuple(parents), backward_fn=backward_fn)
     return Var(data)
 
@@ -286,12 +271,12 @@ def pointwise(x, w, groups: int = 1, stride: int = 1) -> Var:
 def spatial_conv(x, w, stride: int = 1) -> Var:
     """Dense n x n convolution; weights (C_out, C_in, n, n).
 
-    While the tape records a weight gradient, the forward keeps the im2col
+    When the weights require a gradient, the forward keeps the im2col
     matrix of each of conv2d's image blocks for the backward; otherwise
     nothing is kept."""
     x, w = as_var(x), as_var(w)
     cout, c, n, _ = w.data.shape
-    cols = [] if _grad_enabled.get() and w.requires_grad else None
+    cols = [] if w.requires_grad else None
     out = T.conv2d(x.data, w.data, stride, keep=cols)
 
     def bw(dy):
@@ -401,105 +386,39 @@ def _channel_major(a) -> np.ndarray:
         .reshape(a.shape[1], -1)
 
 
-def _prelu_factor(y, s) -> np.ndarray:
-    """1 where y >= 0 and s where y < 0, with s per channel and shaped to
-    broadcast against y: PReLU(y) is y*f bit for bit (y*1 == y, y*s == s*y),
-    and f is its derivative. f is picked on the bits, 1 ^ ((1 ^ s) & mask)
-    with mask all ones where y < 0, so every slope comes through unchanged,
-    -0.0 and non-finite ones too. np.where would give the same bytes, but its
-    per-element branch costs more on rows of mixed signs than every other
-    pass of the op together."""
-    it = np.dtype(f"i{y.dtype.itemsize}")
-    one = np.ones(1, dtype=y.dtype).view(it)
-    mask = (y < 0).view(np.int8)
-    np.negative(mask, out=mask)          # -1, all ones once widened to `it`
-    f = np.bitwise_and(s.view(it) ^ one, mask)
-    f ^= one
-    return f.view(y.dtype)
+def bn_prelu(x, gamma, beta, slope, state: T.BatchNormParams) -> Var:
+    """Batch norm by the batch's statistics (biased variance), then a
+    per-channel PReLU: y = gamma*x_hat + beta with x_hat = (x - mean)*inv_std,
+    cast to x's dtype, then where(y >= 0, y, s*y). The statistics update
+    state's running ones in place, at momentum `BN_MOMENTUM`; no other
+    argument is written. Inference normalizes by the running statistics
+    instead, in `tensorops.bn_prelu`.
 
-
-def _bn_prelu_infer(x, mean, inv_std, gamma, beta, s, out=None) -> np.ndarray:
-    """((x - mean)*inv_std)*gamma + beta in float64, cast to x's dtype, then
-    where(y >= 0, y, s*y), byte for byte, finished in place. Every pass is
-    elementwise and runs over one image block of at most BLOCK_BYTES of
-    float64 before the next block starts, so the block stays in cache. The
-    result goes into `out` (x itself, say), or a new array, of x's shape and
-    dtype. A float64 result is also the float64 buffer; for float32 the
-    blocks share one float64 buffer of a block's size."""
-    mean, inv_std, gamma, beta, s = (a[None, :, None, None]
-                                     for a in (mean, inv_std, gamma, beta, s))
-    nb = x.shape[0]
-    per = max(1, T.BLOCK_BYTES // (8 * x[0].size))
-    if out is None:
-        out = np.empty_like(x)
-    wide = None if x.dtype == np.float64 else np.empty((min(per, nb),) + x.shape[1:])
-    for i in range(0, nb, per):
-        o = out[i:i + per]
-        b = o if wide is None else wide[:len(o)]
-        np.subtract(x[i:i + per], mean, dtype=np.float64, out=b)
-        b *= inv_std
-        b *= gamma
-        b += beta
-        if b is not o:
-            o[...] = b
-        o *= _prelu_factor(o, s)
-    return out
-
-
-def bn_prelu(x, gamma, beta, slope, state: T.BatchNormParams, train: bool) -> Var:
-    """Batch norm then a per-channel PReLU: y = gamma*x_hat + beta with
-    x_hat = (x - mean)*inv_std, cast to x's dtype, then where(y >= 0, y, s*y).
-
-    In training the statistics are the batch's (biased variance), and they
-    update state's running statistics in place, at momentum `BN_MOMENTUM`. The
-    op then works in one channel-major float64 buffer, (C, N*H*W), with one
+    The op works in one channel-major float64 buffer, (C, N*H*W), with one
     transpose in and one out: the statistics, the PReLU factor and every
-    per-channel reduction of the backward run along rows N*H*W long. In
-    inference the statistics are state's running ones, and the bytes are the
-    formula's, evaluated in that order (`_bn_prelu_infer`); the backward
-    rebuilds x_hat, y and the factor from x. Either backward gives the input
-    gradient only when x needs one. No argument is written but the running
-    statistics.
+    per-channel reduction of the backward run along rows N*H*W long. The
+    backward gives the input gradient only when x needs one.
     """
     x, gamma, beta, slope = as_var(x), as_var(gamma), as_var(beta), as_var(slope)
     nb, c, h, w = x.data.shape
     if gamma.data.shape != (c,):
         raise KernelError(f"batch-norm sized for {gamma.data.shape} channels, input has {c}")
     s = slope.data.astype(x.data.dtype, copy=False)
-
-    def normalized(x_hat):
-        """x_hat, y and the PReLU factor; scales the centred rows to x_hat
-        in place."""
-        x_hat *= _channels(inv_std)
-        y = x_hat * _channels(gamma.data)
-        y += _channels(beta.data)
-        y = y.astype(x.data.dtype, copy=False)
-        return x_hat, y, _prelu_factor(y, _channels(s))
-
-    if train:
-        xc = _channel_major(x.data)
-        mean = xc.mean(axis=1)
-        xc -= _channels(mean)
-        var = np.einsum("cm,cm->c", xc, xc) / xc.shape[1]
-        state.running_mean[:] = (1 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mean
-        state.running_var[:] = (1 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * var
-        inv_std = 1.0 / np.sqrt(var + state.eps)
-        saved = normalized(xc)
-        z = saved[1] * saved[2]
-        out = np.ascontiguousarray(z.reshape(c, nb, h, w).transpose(1, 0, 2, 3))
-    else:
-        # a copy: backward must see the statistics this forward used
-        mean = state.running_mean.copy()
-        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-        out = _bn_prelu_infer(x.data, mean, inv_std, gamma.data, beta.data, s)
+    x_hat = _channel_major(x.data)
+    mean = x_hat.mean(axis=1)
+    x_hat -= _channels(mean)
+    var = np.einsum("cm,cm->c", x_hat, x_hat) / x_hat.shape[1]
+    state.running_mean[:] = (1 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mean
+    state.running_var[:] = (1 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * var
+    inv_std = 1.0 / np.sqrt(var + state.eps)
+    x_hat *= _channels(inv_std)
+    y = x_hat * _channels(gamma.data)
+    y += _channels(beta.data)
+    y = y.astype(x.data.dtype, copy=False)
+    f = T._prelu_factor(y, _channels(s))
+    out = np.ascontiguousarray((y * f).reshape(c, nb, h, w).transpose(1, 0, 2, 3))
 
     def bw(dz):
-        if train:
-            x_hat, y, f = saved
-        else:
-            xc = _channel_major(x.data)
-            xc -= _channels(mean)
-            x_hat, y, f = normalized(xc)
         dy = _channel_major(dz)
         _accum(slope, np.einsum("cm,cm->c", dy, np.minimum(y, 0.0)))
         dy *= f
@@ -509,10 +428,9 @@ def bn_prelu(x, gamma, beta, slope, state: T.BatchNormParams, train: bool) -> Va
         _accum(beta, dbeta)
         if not x.requires_grad:
             return
-        if train:
-            m = dy.shape[1]
-            dy -= _channels(dbeta / m)
-            dy -= x_hat * _channels(dgamma / m)
+        m = dy.shape[1]
+        dy -= _channels(dbeta / m)
+        dy -= x_hat * _channels(dgamma / m)
         dy *= _channels(gamma.data * inv_std)
         _accum(x, dy.reshape(c, nb, h, w).transpose(1, 0, 2, 3))
 

@@ -109,6 +109,8 @@ def cmd_infer(args) -> int:
 
     from .netbuilder import build_network, infer
     from .serialize import load_checkpoint, load_tensor
+    if args.topk < 1:
+        raise ValueError(f"--topk must be at least 1, got {args.topk}")
     cfg = _load_config(args.config)
     net = build_network(cfg, seed=args.seed)
     if args.checkpoint:

@@ -11,9 +11,11 @@ table, `OPS`. Four interpreters run the layers, each through one field of
 every record:
 
 - `AutogradOps` (`grad`): the `autograd` ops, which run the fast kernels
-  and record the tape: `Network.forward`, so training.
-- `ArrayOps` (`array`): the same kernels on plain arrays, with no tape:
-  `infer` and `train.evaluate`. Both count each resize (`dice.note_resize`).
+  and record the tape, with batch norm by the batch's statistics:
+  `Network.forward`, which is training.
+- `ArrayOps` (`array`): the same kernels on plain arrays, with no tape, and
+  batch norm by the running statistics (`tensorops.bn_prelu`): `infer` and
+  `train.evaluate`. Both count each resize (`dice.note_resize`).
 - `OracleOps` (`oracle`): the naive `oracle` loops, which tally every MAC
   on a counter: `Network.oracle_forward`.
 - `CostOps` (`cost`): shapes only, summing each op's MACs and parameters
@@ -357,13 +359,6 @@ def _dimconv_cost(x, k_d, k_w, k_h):
     return (nb, 3 * c, h, w), nb * dimops.dimconv_macs(c, h, w, n), n * n * (c + h + w)
 
 
-def _bn_prelu_array(ops, x, bn, out):
-    st = bn.state
-    return ag._bn_prelu_infer(x, st.running_mean, 1.0 / np.sqrt(st.running_var + st.eps),
-                              st.gamma, st.beta, bn.slope.data.astype(x.dtype, copy=False),
-                              out)
-
-
 def _data(v):
     return None if v is None else v.data
 
@@ -401,9 +396,8 @@ OPS = {
         cost=lambda x, w, stride: _window(x, w.data.shape[0], stride, w.data[0].size,
                                           w.data.size)),
     "bn_prelu": Op(
-        grad=lambda ops, x, bn: ag.bn_prelu(x, bn.gamma, bn.beta, bn.slope, bn.state,
-                                            ops.train),
-        array=_bn_prelu_array,
+        grad=lambda ops, x, bn: ag.bn_prelu(x, bn.gamma, bn.beta, bn.slope, bn.state),
+        array=lambda ops, x, bn, out: T.bn_prelu(x, bn.state, bn.slope.data, out),
         oracle=lambda ops, x, bn: orc.oracle_bn_prelu(x, bn.state, bn.slope.data),
         cost=lambda x, bn: (x.shape, 0, sum(p.data.size for p in (bn.gamma, bn.beta, bn.slope))),
         consumes=True),
@@ -502,13 +496,11 @@ class _Interpreter:
 
 
 class AutogradOps(_Interpreter):
-    """The fast kernels through the autograd tape; `train` selects batch
-    statistics in `bn_prelu`. No operand is written."""
+    """The fast kernels through the autograd tape, with `bn_prelu` by the
+    batch's statistics: training. No operand is written but the running
+    statistics of `bn_prelu`'s batch norm."""
 
     field = "grad"
-
-    def __init__(self, train: bool):
-        self.train = train
 
 
 class ArrayOps(_Interpreter):
@@ -619,8 +611,9 @@ class Network:
                 x = block.forward(x, ops)
         return self.head.forward(x, ops)
 
-    def forward(self, x, train: bool = False) -> Var:
-        return self.run(ag.as_var(x), AutogradOps(train))
+    def forward(self, x) -> Var:
+        """The training forward, recorded on the tape."""
+        return self.run(ag.as_var(x), AutogradOps())
 
     def oracle_forward(self, x, counter=None):
         counter = counter or orc.OracleCounter()
@@ -736,11 +729,14 @@ _SHARE_BUCKET = {"pointwise": "pointwise", "conv": "conv", "fc": "fc",
 
 def analyze(net: Network, input_size: int | None = None) -> FlopReport:
     """Cost report of one image for a network built for `input_size`
-    (default: the config's), from `CostOps`.
+    (None: the config's), from `CostOps`. Sizes below 32 raise KernelError,
+    as they do in `infer`.
 
     Pure in the graph structure: parameter values never enter the counts.
     """
-    size = input_size or net.cfg.input_size
+    size = net.cfg.input_size if input_size is None else input_size
+    if size < 32:
+        raise KernelError(f"analyze input must be at least 32 pixels on a side, got {size}")
     cost = CostOps()
     net.run(SimpleNamespace(shape=(1, 3, size, size)), cost)
     rows = [tuple(r) for r in cost.rows]

@@ -1,8 +1,9 @@
 """Primitive CPU kernels over dense 4D (N, C, H, W) float tensors.
 
 Tensors are plain C-contiguous numpy arrays of float32 or float64.
-Every kernel is a pure function: inputs are never modified and repeated
-calls produce bit-identical outputs.
+Every kernel is a pure function: inputs are never modified, except the
+`out` that `bn_prelu` is given, and repeated calls produce bit-identical
+outputs.
 
 All convolution kernels accumulate in float64 with a fixed tap order
 (row-major over the tap grid) so that results match the naive loop
@@ -464,6 +465,56 @@ def _max_pool(x, k, stride, out=None):
 
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
+
+
+def _prelu_factor(y, s) -> np.ndarray:
+    """1 where y >= 0 and s where y < 0, with s per channel and shaped to
+    broadcast against y: PReLU(y) is y*f bit for bit (y*1 == y, y*s == s*y),
+    and f is its derivative. f is picked on the bits, 1 ^ ((1 ^ s) & mask)
+    with mask all ones where y < 0, so every slope comes through unchanged,
+    -0.0 and non-finite ones too. np.where would give the same bytes, but its
+    per-element branch costs more on rows of mixed signs than every other
+    pass of the op together."""
+    it = np.dtype(f"i{y.dtype.itemsize}")
+    one = np.ones(1, dtype=y.dtype).view(it)
+    mask = (y < 0).view(np.int8)
+    np.negative(mask, out=mask)          # -1, all ones once widened to `it`
+    f = np.bitwise_and(s.view(it) ^ one, mask)
+    f ^= one
+    return f.view(y.dtype)
+
+
+def bn_prelu(x: np.ndarray, state: BatchNormParams, slope: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Batch norm by state's running statistics, then a per-channel PReLU:
+    ((x - mean)*inv_std)*gamma + beta in float64, with inv_std =
+    1/sqrt(var + eps), cast to x's dtype, then where(y >= 0, y, s*y), byte
+    for byte, finished in place. Every pass is elementwise and runs over one
+    image block of at most BLOCK_BYTES of float64 before the next block
+    starts, so the block stays in cache. The result goes into `out` (x
+    itself, say), or a new array, of x's shape and dtype. A float64 result
+    is also the float64 buffer; for float32 the blocks share one float64
+    buffer of a block's size."""
+    inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+    mean, inv_std, gamma, beta, s = (
+        a[None, :, None, None] for a in (state.running_mean, inv_std, state.gamma,
+                                         state.beta, slope.astype(x.dtype, copy=False)))
+    nb = x.shape[0]
+    per = max(1, BLOCK_BYTES // (8 * x[0].size))
+    if out is None:
+        out = np.empty_like(x)
+    wide = None if x.dtype == np.float64 else np.empty((min(per, nb),) + x.shape[1:])
+    for i in range(0, nb, per):
+        o = out[i:i + per]
+        b = o if wide is None else wide[:len(o)]
+        np.subtract(x[i:i + per], mean, dtype=np.float64, out=b)
+        b *= inv_std
+        b *= gamma
+        b += beta
+        if b is not o:
+            o[...] = b
+        o *= _prelu_factor(o, s)
+    return out
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

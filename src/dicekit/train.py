@@ -153,7 +153,7 @@ def train_loop(net, images, labels, cfg: TrainConfig, eval_ema: bool = True,
             xb, yb = images[sel], labels[sel]
             for _, p in params:
                 p.grad = None
-            scores = net.forward(xb, train=True)
+            scores = net.forward(xb)
             loss = ag.cross_entropy_ls(scores, yb, cfg.label_smoothing)
             if not np.isfinite(loss.data):
                 raise TrainError(f"training diverged at epoch {epoch}: loss={loss.data}")

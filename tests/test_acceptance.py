@@ -213,8 +213,7 @@ def _check(build, theta0, label):
     ag.backward(loss)
 
     def f(t):
-        with ag.no_grad():
-            return float(build(ag.Var(t)).data)
+        return float(build(ag.Var(t)).data)
 
     numeric = finite_diff_grad(f, theta0.copy())
     err = rel_err(tv.grad, numeric)
@@ -222,24 +221,19 @@ def _check(build, theta0, label):
 
 
 def _check_bn_prelu(rng, x, suffix):
-    """bn_prelu's gradient in x, gamma, beta and slope, in train and in infer
-    mode; the output is weighted so the loss is not invariant to the
-    normalization."""
+    """bn_prelu's gradient in x, gamma, beta and slope; the output is weighted
+    so the loss is not invariant to the normalization."""
     c = x.shape[1]
     args = {"x": x, "gamma": 1.0 + rng.random(c), "beta": rng.standard_normal(c),
             "slope": rng.random(c) + 0.1}
     wgt = ag.Var(rng.standard_normal(x.shape))
-    running = T.BatchNormParams(args["gamma"], args["beta"], rng.standard_normal(c),
-                                1.0 + rng.random(c))
-    for train in (True, False):
-        state = T.BatchNormParams.identity(c) if train else running
-        for name in args:
-            def build(t, name=name):
-                vals = [t if k == name else ag.Var(a) for k, a in args.items()]
-                return ag.sum_all(ag.mul(ag.bn_prelu(*vals, state, train), wgt))
+    state = T.BatchNormParams.identity(c)
+    for name in args:
+        def build(t, name=name):
+            vals = [t if k == name else ag.Var(a) for k, a in args.items()]
+            return ag.sum_all(ag.mul(ag.bn_prelu(*vals, state), wgt))
 
-            mode = "train" if train else "infer"
-            _check(build, args[name], f"bn_prelu.{mode}.{name}{suffix}")
+        _check(build, args[name], f"bn_prelu.{name}{suffix}")
 
 
 def test_c6_gradients_every_op_and_micro_net():
@@ -305,7 +299,7 @@ def test_c6_gradients_every_op_and_micro_net():
     yb = rng.integers(0, 10, size=2)
 
     def loss_fn():
-        return ag.cross_entropy_ls(net.forward(xb, train=True), yb, 0.1)
+        return ag.cross_entropy_ls(net.forward(xb), yb, 0.1)
 
     loss = loss_fn()
     ag.backward(loss)
@@ -316,8 +310,7 @@ def test_c6_gradients_every_op_and_micro_net():
 
         def f(theta):
             p.data[...] = theta
-            with ag.no_grad():
-                return float(loss_fn().data)
+            return float(loss_fn().data)
 
         numeric = finite_diff_grad(f, saved.copy())
         p.data[...] = saved

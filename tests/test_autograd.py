@@ -1,7 +1,6 @@
 """Tape mechanics and per-op backward passes against central differences."""
 
 import math
-import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -34,33 +33,15 @@ def test_backward_on_detached_value_fails():
         ag.backward(v)
 
 
-def test_no_grad_suppresses_tape(rng):
-    x = ag.param(rng.standard_normal((2, 2)))
-    with ag.no_grad():
-        y = ag.mul(x, x)
+def test_an_op_records_only_when_a_parent_requires_a_gradient(rng):
+    a = rng.standard_normal((2, 2))
+    y = ag.mul(a, ag.Var(a))
     assert not y.requires_grad and y._backward is None
-
-
-def test_no_grad_in_another_thread_keeps_tape_on():
-    # one thread sits inside no_grad() while this one records and backprops
-    entered, release = threading.Event(), threading.Event()
-
-    def hold():
-        with ag.no_grad():
-            entered.set()
-            release.wait(10)
-
-    t = threading.Thread(target=hold)
-    t.start()
-    try:
-        assert entered.wait(10)
-        x = ag.param(np.array([3.0]))
-        ag.backward(ag.mul(x, x))
-        np.testing.assert_array_equal(x.grad, [6.0])
-    finally:
-        release.set()
-        t.join(10)
-    assert not t.is_alive()
+    x = ag.param(a)
+    y = ag.mul(ag.Var(a), x)
+    assert y.requires_grad and y._backward is not None
+    ag.backward(ag.sum_all(y))
+    np.testing.assert_array_equal(x.grad, a)
 
 
 def test_shared_parent_accumulates(rng):
@@ -177,35 +158,31 @@ def test_max_pool_forward_does_not_stack_windows(rng):
     # the s1.0 stem's max pool: its forward builds no stack of the k*k windows
     x = ag.Var(rng.standard_normal((1, 24, 112, 112)))
     padded, out = 24 * 113 * 113 * 8, 24 * 56 * 56 * 8
-    with ag.no_grad():
-        tracemalloc.start()
-        try:
-            y = ag.max_pool(x, 3, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        y = ag.max_pool(x, 3, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     np.testing.assert_array_equal(y.data, T.pool(x.data, "max", 3, 2))
     assert peak < padded + 3 * out, f"peak {peak} B"
 
 
 def _bn_prelu_args(rng, shape):
-    """x, gamma, beta, slope for bn_prelu, a weight for its output (so the loss
-    is not invariant to the normalization), and a state holding running
-    statistics for infer mode."""
+    """x, gamma, beta, slope for bn_prelu, and a weight for its output (so the
+    loss is not invariant to the normalization)."""
     c = shape[1]
     args = {"x": rng.standard_normal(shape), "gamma": rng.standard_normal(c) + 1.0,
             "beta": rng.standard_normal(c), "slope": rng.random(c) + 0.1}
-    running = BatchNormParams(args["gamma"], args["beta"], rng.standard_normal(c),
-                              1.0 + rng.random(c))
-    return args, ag.Var(rng.standard_normal(shape)), running
+    return args, ag.Var(rng.standard_normal(shape))
 
 
-def _check_bn_prelu_grad(args, wgt, running, name, train):
-    state = BatchNormParams.identity(len(args["gamma"])) if train else running
+def _check_bn_prelu_grad(args, wgt, name):
+    state = BatchNormParams.identity(len(args["gamma"]))
 
     def build(t):
         vals = [t if k == name else ag.Var(a) for k, a in args.items()]
-        return ag.sum_all(ag.mul(ag.bn_prelu(*vals, state, train), wgt))
+        return ag.sum_all(ag.mul(ag.bn_prelu(*vals, state), wgt))
 
     check_param_grad(build, args[name])
 
@@ -213,17 +190,16 @@ def _check_bn_prelu_grad(args, wgt, running, name, train):
 def test_batch_norm_grads(rng):
     # 2x2 planes at a batch longer than their width, and 4x4 ones
     for shape in ((3, 2, 2, 2), (2, 3, 4, 4)):
-        args, wgt, running = _bn_prelu_args(rng, shape)
-        for train in (True, False):
-            for name in ("x", "gamma", "beta"):
-                _check_bn_prelu_grad(args, wgt, running, name, train)
+        args, wgt = _bn_prelu_args(rng, shape)
+        for name in ("x", "gamma", "beta"):
+            _check_bn_prelu_grad(args, wgt, name)
 
 
 def test_bn_prelu_train_normalizes_and_updates(rng):
     # with unit slopes PReLU is the identity, so the output is the batch norm
     x = rng.standard_normal((4, 3, 5, 5)) * 3 + 1
     state = BatchNormParams.identity(3)
-    y = ag.bn_prelu(x, state.gamma, state.beta, np.ones(3), state, True).data
+    y = ag.bn_prelu(x, state.gamma, state.beta, np.ones(3), state).data
     assert np.allclose(y.mean(axis=(0, 2, 3)), 0, atol=1e-10)
     assert np.allclose(y.var(axis=(0, 2, 3)), 1, atol=1e-3)
     np.testing.assert_allclose(state.running_mean, 0.1 * x.mean(axis=(0, 2, 3)))
@@ -237,9 +213,7 @@ def test_activation_grads(rng):
     check_param_grad(lambda v: ag.sum_all(ag.mul(ag.sigmoid(v), wgt)), x)
     # PReLU's slope, through bn_prelu
     for shape in ((3, 2, 2, 2), (2, 3, 4, 4)):
-        args, wgt, running = _bn_prelu_args(rng, shape)
-        for train in (True, False):
-            _check_bn_prelu_grad(args, wgt, running, "slope", train)
+        _check_bn_prelu_grad(*_bn_prelu_args(rng, shape), "slope")
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -265,8 +239,7 @@ def test_bn_prelu_infer_keeps_the_bytes(dtype):
         x[-1, :, 1, 0] = state.running_mean
         if nb == 5:
             assert x.size * 8 > T.BLOCK_BYTES and T.BLOCK_BYTES // (8 * x[0].size) == 2
-        with ag.no_grad():
-            y = ag.bn_prelu(x, state.gamma, state.beta, slope, state, False).data
+        y = T.bn_prelu(x, state, slope)
         with np.errstate(invalid="ignore"):
             want = oracle_bn_prelu(x, state, slope)
         assert y.dtype == dtype and y.shape == x.shape
@@ -278,13 +251,13 @@ def test_bn_prelu_infer_keeps_the_bytes(dtype):
 
 
 def test_public_ops_write_no_argument_without_out(rng):
-    # bn_prelu and mul are pure, under no_grad() too: the finite-difference
-    # checks pass their own arrays in
-    args, wgt, running = _bn_prelu_args(rng, (2, 3, 4, 4))
+    # bn_prelu writes only its running statistics and mul nothing, recording
+    # or not: the finite-difference checks pass their own arrays in
+    args, wgt = _bn_prelu_args(rng, (2, 3, 4, 4))
     kept = {k: a.copy() for k, a in args.items()}
-    with ag.no_grad():
-        ag.bn_prelu(*args.values(), running, False)
-        ag.mul(args["x"], wgt)
+    for wrap in (ag.Var, ag.param):
+        ag.bn_prelu(*map(wrap, args.values()), BatchNormParams.identity(3))
+        ag.mul(wrap(args["x"]), wgt)
     assert all(args[k].tobytes() == kept[k].tobytes() for k in args)
 
 
@@ -314,7 +287,7 @@ def test_stem_backward_builds_no_input_gradient(rng):
 
 def test_spatial_conv_keeps_im2col_only_while_recording(monkeypatch, rng):
     # the im2col matrices of the forward's image blocks serve the weight
-    # gradient; under no_grad() nothing is kept
+    # gradient; for weights that need none nothing is kept
     x = rng.standard_normal((5, 3, 20, 18))
     w_conv = ag.param(rng.standard_normal((8, 3, 3, 3)))
     kept = []
@@ -327,8 +300,7 @@ def test_spatial_conv_keeps_im2col_only_while_recording(monkeypatch, rng):
     monkeypatch.setattr(T, "conv2d", spy)
     # two images per block: the batch of 5 runs as 2 + 2 + 1
     monkeypatch.setattr(T, "BLOCK_BYTES", 2 * 8 * x[0].size)
-    with ag.no_grad():
-        y0 = ag.spatial_conv(x, w_conv, stride=2)
+    y0 = ag.spatial_conv(x, ag.Var(w_conv.data), stride=2)
     assert kept == [None] and y0._backward is None
     y = ag.spatial_conv(x, w_conv, stride=2)
     assert [b.shape[0] for b in kept[1]] == [2, 2, 1]
@@ -364,7 +336,7 @@ def test_first_gradient_is_written_in_one_pass(monkeypatch):
     for accum in (ag._accum, zeros_then_add):
         monkeypatch.setattr(ag, "_accum", accum)
         net = netbuilder.build_network(netconfig.parse_config(text), seed=0)
-        ag.backward(ag.cross_entropy_ls(net.forward(x, train=True), y, 0.1))
+        ag.backward(ag.cross_entropy_ls(net.forward(x), y, 0.1))
         grads.append([p.grad.tobytes() for _, p in net.parameters()])
     assert len(grads[0]) == 78 and grads[0] == grads[1]
 

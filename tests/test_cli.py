@@ -54,6 +54,12 @@ def test_analyze_bad_schema_exit_2(tmp_path):
     assert main(["analyze", str(path)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("size", ["0", "1", "-5"])
+def test_analyze_input_size_below_32_exit_2(micro_cfg_path, capsys, size):
+    assert main(["analyze", micro_cfg_path, "--input-size", size]) == EXIT_USAGE
+    assert "at least 32 pixels" in capsys.readouterr().err
+
+
 def test_analyze_infinite_width_scale_exit_2(tmp_path, capsys):
     path = tmp_path / "inf.cfg"
     path.write_text("name: x\nwidth_scale: inf\n")
@@ -121,9 +127,8 @@ def test_verify_gradients_suite(capsys):
     for op in ("depthwise.s1", "depthwise.s2", "widthwise", "heightwise", "dimconv",
                "spatial_conv", "avg_pool", "max_pool", "pointwise", "linear"):
         assert f"[PASS] adjoint.{op}:" in out
-    for mode in ("train", "infer"):
-        for arg in ("x", "gamma", "beta", "slope"):
-            assert f"[PASS] bn_prelu.{mode}.{arg}:" in out
+    for arg in ("x", "gamma", "beta", "slope"):
+        assert f"[PASS] bn_prelu.train.{arg}:" in out
 
 
 def test_verify_exit_code_on_failure(monkeypatch, capsys):
@@ -180,6 +185,14 @@ def test_infer_off_nominal_input(micro_cfg_path, tmp_path, capsys):
     save_tensor(tensor, np.zeros((3, 48, 48)))
     assert main(["infer", micro_cfg_path, str(tensor)]) == EXIT_OK
     assert "sample 0:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_infer_topk_below_1_exit_2(micro_cfg_path, tmp_path, capsys, k):
+    tensor = tmp_path / "x.dck"
+    save_tensor(tensor, np.zeros((3, 32, 32)))
+    assert main(["infer", micro_cfg_path, str(tensor), "--topk", k]) == EXIT_USAGE
+    assert "--topk must be at least 1" in capsys.readouterr().err
 
 
 def test_usage_error_exit_2():

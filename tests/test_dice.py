@@ -7,10 +7,9 @@ import threading
 import numpy as np
 import pytest
 
-from dicekit import autograd as ag
 from dicekit import dice
 from dicekit.dice import channel_shuffle
-from dicekit.netbuilder import AutogradOps, DiceUnit, MobileBlock, ResBlock, ShuffleBlock
+from dicekit.netbuilder import ArrayOps, DiceUnit, MobileBlock, ResBlock, ShuffleBlock
 from dicekit.netconfig import ConfigError
 from dicekit.tensorops import KernelError
 
@@ -25,8 +24,7 @@ def _unit(c=4, h=6, w=6, **kw):
 
 
 def _run(layer, x):
-    with ag.no_grad():
-        return layer.forward(ag.Var(x), AutogradOps(train=False)).data
+    return layer.forward(x, ArrayOps())
 
 
 def test_unit_forward_shape(rng):

@@ -1,6 +1,5 @@
 """Layer-graph construction, cost reports, and inference properties."""
 
-import contextlib
 import hashlib
 import json
 import threading
@@ -133,24 +132,24 @@ def test_op_table_is_complete():
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_array_ops_match_the_tape_forward(dtype):
-    # infer runs ArrayOps, with no tape; the scores and the resize count are
-    # those of the autograd forward. 7 images of 64 px run the stem in four
-    # image blocks, the last one ragged; the tape runs it on the whole batch
+def test_infer_of_a_batch_is_its_images_inferred_alone(dtype):
+    # each image's scores depend on that image alone, and a batch resizes as
+    # often as one image does. 7 images of 64 px run the stem in four image
+    # blocks, the last one ragged
     rng = np.random.default_rng(11)
+    assert T.BLOCK_BYTES // (8 * 3 * 64 * 64) == 2
     for name in ("dicenet-micro", "separable-micro"):
         net = build_network(parse_config((CONFIGS / f"{name}.cfg").read_text()),
                             seed=3, dtype=dtype)
-        for nb, size in ((1, 32), (3, 40), (1, 40), (3, 32), (7, 64)):
+        for nb, size in ((3, 32), (3, 40), (7, 64)):
             x = rng.standard_normal((nb, 3, size, size)).astype(dtype)
             dice.reset_resize_count()
-            with ag.no_grad():
-                want = net.forward(x, train=False).data
+            got = infer(net, x)
             resizes = dice.resize_count()
             dice.reset_resize_count()
-            got = infer(net, x)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, nb, size)
-            assert dice.resize_count() == resizes, (name, nb, size)
+            want = np.concatenate([infer(net, x[i:i + 1]) for i in range(nb)])
+            assert got.dtype == dtype and got.tobytes() == want.tobytes(), (name, nb, size)
+            assert resizes * nb == dice.resize_count(), (name, nb, size)
 
 
 def test_interpreters_look_kernels_up_at_call_time(monkeypatch):
@@ -168,19 +167,21 @@ def test_interpreters_look_kernels_up_at_call_time(monkeypatch):
         monkeypatch.setattr(module, attr, op)
 
     counting(T, "pointwise_conv")
+    counting(T, "bn_prelu")
     counting(ag, "pointwise")
     counting(orc, "oracle_pointwise")
     x = np.random.default_rng(12).standard_normal((2, 3, 32, 32))
-    runs = {"infer": lambda: infer(net, x), "forward": lambda: net.forward(x, train=True),
+    runs = {"infer": lambda: infer(net, x), "forward": lambda: net.forward(x),
             "oracle": lambda: net.oracle_forward(x)}
     calls = {}
     for key, run in runs.items():
         seen.clear()
         run()
         calls[key] = sorted(set(seen))
-    # the autograd op calls the kernel; the oracle calls neither
-    assert calls == {"infer": ["pointwise_conv"], "forward": ["pointwise", "pointwise_conv"],
-                     "oracle": ["oracle_pointwise"]}
+    # the autograd op calls the kernel; the oracle calls neither. Training
+    # normalizes by the batch's statistics, so it never runs T.bn_prelu
+    assert calls == {"infer": ["bn_prelu", "pointwise_conv"],
+                     "forward": ["pointwise", "pointwise_conv"], "oracle": ["oracle_pointwise"]}
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.cfg")))
@@ -429,11 +430,10 @@ def test_array_ops_consume_the_first_operand():
         assert ArrayOps().bn_prelu(x, bn) is x
         a = y.astype(dtype)
         assert ArrayOps().mul(a, gate.astype(dtype)) is a
-    for train_mode, grad in ((False, False), (False, True), (True, False)):
-        x = ag.Var(y.copy())
-        with contextlib.nullcontext() if grad else ag.no_grad():
-            out = AutogradOps(train_mode).bn_prelu(x, bn)
-            prod = AutogradOps(train_mode).mul(x, ag.Var(gate))
+    for wrap in (ag.Var, ag.param):
+        x = wrap(y.copy())
+        out = AutogradOps().bn_prelu(x, bn)
+        prod = AutogradOps().mul(x, ag.Var(gate))
         assert not np.shares_memory(out.data, x.data)
         assert not np.shares_memory(prod.data, x.data)
         assert x.data.tobytes() == y.tobytes()

@@ -231,15 +231,14 @@ def test_activations(rng):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_batch_norm_then_prelu_is_bn_prelu_in_inference(dtype):
-    # the oracle forward runs oracle_bn_prelu; infer runs bn_prelu
+    # the oracle forward runs oracle_bn_prelu; infer runs T.bn_prelu
     rng = np.random.default_rng(6)
     c = 5
     state = T.BatchNormParams(*(rng.standard_normal(c).astype(dtype) for _ in range(3)),
                               (1.0 + rng.random(c)).astype(dtype))
     slope = (rng.random(c) - 0.5).astype(dtype)
     x = verify.signed_zeros(rng, rng.standard_normal((3, c, 6, 7))).astype(dtype)
-    with ag.no_grad():
-        want = ag.bn_prelu(x, state.gamma, state.beta, slope, state, False).data
+    want = T.bn_prelu(x, state, slope)
     got = orc.oracle_bn_prelu(x, state, slope)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     # and the formula, one element at a time in Python floats

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dicekit import autograd as ag
+from dicekit import tensorops as T
 from dicekit.netbuilder import build_network
 from dicekit.netconfig import parse_config
 from dicekit.train import (
@@ -143,19 +144,19 @@ def test_synth_dataset_linearly_separable_above_chance():
 
 def test_evaluate_over_image_blocks_matches_the_whole_batch(monkeypatch):
     # 25 images of 32 px run the stem and max pool in three image blocks,
-    # 10 + 10 + 5; the tape forward runs them on the whole batch
+    # 10 + 10 + 5; with a block as large as the batch, in one
     net = build_network(parse_config(MICRO_CFG), seed=4)
     images, labels = synth_dataset(4, 25)
-    with ag.no_grad():
-        want = net.forward(images, train=False).data
     stem_forward, run, blocks, scores = net.layers[0].forward, net.run, [], []
     monkeypatch.setattr(net.layers[0], "forward",
                         lambda x, ops: blocks.append(len(x)) or stem_forward(x, ops))
     monkeypatch.setattr(net, "run", lambda x, ops: scores.append(run(x, ops)) or scores[-1])
     acc = evaluate(net, images, labels, batch_size=25)
-    assert blocks == [10, 10, 5]
-    assert scores[0].tobytes() == want.tobytes()
-    assert acc == int((want.argmax(axis=1) == labels).sum()) / 25
+    monkeypatch.setattr(T, "BLOCK_BYTES", images.nbytes)
+    whole = evaluate(net, images, labels, batch_size=25)
+    assert blocks == [10, 10, 5, 25]
+    assert scores[0].tobytes() == scores[1].tobytes()
+    assert acc == whole == int((scores[1].argmax(axis=1) == labels).sum()) / 25
 
 
 def test_train_config_validation():
