@@ -71,6 +71,8 @@ def run_bench(op: str, impl: str, shape=DEFAULT_SHAPE, n: int = DEFAULT_N,
     `unfused`, or separable `default`."""
     if repeats < 1 or warmup < 0:
         raise BenchError("need repeats >= 1 and warmup >= 0")
+    if n < 1:
+        raise BenchError(f"need kernel extent n >= 1, got {n}")
     c, h, w = shape
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((1, c, h, w))

@@ -91,12 +91,12 @@ def cmd_train(args) -> int:
     from .netbuilder import build_network
     from .serialize import save_checkpoint
     from .train import TrainConfig, metrics_csv, synth_dataset, train_loop
+    tcfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
+                       lr=args.lr, seed=args.seed)
     cfg = _load_config(args.config)
     net = build_network(cfg, seed=args.seed)
     images, labels = synth_dataset(args.seed, args.count, cfg.classes,
                                    cfg.input_size)
-    tcfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                       lr=args.lr, seed=args.seed)
     history = train_loop(net, images, labels, tcfg)
     _write_out(metrics_csv(history), args.out)
     if args.checkpoint:

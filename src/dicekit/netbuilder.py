@@ -641,7 +641,8 @@ class Network:
 
     def load_state(self, stored: dict) -> None:
         """Copy a checkpoint in. Raises ContainerError, before changing
-        anything, unless its names and shapes match named_state() exactly."""
+        anything, unless its names and shapes match named_state() exactly
+        and every value is finite."""
         named = dict(self.named_state())
         if stored.keys() != named.keys():
             raise ContainerError(
@@ -652,6 +653,9 @@ class Network:
                if stored[k].shape != a.shape]
         if bad:
             raise ContainerError(f"checkpoint tensor shapes do not match: {bad}")
+        bad = [k for k in named if not np.all(np.isfinite(stored[k]))]
+        if bad:
+            raise ContainerError(f"checkpoint tensors hold non-finite values: {bad}")
         for name, arr in named.items():
             arr[...] = stored[name]
 

@@ -21,30 +21,31 @@ class TrainError(RuntimeError):
     """Raised when optimization cannot proceed (divergence, bad shapes)."""
 
 
+# SGD, loss and weight-average settings of every training run
+MOMENTUM = 0.9
+WEIGHT_DECAY = 4e-5
+LABEL_SMOOTHING = 0.1
+EMA_DECAY = 0.999
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 50
     batch_size: int = 64
     lr: float = 0.1
-    schedule: str = "cosine"          # cosine | step
-    momentum: float = 0.9
-    weight_decay: float = 4e-5
-    label_smoothing: float = 0.1
-    ema_decay: float = 0.999
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise TrainError(f"label smoothing must be in [0, 1), got {self.label_smoothing}")
-        if not 0.0 <= self.ema_decay < 1.0:
-            raise TrainError(f"ema decay must be in [0, 1), got {self.ema_decay}")
-        if self.schedule not in ("cosine", "step"):
-            raise TrainError(f"unknown lr schedule {self.schedule!r}")
+        if self.epochs < 1:
+            raise TrainError(f"epochs must be at least 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise TrainError(f"batch size must be at least 1, got {self.batch_size}")
+        if not (math.isfinite(self.lr) and self.lr >= 0.0):
+            raise TrainError(f"learning rate must be finite and non-negative, got {self.lr}")
 
     def lr_at(self, epoch: int) -> float:
-        if self.schedule == "cosine":
-            return self.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / max(self.epochs, 1)))
-        return self.lr * (0.1 ** (epoch // max(self.epochs // 3, 1)))
+        """Cosine decay from `lr` at epoch 0."""
+        return self.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / self.epochs))
 
 
 def sgd_step(params, velocities: dict, lr: float, momentum: float,
@@ -154,12 +155,12 @@ def train_loop(net, images, labels, cfg: TrainConfig, eval_ema: bool = True,
             for _, p in params:
                 p.grad = None
             scores = net.forward(xb)
-            loss = ag.cross_entropy_ls(scores, yb, cfg.label_smoothing)
+            loss = ag.cross_entropy_ls(scores, yb, LABEL_SMOOTHING)
             if not np.isfinite(loss.data):
                 raise TrainError(f"training diverged at epoch {epoch}: loss={loss.data}")
             ag.backward(loss)
-            sgd_step(params, velocities, lr, cfg.momentum, cfg.weight_decay)
-            ema_update(ema, params, cfg.ema_decay)
+            sgd_step(params, velocities, lr, MOMENTUM, WEIGHT_DECAY)
+            ema_update(ema, params, EMA_DECAY)
             loss_sum += float(loss.data) * len(sel)
             correct += int((scores.data.argmax(axis=1) == yb).sum())
         ema_acc = float("nan")

@@ -166,13 +166,28 @@ def signed_zeros(rng, a, share=0.1):
     return a
 
 
+def _f32(args):
+    """`args` rounded to float32: arrays, kernel banks and DimConv params.
+    Strides, group counts and None pass through unchanged."""
+    def one(a):
+        if isinstance(a, np.ndarray):
+            return a.astype(np.float32)
+        if isinstance(a, ConvKernelBank):
+            return ConvKernelBank(a.taps.astype(np.float32))
+        if isinstance(a, DimConvParams):
+            return DimConvParams(one(a.k_d), one(a.k_w), one(a.k_h))
+        return a
+    return [one(a) for a in args]
+
+
 def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
-    """Fast kernels against the naive oracle, bitwise in f64; conv2d and the
-    global average within `dot_bound`. The `.batch_inner` kinds draw from
-    `batch_inner_draw`: batches longer than 1–2 px rows, where the tap runs
-    are mostly junk columns. `depth` and `dimconv` also get one draw each
-    with ±0.0 in the input and the taps. `depth` runs at strides 1–3, each
-    over one phase run per tap. `max_pool` draws from `max_pool_draw`,
+    """Fast kernels against the naive oracle, bitwise in f64 and, as
+    `<kind>.f32`, bitwise on the same draws rounded to f32; conv2d and the
+    global average within `dot_bound`, in f64 only. The `.batch_inner` kinds
+    draw from `batch_inner_draw`: batches longer than 1–2 px rows, where the
+    tap runs are mostly junk columns. `depth` and `dimconv` also get one draw
+    each with ±0.0 in the input and the taps. `depth` runs at strides 1–3,
+    each over one phase run per tap. `max_pool` draws from `max_pool_draw`,
     `linear` from `linear_draw`: batches of 2–9, on both sides of the shape
     that picks `linear`'s loop. `conv2d.stem` draws from `stem_draw` on one
     draw in five, since the oracle takes about a second per draw at those
@@ -202,15 +217,22 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
                 or check.max_err > prev.max_err:
             worst[kind] = check
 
-    def check_dimconv(suffix, x, p):
-        fused = dimconv_fused(x, p)
+    def bitwise(kind, fast, ref, *args):
+        # an oracle returns (out, counter); resize and max pooling just out
+        for name, a in ((kind, args), (kind + ".f32", _f32(args))):
+            out = ref(*a)
+            record(name, _bitwise(name, fast(*a), out[0] if isinstance(out, tuple) else out))
+
+    def fused(x, p):
+        out = dimconv_fused(x, p)
         if fault == "dimconv":
-            fused = fused.copy()
-            fused.flat[0] += 1e-6
-        ref, _ = orc.oracle_dimconv(x, p)
-        record("dimconv" + suffix, _bitwise("dimconv" + suffix, fused, ref))
-        record("dimconv_fusion" + suffix,
-               _bitwise("dimconv_fusion" + suffix, fused, dimconv_unfused(x, p)))
+            out = out.copy()
+            out.flat[0] += 1e-6
+        return out
+
+    def check_dimconv(suffix, x, p):
+        bitwise("dimconv" + suffix, fused, orc.oracle_dimconv, x, p)
+        bitwise("dimconv_fusion" + suffix, fused, dimconv_unfused, x, p)
 
     for i in range(draws):
         nb, c, h, w = _rand_shape(rng)
@@ -218,17 +240,12 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
         x = rng.standard_normal((nb, c, h, w))
         stride = int(rng.choice([1, 2, 3]))
 
-        bank = ConvKernelBank.random(c, n, rng)
-        ref, _ = orc.oracle_depthwise(x, bank, stride)
-        record("depth", _bitwise("depth", T.depthwise_conv(x, bank, stride), ref))
-
-        bank = ConvKernelBank.random(w, n, rng)
-        ref, _ = orc.oracle_widthwise(x, bank)
-        record("width", _bitwise("width", T.widthwise_conv(x, bank), ref))
-
-        bank = ConvKernelBank.random(h, n, rng)
-        ref, _ = orc.oracle_heightwise(x, bank)
-        record("height", _bitwise("height", T.heightwise_conv(x, bank), ref))
+        bitwise("depth", T.depthwise_conv, orc.oracle_depthwise,
+                x, ConvKernelBank.random(c, n, rng), stride)
+        bitwise("width", T.widthwise_conv, orc.oracle_widthwise,
+                x, ConvKernelBank.random(w, n, rng))
+        bitwise("height", T.heightwise_conv, orc.oracle_heightwise,
+                x, ConvKernelBank.random(h, n, rng))
 
         # one group, two groups, and one group per channel with 3 inputs
         # and 1 output each, the shape of the DiCE unit's local fusion
@@ -239,9 +256,7 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
             cig, cog = int(rng.integers(1, 13 // groups)), int(rng.integers(1, 8 // groups))
         xg = signed_zeros(rng, rng.standard_normal((nb, groups * cig, h, w)))
         wg = signed_zeros(rng, rng.standard_normal((groups * cog, cig)))
-        ref, _ = orc.oracle_pointwise(xg, wg, groups, stride)
-        record("pointwise",
-               _bitwise("pointwise", T.pointwise_conv(xg, wg, groups, stride), ref))
+        bitwise("pointwise", T.pointwise_conv, orc.oracle_pointwise, xg, wg, groups, stride)
 
         # few features per group, where the sign of a zero sum shows, or
         # enough to cross two of linear's feature blocks
@@ -251,16 +266,10 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
         xf = signed_zeros(rng, rng.standard_normal((nb, groups * fig)))
         wf = signed_zeros(rng, rng.standard_normal((fout, fig)))
         bias = rng.standard_normal(fout) if i % 4 == 3 else None
-        ref, _ = orc.oracle_linear(xf, wf, groups, bias)
-        record("grouped", _bitwise("grouped", T.linear(xf, wf, groups, bias), ref))
-        xl, wl, gl, bl = linear_draw(linear_rng)
-        ref, _ = orc.oracle_linear(xl, wl, gl, bl)
-        record("linear", _bitwise("linear", T.linear(xl, wl, gl, bl), ref))
-
-        xp, wp, groups, stride_p = pointwise_draw(pw_rng, channels_inner=i % 2 == 0)
-        ref, _ = orc.oracle_pointwise(xp, wp, groups, stride_p)
-        record("pointwise",
-               _bitwise("pointwise", T.pointwise_conv(xp, wp, groups, stride_p), ref))
+        bitwise("grouped", T.linear, orc.oracle_linear, xf, wf, groups, bias)
+        bitwise("linear", T.linear, orc.oracle_linear, *linear_draw(linear_rng))
+        bitwise("pointwise", T.pointwise_conv, orc.oracle_pointwise,
+                *pointwise_draw(pw_rng, channels_inner=i % 2 == 0))
 
         # conv2d and global average pooling sum in another order than the
         # oracle (einsum over channels, numpy's pairwise mean): gated by the
@@ -288,19 +297,15 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
         record("global_avg", _bounded("global_avg", T.pool(xa, "global_avg"), ref,
                                       dot_bound(xa.shape[2] * xa.shape[3] + 1, abs_dot)))
 
-        xr, th, tw = resize_draw(resize_rng)
-        record("bilinear", _bitwise("bilinear", T.bilinear_resize(xr, th, tw),
-                                    orc.oracle_bilinear(xr, th, tw)))
+        bitwise("bilinear", T.bilinear_resize, orc.oracle_bilinear, *resize_draw(resize_rng))
 
         check_dimconv("", x, DimConvParams.init(c, h, w, n, rng))
 
         # batch longer than the rows
         xb, nk = batch_inner_draw(batch_rng)
         for sb in (1, 2, 3):
-            bank = ConvKernelBank.random(xb.shape[1], nk, batch_rng)
-            ref, _ = orc.oracle_depthwise(xb, bank, sb)
-            record("depth.batch_inner",
-                   _bitwise("depth.batch_inner", T.depthwise_conv(xb, bank, sb), ref))
+            bitwise("depth.batch_inner", T.depthwise_conv, orc.oracle_depthwise,
+                    xb, ConvKernelBank.random(xb.shape[1], nk, batch_rng), sb)
         check_dimconv(".batch_inner", xb, DimConvParams.init(*xb.shape[1:], nk, batch_rng))
 
         # ±0.0 in the input and the taps, which the draws above never hold
@@ -308,16 +313,14 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
         nz, sz = int(zero_rng.choice([1, 3, 5])), int(zero_rng.choice([1, 2, 3]))
         bank = ConvKernelBank.random(xz.shape[1], nz, zero_rng)
         signed_zeros(zero_rng, bank.taps)
-        ref, _ = orc.oracle_depthwise(xz, bank, sz)
-        record("depth", _bitwise("depth", T.depthwise_conv(xz, bank, sz), ref))
+        bitwise("depth", T.depthwise_conv, orc.oracle_depthwise, xz, bank, sz)
         pz = DimConvParams.init(*xz.shape[1:], nz, zero_rng)
         for b in (pz.k_d, pz.k_w, pz.k_h):
             signed_zeros(zero_rng, b.taps)
         check_dimconv("", xz, pz)
 
-        xm, km, sm = max_pool_draw(max_rng)
-        record("max_pool", _bitwise("max_pool", T.pool(xm, "max", km, sm),
-                                    orc.oracle_max_pool(xm, km, sm)))
+        bitwise("max_pool", lambda a, k, st: T.pool(a, "max", k, st), orc.oracle_max_pool,
+                *max_pool_draw(max_rng))
 
     return [worst[k] for k in sorted(worst)]
 
@@ -501,7 +504,7 @@ def run_flops():
                                abs(counter.mac_count - expect),
                                f"counter={counter.mac_count} formula={expect}"))
     rf = dimfuse_reduction_factor(116, 3)
-    results.append(CheckResult("dimfuse.reduction_factor", abs(rf - 2.71875) < 1e-12,
+    results.append(CheckResult("dimfuse.reduction_factor", rf == 2.71875,
                                abs(rf - 2.71875), f"D=116,n=3 -> {rf}"))
     big = dimfuse_reduction_factor(10 ** 9, 3)
     results.append(CheckResult("dimfuse.reduction_limit", abs(big - 3.0) < 1e-6,

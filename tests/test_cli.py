@@ -110,6 +110,12 @@ def test_bench_single_repeat_zero_stddev(capsys):
     assert float(lines[1].split(",")[header.index("stddev_s")]) == 0.0
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_bench_kernel_extent_below_1_exit_2(capsys, n):
+    assert main(["bench", "--shape", "4,6,6", "--n", n, "--repeats", "1"]) == EXIT_USAGE
+    assert "n >= 1" in capsys.readouterr().err
+
+
 def test_bench_rejects_dimfuse_op():
     assert main(["bench", "--op", "dimfuse", "--shape", "4,6,6",
                  "--repeats", "1"]) == EXIT_USAGE
@@ -141,6 +147,7 @@ def test_verify_exit_code_on_failure(monkeypatch, capsys):
     assert main(["verify", "--suite", "kernels"]) == EXIT_VERIFY
     out = capsys.readouterr().out
     assert "FAIL" in out and "dimconv" in out
+    assert "[FAIL] dimconv.f32" in out
 
 
 def test_train_and_infer_round_trip(micro_cfg_path, tmp_path, capsys):
@@ -169,6 +176,24 @@ def test_train_same_seed_identical_metrics(micro_cfg_path, tmp_path):
         assert main(["--seed", "3", "--out", str(path), "train",
                      micro_cfg_path, "--epochs", "1", "--count", "64"]) == EXIT_OK
     assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--batch-size", "-4", "batch size"),
+    ("--batch-size", "0", "batch size"),
+    ("--epochs", "0", "epochs"),
+    ("--epochs", "-2", "epochs"),
+    ("--lr", "nan", "learning rate"),
+    ("--lr", "inf", "learning rate"),
+    ("--lr", "-0.1", "learning rate"),
+])
+def test_train_config_that_trains_nothing_exit_2(micro_cfg_path, tmp_path, capsys,
+                                                 flag, value, message):
+    ck = tmp_path / "ck"
+    assert main(["--out", str(tmp_path / "metrics.csv"), "train", micro_cfg_path,
+                 "--count", "20", "--checkpoint", str(ck), flag, value]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not ck.exists() and not (tmp_path / "metrics.csv").exists()
 
 
 def test_infer_zero_tensor_scores_equal_bias(micro_cfg_path, tmp_path, capsys):
@@ -220,6 +245,19 @@ def test_infer_checkpoint_must_match_network(micro_cfg_path, tmp_path, capsys):
         assert main(["infer", micro_cfg_path, str(tensor), "--checkpoint",
                      str(tmp_path / label)]) == EXIT_USAGE, label
         assert "checkpoint" in capsys.readouterr().err, label
+
+
+def test_infer_checkpoint_with_non_finite_tensor_exit_2(micro_cfg_path, tmp_path,
+                                                       capsys):
+    tensor = tmp_path / "x.dck"
+    save_tensor(tensor, np.ones((3, 32, 32)))
+    named = build_network(parse_config(MICRO_CFG), seed=5).named_state()
+    named = [(n, np.full_like(a, np.nan) if n == "head.fc" else a) for n, a in named]
+    save_checkpoint(tmp_path / "ck", named)
+    assert main(["infer", micro_cfg_path, str(tensor),
+                 "--checkpoint", str(tmp_path / "ck")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "head.fc" in err
 
 
 def test_infer_checkpoint_dtype_must_match_manifest(micro_cfg_path, tmp_path, capsys):

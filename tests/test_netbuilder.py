@@ -18,6 +18,7 @@ from dicekit.dimops import dimfuse_cost
 from dicekit.netbuilder import (OPS, ArrayOps, AutogradOps, CostOps, Op, _BNAct, analyze,
                                 build_network, infer)
 from dicekit.netconfig import default_stem_channels, parse_config
+from dicekit.serialize import ContainerError
 from dicekit.tensorops import KernelError
 
 from conftest import MICRO_CFG
@@ -263,6 +264,19 @@ def test_infer_rejects_non_finite_input(micro_net):
         x[0, 1, 5, 7] = bad
         with pytest.raises(KernelError):
             infer(micro_net, x)
+
+
+def test_load_state_rejects_non_finite_tensors():
+    net = build_network(parse_config(MICRO_CFG), seed=1)
+    before = [(name, a.copy()) for name, a in net.named_state()]
+    stored = {name: a + 1.0 for name, a in before}
+    stored["head.fc_bias"][0] = np.nan
+    stored["bn0.running_var"][1] = -np.inf
+    with pytest.raises(ContainerError) as err:
+        net.load_state(stored)
+    assert "head.fc_bias" in str(err.value) and "bn0.running_var" in str(err.value)
+    assert all(a.tobytes() == b.tobytes()
+               for (_, a), (_, b) in zip(net.named_state(), before))
 
 
 def test_resize_instrumentation(micro_net):
