@@ -1,10 +1,13 @@
 """Reverse-mode differentiation over the CPU kernels, for training.
 
-A small tape: every op returns a Var holding the forward result plus a
-closure that scatters the incoming gradient to its parents; an op records
-only when a parent requires a gradient. Forward values are the fast kernels'
-of tensorops/dimops, bit for bit, but for `bn_prelu`, which normalizes by
-the batch's statistics where inference uses the running ones.
+A small tape: a recorded value is a Var holding the forward result plus a
+closure that scatters the incoming gradient to its parents, recorded only
+when a parent requires a gradient. `netbuilder.AutogradOps` runs each
+vocabulary op's forward from its `OPS` record and records the pullback of
+`<name>_vjp` here (see `_record`). `bn_prelu`, by the batch's statistics,
+and `spatial_conv`, which keeps its im2col blocks, are whole tape ops, as
+are DimConv's width and height branches alone, `sum_all` and
+`cross_entropy_ls`.
 """
 
 from __future__ import annotations
@@ -45,8 +48,6 @@ def as_var(x) -> Var:
 
 
 def _accum(v: Var, g):
-    if not v.requires_grad:
-        return
     if v.grad is None:
         # one pass; g + 0.0 is 0.0 + g, bit for bit, -0.0 included
         v.grad = np.add(g, 0.0, out=np.empty(v.data.shape))
@@ -54,34 +55,42 @@ def _accum(v: Var, g):
         v.grad += g
 
 
-def _make(data, parents, backward_fn) -> Var:
-    if any(p.requires_grad for p in parents):
-        return Var(data, requires_grad=True, parents=tuple(parents), backward_fn=backward_fn)
-    return Var(data)
+def _record(out, args, backward) -> Var:
+    """out as a Var, recording backward(dy, need) when a Var among args
+    requires a gradient. backward gives one gradient, or None, per array or
+    Var in args, a list's items in their place, and need[i] says whether the
+    i-th needs one; the needed ones are accumulated in that order."""
+    slots = [a for arg in args for a in (arg if isinstance(arg, list) else (arg,))
+             if isinstance(a, (Var, np.ndarray))]
+    need = [isinstance(a, Var) and a.requires_grad for a in slots]
+    if not any(need):
+        return Var(out)
+
+    def bw(dy):
+        for v, n, g in zip(slots, need, backward(dy, need)):
+            if n:
+                _accum(v, g)
+
+    return Var(out, True, tuple(v for v, n in zip(slots, need) if n), bw)
 
 
 def backward(loss: Var, seed=None) -> None:
     """Run reverse-mode accumulation from `loss` through the whole tape."""
     if loss._backward is None and not loss.requires_grad:
         raise KernelError("backward called on a detached value: nothing was recorded")
-    topo, seen = [], set()
-
-    def visit(v):
-        stack = [(v, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad:
-                    stack.append((p, False))
-
-    visit(loss)
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad:
+                stack.append((p, False))
     loss.grad = np.ones_like(loss.data, dtype=np.float64) if seed is None \
         else np.asarray(seed, dtype=np.float64)
     for node in reversed(topo):
@@ -101,53 +110,25 @@ def _reduce_to(g, shape):
 
 # ---------------------------------------------------------------- arithmetic
 
-def add(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-    out = a.data + b.data
-
-    def bw(dy):
-        _accum(a, _reduce_to(dy, a.data.shape))
-        _accum(b, _reduce_to(dy, b.data.shape))
-
-    return _make(out, (a, b), bw)
+def add_vjp(out, a, b):
+    return lambda dy, need: (_reduce_to(dy, a.shape), _reduce_to(dy, b.shape))
 
 
-def mul(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-    out = a.data * b.data
-
-    def bw(dy):
-        _accum(a, _reduce_to(dy * b.data, a.data.shape))
-        _accum(b, _reduce_to(dy * a.data, b.data.shape))
-
-    return _make(out, (a, b), bw)
+def mul_vjp(out, a, b):
+    return lambda dy, need: (_reduce_to(dy * b, a.shape), _reduce_to(dy * a, b.shape))
 
 
 def sum_all(x) -> Var:
     x = as_var(x)
-    out = np.asarray(x.data.sum(dtype=np.float64))
-
-    def bw(dy):
-        _accum(x, np.broadcast_to(dy, x.data.shape).astype(np.float64))
-
-    return _make(out, (x,), bw)
+    return _record(np.asarray(x.data.sum(dtype=np.float64)), (x,),
+                   lambda dy, need: (np.broadcast_to(dy, x.data.shape).astype(np.float64),))
 
 
-def reshape(x, shape) -> Var:
-    x = as_var(x)
-    out = x.data.reshape(shape)
-
-    def bw(dy):
-        _accum(x, dy.reshape(x.data.shape))
-
-    return _make(out, (x,), bw)
+def reshape_vjp(out, x, shape):
+    return lambda dy, need: (dy.reshape(x.shape),)
 
 
 # ------------------------------------------------------------- convolutions
-
-def _bank(taps):
-    return ConvKernelBank(np.ascontiguousarray(taps))
-
 
 def _batch_last(a) -> np.ndarray:
     """A float64 (N, C, H, W) array as (C, H, W, N), the batch contiguous."""
@@ -175,20 +156,21 @@ def _taps(n: int, ao: int, bo: int, stride: int):
                               j:j + stride * (bo - 1) + 1:stride]
 
 
-def _bank_grad(x, taps: Var, dy, stride: int = 1):
+def _bank_grad(x, taps, dy, stride: int = 1, need_taps: bool = True):
     """(dx, dtaps) of a convolution by a per-index bank of n x n kernels;
-    dtaps is None when the taps need no gradient (average pooling's).
+    dtaps is None unless `need_taps` (average pooling's constant taps need
+    none).
 
     x is indexed (K, A, B, N): K picks the bank's kernel, the taps shift A
     and B, and N, the batch, is not shifted; dy is indexed (K, Ao, Bo, N),
     and dx comes back indexed as x. Whatever the layout of the arguments,
     the work runs in buffers with the batch innermost, so each per-tap step
     runs along rows as long as the batch."""
-    n = taps.data.shape[1]
+    n = taps.shape[1]
     ao, bo = dy.shape[1], dy.shape[2]
     dy = np.ascontiguousarray(dy, dtype=np.float64)
-    t64 = taps.data.astype(np.float64, copy=False)
-    dt = np.empty(t64.shape) if taps.requires_grad else None
+    t64 = taps.astype(np.float64, copy=False)
+    dt = np.empty(t64.shape) if need_taps else None
     dxp, dx = _pad_batch_last(x.shape, n, ao, bo, stride)
     if dt is not None:
         # the padded input serves the tap gradient only
@@ -210,29 +192,20 @@ _WIDTH = ((3, 1, 2, 0), (3, 1, 2, 0))
 _HEIGHT = ((2, 1, 3, 0), (3, 1, 0, 2))
 
 
-def _branch_grad(axes, x, taps, dy, stride: int = 1):
+def _branch_grad(axes, x, taps, dy, stride: int = 1, need_taps: bool = True):
     to, back = axes
-    dx, dt = _bank_grad(x.transpose(to), taps, dy.transpose(to), stride)
+    dx, dt = _bank_grad(x.transpose(to), taps, dy.transpose(to), stride, need_taps)
     return dx.transpose(back), dt
 
 
-def _branch(axes, forward, x, taps, stride: int = 1) -> Var:
-    """The tape op of a convolution by a per-index bank of n x n kernels:
-    `forward(x, bank)` runs it, and `axes` (see `_branch_grad`) says which
-    axis of x the bank indexes."""
+def _branch(axes, forward, x, taps) -> Var:
+    """The tape op of DimConv's width or height branch alone: `forward(x,
+    bank)` runs it, and `axes` (see `_branch_grad`) says which axis of x the
+    bank indexes."""
     x, taps = as_var(x), as_var(taps)
-    out = forward(x.data, _bank(taps.data))
-
-    def bw(dy):
-        dx, dt = _branch_grad(axes, x.data, taps, dy, stride)
-        _accum(x, dx)
-        _accum(taps, dt)
-
-    return _make(out, (x, taps), bw)
-
-
-def depthwise(x, taps, stride: int = 1) -> Var:
-    return _branch(_DEPTH, lambda a, b: T.depthwise_conv(a, b, stride), x, taps, stride)
+    out = forward(x.data, ConvKernelBank(np.ascontiguousarray(taps.data)))
+    return _record(out, (x, taps),
+                   lambda dy, need: _branch_grad(axes, x.data, taps.data, dy, 1, need[1]))
 
 
 def widthwise(x, taps) -> Var:
@@ -243,29 +216,46 @@ def heightwise(x, taps) -> Var:
     return _branch(_HEIGHT, lambda a, b: T.heightwise_conv(a, b), x, taps)
 
 
-def pointwise(x, w, groups: int = 1, stride: int = 1) -> Var:
-    x, w = as_var(x), as_var(w)
-    out = T.pointwise_conv(x.data, w.data, groups, stride)
-    cout, cig = w.data.shape
+def depthwise_vjp(out, x, taps, stride: int = 1):
+    return lambda dy, need: _branch_grad(_DEPTH, x, taps, dy, stride, need[1])
 
-    def bw(dy):
+
+def pointwise_vjp(out, x, w, groups: int = 1, stride: int = 1):
+    cout, cig = w.shape
+
+    def bw(dy, need):
         # channel-major, (G, C/G, N*H*W): one batched matmul for all groups
-        xs = x.data[:, :, ::stride, ::stride]
+        xs = x[:, :, ::stride, ::stride]
         nb, c, ho, wo = xs.shape
         xg = np.ascontiguousarray(xs.transpose(1, 0, 2, 3), dtype=np.float64) \
             .reshape(groups, cig, -1)
         dyg = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).reshape(groups, cout // groups, -1)
-        wg = w.data.astype(np.float64, copy=False).reshape(groups, cout // groups, cig)
-        dxs = np.matmul(wg.transpose(0, 2, 1), dyg).reshape(c, nb, ho, wo).transpose(1, 0, 2, 3)
-        if stride == 1:
-            _accum(x, dxs)
-        else:
-            dx = np.zeros(x.data.shape, dtype=np.float64)
+        wg = w.astype(np.float64, copy=False).reshape(groups, cout // groups, cig)
+        dx = np.matmul(wg.transpose(0, 2, 1), dyg).reshape(c, nb, ho, wo).transpose(1, 0, 2, 3)
+        if stride != 1:
+            dxs, dx = dx, np.zeros(x.shape, dtype=np.float64)
             dx[:, :, ::stride, ::stride] = dxs
-            _accum(x, dx)
-        _accum(w, np.matmul(dyg, xg.transpose(0, 2, 1)).reshape(cout, cig))
+        return dx, np.matmul(dyg, xg.transpose(0, 2, 1)).reshape(cout, cig)
 
-    return _make(out, (x, w), bw)
+    return bw
+
+
+def _conv_input_grad(w, dy, shape, stride: int):
+    """The input gradient of a dense n x n convolution of an input of
+    `shape` by weights w (C_out, C_in, n, n)."""
+    nb, c, h, wd = shape
+    cout, _, n, _ = w.shape
+    ho, wo = dy.shape[2], dy.shape[3]
+    p = (n - 1) // 2
+    w2 = w.astype(np.float64, copy=False).reshape(cout, c * n * n)
+    dcols = np.matmul(w2.T, dy.reshape(nb, cout, ho * wo)).reshape(nb, c, n, n, ho, wo)
+    dxp = np.zeros((nb, c, p + h + T.right_pad(h, ho, stride, n),
+                    p + wd + T.right_pad(wd, wo, stride, n)))
+    for i in range(n):
+        for j in range(n):
+            dxp[:, :, i:i + stride * (ho - 1) + 1:stride,
+                j:j + stride * (wo - 1) + 1:stride] += dcols[:, :, i, j]
+    return dxp[:, :, p:p + h, p:p + wd]
 
 
 def spatial_conv(x, w, stride: int = 1) -> Var:
@@ -273,80 +263,59 @@ def spatial_conv(x, w, stride: int = 1) -> Var:
 
     When the weights require a gradient, the forward keeps the im2col
     matrix of each of conv2d's image blocks for the backward; otherwise
-    nothing is kept."""
+    nothing is kept. The input gradient is built only when the input needs
+    one (the stem's image never does)."""
     x, w = as_var(x), as_var(w)
     cout, c, n, _ = w.data.shape
     cols = [] if w.requires_grad else None
     out = T.conv2d(x.data, w.data, stride, keep=cols)
 
-    def bw(dy):
+    def bw(dy, need):
         # one batched matmul per kept block, (N, C*n*n, Ho*Wo), gives each
-        # image's weight gradient. The input gradient is built only when the
-        # input needs one (the stem's image never does)
-        nb, _, h, wd = x.data.shape
-        ho, wo = dy.shape[2], dy.shape[3]
-        dy3 = dy.reshape(nb, cout, ho * wo)
-        if cols is not None:
+        # image's weight gradient
+        nb = x.data.shape[0]
+        dy3 = dy.reshape(nb, cout, -1)
+        dw = None
+        if need[1]:
             per_image = np.empty((nb, cout, c * n * n))
             i = 0
             for block in cols:
                 k = block.shape[0]
-                np.matmul(dy3[i:i + k], block.reshape(k, c * n * n, ho * wo).transpose(0, 2, 1),
+                np.matmul(dy3[i:i + k], block.reshape(k, c * n * n, -1).transpose(0, 2, 1),
                           out=per_image[i:i + k])
                 i += k
-            _accum(w, per_image.sum(axis=0).reshape(w.data.shape))
-        if not x.requires_grad:
-            return
-        p = (n - 1) // 2
-        w2 = w.data.astype(np.float64, copy=False).reshape(cout, c * n * n)
-        dcols = np.matmul(w2.T, dy3).reshape(nb, c, n, n, ho, wo)
-        dxp = np.zeros((nb, c, p + h + T.right_pad(h, ho, stride, n),
-                        p + wd + T.right_pad(wd, wo, stride, n)))
-        for i in range(n):
-            for j in range(n):
-                dxp[:, :, i:i + stride * (ho - 1) + 1:stride,
-                    j:j + stride * (wo - 1) + 1:stride] += dcols[:, :, i, j]
-        _accum(x, dxp[:, :, p:p + h, p:p + wd])
+            dw = per_image.sum(axis=0).reshape(w.data.shape)
+        return (_conv_input_grad(w.data, dy, x.data.shape, stride) if need[0] else None), dw
 
-    return _make(out, (x, w), bw)
+    return _record(out, (x, w), bw)
 
 
-def dimconv(x, k_d, k_w, k_h) -> Var:
-    """Three-branch dimension-wise conv, interleaved output, fused forward."""
-    from .dimops import DimConvParams, dimconv_fused
-    x, k_d, k_w, k_h = as_var(x), as_var(k_d), as_var(k_w), as_var(k_h)
-    p_obj = DimConvParams(_bank(k_d.data), _bank(k_w.data), _bank(k_h.data))
-    out = dimconv_fused(x.data, p_obj)
+def dimconv_vjp(out, x, k_d, k_w, k_h):
+    """DimConv's three branches, each its bank convolution's backward on its
+    third of the interleaved output."""
+    def bw(dy, need):
+        dxd, dkd = _branch_grad(_DEPTH, x, k_d, dy[:, 0::3], 1, need[1])
+        dxw, dkw = _branch_grad(_WIDTH, x, k_w, dy[:, 1::3], 1, need[2])
+        dxh, dkh = _branch_grad(_HEIGHT, x, k_h, dy[:, 2::3], 1, need[3])
+        return dxd + dxw + dxh, dkd, dkw, dkh
 
-    def bw(dy):
-        dxd, dkd = _branch_grad(_DEPTH, x.data, k_d, dy[:, 0::3])
-        dxw, dkw = _branch_grad(_WIDTH, x.data, k_w, dy[:, 1::3])
-        dxh, dkh = _branch_grad(_HEIGHT, x.data, k_h, dy[:, 2::3])
-        _accum(x, dxd + dxw + dxh)
-        _accum(k_d, dkd)
-        _accum(k_w, dkw)
-        _accum(k_h, dkh)
-
-    return _make(out, (x, k_d, k_w, k_h), bw)
+    return bw
 
 
 # ----------------------------------------------------------------- pooling
 
-def avg_pool(x, k: int = 3, stride: int = 1) -> Var:
-    """`depthwise` by `tensorops.avg_bank`, whose taps need no gradient."""
-    x = as_var(x)
-    return depthwise(x, T.avg_bank(x.data.shape[1], k).taps, stride)
+def avg_pool_vjp(out, x, k: int = 3, stride: int = 1):
+    """`depthwise_vjp` by `tensorops.avg_bank`, whose taps need no gradient."""
+    taps = T.avg_bank(x.shape[1], k).taps
+    return lambda dy, need: _branch_grad(_DEPTH, x, taps, dy, stride, False)[:1]
 
 
-def max_pool(x, k: int = 3, stride: int = 1) -> Var:
-    x = as_var(x)
-    out = T.pool(x.data, "max", k, stride)
-
-    def bw(dy):
+def max_pool_vjp(out, x, k: int = 3, stride: int = 1):
+    def bw(dy, need):
         # batch-last, as in _bank_grad; the first tap of each window that
         # holds the window's maximum gets the gradient
         ho, wo = out.shape[2], out.shape[3]
-        xt = x.data.transpose(1, 2, 3, 0)
+        xt = x.transpose(1, 2, 3, 0)
         xp, inner = _pad_batch_last(xt.shape, k, ho, wo, stride, -np.inf)
         inner[...] = xt
         top, dyl = _batch_last(out), _batch_last(dy)
@@ -357,20 +326,14 @@ def max_pool(x, k: int = 3, stride: int = 1) -> Var:
             hit &= free
             free ^= hit
             dxp[sl] += dyl * hit
-        _accum(x, dx.transpose(3, 0, 1, 2))
+        return (dx.transpose(3, 0, 1, 2),)
 
-    return _make(out, (x,), bw)
+    return bw
 
 
-def global_avg(x) -> Var:
-    x = as_var(x)
-    out = T.pool(x.data, "global_avg")
-    nb, c, h, w = x.data.shape
-
-    def bw(dy):
-        _accum(x, np.broadcast_to(dy / (h * w), x.data.shape).astype(np.float64))
-
-    return _make(out, (x,), bw)
+def global_avg_vjp(out, x):
+    nb, c, h, w = x.shape
+    return lambda dy, need: (np.broadcast_to(dy / (h * w), x.shape).astype(np.float64),)
 
 
 # ----------------------------------------------------- norm and activations
@@ -418,124 +381,85 @@ def bn_prelu(x, gamma, beta, slope, state: T.BatchNormParams) -> Var:
     f = T._prelu_factor(y, _channels(s))
     out = np.ascontiguousarray((y * f).reshape(c, nb, h, w).transpose(1, 0, 2, 3))
 
-    def bw(dz):
+    def bw(dz, need):
         dy = _channel_major(dz)
-        _accum(slope, np.einsum("cm,cm->c", dy, np.minimum(y, 0.0)))
+        dslope = np.einsum("cm,cm->c", dy, np.minimum(y, 0.0))
         dy *= f
         dbeta = dy.sum(axis=1)
         dgamma = np.einsum("cm,cm->c", dy, x_hat)
-        _accum(gamma, dgamma)
-        _accum(beta, dbeta)
-        if not x.requires_grad:
-            return
+        if not need[0]:
+            return None, dgamma, dbeta, dslope
         m = dy.shape[1]
         dy -= _channels(dbeta / m)
         dy -= x_hat * _channels(dgamma / m)
         dy *= _channels(gamma.data * inv_std)
-        _accum(x, dy.reshape(c, nb, h, w).transpose(1, 0, 2, 3))
+        return dy.reshape(c, nb, h, w).transpose(1, 0, 2, 3), dgamma, dbeta, dslope
 
-    return _make(out, (x, gamma, beta, slope), bw)
-
-
-def relu(x) -> Var:
-    x = as_var(x)
-    out = T.relu(x.data)
-
-    def bw(dy):
-        _accum(x, dy * (x.data > 0))
-
-    return _make(out, (x,), bw)
+    return _record(out, (x, gamma, beta, slope), bw)
 
 
-def sigmoid(x) -> Var:
-    x = as_var(x)
-    out = T.sigmoid(x.data)
+def relu_vjp(out, x):
+    return lambda dy, need: (dy * (x > 0),)
 
-    def bw(dy):
+
+def sigmoid_vjp(out, x):
+    def bw(dy, need):
         o64 = out.astype(np.float64, copy=False)
-        _accum(x, dy * o64 * (1.0 - o64))
+        return (dy * o64 * (1.0 - o64),)
 
-    return _make(out, (x,), bw)
+    return bw
 
 
-def linear(x, w, bias=None, groups: int = 1) -> Var:
-    x, w = as_var(x), as_var(w)
-    b = None if bias is None else as_var(bias)
-    out = T.linear(x.data, w.data, groups, None if b is None else b.data)
-    nb, fin = x.data.shape
-    fout = w.data.shape[0]
+def linear_vjp(out, x, w, bias=None, groups: int = 1):
+    nb, fin = x.shape
+    fout = w.shape[0]
 
-    def bw(dy):
+    def bw(dy, need):
         # (G, N, F/G) stacks: one batched matmul for all groups
         dyg = dy.reshape(nb, groups, fout // groups).transpose(1, 0, 2)
-        xg = x.data.astype(np.float64, copy=False).reshape(nb, groups, -1).transpose(1, 0, 2)
-        wg = w.data.astype(np.float64, copy=False).reshape(groups, fout // groups, -1)
-        _accum(x, np.matmul(dyg, wg).transpose(1, 0, 2).reshape(nb, fin))
-        _accum(w, np.matmul(dyg.transpose(0, 2, 1), xg).reshape(w.data.shape))
-        if b is not None:
-            _accum(b, dy.sum(axis=0))
+        xg = x.astype(np.float64, copy=False).reshape(nb, groups, -1).transpose(1, 0, 2)
+        wg = w.astype(np.float64, copy=False).reshape(groups, fout // groups, -1)
+        return (np.matmul(dyg, wg).transpose(1, 0, 2).reshape(nb, fin),
+                np.matmul(dyg.transpose(0, 2, 1), xg).reshape(w.shape),
+                None if bias is None else dy.sum(axis=0))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _make(out, parents, bw)
+    return bw
 
 
-def bilinear(x, target_h: int, target_w: int) -> Var:
-    x = as_var(x)
-    out = T.bilinear_resize(x.data, target_h, target_w)
-    h, w = x.data.shape[2], x.data.shape[3]
+def bilinear_vjp(out, x, target_h: int, target_w: int):
+    h, w = x.shape[2], x.shape[3]
     if (target_h, target_w) == (h, w):
-        def bw_id(dy):
-            _accum(x, dy)
-        return _make(out, (x,), bw_id)
+        return lambda dy, need: (dy,)
 
-    def bw(dy):
+    def bw(dy, need):
         rh = T.resize_matrix(h, target_h)
         rw = T.resize_matrix(w, target_w)
         tmp = np.einsum("ah,ncab->nchb", rh, dy)
-        _accum(x, np.einsum("bw,nchb->nchw", rw, tmp))
+        return (np.einsum("bw,nchb->nchw", rw, tmp),)
 
-    return _make(out, (x,), bw)
+    return bw
 
 
 # ------------------------------------------------------------ structural ops
 
-def concat_channels(parts) -> Var:
-    parts = [as_var(p) for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=1)
-    sizes = [p.data.shape[1] for p in parts]
-
-    def bw(dy):
-        off = 0
-        for p, s in zip(parts, sizes):
-            _accum(p, dy[:, off:off + s])
-            off += s
-
-    return _make(out, tuple(parts), bw)
+def concat_vjp(out, parts):
+    ends = np.cumsum([p.shape[1] for p in parts])
+    return lambda dy, need: np.split(dy, ends[:-1], axis=1)
 
 
-def narrow_channels(x, start: int, length: int) -> Var:
-    x = as_var(x)
-    out = x.data[:, start:start + length].copy()
-
-    def bw(dy):
-        g = np.zeros_like(x.data, dtype=np.float64)
+def narrow_vjp(out, x, start: int, length: int):
+    def bw(dy, need):
+        g = np.zeros_like(x, dtype=np.float64)
         g[:, start:start + length] = dy
-        _accum(x, g)
+        return (g,)
 
-    return _make(out, (x,), bw)
+    return bw
 
 
-def channel_shuffle(x, groups: int = 2) -> Var:
-    x = as_var(x)
-    from .dice import channel_shuffle as shuffle_np
-    out = shuffle_np(x.data, groups)
-
-    def bw(dy):
-        c = x.data.shape[1]
-        perm = (np.arange(c).reshape(groups, c // groups).T).reshape(-1)
-        _accum(x, dy[:, np.argsort(perm)])
-
-    return _make(out, (x,), bw)
+def shuffle_vjp(out, x, groups: int = 2):
+    c = x.shape[1]
+    perm = (np.arange(c).reshape(groups, c // groups).T).reshape(-1)
+    return lambda dy, need: (dy[:, np.argsort(perm)],)
 
 
 # ------------------------------------------------------------------- losses
@@ -552,12 +476,8 @@ def cross_entropy_ls(scores, targets, eps: float = 0.0) -> Var:
     lse = smax[:, 0] + np.log(np.exp(s - smax).sum(axis=1))
     nll_all = lse[:, None] - s                    # nll of every class
     per_sample = (1.0 - eps) * nll_all[np.arange(nb), t] + (eps / k) * nll_all.sum(axis=1)
-    out = np.asarray(per_sample.mean())
     q = np.full((nb, k), eps / k)
     q[np.arange(nb), t] += 1.0 - eps
     softmax = np.exp(s - lse[:, None])
-
-    def bw(dy):
-        _accum(scores, float(dy) * (softmax - q) / nb)
-
-    return _make(out, (scores,), bw)
+    return _record(np.asarray(per_sample.mean()), (scores,),
+                   lambda dy, need: (float(dy) * (softmax - q) / nb,))

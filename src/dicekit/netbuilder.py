@@ -7,15 +7,16 @@ small op vocabulary: `spatial_conv`, `bn_prelu`, `max_pool`, `avg_pool`,
 `reshape`. `ops.row(name, kind)` scopes name the `analyze()` row that the
 ops run inside it belong to; a scope without a kind only prefixes the names
 of the rows within it. Each op is defined once too, by its record in one
-table, `OPS`. Four interpreters run the layers, each through one field of
-every record:
+table, `OPS`. Four interpreters run the layers through its fields, each Var
+argument as its array:
 
-- `AutogradOps` (`grad`): the `autograd` ops, which run the fast kernels
-  and record the tape, with batch norm by the batch's statistics:
-  `Network.forward`, which is training.
-- `ArrayOps` (`array`): the same kernels on plain arrays, with no tape, and
-  batch norm by the running statistics (`tensorops.bn_prelu`): `infer` and
-  `train.evaluate`. Both count each resize (`dice.note_resize`).
+- `ArrayOps` (`array`): the fast kernels on plain arrays, with batch norm
+  by the running statistics (`tensorops.bn_prelu`): `infer`, which
+  `train.evaluate` calls too.
+- `AutogradOps` (`array` and `vjp`, or `tape`): the same forward, recorded
+  on the tape: `Network.forward`, which is training. `bn_prelu`'s `tape` op
+  normalizes by the batch's statistics, and `spatial_conv`'s keeps its
+  im2col blocks. Both count each resize (`dice.note_resize`).
 - `OracleOps` (`oracle`): the naive `oracle` loops, which tally every MAC
   on a counter: `Network.oracle_forward`.
 - `CostOps` (`cost`): shapes only, summing each op's MACs and parameters
@@ -310,36 +311,39 @@ def _members(obj, prefix):
 
 @dataclass(frozen=True)
 class Op:
-    """One vocabulary op. `grad`, `array` and `oracle` take the interpreter,
-    then the op's arguments as layer code passes them (parameters as Vars).
-    `cost` takes those arguments, activations as anything with a `.shape`,
-    and returns the output shape, MACs and parameters, plus True if the
-    result is a view on the first operand's buffer. `consumes`: the op
-    consumes its first operand, and `array` takes its buffer as `out`."""
+    """One vocabulary op. `array` and `oracle` take the interpreter, then the
+    op's arguments, each Var as its array. `cost` takes those arguments,
+    activations as anything with a `.shape`, and returns the output shape,
+    MACs and parameters, plus True if the result is a view on the first
+    operand's buffer. `vjp(out, *arrays, **kw)` returns the pullback that
+    `autograd._record` records, matched to the arguments in the order they
+    are passed, keywords in signature order; `tape`, set instead of it, is
+    a whole tape op on the interpreter and the arguments as passed.
+    `consumes`: the op consumes its first operand, and `array` takes its
+    buffer as `out`."""
 
-    grad: Callable
     array: Callable
     oracle: Callable
     cost: Callable
+    vjp: Callable | None = None
+    tape: Callable | None = None
     consumes: bool = False
 
 
-def _ag(name):
-    """A `grad` field: `autograd.<name>` on the op's arguments."""
-    return lambda ops, *args, **kwargs: getattr(ag, name)(*args, **kwargs)
+def _vjp(name):
+    """A `vjp` field: `autograd.<name>_vjp`."""
+    return lambda *args, **kwargs: getattr(ag, name + "_vjp")(*args, **kwargs)
 
 
-def _plain(grad, run, cost):
+def _plain(name, run, cost):
     """An op whose inference and oracle are the same code, `run`."""
-    return Op(grad=grad, array=run, oracle=run, cost=cost)
+    return Op(array=run, oracle=run, cost=cost, vjp=_vjp(name))
 
 
-def _counted(resize):
-    """A `bilinear` that counts the resize (`dice.note_resize`)."""
-    def op(ops, x, h, w):
-        dice.note_resize()
-        return resize(x, h, w)
-    return op
+def _resize(ops, x, h, w):
+    """`bilinear`'s forward, which counts the resize (`dice.note_resize`)."""
+    dice.note_resize()
+    return T.bilinear_resize(x, h, w)
 
 
 def _window(x, cout, stride, per_out, params):
@@ -350,23 +354,18 @@ def _window(x, cout, stride, per_out, params):
 
 
 def _dimconv_params(k_d, k_w, k_h):
-    return dimops.DimConvParams(*(T.ConvKernelBank(k.data) for k in (k_d, k_w, k_h)))
+    return dimops.DimConvParams(*(T.ConvKernelBank(k) for k in (k_d, k_w, k_h)))
 
 
 def _dimconv_cost(x, k_d, k_w, k_h):
     nb, c, h, w = x.shape
-    n = k_d.data.shape[1]
+    n = k_d.shape[1]
     return (nb, 3 * c, h, w), nb * dimops.dimconv_macs(c, h, w, n), n * n * (c + h + w)
 
 
-def _data(v):
-    return None if v is None else v.data
-
-
 def _linear_cost(x, w, bias=None, groups=1):
-    shape = (x.shape[0], w.data.shape[0])
-    return (shape, math.prod(shape) * w.data.shape[1],
-            w.data.size + (0 if bias is None else bias.data.size))
+    shape = (x.shape[0], w.shape[0])
+    return shape, math.prod(shape) * w.shape[1], w.size + (0 if bias is None else bias.size)
 
 
 def _oracle_mul(ops, a, b):
@@ -390,81 +389,77 @@ def _reshape_cost(x, shape):
 # every call.
 OPS = {
     "spatial_conv": Op(
-        grad=_ag("spatial_conv"),
-        array=lambda ops, x, w, stride: T.conv2d(x, w.data, stride),
-        oracle=lambda ops, x, w, stride: orc.oracle_conv2d(x, w.data, stride, ops.counter)[0],
-        cost=lambda x, w, stride: _window(x, w.data.shape[0], stride, w.data[0].size,
-                                          w.data.size)),
+        tape=lambda ops, x, w, stride: ag.spatial_conv(x, w, stride),
+        array=lambda ops, x, w, stride: T.conv2d(x, w, stride),
+        oracle=lambda ops, x, w, stride: orc.oracle_conv2d(x, w, stride, ops.counter)[0],
+        cost=lambda x, w, stride: _window(x, w.shape[0], stride, w[0].size, w.size)),
     "bn_prelu": Op(
-        grad=lambda ops, x, bn: ag.bn_prelu(x, bn.gamma, bn.beta, bn.slope, bn.state),
-        array=lambda ops, x, bn, out: T.bn_prelu(x, bn.state, bn.slope.data, out),
+        tape=lambda ops, x, bn: ag.bn_prelu(x, bn.gamma, bn.beta, bn.slope, bn.state),
+        array=lambda ops, x, bn, out=None: T.bn_prelu(x, bn.state, bn.slope.data, out),
         oracle=lambda ops, x, bn: orc.oracle_bn_prelu(x, bn.state, bn.slope.data),
         cost=lambda x, bn: (x.shape, 0, sum(p.data.size for p in (bn.gamma, bn.beta, bn.slope))),
         consumes=True),
     "max_pool": Op(
-        grad=_ag("max_pool"),
+        vjp=_vjp("max_pool"),
         array=lambda ops, x, k, stride: T.pool(x, "max", k, stride),
         oracle=lambda ops, x, k, stride: orc.oracle_max_pool(x, k, stride),
         cost=lambda x, k, stride: _window(x, x.shape[1], stride, 0, 0)),
     "avg_pool": Op(
-        grad=_ag("avg_pool"),
+        vjp=_vjp("avg_pool"),
         array=lambda ops, x, k, stride: T.depthwise_conv(x, T.avg_bank(x.shape[1], k), stride),
         oracle=lambda ops, x, k, stride: orc.oracle_depthwise(
             x, T.avg_bank(x.shape[1], k), stride, ops.counter)[0],
         cost=lambda x, k, stride: _window(x, x.shape[1], stride, k * k, 0)),
     "dimconv": Op(
-        grad=_ag("dimconv"),
+        vjp=_vjp("dimconv"),
         array=lambda ops, x, *banks: dimops.dimconv_fused(x, _dimconv_params(*banks)),
         oracle=lambda ops, x, *banks: orc.oracle_dimconv(x, _dimconv_params(*banks),
                                                          ops.counter)[0],
         cost=_dimconv_cost),
     "depthwise": Op(
-        grad=_ag("depthwise"),
-        array=lambda ops, x, taps, stride=1: T.depthwise_conv(x, T.ConvKernelBank(taps.data),
-                                                              stride),
+        vjp=_vjp("depthwise"),
+        array=lambda ops, x, taps, stride=1: T.depthwise_conv(x, T.ConvKernelBank(taps), stride),
         oracle=lambda ops, x, taps, stride=1: orc.oracle_depthwise(
-            x, T.ConvKernelBank(taps.data), stride, ops.counter)[0],
-        cost=lambda x, taps, stride=1: _window(x, x.shape[1], stride, taps.data[0].size,
-                                               taps.data.size)),
+            x, T.ConvKernelBank(taps), stride, ops.counter)[0],
+        cost=lambda x, taps, stride=1: _window(x, x.shape[1], stride, taps[0].size, taps.size)),
     "pointwise": Op(
-        grad=_ag("pointwise"),
-        array=lambda ops, x, w, groups=1, stride=1: T.pointwise_conv(x, w.data, groups, stride),
+        vjp=_vjp("pointwise"),
+        array=lambda ops, x, w, groups=1, stride=1: T.pointwise_conv(x, w, groups, stride),
         oracle=lambda ops, x, w, groups=1, stride=1: orc.oracle_pointwise(
-            x, w.data, groups, stride, ops.counter)[0],
-        cost=lambda x, w, groups=1, stride=1: _window(x, w.data.shape[0], stride,
-                                                      w.data.shape[1], w.data.size)),
+            x, w, groups, stride, ops.counter)[0],
+        cost=lambda x, w, groups=1, stride=1: _window(x, w.shape[0], stride, w.shape[1], w.size)),
     "bilinear": Op(
-        grad=_counted(lambda x, h, w: ag.bilinear(x, h, w)),
-        array=_counted(lambda x, h, w: T.bilinear_resize(x, h, w)),
+        vjp=_vjp("bilinear"),
+        array=_resize,
         oracle=lambda ops, x, h, w: orc.oracle_bilinear(x, h, w),
         # the identity: a network run at another size is priced as one built for it
         cost=lambda x, h, w: (x.shape, 0, 0)),
     "global_avg": Op(
-        grad=_ag("global_avg"),
+        vjp=_vjp("global_avg"),
         array=lambda ops, x: T.pool(x, "global_avg"),
         oracle=lambda ops, x: orc.oracle_global_avg(x, ops.counter)[0],
         cost=lambda x: (x.shape[:2] + (1, 1), math.prod(x.shape), 0)),
     "linear": Op(
-        grad=_ag("linear"),
-        array=lambda ops, x, w, bias=None, groups=1: T.linear(x, w.data, groups, _data(bias)),
+        vjp=_vjp("linear"),
+        array=lambda ops, x, w, bias=None, groups=1: T.linear(x, w, groups, bias),
         oracle=lambda ops, x, w, bias=None, groups=1: orc.oracle_linear(
-            x, w.data, groups, _data(bias), ops.counter)[0],
+            x, w, groups, bias, ops.counter)[0],
         cost=_linear_cost),
-    "relu": _plain(_ag("relu"), lambda ops, x: T.relu(x), lambda x: (x.shape, 0, 0)),
-    "sigmoid": _plain(_ag("sigmoid"), lambda ops, x: T.sigmoid(x), lambda x: (x.shape, 0, 0)),
+    "relu": _plain("relu", lambda ops, x: T.relu(x), lambda x: (x.shape, 0, 0)),
+    "sigmoid": _plain("sigmoid", lambda ops, x: T.sigmoid(x), lambda x: (x.shape, 0, 0)),
     # DimFuse's gate product, one MAC per element
-    "mul": Op(grad=_ag("mul"), array=lambda ops, a, b, out: np.multiply(a, b, out=out),
+    "mul": Op(vjp=_vjp("mul"), array=lambda ops, a, b, out=None: np.multiply(a, b, out=out),
               oracle=_oracle_mul, cost=_mul_cost, consumes=True),
-    "add": _plain(_ag("add"), lambda ops, a, b: a + b,
+    "add": _plain("add", lambda ops, a, b: a + b,
                   lambda a, b: (np.broadcast_shapes(a.shape, b.shape), 0, 0)),
-    "narrow": _plain(_ag("narrow_channels"), lambda ops, x, start, n: x[:, start:start + n],
+    "narrow": _plain("narrow", lambda ops, x, start, n: x[:, start:start + n],
                      lambda x, start, n: ((x.shape[0], n) + x.shape[2:], 0, 0, True)),
-    "concat": _plain(_ag("concat_channels"), lambda ops, parts: np.concatenate(parts, axis=1),
+    "concat": _plain("concat", lambda ops, parts: np.concatenate(parts, axis=1),
                      lambda parts: (parts[0].shape[:1] + (sum(p.shape[1] for p in parts),)
                                     + parts[0].shape[2:], 0, 0)),
-    "shuffle": _plain(_ag("channel_shuffle"), lambda ops, x, g: dice.channel_shuffle(x, g),
+    "shuffle": _plain("shuffle", lambda ops, x, g: dice.channel_shuffle(x, g),
                       lambda x, g: (x.shape, 0, 0, True)),
-    "reshape": _plain(_ag("reshape"), lambda ops, x, shape: x.reshape(shape), _reshape_cost),
+    "reshape": _plain("reshape", lambda ops, x, shape: x.reshape(shape), _reshape_cost),
 }
 
 
@@ -473,9 +468,18 @@ OPS = {
 _NO_ROW = contextlib.nullcontext()
 
 
+def _arrays(args, kwargs):
+    """args and kwargs with each Var, alone or in a list, as its array."""
+    def one(a):
+        if isinstance(a, list):
+            return [one(p) for p in a]
+        return a.data if isinstance(a, Var) else a
+    return [one(a) for a in args], {k: one(v) for k, v in kwargs.items()}
+
+
 class _Interpreter:
     """Runs each vocabulary op, `ops.<name>(...)`, by the `field` of its
-    `OPS` record; `row` scopes are no-ops."""
+    `OPS` record, each Var argument as its array; `row` scopes are no-ops."""
 
     field = ""
 
@@ -492,25 +496,33 @@ class _Interpreter:
         return functools.partial(self.apply, name, OPS[name])
 
     def apply(self, name, op, *args, **kwargs):
+        args, kwargs = _arrays(args, kwargs)
         return getattr(op, self.field)(self, *args, **kwargs)
 
 
 class AutogradOps(_Interpreter):
-    """The fast kernels through the autograd tape, with `bn_prelu` by the
-    batch's statistics: training. No operand is written but the running
-    statistics of `bn_prelu`'s batch norm."""
+    """Training: each op's `array` forward, with no `out`, recorded with its
+    `vjp`, or its `tape` op. No operand is written but the running
+    statistics of `bn_prelu`'s batch norm. Raw arrays pass as constants."""
 
-    field = "grad"
+    def apply(self, name, op, *args, **kwargs):
+        if op.tape is not None:
+            return op.tape(self, *args, **kwargs)
+        arrays, kw = _arrays(args, kwargs)
+        out = op.array(self, *arrays, **kw)
+        return ag._record(out, [*args, *kwargs.values()], op.vjp(out, *arrays, **kw))
 
 
 class ArrayOps(_Interpreter):
     """The fast kernels on plain arrays, with nothing recorded: inference.
     A consuming op writes its result into its first operand's buffer."""
 
+    field = "array"
+
     def apply(self, name, op, *args, **kwargs):
         if op.consumes:
             kwargs["out"] = args[0]
-        return op.array(self, *args, **kwargs)
+        return super().apply(name, op, *args, **kwargs)
 
     def image_blocks(self, fn, x):
         """fn run over `tensorops._image_blocks`' blocks of x, each block's
@@ -577,6 +589,7 @@ class CostOps(_Interpreter):
             self._row = outer
 
     def apply(self, name, op, *args, **kwargs):
+        args, kwargs = _arrays(args, kwargs)
         shape, macs, params, *view = op.cost(*args, **kwargs)
         if self._row is not None:
             self._row[2] += macs
@@ -765,11 +778,15 @@ def analyze(net: Network, input_size: int | None = None) -> FlopReport:
 
 
 def infer(net: Network, x: np.ndarray) -> np.ndarray:
-    """Deterministic forward pass to class scores."""
+    """Deterministic forward pass to class scores. Raises KernelError on
+    input or scores that are not finite."""
     if x.ndim != 4 or x.shape[1] != 3:
         raise KernelError(f"expected (N,3,H,W) input, got {getattr(x, 'shape', None)}")
     if min(x.shape[2], x.shape[3]) < 32:
         raise KernelError("inference input must be at least 32 pixels on a side")
     if not np.isfinite(x).all():
         raise KernelError("inference input contains NaN or infinite values")
-    return net.run(x, ArrayOps())
+    scores = net.run(x, ArrayOps())
+    if not np.isfinite(scores).all():
+        raise KernelError("inference scores contain NaN or infinite values")
+    return scores

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .netbuilder import ArrayOps
+from .netbuilder import infer
 
 # images per block of `synth_dataset`'s noise (1.5 MiB at 3x32x32)
 NOISE_BLOCK = 64
@@ -121,10 +121,10 @@ def synth_dataset(seed: int, count: int, classes: int = 10, size: int = 32):
 
 
 def evaluate(net, images, labels, batch_size: int = 64) -> float:
-    """Inference-mode accuracy over a labeled set, run by `ArrayOps`."""
+    """Inference-mode accuracy over a labeled set, by `infer`: non-finite scores raise."""
     correct = 0
     for lo in range(0, len(labels), batch_size):
-        scores = net.run(images[lo:lo + batch_size], ArrayOps())
+        scores = infer(net, images[lo:lo + batch_size])
         correct += int((scores.argmax(axis=1) == labels[lo:lo + batch_size]).sum())
     return correct / len(labels)
 

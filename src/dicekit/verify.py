@@ -19,9 +19,12 @@ from .dimops import (
     dimfuse_cost,
     dimfuse_reduction_factor,
 )
+from .netbuilder import AutogradOps
 from .tensorops import ConvKernelBank
 
 SUITES = ("kernels", "gradients", "flops")
+# the training interpreter: the vocabulary ops on the tape, raw arrays constant
+_OPS = AutogradOps()
 
 
 @dataclass
@@ -400,7 +403,7 @@ def _adjoint_checks(rng):
         x, taps = rng.standard_normal((nb, c, h, w)), rng.standard_normal((c, n, n))
         k_t = nb * T.ceil_div(h, stride) * T.ceil_div(w, stride)
         results.append(adjoint_check(f"adjoint.depthwise.s{stride}", rng,
-                                     lambda a, t, s=stride: ag.depthwise(a, t, s),
+                                     lambda a, t, s=stride: _OPS.depthwise(a, t, s),
                                      (x, taps), max(n * n, k_t)))
     nb, c, h, w = _wide_batch_shape(rng)
     x = rng.standard_normal((nb, c, h, w))
@@ -409,7 +412,7 @@ def _adjoint_checks(rng):
     results.append(adjoint_check("adjoint.heightwise", rng, ag.heightwise,
                                  (x, rng.standard_normal((h, 3, 3))), max(9, nb * c * w)))
     banks = tuple(rng.standard_normal((k, 3, 3)) for k in (c, w, h))
-    results.append(adjoint_check("adjoint.dimconv", rng, ag.dimconv, (x,) + banks,
+    results.append(adjoint_check("adjoint.dimconv", rng, _OPS.dimconv, (x,) + banks,
                                  max(3 * 9, nb * h * w, nb * c * h, nb * c * w)))
 
     nb, c, h, w = _wide_batch_shape(rng)
@@ -420,9 +423,9 @@ def _adjoint_checks(rng):
                                  lambda a, t: ag.spatial_conv(a, t, 2),
                                  (x, rng.standard_normal((cout, c, 3, 3))),
                                  max(9 * c, 9 * cout, k_t)))
-    results.append(adjoint_check("adjoint.avg_pool", rng, lambda a: ag.avg_pool(a, 3, 2),
+    results.append(adjoint_check("adjoint.avg_pool", rng, lambda a: _OPS.avg_pool(a, 3, 2),
                                  (x,), 9))
-    results.append(adjoint_check("adjoint.max_pool", rng, lambda a: ag.max_pool(a, 3, 2),
+    results.append(adjoint_check("adjoint.max_pool", rng, lambda a: _OPS.max_pool(a, 3, 2),
                                  (x,), 9, abs_out=np.abs(T.pool(x, "max", 3, 2))))
 
     groups, cig, cog = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
@@ -431,13 +434,13 @@ def _adjoint_checks(rng):
     stride = int(rng.integers(1, 3))
     k_t = nb * T.ceil_div(h, stride) * T.ceil_div(w, stride)
     results.append(adjoint_check("adjoint.pointwise", rng,
-                                 lambda a, t: ag.pointwise(a, t, groups, stride),
+                                 lambda a, t: _OPS.pointwise(a, t, groups, stride),
                                  (x, rng.standard_normal((groups * cog, cig))),
                                  max(cig, cog, k_t)))
     fig, fog = int(rng.integers(1, 9)), int(rng.integers(1, 5))
     x = rng.standard_normal((nb, groups * fig))
     results.append(adjoint_check("adjoint.linear", rng,
-                                 lambda a, t: ag.linear(a, t, groups=groups),
+                                 lambda a, t: _OPS.linear(a, t, groups=groups),
                                  (x, rng.standard_normal((groups * fog, fig))),
                                  max(fig, fog, nb)))
     return results
@@ -456,7 +459,7 @@ def _bn_prelu_checks(rng):
         def build(v, name=name):
             state = T.BatchNormParams(args["gamma"], args["beta"], np.zeros(c), np.ones(c))
             vals = [v if k == name else ag.Var(a) for k, a in args.items()]
-            return ag.sum_all(ag.mul(ag.bn_prelu(*vals, state), ag.Var(wgt)))
+            return ag.sum_all(_OPS.mul(ag.bn_prelu(*vals, state), wgt))
 
         results.append(grad_check(f"bn_prelu.train.{name}", build, args[name]))
     return results
@@ -471,23 +474,22 @@ def run_gradients(seed: int = 0):
     results += _bn_prelu_checks(np.random.default_rng([seed, 2]))
     x = rng.standard_normal((2, 3, 5, 4))
     wgt = rng.standard_normal((2, 3, 5, 4))
-    xv = ag.Var(x)
 
     def sum_sq(y):
-        return ag.sum_all(ag.mul(y, y))
+        return ag.sum_all(_OPS.mul(y, y))
 
     results.append(grad_check("depthwise.taps",
-                              lambda t: ag.sum_all(ag.mul(ag.depthwise(xv, t), ag.Var(wgt))),
+                              lambda t: ag.sum_all(_OPS.mul(_OPS.depthwise(x, t), wgt)),
                               rng.standard_normal((3, 3, 3))))
-    results.append(grad_check("pointwise.weights", lambda w: sum_sq(ag.pointwise(xv, w)),
+    results.append(grad_check("pointwise.weights", lambda w: sum_sq(_OPS.pointwise(x, w)),
                               rng.standard_normal((4, 3))))
     p = DimConvParams.init(3, 5, 4, 3, rng)
     kw, kh = ag.Var(p.k_w.taps), ag.Var(p.k_h.taps)
-    results.append(grad_check("dimconv.k_d", lambda kd: sum_sq(ag.dimconv(xv, kd, kw, kh)),
+    results.append(grad_check("dimconv.k_d", lambda kd: sum_sq(_OPS.dimconv(x, kd, kw, kh)),
                               p.k_d.taps.copy()))
-    pooled_wgt = ag.Var(wgt[:, :, :3, :2])
+    pooled_wgt = wgt[:, :, :3, :2]
     results.append(grad_check("avg_pool.input",
-                              lambda xi: ag.sum_all(ag.mul(ag.avg_pool(xi, 3, 2), pooled_wgt)),
+                              lambda xi: ag.sum_all(_OPS.mul(_OPS.avg_pool(xi, 3, 2), pooled_wgt)),
                               x.copy()))
     return results
 

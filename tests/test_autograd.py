@@ -1,4 +1,7 @@
-"""Tape mechanics and per-op backward passes against central differences."""
+"""Tape mechanics and per-op backward passes against central differences.
+
+The vocabulary ops run through `AutogradOps`, as training runs them: each
+op's forward from its `OPS` record, and the pullback of its `vjp`."""
 
 import math
 import tracemalloc
@@ -10,9 +13,11 @@ import pytest
 from dicekit import autograd as ag
 from dicekit import tensorops as T
 from dicekit import verify
-from dicekit.netbuilder import ArrayOps
+from dicekit.netbuilder import ArrayOps, AutogradOps
 from dicekit.oracle import oracle_bn_prelu
 from dicekit.tensorops import BatchNormParams, KernelError
+
+ops = AutogradOps()
 
 
 def check_param_grad(build, theta0, thresh=1e-4):
@@ -35,10 +40,10 @@ def test_backward_on_detached_value_fails():
 
 def test_an_op_records_only_when_a_parent_requires_a_gradient(rng):
     a = rng.standard_normal((2, 2))
-    y = ag.mul(a, ag.Var(a))
+    y = ops.mul(a, ag.Var(a))
     assert not y.requires_grad and y._backward is None
     x = ag.param(a)
-    y = ag.mul(ag.Var(a), x)
+    y = ops.mul(ag.Var(a), x)
     assert y.requires_grad and y._backward is not None
     ag.backward(ag.sum_all(y))
     np.testing.assert_array_equal(x.grad, a)
@@ -46,14 +51,14 @@ def test_an_op_records_only_when_a_parent_requires_a_gradient(rng):
 
 def test_shared_parent_accumulates(rng):
     x = ag.param(np.array([3.0]))
-    ag.backward(ag.mul(x, x))          # d(x^2)/dx = 2x
+    ag.backward(ops.mul(x, x))          # d(x^2)/dx = 2x
     np.testing.assert_allclose(x.grad, [6.0])
 
 
 def test_add_broadcast_grad(rng):
     x = rng.standard_normal((2, 3, 4, 4))
     b = rng.standard_normal((1, 3, 1, 1))
-    check_param_grad(lambda v: ag.sum_all(ag.mul(ag.add(ag.Var(x), v),
+    check_param_grad(lambda v: ag.sum_all(ops.mul(ops.add(ag.Var(x), v),
                                                  ag.Var(x))), b)
 
 
@@ -64,7 +69,7 @@ def test_dimconv_locality_of_tap_gradients():
     kd = ag.param(np.zeros((2, 3, 3)))
     kw = ag.Var(np.zeros((5, 3, 3)))
     kh = ag.Var(np.zeros((5, 3, 3)))
-    y = ag.dimconv(ag.Var(x), kd, kw, kh)
+    y = ops.dimconv(ag.Var(x), kd, kw, kh)
     ag.backward(ag.sum_all(y))
     assert np.all(kd.grad[1] == 0)               # other channel never sees it
     assert np.all(kd.grad[0] == 1.0)             # every tap covers the pixel once
@@ -75,16 +80,16 @@ def test_depthwise_grads(rng):
     t0 = rng.standard_normal((3, 3, 3))
     wgt = ag.Var(rng.standard_normal((2, 3, 3, 3)))
     check_param_grad(
-        lambda t: ag.sum_all(ag.mul(ag.depthwise(ag.Var(x), t, stride=2), wgt)), t0)
+        lambda t: ag.sum_all(ops.mul(ops.depthwise(ag.Var(x), t, stride=2), wgt)), t0)
     check_param_grad(
-        lambda v: ag.sum_all(ag.mul(ag.depthwise(v, ag.Var(t0), stride=2), wgt)), x)
+        lambda v: ag.sum_all(ops.mul(ops.depthwise(v, ag.Var(t0), stride=2), wgt)), x)
 
 
 def test_width_height_grads(rng):
     x = rng.standard_normal((1, 3, 4, 5))
     w_taps = rng.standard_normal((5, 3, 3))
     h_taps = rng.standard_normal((4, 3, 3))
-    sq = lambda y: ag.sum_all(ag.mul(y, y))
+    sq = lambda y: ag.sum_all(ops.mul(y, y))
     check_param_grad(lambda t: sq(ag.widthwise(ag.Var(x), t)), w_taps)
     check_param_grad(lambda t: sq(ag.heightwise(ag.Var(x), t)), h_taps)
     check_param_grad(lambda v: sq(ag.widthwise(v, ag.Var(w_taps))), x)
@@ -92,8 +97,8 @@ def test_width_height_grads(rng):
 
 def test_pointwise_and_spatial_conv_grads(rng):
     x = rng.standard_normal((1, 4, 5, 5))
-    sq = lambda y: ag.sum_all(ag.mul(y, y))
-    check_param_grad(lambda w: sq(ag.pointwise(ag.Var(x), w, groups=2, stride=2)),
+    sq = lambda y: ag.sum_all(ops.mul(y, y))
+    check_param_grad(lambda w: sq(ops.pointwise(ag.Var(x), w, groups=2, stride=2)),
                      rng.standard_normal((6, 2)))
     check_param_grad(lambda w: sq(ag.spatial_conv(ag.Var(x), w, stride=2)),
                      rng.standard_normal((3, 4, 3, 3)))
@@ -106,27 +111,27 @@ def test_dimconv_all_bank_grads(rng):
     kd = rng.standard_normal((3, 3, 3))
     kw = rng.standard_normal((5, 3, 3))
     kh = rng.standard_normal((4, 3, 3))
-    sq = lambda y: ag.sum_all(ag.mul(y, y))
-    check_param_grad(lambda t: sq(ag.dimconv(ag.Var(x), t, ag.Var(kw), ag.Var(kh))), kd)
-    check_param_grad(lambda t: sq(ag.dimconv(ag.Var(x), ag.Var(kd), t, ag.Var(kh))), kw)
-    check_param_grad(lambda t: sq(ag.dimconv(ag.Var(x), ag.Var(kd), ag.Var(kw), t)), kh)
-    check_param_grad(lambda v: sq(ag.dimconv(v, ag.Var(kd), ag.Var(kw), ag.Var(kh))), x)
+    sq = lambda y: ag.sum_all(ops.mul(y, y))
+    check_param_grad(lambda t: sq(ops.dimconv(ag.Var(x), t, ag.Var(kw), ag.Var(kh))), kd)
+    check_param_grad(lambda t: sq(ops.dimconv(ag.Var(x), ag.Var(kd), t, ag.Var(kh))), kw)
+    check_param_grad(lambda t: sq(ops.dimconv(ag.Var(x), ag.Var(kd), ag.Var(kw), t)), kh)
+    check_param_grad(lambda v: sq(ops.dimconv(v, ag.Var(kd), ag.Var(kw), ag.Var(kh))), x)
 
 
 def test_pool_grads(rng):
     x = rng.standard_normal((2, 2, 6, 6))
     wgt = ag.Var(rng.standard_normal((2, 2, 3, 3)))
-    check_param_grad(lambda v: ag.sum_all(ag.mul(ag.avg_pool(v, 3, 2), wgt)), x)
-    check_param_grad(lambda v: ag.sum_all(ag.mul(ag.max_pool(v, 3, 2), wgt)), x)
+    check_param_grad(lambda v: ag.sum_all(ops.mul(ops.avg_pool(v, 3, 2), wgt)), x)
+    check_param_grad(lambda v: ag.sum_all(ops.mul(ops.max_pool(v, 3, 2), wgt)), x)
     gw = ag.Var(rng.standard_normal((2, 2, 1, 1)))
-    check_param_grad(lambda v: ag.sum_all(ag.mul(ag.global_avg(v), gw)), x)
+    check_param_grad(lambda v: ag.sum_all(ops.mul(ops.global_avg(v), gw)), x)
 
 
 def test_max_pool_ties_go_to_the_first_maximal_tap():
     # k=3, stride 2 on 2x2: one window per image, its first tap in padding,
     # its first real tap pixel (0, 0); batch longer than the width
     xv = ag.param(np.zeros((3, 2, 2, 2)))
-    ag.backward(ag.sum_all(ag.max_pool(xv, 3, 2)))
+    ag.backward(ag.sum_all(ops.max_pool(xv, 3, 2)))
     want = np.zeros((3, 2, 2, 2))
     want[:, :, 0, 0] = 1.0
     np.testing.assert_array_equal(xv.grad, want)
@@ -145,9 +150,9 @@ ADJOINT_BANK_CHECKS = {"adjoint.depthwise.s1", "adjoint.depthwise.s2", "adjoint.
 def test_adjoint_checks_catch_a_wrong_bank_gradient(monkeypatch, scale, failing):
     real = ag._bank_grad
 
-    def off(x, taps, dy, stride=1):
+    def off(x, taps, dy, stride=1, need_taps=True):
         # average pooling's constant taps take no gradient: dt is None
-        dx, dt = real(x, taps, dy, stride)
+        dx, dt = real(x, taps, dy, stride, need_taps)
         return dx, None if dt is None else dt * (1.0 + scale)
 
     monkeypatch.setattr(ag, "_bank_grad", off)
@@ -160,7 +165,7 @@ def test_max_pool_forward_does_not_stack_windows(rng):
     padded, out = 24 * 113 * 113 * 8, 24 * 56 * 56 * 8
     tracemalloc.start()
     try:
-        y = ag.max_pool(x, 3, 2)
+        y = ops.max_pool(x, 3, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -182,7 +187,7 @@ def _check_bn_prelu_grad(args, wgt, name):
 
     def build(t):
         vals = [t if k == name else ag.Var(a) for k, a in args.items()]
-        return ag.sum_all(ag.mul(ag.bn_prelu(*vals, state), wgt))
+        return ag.sum_all(ops.mul(ag.bn_prelu(*vals, state), wgt))
 
     check_param_grad(build, args[name])
 
@@ -209,8 +214,8 @@ def test_bn_prelu_train_normalizes_and_updates(rng):
 def test_activation_grads(rng):
     x = rng.standard_normal((2, 3, 4, 4)) + 0.05   # keep clear of the kink
     wgt = ag.Var(rng.standard_normal(x.shape))
-    check_param_grad(lambda v: ag.sum_all(ag.mul(ag.relu(v), wgt)), x)
-    check_param_grad(lambda v: ag.sum_all(ag.mul(ag.sigmoid(v), wgt)), x)
+    check_param_grad(lambda v: ag.sum_all(ops.mul(ops.relu(v), wgt)), x)
+    check_param_grad(lambda v: ag.sum_all(ops.mul(ops.sigmoid(v), wgt)), x)
     # PReLU's slope, through bn_prelu
     for shape in ((3, 2, 2, 2), (2, 3, 4, 4)):
         _check_bn_prelu_grad(*_bn_prelu_args(rng, shape), "slope")
@@ -257,16 +262,15 @@ def test_public_ops_write_no_argument_without_out(rng):
     kept = {k: a.copy() for k, a in args.items()}
     for wrap in (ag.Var, ag.param):
         ag.bn_prelu(*map(wrap, args.values()), BatchNormParams.identity(3))
-        ag.mul(wrap(args["x"]), wgt)
+        ops.mul(wrap(args["x"]), wgt)
     assert all(args[k].tobytes() == kept[k].tobytes() for k in args)
 
 
 def test_stem_backward_builds_no_input_gradient(rng):
     # the stem's image needs no gradient. The weight gradient needs only the
-    # im2col matrix and the padded input it is cut from; an input gradient
-    # would add a matrix as large and a padded gradient buffer
+    # im2col matrices the forward kept; an input gradient builds a matrix as
+    # large as they are, and a padded gradient buffer beside it
     nb, c, h, w = 16, 3, 64, 64
-    padded = nb * c * (h + 1) * (w + 1) * 8
     cols = nb * c * 9 * 32 * 32 * 8
     w_conv = ag.param(rng.standard_normal((8, c, 3, 3)))
     peaks = {}
@@ -281,8 +285,7 @@ def test_stem_backward_builds_no_input_gradient(rng):
         finally:
             tracemalloc.stop()
         assert (image.grad is not None) == needs_grad
-    bound = padded + cols + dy.nbytes
-    assert peaks[False] < bound < peaks[True], f"peaks {peaks}, bound {bound} B"
+    assert peaks[False] < cols < peaks[True], f"peaks {peaks}, kept im2col {cols} B"
 
 
 def test_spatial_conv_keeps_im2col_only_while_recording(monkeypatch, rng):
@@ -345,30 +348,30 @@ def test_linear_grads(rng):
     x = rng.standard_normal((3, 6))
     w = rng.standard_normal((4, 3))
     b = rng.standard_normal(4)
-    sq = lambda y: ag.sum_all(ag.mul(y, y))
-    check_param_grad(lambda v: sq(ag.linear(v, ag.Var(w), bias=ag.Var(b), groups=2)), x)
-    check_param_grad(lambda wv: sq(ag.linear(ag.Var(x), wv, groups=2)), w)
-    check_param_grad(lambda bv: sq(ag.linear(ag.Var(x), ag.Var(w),
+    sq = lambda y: ag.sum_all(ops.mul(y, y))
+    check_param_grad(lambda v: sq(ops.linear(v, ag.Var(w), bias=ag.Var(b), groups=2)), x)
+    check_param_grad(lambda wv: sq(ops.linear(ag.Var(x), wv, groups=2)), w)
+    check_param_grad(lambda bv: sq(ops.linear(ag.Var(x), ag.Var(w),
                                              bias=bv, groups=2)), b)
 
 
 def test_bilinear_grad(rng):
     x = rng.standard_normal((1, 2, 5, 4))
     wgt = ag.Var(rng.standard_normal((1, 2, 8, 7)))
-    check_param_grad(lambda v: ag.sum_all(ag.mul(ag.bilinear(v, 8, 7), wgt)), x)
+    check_param_grad(lambda v: ag.sum_all(ops.mul(ops.bilinear(v, 8, 7), wgt)), x)
     same = ag.Var(rng.standard_normal((1, 2, 5, 4)))
-    check_param_grad(lambda v: ag.sum_all(ag.mul(ag.bilinear(v, 5, 4), same)), x)
+    check_param_grad(lambda v: ag.sum_all(ops.mul(ops.bilinear(v, 5, 4), same)), x)
 
 
 def test_structural_op_grads(rng):
     a = rng.standard_normal((1, 4, 3, 3))
     b = ag.Var(rng.standard_normal((1, 2, 3, 3)))
     wgt = ag.Var(rng.standard_normal((1, 6, 3, 3)))
-    check_param_grad(lambda v: ag.sum_all(ag.mul(
-        ag.channel_shuffle(ag.concat_channels([v, b]), 2), wgt)), a)
+    check_param_grad(lambda v: ag.sum_all(ops.mul(
+        ops.shuffle(ops.concat([v, b]), 2), wgt)), a)
     w2 = ag.Var(rng.standard_normal((1, 2, 3, 3)))
-    check_param_grad(lambda v: ag.sum_all(ag.mul(
-        ag.narrow_channels(v, 1, 2), w2)), a)
+    check_param_grad(lambda v: ag.sum_all(ops.mul(
+        ops.narrow(v, 1, 2), w2)), a)
 
 
 def test_cross_entropy_values(rng):
@@ -411,15 +414,15 @@ def test_avg_pool_backward_builds_no_tap_gradient(monkeypatch, rng):
     real = ag._bank_grad
     seen = []
 
-    def spy(x, taps, dy, stride=1):
-        dx, dt = real(x, taps, dy, stride)
+    def spy(x, taps, dy, stride=1, need_taps=True):
+        dx, dt = real(x, taps, dy, stride, need_taps)
         seen.append(dt)
         return dx, dt
 
     monkeypatch.setattr(ag, "_bank_grad", spy)
     x = ag.param(rng.standard_normal((8, 3, 6, 6)))
-    ag.backward(ag.sum_all(ag.avg_pool(x, 3, 2)))
+    ag.backward(ag.sum_all(ops.avg_pool(x, 3, 2)))
     assert seen == [None] and x.grad.shape == x.shape
     taps = ag.param(rng.standard_normal((3, 3, 3)))
-    ag.backward(ag.sum_all(ag.depthwise(x, taps, 2)))
+    ag.backward(ag.sum_all(ops.depthwise(x, taps, 2)))
     assert seen[1] is not None and taps.grad.shape == (3, 3, 3)

@@ -294,3 +294,31 @@ def test_infer_bad_input_exit_2(micro_cfg_path, tmp_path, capsys):
                      + struct.pack("<4Q", 1, 3, 2 ** 31, 2 ** 33))
     assert main(["infer", micro_cfg_path, str(huge)]) == EXIT_USAGE
     assert "truncated" in capsys.readouterr().err
+
+
+# the overflow is the point: numpy warns of it
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_train_whose_weights_overflow_exit_2(micro_cfg_path, tmp_path, capsys):
+    # a finite learning rate so large that one step overflows the weights:
+    # the EMA evaluation scores NaN, so no checkpoint is written
+    ck = tmp_path / "ck"
+    assert main(["train", micro_cfg_path, "--count", "10", "--epochs", "1",
+                 "--lr", "1e300", "--checkpoint", str(ck)]) == EXIT_USAGE
+    assert "scores contain NaN" in capsys.readouterr().err
+    assert not ck.exists()
+
+
+# the overflow is the point: numpy warns of it
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_infer_checkpoint_that_scores_nan_exit_2(micro_cfg_path, tmp_path, capsys):
+    # every tensor is finite, but the classifier's weights overflow the scores
+    tensor = tmp_path / "x.dck"
+    save_tensor(tensor, np.ones((3, 32, 32)))
+    named = build_network(parse_config(MICRO_CFG), seed=5).named_state()
+    named = [(n, np.full_like(a, 1e308) if n == "head.fc" else a) for n, a in named]
+    save_checkpoint(tmp_path / "ck", named)
+    assert main(["infer", micro_cfg_path, str(tensor),
+                 "--checkpoint", str(tmp_path / "ck")]) == EXIT_USAGE
+    assert "scores contain NaN" in capsys.readouterr().err

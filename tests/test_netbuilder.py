@@ -109,10 +109,13 @@ _ABLATIONS = ("name: x\nwidth_scale: 0.1\ninput_size: 32\nclasses: 10\n"
 
 
 def test_op_table_is_complete():
-    # every record fills every field, and the table holds exactly the ops
-    # the layers call, across the block styles and the conv/fusion ablations
-    fields = [f for f in Op.__dataclass_fields__ if f != "consumes"]
-    assert all(callable(getattr(op, f)) for op in OPS.values() for f in fields)
+    # every record has a forward, an oracle and a cost, and exactly one of a
+    # pullback and a whole tape op; the table holds exactly the ops the
+    # layers call, across the block styles and the conv/fusion ablations
+    assert "grad" not in Op.__dataclass_fields__
+    assert all(callable(f) for op in OPS.values() for f in (op.array, op.oracle, op.cost))
+    assert all(callable(op.vjp) != callable(op.tape) for op in OPS.values())
+    assert {name for name, op in OPS.items() if op.tape} == {"bn_prelu", "spatial_conv"}
     called = set()
 
     class Seen(CostOps):
@@ -169,7 +172,7 @@ def test_interpreters_look_kernels_up_at_call_time(monkeypatch):
 
     counting(T, "pointwise_conv")
     counting(T, "bn_prelu")
-    counting(ag, "pointwise")
+    counting(ag, "pointwise_vjp")
     counting(orc, "oracle_pointwise")
     x = np.random.default_rng(12).standard_normal((2, 3, 32, 32))
     runs = {"infer": lambda: infer(net, x), "forward": lambda: net.forward(x),
@@ -179,10 +182,12 @@ def test_interpreters_look_kernels_up_at_call_time(monkeypatch):
         seen.clear()
         run()
         calls[key] = sorted(set(seen))
-    # the autograd op calls the kernel; the oracle calls neither. Training
-    # normalizes by the batch's statistics, so it never runs T.bn_prelu
+    # training runs the kernel and records the pullback; the oracle calls
+    # neither. Training normalizes by the batch's statistics, so it never
+    # runs T.bn_prelu
     assert calls == {"infer": ["bn_prelu", "pointwise_conv"],
-                     "forward": ["pointwise", "pointwise_conv"], "oracle": ["oracle_pointwise"]}
+                     "forward": ["pointwise_conv", "pointwise_vjp"],
+                     "oracle": ["oracle_pointwise"]}
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.cfg")))
