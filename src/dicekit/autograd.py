@@ -6,8 +6,7 @@ when a parent requires a gradient. `netbuilder.AutogradOps` runs each
 vocabulary op's forward from its `OPS` record and records the pullback of
 `<name>_vjp` here (see `_record`). `bn_prelu`, by the batch's statistics,
 and `spatial_conv`, which keeps its im2col blocks, are whole tape ops, as
-are DimConv's width and height branches alone, `sum_all` and
-`cross_entropy_ls`.
+are `sum_all` and `cross_entropy_ls`.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensorops as T
-from .tensorops import ConvKernelBank, KernelError
+from .tensorops import KernelError
 
 # the share of a training batch's statistics in bn_prelu's running ones
 BN_MOMENTUM = 0.1
@@ -196,24 +195,6 @@ def _branch_grad(axes, x, taps, dy, stride: int = 1, need_taps: bool = True):
     to, back = axes
     dx, dt = _bank_grad(x.transpose(to), taps, dy.transpose(to), stride, need_taps)
     return dx.transpose(back), dt
-
-
-def _branch(axes, forward, x, taps) -> Var:
-    """The tape op of DimConv's width or height branch alone: `forward(x,
-    bank)` runs it, and `axes` (see `_branch_grad`) says which axis of x the
-    bank indexes."""
-    x, taps = as_var(x), as_var(taps)
-    out = forward(x.data, ConvKernelBank(np.ascontiguousarray(taps.data)))
-    return _record(out, (x, taps),
-                   lambda dy, need: _branch_grad(axes, x.data, taps.data, dy, 1, need[1]))
-
-
-def widthwise(x, taps) -> Var:
-    return _branch(_WIDTH, lambda a, b: T.widthwise_conv(a, b), x, taps)
-
-
-def heightwise(x, taps) -> Var:
-    return _branch(_HEIGHT, lambda a, b: T.heightwise_conv(a, b), x, taps)
 
 
 def depthwise_vjp(out, x, taps, stride: int = 1):

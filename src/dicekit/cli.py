@@ -13,6 +13,9 @@ if os.environ.get("DICEKIT_THREADS"):
         os.environ.setdefault(_var, _cap)
 
 import argparse
+import csv
+import dataclasses
+import io
 import json
 import sys
 
@@ -27,6 +30,20 @@ def _write_out(text: str, out_path):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_rows(args, rows, table=None):
+    """rows (dicts, same keys) as csv, JSON, or `table` lines (default: key=value)."""
+    keys = list(rows[0])
+    if args.format == "csv":
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows([keys] + [list(r.values()) for r in rows])
+        _write_out(text.getvalue(), args.out)
+    elif args.format == "json":
+        _write_out(json.dumps(rows) + "\n", args.out)
+    else:
+        table = table or ["  ".join(f"{k}={r[k]}" for k in keys) for r in rows]
+        _write_out("\n".join(table) + "\n", args.out)
 
 
 def _load_config(path):
@@ -61,19 +78,7 @@ def cmd_bench(args) -> int:
         impl = "default" if args.op == "separable" else args.impl
         results = [run_bench(args.op, impl, shape, args.n, args.repeats,
                              args.warmup, args.seed)]
-    rows = [r.row() for r in results]
-    keys = list(rows[0])
-    if args.format == "csv":
-        lines = [",".join(keys)]
-        lines += [",".join(str(row[k]) for k in keys) for row in rows]
-        _write_out("\n".join(lines) + "\n", args.out)
-    elif args.format == "json":
-        _write_out(json.dumps(rows) + "\n", args.out)
-    else:
-        lines = []
-        for row in rows:
-            lines.append("  ".join(f"{k}={row[k]}" for k in keys))
-        _write_out("\n".join(lines) + "\n", args.out)
+    _write_rows(args, [r.row() for r in results])
     return EXIT_OK
 
 
@@ -83,7 +88,7 @@ def cmd_verify(args) -> int:
     lines = [r.line() for r in results]
     lines.append(f"{'all checks passed' if ok else 'FAILURES detected'} "
                  f"({sum(r.passed for r in results)}/{len(results)})")
-    _write_out("\n".join(lines) + "\n", args.out)
+    _write_rows(args, [dataclasses.asdict(r) for r in results], lines)
     return EXIT_OK if ok else EXIT_VERIFY
 
 

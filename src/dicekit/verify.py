@@ -1,10 +1,12 @@
-"""Self-check suites: kernel/oracle equivalence, gradient spot checks and
-adjoint checks, and cost-formula cross-checks. The CLI surfaces these as
+"""Self-check suites: kernel/oracle equivalence; the gradient contract, as
+adjoint checks of the linear ops and central-difference checks of every
+op's backward; and cost-formula cross-checks. The CLI surfaces these as
 `verify --suite ...`; the test suite drives them directly."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from .dimops import (
     dimfuse_cost,
     dimfuse_reduction_factor,
 )
-from .netbuilder import AutogradOps
+from .netbuilder import OPS, AutogradOps
 from .tensorops import ConvKernelBank
 
 SUITES = ("kernels", "gradients", "flops")
@@ -38,6 +40,14 @@ class CheckResult:
         status = "PASS" if self.passed else "FAIL"
         msg = f"[{status}] {self.name}: max_err={self.max_err:.3e}"
         return msg + (f" ({self.detail})" if self.detail else "")
+
+
+def _keep_worst(worst, check: CheckResult):
+    """Keep the worse of `check` and `worst[check.name]`: a failure, else
+    the larger error."""
+    prev = worst.get(check.name)
+    if prev is None or (not check.passed, check.max_err) > (not prev.passed, prev.max_err):
+        worst[check.name] = check
 
 
 def _rand_shape(rng, cmax=12, smax=14):
@@ -214,17 +224,11 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
     max_rng = np.random.default_rng([seed, 9])
     worst = {}
 
-    def record(kind, check):
-        prev = worst.get(kind)
-        if prev is None or (prev.passed and not check.passed) \
-                or check.max_err > prev.max_err:
-            worst[kind] = check
-
     def bitwise(kind, fast, ref, *args):
         # an oracle returns (out, counter); resize and max pooling just out
         for name, a in ((kind, args), (kind + ".f32", _f32(args))):
             out = ref(*a)
-            record(name, _bitwise(name, fast(*a), out[0] if isinstance(out, tuple) else out))
+            _keep_worst(worst, _bitwise(name, fast(*a), out[0] if isinstance(out, tuple) else out))
 
     def fused(x, p):
         out = dimconv_fused(x, p)
@@ -284,21 +288,21 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
         sc = int(conv_rng.choice([1, 2]))
         ref, _ = orc.oracle_conv2d(xc, wc, sc)
         abs_dot, _ = orc.oracle_conv2d(np.abs(xc), np.abs(wc), sc)
-        record("conv2d", _bounded("conv2d", T.conv2d(xc, wc, sc), ref,
-                                  dot_bound(nc * nc * xc.shape[1], abs_dot)))
+        _keep_worst(worst, _bounded("conv2d", T.conv2d(xc, wc, sc), ref,
+                                    dot_bound(nc * nc * xc.shape[1], abs_dot)))
         if i % 5 == 0:
             xs, ws = stem_draw(stem_rng)
             ref, _ = orc.oracle_conv2d(xs, ws, 2)
             abs_dot, _ = orc.oracle_conv2d(np.abs(xs), np.abs(ws), 2)
-            record("conv2d.stem", _bounded("conv2d.stem", T.conv2d(xs, ws, 2), ref,
-                                           dot_bound(ws[0].size, abs_dot)))
+            _keep_worst(worst, _bounded("conv2d.stem", T.conv2d(xs, ws, 2), ref,
+                                        dot_bound(ws[0].size, abs_dot)))
 
         xa = gap_rng.standard_normal((int(gap_rng.integers(1, 3)), int(gap_rng.integers(1, 6)),
                                       int(gap_rng.integers(1, 15)), int(gap_rng.integers(1, 15))))
         ref, _ = orc.oracle_global_avg(xa)
         abs_dot, _ = orc.oracle_global_avg(np.abs(xa))
-        record("global_avg", _bounded("global_avg", T.pool(xa, "global_avg"), ref,
-                                      dot_bound(xa.shape[2] * xa.shape[3] + 1, abs_dot)))
+        _keep_worst(worst, _bounded("global_avg", T.pool(xa, "global_avg"), ref,
+                                    dot_bound(xa.shape[2] * xa.shape[3] + 1, abs_dot)))
 
         bitwise("bilinear", T.bilinear_resize, orc.oracle_bilinear, *resize_draw(resize_rng))
 
@@ -407,10 +411,7 @@ def _adjoint_checks(rng):
                                      (x, taps), max(n * n, k_t)))
     nb, c, h, w = _wide_batch_shape(rng)
     x = rng.standard_normal((nb, c, h, w))
-    results.append(adjoint_check("adjoint.widthwise", rng, ag.widthwise,
-                                 (x, rng.standard_normal((w, 3, 3))), max(9, nb * c * h)))
-    results.append(adjoint_check("adjoint.heightwise", rng, ag.heightwise,
-                                 (x, rng.standard_normal((h, 3, 3))), max(9, nb * c * w)))
+    # ⟨dtaps, taps⟩ sums the three banks' terms, so it checks each branch's backward
     banks = tuple(rng.standard_normal((k, 3, 3)) for k in (c, w, h))
     results.append(adjoint_check("adjoint.dimconv", rng, _OPS.dimconv, (x,) + banks,
                                  max(3 * 9, nb * h * w, nb * c * h, nb * c * w)))
@@ -446,52 +447,98 @@ def _adjoint_checks(rng):
     return results
 
 
-def _bn_prelu_checks(rng):
-    """`grad_check` of `ag.bn_prelu` in x, gamma, beta and slope, on 2×2
-    planes at a batch of 3, longer than their width. The output is weighted
-    so the loss is not invariant to the normalization."""
-    c = 2
-    args = {"x": rng.standard_normal((3, c, 2, 2)), "gamma": 1.0 + rng.random(c),
-            "beta": rng.standard_normal(c), "slope": rng.random(c) + 0.1}
-    wgt = rng.standard_normal(args["x"].shape)
-    results = []
-    for name in args:
-        def build(v, name=name):
-            state = T.BatchNormParams(args["gamma"], args["beta"], np.zeros(c), np.ones(c))
-            vals = [v if k == name else ag.Var(a) for k, a in args.items()]
-            return ag.sum_all(_OPS.mul(ag.bn_prelu(*vals, state), wgt))
+class _Noting(AutogradOps):
+    """The training interpreter, noting the name of every op it runs."""
 
-        results.append(grad_check(f"bn_prelu.train.{name}", build, args[name]))
-    return results
+    def __init__(self):
+        self.names = set()
+
+    def apply(self, name, op, *args, **kwargs):
+        self.names.add(name)
+        return super().apply(name, op, *args, **kwargs)
+
+
+def _op_checks(rng):
+    """`grad_check`s of every `OPS` record's backward through the training
+    interpreter, the worst of 20 draws each; `every_op` fails unless all ran."""
+    ops, worst = _Noting(), {}
+    check = lambda name, build, theta0: _keep_worst(worst, grad_check(name, build, theta0))
+    sq = lambda y: ag.sum_all(ops.mul(y, y))
+    for _ in range(20):
+        c = int(rng.integers(2, 5))
+        h, w = int(rng.integers(3, 6)), int(rng.integers(3, 6))
+        x = rng.standard_normal((1, c, h, w))
+        stride = int(rng.choice([1, 2]))
+        xv = lambda: ag.Var(x)
+
+        check("depthwise", lambda t: sq(ops.depthwise(xv(), t, stride=stride)),
+              rng.standard_normal((c, 3, 3)))
+        check("pointwise", lambda t: sq(ops.pointwise(xv(), t, stride=stride)),
+              rng.standard_normal((3, c)))
+        check("spatial_conv", lambda t: sq(ops.spatial_conv(xv(), t, stride=stride)),
+              rng.standard_normal((2, c, 3, 3)))
+        banks = {"k_d": rng.standard_normal((c, 3, 3)), "k_w": rng.standard_normal((w, 3, 3)),
+                 "k_h": rng.standard_normal((h, 3, 3))}
+        for key in banks:
+            check(f"dimconv.{key}", lambda t: sq(ops.dimconv(
+                xv(), *(t if k == key else ag.Var(b) for k, b in banks.items()))), banks[key])
+        check("dimconv.x", lambda v: sq(ops.dimconv(v, *map(ag.Var, banks.values()))), x)
+        check("avg_pool", lambda v: sq(ops.avg_pool(v, 3, 2)), x)
+        check("max_pool", lambda v: sq(ops.max_pool(v, 3, 2)), x)
+        check("global_avg", lambda v: sq(ops.global_avg(v)), x)
+        # on this draw's planes and on 2x2 planes at a batch longer than their
+        # width; the weight keeps the loss from being invariant to the normalization
+        for xb, suffix in ((x, ""), (rng.standard_normal((3, c, 2, 2)), ".2x2")):
+            args = {"x": xb, "gamma": 1.0 + rng.random(c), "beta": rng.standard_normal(c),
+                    "slope": rng.random(c) + 0.1}
+            wgt, state = ag.Var(rng.standard_normal(xb.shape)), T.BatchNormParams.identity(c)
+            # keep PReLU's inputs off its kink at zero: shift each channel's
+            # beta so that zero lies mid-way in the widest gap between them
+            pre = ag.bn_prelu(xb, args["gamma"], args["beta"], np.ones(c), state).data
+            pre = np.sort(pre.swapaxes(0, 1).reshape(c, -1))
+            gap = np.diff(pre).argmax(axis=1)
+            args["beta"] -= (pre[np.arange(c), gap] + pre[np.arange(c), gap + 1]) / 2
+            for name in args:
+                def build(t):
+                    v = {k: t if k == name else ag.Var(a) for k, a in args.items()}
+                    bn = SimpleNamespace(state=state, **v)   # x among them, unread
+                    return ag.sum_all(ops.mul(ops.bn_prelu(v["x"], bn), wgt))
+
+                check(f"bn_prelu.{name}{suffix}", build, args[name])
+        # keep activation inputs away from the kink at zero
+        xk = x + 0.05 * np.sign(x)
+        check("relu", lambda v: sq(ops.relu(v)), xk)
+        check("sigmoid", lambda v: sq(ops.sigmoid(v)), x)
+        xl, bl = rng.standard_normal((2, 4)), rng.standard_normal(4)
+        check("linear", lambda t: sq(ops.linear(ag.Var(xl), t, bias=ag.Var(bl), groups=2)),
+              rng.standard_normal((4, 2)))
+        check("bilinear", lambda v: sq(ops.bilinear(v, h + 2, w + 1)), x)
+        # grad_check perturbs theta0 in place, and this build reads x too
+        check("shuffle", lambda v: sq(ops.shuffle(ops.concat([v, ag.Var(x)]), 2)), x.copy())
+        # the second part beside other values, so a split in the wrong place shows
+        check("concat", lambda v: sq(ops.concat([ag.Var(xk), v])), x)
+        check("narrow", lambda v: sq(ops.narrow(v, 0, c - 1)), x)
+        targets = rng.integers(0, 4, size=2)
+        check("cross_entropy", lambda s: ag.cross_entropy_ls(s, targets, 0.1),
+              rng.standard_normal((2, 4)))
+        # per-channel operands broadcast over the planes, the second as DimFuse's
+        # gate; and a reshape weighted so that a permuted gradient shows
+        check("add", lambda b: sq(ops.add(xv(), b)), rng.standard_normal((1, c, 1, 1)))
+        check("mul", lambda g: sq(ops.mul(xv(), g)), rng.standard_normal((1, c, 1, 1)))
+        wr = rng.standard_normal((c, h * w))
+        check("reshape", lambda v: ag.sum_all(ops.mul(ops.reshape(v, (c, -1)), wr)), x)
+
+    missing = sorted(set(OPS) - ops.names)
+    detail = f"{len(OPS) - len(missing)}/{len(OPS)} ops ran" + "".join(
+        f"; {name} never ran" for name in missing)
+    ran = CheckResult("every_op", not missing, float(len(missing)), detail)
+    return [worst[k] for k in sorted(worst)] + [ran]
 
 
 def run_gradients(seed: int = 0):
-    """Spot checks of a few backward passes on tiny shapes against central
-    differences, `_adjoint_checks` and `_bn_prelu_checks` on draws from their
-    own generators."""
-    rng = np.random.default_rng(seed)
-    results = _adjoint_checks(np.random.default_rng([seed, 1]))
-    results += _bn_prelu_checks(np.random.default_rng([seed, 2]))
-    x = rng.standard_normal((2, 3, 5, 4))
-    wgt = rng.standard_normal((2, 3, 5, 4))
-
-    def sum_sq(y):
-        return ag.sum_all(_OPS.mul(y, y))
-
-    results.append(grad_check("depthwise.taps",
-                              lambda t: ag.sum_all(_OPS.mul(_OPS.depthwise(x, t), wgt)),
-                              rng.standard_normal((3, 3, 3))))
-    results.append(grad_check("pointwise.weights", lambda w: sum_sq(_OPS.pointwise(x, w)),
-                              rng.standard_normal((4, 3))))
-    p = DimConvParams.init(3, 5, 4, 3, rng)
-    kw, kh = ag.Var(p.k_w.taps), ag.Var(p.k_h.taps)
-    results.append(grad_check("dimconv.k_d", lambda kd: sum_sq(_OPS.dimconv(x, kd, kw, kh)),
-                              p.k_d.taps.copy()))
-    pooled_wgt = wgt[:, :, :3, :2]
-    results.append(grad_check("avg_pool.input",
-                              lambda xi: ag.sum_all(_OPS.mul(_OPS.avg_pool(xi, 3, 2), pooled_wgt)),
-                              x.copy()))
-    return results
+    """`_adjoint_checks` and `_op_checks`, each drawing from its own generator."""
+    return (_adjoint_checks(np.random.default_rng([seed, 1]))
+            + _op_checks(np.random.default_rng([seed, 2])))
 
 
 def run_flops():

@@ -6,14 +6,12 @@ with enough context to debug (criterion 4 dumps the per-layer breakdown).
 
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
 from dicekit import autograd as ag
 from dicekit import dice
 from dicekit import oracle as orc
-from dicekit import tensorops as T
 from dicekit import verify
 from dicekit.bench import compare_fused_unfused
 from dicekit.dimops import (
@@ -22,7 +20,7 @@ from dicekit.dimops import (
     dimconv_macs,
     dimconv_unfused,
 )
-from dicekit.netbuilder import OPS, AutogradOps, analyze, build_network, infer
+from dicekit.netbuilder import analyze, build_network, infer
 from dicekit.netconfig import parse_config
 from dicekit.oracle import finite_diff_grad
 from dicekit.train import TrainConfig, synth_dataset, train_loop
@@ -126,109 +124,21 @@ def test_c5_separable_baseline_pointwise_dominated():
 
 # --- criterion 6: gradients vs. central differences ------------------------
 
-def _check(build, theta0, label):
-    result = verify.grad_check(label, build, theta0)
-    assert result.passed, result.line()
-
-
-class _Noting(AutogradOps):
-    """The training interpreter, noting the name of every op it runs."""
-
-    def __init__(self):
-        self.names = set()
-
-    def apply(self, name, op, *args, **kwargs):
-        self.names.add(name)
-        return super().apply(name, op, *args, **kwargs)
-
-
-def _check_bn_prelu(ops, rng, x, suffix):
-    """bn_prelu's gradient in x, gamma, beta and slope; the output is weighted
-    so the loss is not invariant to the normalization."""
-    c = x.shape[1]
-    args = {"x": x, "gamma": 1.0 + rng.random(c), "beta": rng.standard_normal(c),
-            "slope": rng.random(c) + 0.1}
-    wgt = ag.Var(rng.standard_normal(x.shape))
-    state = T.BatchNormParams.identity(c)
-    for name in args:
-        def build(t, name=name):
-            v = {k: t if k == name else ag.Var(a) for k, a in args.items()}
-            bn = SimpleNamespace(gamma=v["gamma"], beta=v["beta"], slope=v["slope"], state=state)
-            return ag.sum_all(ops.mul(ops.bn_prelu(v["x"], bn), wgt))
-
-        _check(build, args[name], f"bn_prelu.{name}{suffix}")
-
-
 def test_c6_gradients_every_op_and_micro_net():
     # every op of the table runs through the training interpreter, so a new
-    # record cannot ship without a check here
+    # record cannot ship without a check
     t0 = time.monotonic()
-    rng = np.random.default_rng(6)
-    ops = _Noting()
-    sq = lambda y: ag.sum_all(ops.mul(y, y))
-    for draw in range(20):
-        c = int(rng.integers(2, 5))
-        h, w = int(rng.integers(3, 6)), int(rng.integers(3, 6))
-        x = rng.standard_normal((1, c, h, w))
-        stride = int(rng.choice([1, 2]))
-        xv = lambda: ag.Var(x)
-
-        _check(lambda t: sq(ops.depthwise(xv(), t, stride=stride)),
-               rng.standard_normal((c, 3, 3)), f"depthwise#{draw}")
-        _check(lambda t: sq(ag.widthwise(xv(), t)),
-               rng.standard_normal((w, 3, 3)), f"widthwise#{draw}")
-        _check(lambda t: sq(ag.heightwise(xv(), t)),
-               rng.standard_normal((h, 3, 3)), f"heightwise#{draw}")
-        _check(lambda t: sq(ops.pointwise(xv(), t, stride=stride)),
-               rng.standard_normal((3, c)), f"pointwise#{draw}")
-        _check(lambda t: sq(ops.spatial_conv(xv(), t, stride=stride)),
-               rng.standard_normal((2, c, 3, 3)), f"spatial#{draw}")
-        kd = rng.standard_normal((c, 3, 3))
-        kw = rng.standard_normal((w, 3, 3))
-        kh = rng.standard_normal((h, 3, 3))
-        _check(lambda t: sq(ops.dimconv(xv(), t, ag.Var(kw), ag.Var(kh))),
-               kd, f"dimconv#{draw}")
-        _check(lambda v: sq(ops.dimconv(v, ag.Var(kd), ag.Var(kw), ag.Var(kh))),
-               x, f"dimconv.x#{draw}")
-        _check(lambda v: sq(ops.avg_pool(v, 3, 2)), x, f"avg_pool#{draw}")
-        _check(lambda v: sq(ops.max_pool(v, 3, 2)), x, f"max_pool#{draw}")
-        _check(lambda v: sq(ops.global_avg(v)), x, f"global_avg#{draw}")
-        # batch norm + PReLU on this draw's planes and on 2x2 planes at a
-        # batch longer than their width
-        _check_bn_prelu(ops, rng, x, f"#{draw}")
-        _check_bn_prelu(ops, rng, rng.standard_normal((3, c, 2, 2)), f".2x2#{draw}")
-        # keep activation inputs away from the kink at zero
-        xk = x + 0.05 * np.sign(x)
-        _check(lambda v: sq(ops.relu(v)), xk, f"relu#{draw}")
-        _check(lambda v: sq(ops.sigmoid(v)), x, f"sigmoid#{draw}")
-        xl, bl = rng.standard_normal((2, 4)), rng.standard_normal(4)
-        _check(lambda t: sq(ops.linear(ag.Var(xl), t, bias=ag.Var(bl),
-                                       groups=2)),
-               rng.standard_normal((4, 2)), f"linear#{draw}")
-        _check(lambda v: sq(ops.bilinear(v, h + 2, w + 1)), x, f"bilinear#{draw}")
-        # grad_check perturbs theta0 in place, and this build reads x too
-        _check(lambda v: sq(ops.shuffle(
-            ops.concat([v, ag.Var(x)]), 2)), x.copy(), f"shuffle#{draw}")
-        _check(lambda v: sq(ops.narrow(v, 0, c - 1)), x, f"narrow#{draw}")
-        targets = rng.integers(0, 4, size=2)
-        _check(lambda s: ag.cross_entropy_ls(s, targets, 0.1),
-               rng.standard_normal((2, 4)), f"cross_entropy#{draw}")
-        # a per-channel operand broadcast over the planes, and a reshape
-        # weighted so that a permuted gradient shows
-        _check(lambda b: sq(ops.add(xv(), b)), rng.standard_normal((1, c, 1, 1)),
-               f"add#{draw}")
-        wr = rng.standard_normal((c, h * w))
-        _check(lambda v: ag.sum_all(ops.mul(ops.reshape(v, (c, -1)), wr)), x,
-               f"reshape#{draw}")
-    assert ops.names == set(OPS)
+    results = verify.run_gradients(seed=6)
+    failed = [r.line() for r in results if not r.passed]
+    assert not failed, "\n".join(failed)
+    assert "every_op" in {r.name for r in results}
 
     # end-to-end: two-block network, every parameter tensor
     cfg = parse_config(
         "name: grad-micro\nwidth_scale: 0.1\ninput_size: 32\nclasses: 10\n"
         "stages {\n repeats: [1]\n channels: [16]\n}\npool_width: 32\n")
     net = build_network(cfg, seed=0)
-    # dedicated stream: keeps the evaluation point fixed (and clear of
-    # activation kinks) regardless of how many draws ran above
+    # a fixed evaluation point, clear of activation kinks
     rng = np.random.default_rng(6)
     xb = rng.standard_normal((2, 3, 32, 32))
     yb = rng.integers(0, 10, size=2)
@@ -254,8 +164,8 @@ def test_c6_gradients_every_op_and_micro_net():
 
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0, f"gradient checks took {elapsed:.1f}s"
-    print(f"\n[criterion 6] PASS: 20 draws per op + full two-block network "
-          f"against central differences ({elapsed:.1f}s)")
+    print(f"\n[criterion 6] PASS: {len(results)} gradient checks, 20 draws per op, "
+          f"+ full two-block network against central differences ({elapsed:.1f}s)")
 
 
 # --- criterion 7: toy training ---------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from dicekit import autograd as ag
 from dicekit import tensorops as T
 from dicekit import verify
-from dicekit.netbuilder import ArrayOps, AutogradOps
+from dicekit.netbuilder import OPS, ArrayOps, AutogradOps
 from dicekit.oracle import oracle_bn_prelu
 from dicekit.tensorops import BatchNormParams, KernelError
 
@@ -85,16 +85,6 @@ def test_depthwise_grads(rng):
         lambda v: ag.sum_all(ops.mul(ops.depthwise(v, ag.Var(t0), stride=2), wgt)), x)
 
 
-def test_width_height_grads(rng):
-    x = rng.standard_normal((1, 3, 4, 5))
-    w_taps = rng.standard_normal((5, 3, 3))
-    h_taps = rng.standard_normal((4, 3, 3))
-    sq = lambda y: ag.sum_all(ops.mul(y, y))
-    check_param_grad(lambda t: sq(ag.widthwise(ag.Var(x), t)), w_taps)
-    check_param_grad(lambda t: sq(ag.heightwise(ag.Var(x), t)), h_taps)
-    check_param_grad(lambda v: sq(ag.widthwise(v, ag.Var(w_taps))), x)
-
-
 def test_pointwise_and_spatial_conv_grads(rng):
     x = rng.standard_normal((1, 4, 5, 5))
     sq = lambda y: ag.sum_all(ops.mul(y, y))
@@ -137,15 +127,18 @@ def test_max_pool_ties_go_to_the_first_maximal_tap():
     np.testing.assert_array_equal(xv.grad, want)
 
 
-ADJOINT_BANK_CHECKS = {"adjoint.depthwise.s1", "adjoint.depthwise.s2", "adjoint.widthwise",
-                       "adjoint.heightwise", "adjoint.dimconv"}
+ADJOINT_BANK_CHECKS = {"adjoint.depthwise.s1", "adjoint.depthwise.s2", "adjoint.dimconv"}
+
+
+def _failing():
+    return {r.name for r in verify.run_gradients(0) if not r.passed}
 
 
 @pytest.mark.parametrize("scale, failing", [
     # far below the central differences' resolution: only the adjoint
     # identities, exact to a rounding bound, see it
     (1e-9, ADJOINT_BANK_CHECKS),
-    (1e-3, ADJOINT_BANK_CHECKS | {"depthwise.taps", "dimconv.k_d"}),
+    (1e-3, ADJOINT_BANK_CHECKS | {"depthwise", "dimconv.k_d", "dimconv.k_w", "dimconv.k_h"}),
 ], ids=["1e-9", "1e-3"])
 def test_adjoint_checks_catch_a_wrong_bank_gradient(monkeypatch, scale, failing):
     real = ag._bank_grad
@@ -156,7 +149,40 @@ def test_adjoint_checks_catch_a_wrong_bank_gradient(monkeypatch, scale, failing)
         return dx, None if dt is None else dt * (1.0 + scale)
 
     monkeypatch.setattr(ag, "_bank_grad", off)
-    assert {r.name for r in verify.run_gradients(0) if not r.passed} == failing
+    assert _failing() == failing
+
+
+def test_gradient_checks_catch_a_wrong_width_branch_gradient(monkeypatch):
+    real = ag._branch_grad
+
+    def off(axes, x, taps, dy, stride=1, need_taps=True):
+        # the taps take no gradient when only the input needs one: dt is None
+        dx, dt = real(axes, x, taps, dy, stride, need_taps)
+        return dx, dt * (1.0 + 1e-3) if axes == ag._WIDTH and dt is not None else dt
+
+    monkeypatch.setattr(ag, "_branch_grad", off)
+    assert _failing() == {"adjoint.dimconv", "dimconv.k_w"}
+
+
+def test_gradient_checks_name_the_op_with_a_wrong_backward(monkeypatch):
+    real = ag.sigmoid_vjp
+    monkeypatch.setattr(ag, "sigmoid_vjp", lambda out, x: lambda dy, need: (
+        real(out, x)(dy, need)[0] * (1.0 + 1e-3),))
+    assert _failing() == {"sigmoid"}
+
+
+def test_the_worst_result_per_name_keeps_a_failure_over_a_larger_passing_error():
+    worst = {}
+    for passed, err in ((False, 1.0), (True, 2.0), (False, 0.5)):
+        verify._keep_worst(worst, verify.CheckResult("k", passed, err))
+    assert worst == {"k": verify.CheckResult("k", False, 1.0)}
+
+
+def test_gradient_checks_fail_an_op_that_no_draw_runs(monkeypatch):
+    monkeypatch.setitem(OPS, "relu_twin", OPS["relu"])
+    results = verify.run_gradients(0)
+    assert {r.name for r in results if not r.passed} == {"every_op"}
+    assert "relu_twin never ran" in results[-1].detail
 
 
 def test_max_pool_forward_does_not_stack_windows(rng):

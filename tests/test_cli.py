@@ -1,5 +1,7 @@
 """Command-line surface: verbs, formats, exit codes."""
 
+import csv
+import io
 import json
 import os
 import struct
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from dicekit.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from dicekit.netbuilder import build_network
+from dicekit.netbuilder import OPS, build_network
 from dicekit.netconfig import parse_config
 from dicekit.serialize import MAGIC, save_checkpoint, save_tensor
 
@@ -129,12 +131,31 @@ def test_verify_flops_suite(capsys):
 
 def test_verify_gradients_suite(capsys):
     assert main(["verify", "--suite", "gradients"]) == EXIT_OK
-    out = capsys.readouterr().out
-    for op in ("depthwise.s1", "depthwise.s2", "widthwise", "heightwise", "dimconv",
-               "spatial_conv", "avg_pool", "max_pool", "pointwise", "linear"):
-        assert f"[PASS] adjoint.{op}:" in out
-    for arg in ("x", "gamma", "beta", "slope"):
-        assert f"[PASS] bn_prelu.train.{arg}:" in out
+    passed = {line[len("[PASS] "):].split(":")[0]
+              for line in capsys.readouterr().out.splitlines() if line.startswith("[PASS] ")}
+    assert {f"adjoint.{op}" for op in ("depthwise.s1", "depthwise.s2", "dimconv", "spatial_conv",
+                                       "avg_pool", "max_pool", "pointwise", "linear")} <= passed
+    # a line for every record of the op table, by its name alone or with
+    # the argument or shape checked
+    assert set(OPS) <= {name.split(".")[0] for name in passed}
+    assert {"dimconv.k_w", "dimconv.k_h", "dimconv.x", "cross_entropy", "every_op"} <= passed
+    assert {f"bn_prelu.{arg}{planes}" for arg in ("x", "gamma", "beta", "slope")
+            for planes in ("", ".2x2")} <= passed
+
+
+def test_verify_json_format(capsys):
+    assert main(["--format", "json", "verify", "--suite", "flops"]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)
+    assert rows and all(list(row) == ["name", "passed", "max_err", "detail"] for row in rows)
+    assert all(row["passed"] is True for row in rows)
+
+
+def test_verify_csv_quotes_a_detail_holding_commas(capsys):
+    # the flops suite's reduction factor is detailed "D=116,n=3 -> ..."
+    assert main(["--format", "csv", "verify", "--suite", "flops"]) == EXIT_OK
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["name", "passed", "max_err", "detail"]
+    assert all(len(row) == 4 for row in rows) and rows[2][3].startswith("D=116,n=3")
 
 
 def test_verify_exit_code_on_failure(monkeypatch, capsys):
