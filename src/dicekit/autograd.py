@@ -408,13 +408,9 @@ def linear_vjp(out, x, w, bias=None, groups: int = 1):
 
 
 def bilinear_vjp(out, x, target_h: int, target_w: int):
-    h, w = x.shape[2], x.shape[3]
-    if (target_h, target_w) == (h, w):
-        return lambda dy, need: (dy,)
-
     def bw(dy, need):
-        rh = T.resize_matrix(h, target_h)
-        rw = T.resize_matrix(w, target_w)
+        rh = T.resize_matrix(x.shape[2], target_h)
+        rw = T.resize_matrix(x.shape[3], target_w)
         tmp = np.einsum("ah,ncab->nchb", rh, dy)
         return (np.einsum("bw,nchb->nchw", rw, tmp),)
 

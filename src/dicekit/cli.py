@@ -103,7 +103,7 @@ def cmd_train(args) -> int:
     images, labels = synth_dataset(args.seed, args.count, cfg.classes,
                                    cfg.input_size)
     history = train_loop(net, images, labels, tcfg)
-    _write_out(metrics_csv(history), args.out)
+    _write_rows(args, history, metrics_csv(history).splitlines())
     if args.checkpoint:
         save_checkpoint(args.checkpoint, net.named_state())
     return EXIT_OK
@@ -124,12 +124,13 @@ def cmd_infer(args) -> int:
     if x.ndim == 3:
         x = x[None]
     scores = infer(net, x)
-    lines = []
+    rows, lines = [], []
     for b in range(scores.shape[0]):
         order = np.argsort(scores[b])[::-1][:args.topk]
-        ranked = "  ".join(f"{int(k)}:{scores[b, k]:.6f}" for k in order)
-        lines.append(f"sample {b}: {ranked}")
-    _write_out("\n".join(lines) + "\n", args.out)
+        rows += [{"sample": b, "rank": r, "class": int(k), "score": float(scores[b, k])}
+                 for r, k in enumerate(order, 1)]
+        lines.append(f"sample {b}: " + "  ".join(f"{int(k)}:{scores[b, k]:.6f}" for k in order))
+    _write_rows(args, rows, lines)
     return EXIT_OK
 
 

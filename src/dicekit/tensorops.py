@@ -607,13 +607,11 @@ def bilinear_resize(x: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
     input rows, the only two single-element gathers, then copies the rows h0
     and h1 of those two arrays: x00 and x10 come from column w0, x01 and x11
     from column w1. Each term is gathered into one reused buffer, scaled by
-    its weight and added. At the input's own size it returns a copy.
+    its weight and added, at the input's own size too.
     """
     check_tensor(x)
     if target_h < 1 or target_w < 1:
         raise KernelError(f"resize targets must be >= 1, got {(target_h, target_w)}")
-    if (target_h, target_w) == x.shape[2:]:
-        return x.copy()
     h0, h1, fh = _resize_coords(x.shape[2], target_h)
     w0, w1, fw = _resize_coords(x.shape[3], target_w)
     gh, gw = 1.0 - fh, 1.0 - fw

@@ -116,13 +116,13 @@ def pointwise_draw(rng, channels_inner: bool):
 
 
 def resize_draw(rng):
-    """An input with signed zeros and a different target size for
-    `bilinear_resize`: down- or upsampling on each axis, 1-pixel sides."""
+    """An input with signed zeros and a target size for `bilinear_resize`:
+    down- or upsampling on each axis, 1-pixel sides, and on one draw in
+    five the input's own size."""
     nb, c = int(rng.integers(1, 3)), int(rng.integers(1, 5))
     h, w, th, tw = (int(v) for v in rng.integers(1, 10, size=4))
-    if (th, tw) == (h, w):
-        tw += 1
-    return signed_zeros(rng, rng.standard_normal((nb, c, h, w))), th, tw
+    x = signed_zeros(rng, rng.standard_normal((nb, c, h, w)))
+    return (x, h, w) if rng.random() < 0.2 else (x, th, tw)
 
 
 def linear_draw(rng):
@@ -458,9 +458,10 @@ class _Noting(AutogradOps):
         return super().apply(name, op, *args, **kwargs)
 
 
-def _op_checks(rng):
+def _op_checks(rng, brng):
     """`grad_check`s of every `OPS` record's backward through the training
-    interpreter, the worst of 20 draws each; `every_op` fails unless all ran."""
+    interpreter, the worst of 20 draws each; `every_op` fails unless all ran.
+    The checks that draw from `brng` leave `rng`'s draws as they were."""
     ops, worst = _Noting(), {}
     check = lambda name, build, theta0: _keep_worst(worst, grad_check(name, build, theta0))
     sq = lambda y: ag.sum_all(ops.mul(y, y))
@@ -518,6 +519,7 @@ def _op_checks(rng):
         # the second part beside other values, so a split in the wrong place shows
         check("concat", lambda v: sq(ops.concat([ag.Var(xk), v])), x)
         check("narrow", lambda v: sq(ops.narrow(v, 0, c - 1)), x)
+        check("narrow.offset", lambda v: sq(ops.narrow(v, 1, c - 1)), x)
         targets = rng.integers(0, 4, size=2)
         check("cross_entropy", lambda s: ag.cross_entropy_ls(s, targets, 0.1),
               rng.standard_normal((2, 4)))
@@ -527,6 +529,26 @@ def _op_checks(rng):
         check("mul", lambda g: sq(ops.mul(xv(), g)), rng.standard_normal((1, c, 1, 1)))
         wr = rng.standard_normal((c, h * w))
         check("reshape", lambda v: ag.sum_all(ops.mul(ops.reshape(v, (c, -1)), wr)), x)
+        # add and mul summing a per-channel operand over a batch of 2-3,
+        # global_avg at that batch, linear's input and bias, and bilinear
+        # down-sizing and at its own size. bilinear's loss is weighted, linear
+        # in x: a squared loss has gradient 2x at its own size, which rounding
+        # alone fails where x is near zero
+        xb = brng.standard_normal((int(brng.integers(2, 4)), c, h, w))
+        check("add.batch", lambda b: sq(ops.add(ag.Var(xb), b)), brng.standard_normal((1, c, 1, 1)))
+        check("mul.batch", lambda g: sq(ops.mul(ag.Var(xb), g)), brng.standard_normal((1, c, 1, 1)))
+        check("global_avg.batch", lambda v: sq(ops.global_avg(v)), xb)
+        lin = [brng.standard_normal(s) for s in ((len(xb), 4), (4, 2), (4,))]
+        for i, name in ((0, "linear.x"), (2, "linear.bias")):
+            check(name, lambda t: sq(ops.linear(*(t if j == i else ag.Var(a) for j, a in
+                                                  enumerate(lin)), groups=2)), lin[i])
+        for suffix, size in ((".down", (int(brng.integers(1, h)), int(brng.integers(1, w)))),
+                             (".same", (h, w))):
+            rs, wb = lambda v: ops.bilinear(v, *size), brng.standard_normal(x.shape[:2] + size)
+            check("bilinear" + suffix, lambda v: ag.sum_all(ops.mul(rs(v), wb)), x)
+            # K: an output sums 4 terms of two products, a dx sums th then tw
+            # terms, and an edge weight is a rounded sum
+            _keep_worst(worst, adjoint_check("adjoint.bilinear", brng, rs, (x,), sum(size) + 4))
 
     missing = sorted(set(OPS) - ops.names)
     detail = f"{len(OPS) - len(missing)}/{len(OPS)} ops ran" + "".join(
@@ -536,9 +558,9 @@ def _op_checks(rng):
 
 
 def run_gradients(seed: int = 0):
-    """`_adjoint_checks` and `_op_checks`, each drawing from its own generator."""
+    """`_adjoint_checks` and `_op_checks`, each drawing from its own generators."""
     return (_adjoint_checks(np.random.default_rng([seed, 1]))
-            + _op_checks(np.random.default_rng([seed, 2])))
+            + _op_checks(*(np.random.default_rng([seed, k]) for k in (2, 3))))
 
 
 def run_flops():

@@ -28,13 +28,6 @@ pool_width: 64
 """
 
 
-def rel_err(a, b, floor=1e-7):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    return float((np.abs(a - b) / denom).max())
-
-
 @pytest.fixture(autouse=True)
 def ufunc_buffer_restored():
     # a kernel that changes numpy's ufunc buffer size must restore it

@@ -25,7 +25,7 @@ from dicekit.netconfig import parse_config
 from dicekit.oracle import finite_diff_grad
 from dicekit.train import TrainConfig, synth_dataset, train_loop
 
-from conftest import MICRO_CFG, SEPARABLE_MICRO_CFG, rel_err
+from conftest import MICRO_CFG, SEPARABLE_MICRO_CFG
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -159,7 +159,7 @@ def test_c6_gradients_every_op_and_micro_net():
 
         numeric = finite_diff_grad(f, saved.copy())
         p.data[...] = saved
-        err = rel_err(analytic[name], numeric)
+        err = verify._rel_err(analytic[name], numeric)
         assert err < 1e-4, f"end-to-end {name}: rel_err={err:.3e}"
 
     elapsed = time.monotonic() - t0

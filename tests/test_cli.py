@@ -134,11 +134,14 @@ def test_verify_gradients_suite(capsys):
     passed = {line[len("[PASS] "):].split(":")[0]
               for line in capsys.readouterr().out.splitlines() if line.startswith("[PASS] ")}
     assert {f"adjoint.{op}" for op in ("depthwise.s1", "depthwise.s2", "dimconv", "spatial_conv",
-                                       "avg_pool", "max_pool", "pointwise", "linear")} <= passed
+                                       "avg_pool", "max_pool", "pointwise", "linear",
+                                       "bilinear")} <= passed
     # a line for every record of the op table, by its name alone or with
     # the argument or shape checked
     assert set(OPS) <= {name.split(".")[0] for name in passed}
     assert {"dimconv.k_w", "dimconv.k_h", "dimconv.x", "cross_entropy", "every_op"} <= passed
+    assert {"add.batch", "mul.batch", "global_avg.batch", "linear.x", "linear.bias",
+            "narrow.offset", "bilinear.down", "bilinear.same"} <= passed
     assert {f"bn_prelu.{arg}{planes}" for arg in ("x", "gamma", "beta", "slope")
             for planes in ("", ".2x2")} <= passed
 
@@ -189,6 +192,27 @@ def test_train_and_infer_round_trip(micro_cfg_path, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("sample 0:")
     assert len(out.split(":", 1)[1].split()) == 3
+
+
+def test_train_and_infer_json_parse(micro_cfg_path, tmp_path, capsys):
+    ck = tmp_path / "ck"
+    assert main(["--format", "json", "train", micro_cfg_path, "--epochs", "2",
+                 "--count", "20", "--checkpoint", str(ck)]) == EXIT_OK
+    history = json.loads(capsys.readouterr().out)
+    assert [list(row) for row in history] == [["epoch", "loss", "acc", "ema_acc"]] * 2
+    assert [row["epoch"] for row in history] == [0, 1]
+
+    tensor = tmp_path / "x.dck"
+    save_tensor(tensor, np.random.default_rng(0).standard_normal((2, 3, 32, 32)))
+    argv = ["infer", micro_cfg_path, str(tensor), "--checkpoint", str(ck), "--topk", "3"]
+    assert main(["--format", "json"] + argv) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)
+    assert [(r["sample"], r["rank"]) for r in rows] == [(b, k) for b in (0, 1) for k in (1, 2, 3)]
+    # the same classes and scores as the default `sample b:` lines
+    assert main(argv) == EXIT_OK
+    ranked = [tok.split(":") for line in capsys.readouterr().out.splitlines()
+              for tok in line.split(":", 1)[1].split()]
+    assert ranked == [[str(r["class"]), f"{r['score']:.6f}"] for r in rows]
 
 
 def test_train_same_seed_identical_metrics(micro_cfg_path, tmp_path):

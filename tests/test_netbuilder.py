@@ -373,7 +373,7 @@ def test_inference_is_pure(dtype):
         labels = np.arange(nb) % 10
         before = [_sha(x)] + [_sha(a) for _, a in net.named_state()]
         scores = infer(net, x)
-        train.evaluate(net, x, labels, batch_size=2)
+        train.evaluate(net, x, labels)
         assert [_sha(x)] + [_sha(a) for _, a in net.named_state()] == before, (nb, size)
         assert infer(net, x).tobytes() == scores.tobytes()
 

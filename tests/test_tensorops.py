@@ -313,6 +313,16 @@ def test_bilinear_resize_identity_and_constant(rng):
     assert np.allclose(T.bilinear_resize(c, 9, 7), 3.25)
 
 
+def test_bilinear_resize_at_its_own_size_keeps_the_oracle_bytes():
+    # the oracle adds every term, so a -0.0 input comes out as +0.0 (a copy
+    # would keep -0.0)
+    x = np.array([[[[-0.0, 1.0], [2.0, 3.0]]]])
+    for a in (x, x.astype(np.float32)):
+        y = T.bilinear_resize(a, 2, 2)
+        assert y.tobytes() == orc.oracle_bilinear(a, 2, 2).tobytes()
+        assert not np.signbit(y[0, 0, 0, 0])
+
+
 def test_bilinear_round_trip_close(rng):
     # upsample then downsample of a smooth field stays close
     x = np.linspace(0, 1, 36).reshape(1, 1, 6, 6)

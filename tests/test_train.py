@@ -151,9 +151,9 @@ def test_evaluate_over_image_blocks_matches_the_whole_batch(monkeypatch):
     monkeypatch.setattr(net.layers[0], "forward",
                         lambda x, ops: blocks.append(len(x)) or stem_forward(x, ops))
     monkeypatch.setattr(net, "run", lambda x, ops: scores.append(run(x, ops)) or scores[-1])
-    acc = evaluate(net, images, labels, batch_size=25)
+    acc = evaluate(net, images, labels)
     monkeypatch.setattr(T, "BLOCK_BYTES", images.nbytes)
-    whole = evaluate(net, images, labels, batch_size=25)
+    whole = evaluate(net, images, labels)
     assert blocks == [10, 10, 5, 25]
     assert scores[0].tobytes() == scores[1].tobytes()
     assert acc == whole == int((scores[1].argmax(axis=1) == labels).sum()) / 25
