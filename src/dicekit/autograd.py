@@ -2,12 +2,13 @@
 
 A small tape: a recorded value is a Var holding the forward result plus a
 closure that scatters the incoming gradient to its parents, recorded only
-when a parent requires a gradient. `netbuilder.AutogradOps` runs each
+when a parent requires a gradient. `netbuilder.AutogradOps` runs every
 vocabulary op's forward from its `OPS` record and records the pullback of
-`<name>_vjp` here (see `_record`). `bn_prelu`, by the batch's statistics,
-and `spatial_conv`, which keeps its im2col blocks, are whole tape ops, as
-are `sum_all` and `cross_entropy_ls`.
-"""
+`<name>_vjp` here (see `_record`). A pullback keeps the op's arguments and
+output, not the forward's intermediates, and recomputes what it needs of
+them. Batch norm's statistics are one of those arguments: training passes
+`batch_statistics`, which also updates the running ones. The loss ops,
+`sum_all` and `cross_entropy_ls`, record their own pullbacks."""
 
 from __future__ import annotations
 
@@ -239,36 +240,26 @@ def _conv_input_grad(w, dy, shape, stride: int):
     return dxp[:, :, p:p + h, p:p + wd]
 
 
-def spatial_conv(x, w, stride: int = 1) -> Var:
-    """Dense n x n convolution; weights (C_out, C_in, n, n).
+def _conv_weight_grad(x, dy, shape, stride: int):
+    """The gradient of weights of `shape` (C_out, C_in, n, n) of a dense
+    convolution of x: over image blocks of conv2d's size, one batched matmul
+    by the block's im2col matrix, (N, C*n*n, Ho*Wo), gives each image's."""
+    nb = x.shape[0]
+    cout, c, n, _ = shape
+    dy3 = dy.reshape(nb, cout, -1)
+    per_image = np.empty((nb, cout, c * n * n))
+    per = max(1, T.BLOCK_BYTES // (8 * x[0].size))
+    for i in range(0, nb, per):
+        cols = T.im2col(x[i:i + per], n, stride).reshape(-1, c * n * n, dy3.shape[2])
+        np.matmul(dy3[i:i + per], cols.transpose(0, 2, 1), out=per_image[i:i + per])
+        del cols                # before the next block's is built
+    return per_image.sum(axis=0).reshape(shape)
 
-    When the weights require a gradient, the forward keeps the im2col
-    matrix of each of conv2d's image blocks for the backward; otherwise
-    nothing is kept. The input gradient is built only when the input needs
-    one (the stem's image never does)."""
-    x, w = as_var(x), as_var(w)
-    cout, c, n, _ = w.data.shape
-    cols = [] if w.requires_grad else None
-    out = T.conv2d(x.data, w.data, stride, keep=cols)
 
-    def bw(dy, need):
-        # one batched matmul per kept block, (N, C*n*n, Ho*Wo), gives each
-        # image's weight gradient
-        nb = x.data.shape[0]
-        dy3 = dy.reshape(nb, cout, -1)
-        dw = None
-        if need[1]:
-            per_image = np.empty((nb, cout, c * n * n))
-            i = 0
-            for block in cols:
-                k = block.shape[0]
-                np.matmul(dy3[i:i + k], block.reshape(k, c * n * n, -1).transpose(0, 2, 1),
-                          out=per_image[i:i + k])
-                i += k
-            dw = per_image.sum(axis=0).reshape(w.data.shape)
-        return (_conv_input_grad(w.data, dy, x.data.shape, stride) if need[0] else None), dw
-
-    return _record(out, (x, w), bw)
+def spatial_conv_vjp(out, x, w, stride: int = 1):
+    """Each gradient only when its argument needs one; the stem's image never does."""
+    return lambda dy, need: (_conv_input_grad(w, dy, x.shape, stride) if need[0] else None,
+                             _conv_weight_grad(x, dy, w.shape, stride) if need[1] else None)
 
 
 def dimconv_vjp(out, x, k_d, k_w, k_h):
@@ -330,41 +321,39 @@ def _channel_major(a) -> np.ndarray:
         .reshape(a.shape[1], -1)
 
 
-def bn_prelu(x, gamma, beta, slope, state: T.BatchNormParams) -> Var:
-    """Batch norm by the batch's statistics (biased variance), then a
-    per-channel PReLU: y = gamma*x_hat + beta with x_hat = (x - mean)*inv_std,
-    cast to x's dtype, then where(y >= 0, y, s*y). The statistics update
-    state's running ones in place, at momentum `BN_MOMENTUM`; no other
-    argument is written. Inference normalizes by the running statistics
-    instead, in `tensorops.bn_prelu`.
-
-    The op works in one channel-major float64 buffer, (C, N*H*W), with one
-    transpose in and one out: the statistics, the PReLU factor and every
-    per-channel reduction of the backward run along rows N*H*W long. The
-    backward gives the input gradient only when x needs one.
-    """
-    x, gamma, beta, slope = as_var(x), as_var(gamma), as_var(beta), as_var(slope)
-    nb, c, h, w = x.data.shape
-    if gamma.data.shape != (c,):
-        raise KernelError(f"batch-norm sized for {gamma.data.shape} channels, input has {c}")
-    s = slope.data.astype(x.data.dtype, copy=False)
-    x_hat = _channel_major(x.data)
-    mean = x_hat.mean(axis=1)
-    x_hat -= _channels(mean)
-    var = np.einsum("cm,cm->c", x_hat, x_hat) / x_hat.shape[1]
+def batch_statistics(x, gamma, beta, state: T.BatchNormParams) -> T.BatchNormParams:
+    """gamma and beta with x's per-channel mean and biased variance, taken
+    along the rows of a channel-major float64 copy, (C, N*H*W), and state's
+    eps. They update state's running statistics, at momentum `BN_MOMENTUM`."""
+    xc = _channel_major(x)
+    mean = xc.mean(axis=1)
+    xc -= _channels(mean)
+    var = np.einsum("cm,cm->c", xc, xc) / xc.shape[1]
+    # before the update: a KernelError on any channel count that is not x's
+    stats = T.BatchNormParams(gamma, beta, mean, var, state.eps)
     state.running_mean[:] = (1 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mean
     state.running_var[:] = (1 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * var
-    inv_std = 1.0 / np.sqrt(var + state.eps)
-    x_hat *= _channels(inv_std)
-    y = x_hat * _channels(gamma.data)
-    y += _channels(beta.data)
-    y = y.astype(x.data.dtype, copy=False)
-    f = T._prelu_factor(y, _channels(s))
-    out = np.ascontiguousarray((y * f).reshape(c, nb, h, w).transpose(1, 0, 2, 3))
+    return stats
+
+
+def bn_prelu_vjp(out, x, gamma, beta, slope, stats):
+    """The pullback of `tensorops.bn_prelu` by `batch_statistics(x, ...)`,
+    through the mean and variance too. x_hat, y and the PReLU factor are
+    recomputed from stats, in one channel-major copy of x, so each reduction
+    runs along rows N*H*W long. dx is built only when x needs one."""
+    nb, c, h, w = x.shape
 
     def bw(dz, need):
+        inv_std = 1.0 / np.sqrt(stats.running_var + stats.eps)
+        x_hat = _channel_major(x)
+        x_hat -= _channels(stats.running_mean)
+        x_hat *= _channels(inv_std)
+        y = x_hat * _channels(gamma)
+        y += _channels(beta)
+        y = y.astype(x.dtype, copy=False)
+        f = T._prelu_factor(y, _channels(slope.astype(x.dtype, copy=False)))
         dy = _channel_major(dz)
-        dslope = np.einsum("cm,cm->c", dy, np.minimum(y, 0.0))
+        dslope = np.einsum("cm,cm->c", dy, np.minimum(y, 0.0, out=y))
         dy *= f
         dbeta = dy.sum(axis=1)
         dgamma = np.einsum("cm,cm->c", dy, x_hat)
@@ -372,11 +361,12 @@ def bn_prelu(x, gamma, beta, slope, state: T.BatchNormParams) -> Var:
             return None, dgamma, dbeta, dslope
         m = dy.shape[1]
         dy -= _channels(dbeta / m)
-        dy -= x_hat * _channels(dgamma / m)
-        dy *= _channels(gamma.data * inv_std)
+        x_hat *= _channels(dgamma / m)
+        dy -= x_hat
+        dy *= _channels(gamma * inv_std)
         return dy.reshape(c, nb, h, w).transpose(1, 0, 2, 3), dgamma, dbeta, dslope
 
-    return _record(out, (x, gamma, beta, slope), bw)
+    return bw
 
 
 def relu_vjp(out, x):

@@ -10,25 +10,26 @@ of the rows within it. Each op is defined once too, by its record in one
 table, `OPS`. Four interpreters run the layers through its fields, each Var
 argument as its array:
 
-- `ArrayOps` (`array`): the fast kernels on plain arrays, with batch norm
-  by the running statistics (`tensorops.bn_prelu`): `infer`, which
-  `train.evaluate` calls too.
-- `AutogradOps` (`array` and `vjp`, or `tape`): the same forward, recorded
-  on the tape: `Network.forward`, which is training. `bn_prelu`'s `tape` op
-  normalizes by the batch's statistics, and `spatial_conv`'s keeps its
-  im2col blocks. Both count each resize (`dice.note_resize`).
+- `ArrayOps` (`array`): the fast kernels on plain arrays, `bilinear`'s
+  counting each resize: `infer`, which `train.evaluate` calls too.
+- `AutogradOps` (`array` and `vjp`): the same forward, recorded on the tape
+  with its pullback: `Network.forward`, which is training.
 - `OracleOps` (`oracle`): the naive `oracle` loops, which tally every MAC
   on a counter: `Network.oracle_forward`.
 - `CostOps` (`cost`): shapes only, summing each op's MACs and parameters
   into the row it runs in: `analyze()`.
 
-`ops.image_blocks(fn, x)` is an interpreter method outside the vocabulary,
-with no `OPS` record. `fn` maps a batch to a batch, each output image
-depending on its own input image alone. `ArrayOps` runs it over
+Two interpreter methods lie outside the vocabulary, with no `OPS` record.
+In `ops.image_blocks(fn, x)`, `fn` maps a batch to a batch, each output
+image depending on its own input image alone; `ArrayOps` runs it over
 `tensorops._image_blocks`' blocks of whole images and copies each block's
-result into its slice of the batch result; the others return `fn(x)`.
+result into its slice of the batch result, the others return `fn(x)`.
 `Network.run` passes the stem and max pool through it, so inference never
-allocates the whole batch's stem output.
+allocates the whole batch's stem output. `ops.bn_stats(x, gamma, beta,
+state)` chooses what `bn_prelu` normalizes by: the batch's statistics with
+gamma and beta in `AutogradOps` (`autograd.batch_statistics`, which updates
+state's running ones), state itself elsewhere. `_BNAct.forward` runs the
+two.
 
 The cost convention is the oracle's: a convolution is charged one MAC per
 tap per output element (padded taps included), pooling its window
@@ -78,7 +79,7 @@ def _he(rng, fan_in, shape, dtype):
 
 
 class _BNAct:
-    """BatchNorm + PReLU parameters after a convolution (`ops.bn_prelu`)."""
+    """BatchNorm + PReLU after a convolution: its parameters, and the op."""
 
     def __init__(self, c, dtype):
         self.gamma = param(np.ones(c, dtype=dtype))
@@ -90,6 +91,10 @@ class _BNAct:
             running_var=np.ones(c, dtype=dtype))
         self.slope = param(np.full(c, 0.25, dtype=dtype))
 
+    def forward(self, x, ops):
+        stats = ops.bn_stats(x, self.gamma, self.beta, self.state)
+        return ops.bn_prelu(x, self.gamma, self.beta, self.slope, stats)
+
 
 class StemConv:
     """3x3 stride-2 dense convolution, the network entry."""
@@ -100,7 +105,7 @@ class StemConv:
 
     def forward(self, x, ops):
         with ops.row("conv1", "conv"):
-            return ops.bn_prelu(ops.spatial_conv(x, self.w, 2), self.post)
+            return self.post.forward(ops.spatial_conv(x, self.w, 2), ops)
 
 
 class MaxPool:
@@ -158,20 +163,20 @@ class DiceUnit:
                 else:
                     x = ops.bilinear(x, self.nominal_h, self.nominal_w)
                     x = ops.bilinear(ops.dimconv(x, self.k_d, self.k_w, self.k_h), h, w)
-                x = ops.bn_prelu(x, self.post1)
+                x = self.post1.forward(x, ops)
         else:
             with ops.row("depthwise", "depthwise"):
-                x = ops.bn_prelu(ops.depthwise(x, self.k_d), self.post1)
+                x = self.post1.forward(ops.depthwise(x, self.k_d), ops)
         if self.fusion_kind == "pointwise":
             with ops.row("fuse", "pointwise"):
-                return ops.bn_prelu(ops.pointwise(x, self.w_fuse), self.post2)
+                return self.post2.forward(ops.pointwise(x, self.w_fuse), ops)
         with ops.row("dimfuse", "dimfuse"):
             y_g = ops.pointwise(x, self.k_g, self.c) if self.k_g is not None else x
             y_s = ops.depthwise(y_g, self.k_s)
             z = ops.reshape(ops.global_avg(y_g), (-1, self.c))
             g = ops.sigmoid(ops.linear(ops.relu(ops.linear(z, self.fc1)), self.fc2))
             x = ops.mul(y_s, ops.reshape(g, (-1, self.c, 1, 1)))
-            return ops.bn_prelu(x, self.post2)
+            return self.post2.forward(x, ops)
 
 
 class ShuffleBlock:
@@ -205,12 +210,12 @@ class ShuffleBlock:
             with ops.row("branch_dw", "depthwise"):
                 b = ops.depthwise(x, self.branch_dw, 2)
             with ops.row("branch_pw", "pointwise"):
-                b = ops.bn_prelu(ops.pointwise(b, self.branch_pw), self.branch_post)
+                b = self.branch_post.forward(ops.pointwise(b, self.branch_pw), ops)
             return ops.shuffle(ops.concat([a, b]), 2)
         half = self.cin // 2
         left, right = ops.narrow(x, 0, half), ops.narrow(x, half, half)
         with ops.row("proj", "pointwise"):
-            right = ops.bn_prelu(ops.pointwise(right, self.proj), self.proj_post)
+            right = self.proj_post.forward(ops.pointwise(right, self.proj), ops)
         with ops.row("unit"):
             right = self.unit.forward(right, ops)
         return ops.shuffle(ops.concat([left, right]), 2)
@@ -231,7 +236,7 @@ class MobileBlock:
     def forward(self, x, ops):
         if self.proj is not None:
             with ops.row("proj", "pointwise"):
-                x = ops.bn_prelu(ops.pointwise(x, self.proj), self.proj_post)
+                x = self.proj_post.forward(ops.pointwise(x, self.proj), ops)
         with ops.row("unit"):
             return self.unit.forward(x, ops)
 
@@ -255,11 +260,11 @@ class ResBlock:
 
     def forward(self, x, ops):
         with ops.row("reduce", "pointwise"):
-            y = ops.bn_prelu(ops.pointwise(x, self.reduce), self.reduce_post)
+            y = self.reduce_post.forward(ops.pointwise(x, self.reduce), ops)
         with ops.row("unit"):
             y = self.unit.forward(y, ops)
         with ops.row("expand", "pointwise"):
-            y = ops.bn_prelu(ops.pointwise(y, self.expand), self.expand_post)
+            y = self.expand_post.forward(ops.pointwise(y, self.expand), ops)
         if self.shortcut is not None:
             with ops.row("shortcut", "pointwise"):
                 x = ops.pointwise(x, self.shortcut, 1, 2 if self.strided else 1)
@@ -315,18 +320,16 @@ class Op:
     op's arguments, each Var as its array. `cost` takes those arguments,
     activations as anything with a `.shape`, and returns the output shape,
     MACs and parameters, plus True if the result is a view on the first
-    operand's buffer. `vjp(out, *arrays, **kw)` returns the pullback that
-    `autograd._record` records, matched to the arguments in the order they
-    are passed, keywords in signature order; `tape`, set instead of it, is
-    a whole tape op on the interpreter and the arguments as passed.
-    `consumes`: the op consumes its first operand, and `array` takes its
-    buffer as `out`."""
+    operand's buffer. `vjp(out, *arrays, **kw)`, given the forward's output
+    and arguments, returns the pullback that `autograd._record` records,
+    matched to the arguments in the order they are passed, keywords in
+    signature order. `consumes`: the op consumes its first operand, and
+    `array` takes its buffer as `out`."""
 
     array: Callable
     oracle: Callable
     cost: Callable
-    vjp: Callable | None = None
-    tape: Callable | None = None
+    vjp: Callable
     consumes: bool = False
 
 
@@ -389,15 +392,16 @@ def _reshape_cost(x, shape):
 # every call.
 OPS = {
     "spatial_conv": Op(
-        tape=lambda ops, x, w, stride: ag.spatial_conv(x, w, stride),
+        vjp=_vjp("spatial_conv"),
         array=lambda ops, x, w, stride: T.conv2d(x, w, stride),
         oracle=lambda ops, x, w, stride: orc.oracle_conv2d(x, w, stride, ops.counter)[0],
         cost=lambda x, w, stride: _window(x, w.shape[0], stride, w[0].size, w.size)),
+    # stats, from ops.bn_stats, carry gamma and beta as well as the statistics
     "bn_prelu": Op(
-        tape=lambda ops, x, bn: ag.bn_prelu(x, bn.gamma, bn.beta, bn.slope, bn.state),
-        array=lambda ops, x, bn, out=None: T.bn_prelu(x, bn.state, bn.slope.data, out),
-        oracle=lambda ops, x, bn: orc.oracle_bn_prelu(x, bn.state, bn.slope.data),
-        cost=lambda x, bn: (x.shape, 0, sum(p.data.size for p in (bn.gamma, bn.beta, bn.slope))),
+        vjp=_vjp("bn_prelu"),
+        array=lambda ops, x, gamma, beta, slope, stats, out=None: T.bn_prelu(x, stats, slope, out),
+        oracle=lambda ops, x, gamma, beta, slope, stats: orc.oracle_bn_prelu(x, stats, slope),
+        cost=lambda x, g, b, s, stats: (x.shape, 0, g.size + b.size + s.size),
         consumes=True),
     "max_pool": Op(
         vjp=_vjp("max_pool"),
@@ -490,6 +494,10 @@ class _Interpreter:
         """fn(x), on the whole batch at once."""
         return fn(x)
 
+    def bn_stats(self, x, gamma, beta, state):
+        """The statistics `bn_prelu` normalizes x by: state, the running ones."""
+        return state
+
     def __getattr__(self, name):
         if name not in OPS:
             raise AttributeError(name)
@@ -502,12 +510,13 @@ class _Interpreter:
 
 class AutogradOps(_Interpreter):
     """Training: each op's `array` forward, with no `out`, recorded with its
-    `vjp`, or its `tape` op. No operand is written but the running
-    statistics of `bn_prelu`'s batch norm. Raw arrays pass as constants."""
+    `vjp`. No operand is written but the running statistics, by
+    `bn_stats`. Raw arrays pass as constants."""
+
+    def bn_stats(self, x, gamma, beta, state):
+        return ag.batch_statistics(*_arrays((x, gamma, beta), {})[0], state)
 
     def apply(self, name, op, *args, **kwargs):
-        if op.tape is not None:
-            return op.tape(self, *args, **kwargs)
         arrays, kw = _arrays(args, kwargs)
         out = op.array(self, *arrays, **kw)
         return ag._record(out, [*args, *kwargs.values()], op.vjp(out, *arrays, **kw))

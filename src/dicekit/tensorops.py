@@ -154,7 +154,7 @@ class BatchNormParams:
         c = self.gamma.shape[0]
         for name in ("beta", "running_mean", "running_var"):
             if getattr(self, name).shape != (c,):
-                raise KernelError(f"batch-norm {name} must have length {c}")
+                raise KernelError(f"batch-norm {name} is not sized for gamma's {c} channels")
         if self.eps <= 0:
             raise KernelError(f"batch-norm eps must be positive, got {self.eps}")
 
@@ -400,8 +400,7 @@ def im2col(x: np.ndarray, n: int, stride: int) -> np.ndarray:
     return cols
 
 
-def conv2d(x: np.ndarray, weights: np.ndarray, stride: int = 1,
-           keep: list | None = None) -> np.ndarray:
+def conv2d(x: np.ndarray, weights: np.ndarray, stride: int = 1) -> np.ndarray:
     """Standard dense convolution, weights (C_out, C_in, n, n), same padding.
 
     One matrix product per image block: the weights as (C_out, C_in*n*n)
@@ -409,13 +408,12 @@ def conv2d(x: np.ndarray, weights: np.ndarray, stride: int = 1,
     output's taps*C_in products in an order of its own, so conv2d is outside
     the bitwise set; `verify` gates it by the dot-product bound. numpy runs
     one GEMM per image, so an image's bytes do not depend on the batch or on
-    the block it falls in. Given a list `keep`, each block appends its
-    im2col matrix to it, in batch order, for a backward pass to reuse.
+    the block it falls in.
     """
-    return _image_blocks(_conv2d, x, weights, stride, keep)
+    return _image_blocks(_conv2d, x, weights, stride)
 
 
-def _conv2d(x, weights, stride, keep, out=None):
+def _conv2d(x, weights, stride, out=None):
     check_tensor(x)
     nb, c, h, w = x.shape
     cout, cin, n, n2 = weights.shape
@@ -424,8 +422,6 @@ def _conv2d(x, weights, stride, keep, out=None):
     if stride < 1:
         raise KernelError(f"stride must be >= 1, got {stride}")
     cols = im2col(x, n, stride)
-    if keep is not None:
-        keep.append(cols)
     ho, wo = cols.shape[4], cols.shape[5]
     w2 = weights.astype(np.float64, copy=False).reshape(cout, c * n * n)
     res = _output(out, (nb, cout, ho, wo), x.dtype)
@@ -486,15 +482,19 @@ def _prelu_factor(y, s) -> np.ndarray:
 
 def bn_prelu(x: np.ndarray, state: BatchNormParams, slope: np.ndarray,
              out: np.ndarray | None = None) -> np.ndarray:
-    """Batch norm by state's running statistics, then a per-channel PReLU:
+    """Batch norm by state's statistics, then a per-channel PReLU:
     ((x - mean)*inv_std)*gamma + beta in float64, with inv_std =
     1/sqrt(var + eps), cast to x's dtype, then where(y >= 0, y, s*y), byte
-    for byte, finished in place. Every pass is elementwise and runs over one
-    image block of at most BLOCK_BYTES of float64 before the next block
-    starts, so the block stays in cache. The result goes into `out` (x
-    itself, say), or a new array, of x's shape and dtype. A float64 result
-    is also the float64 buffer; for float32 the blocks share one float64
-    buffer of a block's size."""
+    for byte, finished in place; training passes the batch's statistics.
+    Every pass is elementwise and runs over one image block of at most
+    BLOCK_BYTES of float64 before the next block starts, so the block stays
+    in cache. The result goes into `out` (x itself, say), or a new array, of
+    x's shape and dtype. A float64 result is also the float64 buffer; for
+    float32 the blocks share one float64 buffer of a block's size."""
+    vectors = (state.gamma, state.beta, state.running_mean, state.running_var, slope)
+    if any(np.shape(a) != x.shape[1:2] for a in vectors):
+        raise KernelError(f"bn_prelu vectors of shapes {[np.shape(a) for a in vectors]}, "
+                          f"input has {x.shape[1]} channels")
     inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
     mean, inv_std, gamma, beta, s = (
         a[None, :, None, None] for a in (state.running_mean, inv_std, state.gamma,

@@ -6,7 +6,6 @@ op's backward; and cost-formula cross-checks. The CLI surfaces these as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -421,7 +420,7 @@ def _adjoint_checks(rng):
     cout = int(rng.integers(1, 5))
     k_t = nb * T.ceil_div(h, 2) * T.ceil_div(w, 2)
     results.append(adjoint_check("adjoint.spatial_conv", rng,
-                                 lambda a, t: ag.spatial_conv(a, t, 2),
+                                 lambda a, t: _OPS.spatial_conv(a, t, 2),
                                  (x, rng.standard_normal((cout, c, 3, 3))),
                                  max(9 * c, 9 * cout, k_t)))
     results.append(adjoint_check("adjoint.avg_pool", rng, lambda a: _OPS.avg_pool(a, 3, 2),
@@ -493,17 +492,18 @@ def _op_checks(rng, brng):
             args = {"x": xb, "gamma": 1.0 + rng.random(c), "beta": rng.standard_normal(c),
                     "slope": rng.random(c) + 0.1}
             wgt, state = ag.Var(rng.standard_normal(xb.shape)), T.BatchNormParams.identity(c)
+            bn = lambda x, gamma, beta, slope: ops.bn_prelu(
+                x, gamma, beta, slope, ops.bn_stats(x, gamma, beta, state))
             # keep PReLU's inputs off its kink at zero: shift each channel's
             # beta so that zero lies mid-way in the widest gap between them
-            pre = ag.bn_prelu(xb, args["gamma"], args["beta"], np.ones(c), state).data
+            pre = bn(xb, args["gamma"], args["beta"], np.ones(c)).data
             pre = np.sort(pre.swapaxes(0, 1).reshape(c, -1))
             gap = np.diff(pre).argmax(axis=1)
             args["beta"] -= (pre[np.arange(c), gap] + pre[np.arange(c), gap + 1]) / 2
             for name in args:
                 def build(t):
                     v = {k: t if k == name else ag.Var(a) for k, a in args.items()}
-                    bn = SimpleNamespace(state=state, **v)   # x among them, unread
-                    return ag.sum_all(ops.mul(ops.bn_prelu(v["x"], bn), wgt))
+                    return ag.sum_all(ops.mul(bn(**v), wgt))
 
                 check(f"bn_prelu.{name}{suffix}", build, args[name])
         # keep activation inputs away from the kink at zero

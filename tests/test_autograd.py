@@ -7,7 +7,6 @@ record, and the pullback of its `vjp`."""
 
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -118,6 +117,9 @@ OWN_CHECKS = {
     "add": {"add", "add.batch"},
     "global_avg": {"global_avg", "global_avg.batch"},
     "bilinear": {"adjoint.bilinear", "bilinear", "bilinear.down", "bilinear.same"},
+    "bn_prelu": {f"bn_prelu.{arg}{planes}" for arg in ("x", "gamma", "beta", "slope")
+                 for planes in ("", ".2x2")},
+    "spatial_conv": {"spatial_conv", "adjoint.spatial_conv"},
 }
 
 
@@ -167,11 +169,16 @@ def _bn_prelu_args(rng, shape):
     return args, ag.Var(rng.standard_normal(shape))
 
 
+def _bn_prelu(x, gamma, beta, slope, state):
+    """Training's BN-PReLU, by the batch's statistics, which update state's."""
+    return ops.bn_prelu(x, gamma, beta, slope, ops.bn_stats(x, gamma, beta, state))
+
+
 def test_bn_prelu_train_normalizes_and_updates(rng):
     # with unit slopes PReLU is the identity, so the output is the batch norm
     x = rng.standard_normal((4, 3, 5, 5)) * 3 + 1
     state = BatchNormParams.identity(3)
-    y = ag.bn_prelu(x, state.gamma, state.beta, np.ones(3), state).data
+    y = _bn_prelu(x, state.gamma, state.beta, np.ones(3), state).data
     assert np.allclose(y.mean(axis=(0, 2, 3)), 0, atol=1e-10)
     assert np.allclose(y.var(axis=(0, 2, 3)), 1, atol=1e-3)
     np.testing.assert_allclose(state.running_mean, 0.1 * x.mean(axis=(0, 2, 3)))
@@ -208,33 +215,57 @@ def test_bn_prelu_infer_keeps_the_bytes(dtype):
         assert y.tobytes() == want.tobytes()
         assert np.signbit(y[-1, :2, 1, 0]).tolist() == [True, False]
         # written into x itself, as inference writes it, the bytes are the same
-        into = ArrayOps().bn_prelu(x, SimpleNamespace(state=state, slope=ag.Var(slope)))
+        into = ArrayOps().bn_prelu(x, state.gamma, state.beta, ag.Var(slope), state)
         assert into is x and x.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("c", [1, 3])
+def test_bn_prelu_refuses_another_channel_count(c):
+    # 4 input channels: vectors of length 1 would broadcast over them, and of
+    # length 3 fail in numpy's broadcasting. Training refuses a batch norm of
+    # c channels before its running statistics change
+    x = np.ones((2, 4, 3, 3))
+    small = BatchNormParams.identity(c)
+    for state, slope in ((small, np.ones(4)), (BatchNormParams.identity(4), np.ones(c))):
+        with pytest.raises(KernelError, match="input has 4 channels"):
+            T.bn_prelu(x, state, slope)
+        for wrap in (ag.Var, ag.param):
+            with pytest.raises(KernelError, match="channels"):
+                _bn_prelu(wrap(x), wrap(state.gamma), wrap(state.beta), wrap(slope), state)
+    assert (small.running_mean == 0).all() and (small.running_var == 1).all()
 
 
 def test_public_ops_write_no_argument_without_out(rng):
     # bn_prelu writes only its running statistics and mul nothing, recording
-    # or not: the finite-difference checks pass their own arrays in
+    # or not, and neither pullback writes one: the finite-difference checks
+    # pass their own arrays in
     args, wgt = _bn_prelu_args(rng, (2, 3, 4, 4))
     kept = {k: a.copy() for k, a in args.items()}
     for wrap in (ag.Var, ag.param):
-        ag.bn_prelu(*map(wrap, args.values()), BatchNormParams.identity(3))
+        y = ops.mul(_bn_prelu(*map(wrap, args.values()), BatchNormParams.identity(3)), wgt)
         ops.mul(wrap(args["x"]), wgt)
+        if y.requires_grad:
+            ag.backward(ag.sum_all(y))
     assert all(args[k].tobytes() == kept[k].tobytes() for k in args)
 
 
 def test_stem_backward_builds_no_input_gradient(rng):
-    # the stem's image needs no gradient. The weight gradient needs only the
-    # im2col matrices the forward kept; an input gradient builds a matrix as
-    # large as they are, and a padded gradient buffer beside it
-    nb, c, h, w = 16, 3, 64, 64
+    # the stem's image needs no gradient. The weight gradient rebuilds the
+    # im2col matrix one image block at a time, 2 of the 15 images here and 1
+    # in the last block, so its peak, a block's matrix and padded input,
+    # stays under two blocks' matrices. An input gradient builds a matrix as
+    # large as the whole batch's im2col, and a padded gradient buffer beside it
+    nb, c, h, w = 15, 3, 64, 64
     cols = nb * c * 9 * 32 * 32 * 8
+    per = T.BLOCK_BYTES // (8 * c * h * w)
+    assert per == 2
     w_conv = ag.param(rng.standard_normal((8, c, 3, 3)))
     peaks = {}
     for needs_grad in (False, True):
         image = ag.Var(rng.standard_normal((nb, c, h, w)), requires_grad=needs_grad)
-        y = ag.spatial_conv(image, w_conv, stride=2)
-        dy = np.ones(y.shape)
+        y = ops.spatial_conv(image, w_conv, 2)
+        dy = rng.standard_normal(y.shape)
+        w_conv.grad = None
         tracemalloc.start()
         try:
             y._backward(dy)
@@ -242,37 +273,12 @@ def test_stem_backward_builds_no_input_gradient(rng):
         finally:
             tracemalloc.stop()
         assert (image.grad is not None) == needs_grad
-    assert peaks[False] < cols < peaks[True], f"peaks {peaks}, kept im2col {cols} B"
-
-
-def test_spatial_conv_keeps_im2col_only_while_recording(monkeypatch, rng):
-    # the im2col matrices of the forward's image blocks serve the weight
-    # gradient; for weights that need none nothing is kept
-    x = rng.standard_normal((5, 3, 20, 18))
-    w_conv = ag.param(rng.standard_normal((8, 3, 3, 3)))
-    kept = []
-    conv2d = T.conv2d
-
-    def spy(*args, keep=None):
-        kept.append(keep)
-        return conv2d(*args, keep=keep)
-
-    monkeypatch.setattr(T, "conv2d", spy)
-    # two images per block: the batch of 5 runs as 2 + 2 + 1
-    monkeypatch.setattr(T, "BLOCK_BYTES", 2 * 8 * x[0].size)
-    y0 = ag.spatial_conv(x, ag.Var(w_conv.data), stride=2)
-    assert kept == [None] and y0._backward is None
-    y = ag.spatial_conv(x, w_conv, stride=2)
-    assert [b.shape[0] for b in kept[1]] == [2, 2, 1]
-    assert y.data.tobytes() == y0.data.tobytes()
-    dy = rng.standard_normal(y.shape)
-    im2col = T.im2col
-    monkeypatch.setattr(T, "im2col", None)   # the backward builds no second one
-    y._backward(dy)
-    # the weight gradient from the whole batch's im2col matrix, bit for bit
-    cols = im2col(x, 3, 2).reshape(5, 27, -1)
-    want = np.matmul(dy.reshape(5, 8, -1), cols.transpose(0, 2, 1)).sum(axis=0)
-    assert w_conv.grad.tobytes() == want.reshape(w_conv.shape).tobytes()
+        # the bytes of the whole batch's im2col product
+        whole = T.im2col(image.data, 3, 2).reshape(nb, c * 9, -1)
+        want = np.matmul(dy.reshape(nb, 8, -1), whole.transpose(0, 2, 1)).sum(axis=0)
+        assert w_conv.grad.tobytes() == want.reshape(w_conv.shape).tobytes()
+    block = cols * per // nb
+    assert peaks[False] < 2 * block < cols < peaks[True], f"peaks {peaks}, im2col {cols} B, block {block}"
 
 
 def test_first_gradient_is_written_in_one_pass(monkeypatch):

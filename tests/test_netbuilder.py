@@ -109,13 +109,12 @@ _ABLATIONS = ("name: x\nwidth_scale: 0.1\ninput_size: 32\nclasses: 10\n"
 
 
 def test_op_table_is_complete():
-    # every record has a forward, an oracle and a cost, and exactly one of a
-    # pullback and a whole tape op; the table holds exactly the ops the
-    # layers call, across the block styles and the conv/fusion ablations
-    assert "grad" not in Op.__dataclass_fields__
-    assert all(callable(f) for op in OPS.values() for f in (op.array, op.oracle, op.cost))
-    assert all(callable(op.vjp) != callable(op.tape) for op in OPS.values())
-    assert {name for name, op in OPS.items() if op.tape} == {"bn_prelu", "spatial_conv"}
+    # every record has a forward, an oracle, a cost and a pullback, and no
+    # record is a whole tape op; the table holds exactly the ops the layers
+    # call, across the block styles and the conv/fusion ablations
+    assert not {"grad", "tape"} & set(Op.__dataclass_fields__)
+    assert all(callable(f) for op in OPS.values()
+               for f in (op.array, op.oracle, op.cost, op.vjp))
     called = set()
 
     class Seen(CostOps):
@@ -182,11 +181,10 @@ def test_interpreters_look_kernels_up_at_call_time(monkeypatch):
         seen.clear()
         run()
         calls[key] = sorted(set(seen))
-    # training runs the kernel and records the pullback; the oracle calls
-    # neither. Training normalizes by the batch's statistics, so it never
-    # runs T.bn_prelu
+    # training runs the kernels and records the pullback; the oracle calls
+    # neither. Training runs T.bn_prelu too, by the batch's statistics
     assert calls == {"infer": ["bn_prelu", "pointwise_conv"],
-                     "forward": ["pointwise_conv", "pointwise_vjp"],
+                     "forward": ["bn_prelu", "pointwise_conv", "pointwise_vjp"],
                      "oracle": ["oracle_pointwise"]}
 
 
@@ -446,12 +444,12 @@ def test_array_ops_consume_the_first_operand():
     gate = np.full((2, 3, 1, 1), 0.5)
     for dtype in (np.float64, np.float32):
         x = y.astype(dtype)
-        assert ArrayOps().bn_prelu(x, bn) is x
+        assert bn.forward(x, ArrayOps()) is x
         a = y.astype(dtype)
         assert ArrayOps().mul(a, gate.astype(dtype)) is a
     for wrap in (ag.Var, ag.param):
         x = wrap(y.copy())
-        out = AutogradOps().bn_prelu(x, bn)
+        out = bn.forward(x, AutogradOps())
         prod = AutogradOps().mul(x, ag.Var(gate))
         assert not np.shares_memory(out.data, x.data)
         assert not np.shares_memory(prod.data, x.data)
@@ -483,34 +481,34 @@ def _with_toy(tail, at=2):
 
 def test_reading_a_consumed_value_fails_analyze():
     def reread(x, y, bn, ops):
-        return ops.add(ops.bn_prelu(y, bn), y)
+        return ops.add(bn.forward(y, ops), y)
 
     def consume_twice(x, y, bn, ops):
-        ops.bn_prelu(y, bn)
-        return ops.bn_prelu(y, bn)
+        bn.forward(y, ops)
+        return bn.forward(y, ops)
 
     def gate_then_read(x, y, bn, ops):
         return ops.add(ops.mul(y, y), y)
 
     def view_taken_before(x, y, bn, ops):
         v = ops.shuffle(y, 2)
-        return ops.add(ops.bn_prelu(y, bn), v)
+        return ops.add(bn.forward(y, ops), v)
 
     def base_of_consumed_view(x, y, bn, ops):
-        return ops.add(ops.bn_prelu(ops.reshape(y, y.shape), bn), y)
+        return ops.add(bn.forward(ops.reshape(y, y.shape), ops), y)
 
     for tail in (reread, consume_twice, gate_then_read, view_taken_before,
                  base_of_consumed_view):
         with pytest.raises(KernelError, match=r"after (bn_prelu|mul) in stage.0.toy consumed it"):
             analyze(_with_toy(tail))
     # what a consuming op returns is live, and so is the block's input
-    ok = _with_toy(lambda x, y, bn, ops: ops.add(ops.bn_prelu(y, bn), x))
+    ok = _with_toy(lambda x, y, bn, ops: ops.add(bn.forward(y, ops), x))
     assert analyze(ok).total_macs == analyze(_with_toy(lambda x, y, bn, ops: y)).total_macs
 
 
 def test_the_network_input_is_never_consumed():
-    first = [lambda x, y, bn, ops: ops.bn_prelu(x, bn),
-             lambda x, y, bn, ops: ops.bn_prelu(ops.reshape(x, x.shape), bn)]
+    first = [lambda x, y, bn, ops: bn.forward(x, ops),
+             lambda x, y, bn, ops: bn.forward(ops.reshape(x, x.shape), ops)]
     for tail in first:
         with pytest.raises(KernelError, match="would consume the network input"):
             analyze(_with_toy(tail, at=0))
