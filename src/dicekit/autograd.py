@@ -202,7 +202,7 @@ def depthwise_vjp(out, x, taps, stride: int = 1):
     return lambda dy, need: _branch_grad(_DEPTH, x, taps, dy, stride, need[1])
 
 
-def pointwise_vjp(out, x, w, groups: int = 1, stride: int = 1):
+def pointwise_vjp(out, x, w, groups: int = 1, stride: int = 1, bias=None):
     cout, cig = w.shape
 
     def bw(dy, need):
@@ -217,7 +217,8 @@ def pointwise_vjp(out, x, w, groups: int = 1, stride: int = 1):
         if stride != 1:
             dxs, dx = dx, np.zeros(x.shape, dtype=np.float64)
             dx[:, :, ::stride, ::stride] = dxs
-        return dx, np.matmul(dyg, xg.transpose(0, 2, 1)).reshape(cout, cig)
+        return (dx, np.matmul(dyg, xg.transpose(0, 2, 1)).reshape(cout, cig),
+                None if bias is None else dy.sum(axis=(0, 2, 3)))
 
     return bw
 
@@ -377,22 +378,6 @@ def sigmoid_vjp(out, x):
     def bw(dy, need):
         o64 = out.astype(np.float64, copy=False)
         return (dy * o64 * (1.0 - o64),)
-
-    return bw
-
-
-def linear_vjp(out, x, w, bias=None, groups: int = 1):
-    nb, fin = x.shape
-    fout = w.shape[0]
-
-    def bw(dy, need):
-        # (G, N, F/G) stacks: one batched matmul for all groups
-        dyg = dy.reshape(nb, groups, fout // groups).transpose(1, 0, 2)
-        xg = x.astype(np.float64, copy=False).reshape(nb, groups, -1).transpose(1, 0, 2)
-        wg = w.astype(np.float64, copy=False).reshape(groups, fout // groups, -1)
-        return (np.matmul(dyg, wg).transpose(1, 0, 2).reshape(nb, fin),
-                np.matmul(dyg.transpose(0, 2, 1), xg).reshape(w.shape),
-                None if bias is None else dy.sum(axis=0))
 
     return bw
 

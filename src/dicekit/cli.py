@@ -6,11 +6,13 @@ import os
 
 # Thread cap must land in the environment before numpy initializes its
 # BLAS backends, so this runs ahead of every other import in the package.
-if os.environ.get("DICEKIT_THREADS"):
-    _cap = os.environ["DICEKIT_THREADS"]
+# A cap that is not a positive integer is not passed on; main() refuses it.
+_CAP = os.environ.get("DICEKIT_THREADS", "")
+_CAP_OK = not _CAP or (_CAP.isascii() and _CAP.isdigit() and int(_CAP) >= 1)
+if _CAP and _CAP_OK:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                  "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        os.environ.setdefault(_var, _cap)
+        os.environ.setdefault(_var, _CAP)
 
 import argparse
 import csv
@@ -184,6 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if not _CAP_OK:
+        print(f"error: DICEKIT_THREADS must be a positive integer, got {_CAP!r}",
+              file=sys.stderr)
+        return EXIT_USAGE
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

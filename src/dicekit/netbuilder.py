@@ -2,13 +2,14 @@
 
 Each layer is defined once, by a `forward(x, ops)` method written against a
 small op vocabulary: `spatial_conv`, `bn_prelu`, `max_pool`, `avg_pool`,
-`dimconv`, `depthwise`, `pointwise`, `bilinear`, `global_avg`, `linear`,
-`relu`, `sigmoid`, `mul`, `add`, `narrow`, `concat`, `shuffle` and
-`reshape`. `ops.row(name, kind)` scopes name the `analyze()` row that the
-ops run inside it belong to; a scope without a kind only prefixes the names
-of the rows within it. Each op is defined once too, by its record in one
-table, `OPS`. Four interpreters run the layers through its fields, each Var
-argument as its array:
+`dimconv`, `depthwise`, `pointwise`, `bilinear`, `global_avg`, `relu`,
+`sigmoid`, `mul`, `add`, `narrow`, `concat`, `shuffle` and `reshape`; a
+fully connected layer is `pointwise` on a 1x1 map. `ops.row(name, kind)`
+scopes name the `analyze()` row that the ops run inside it belong to; a
+scope without a kind only prefixes the names of the rows within it. Each
+op is defined once too, by its record in one table, `OPS`. Four
+interpreters run the layers through its fields, each Var argument as its
+array:
 
 - `ArrayOps` (`array`): the fast kernels on plain arrays, `bilinear`'s
   counting each resize: `infer`, which `train.evaluate` calls too.
@@ -173,9 +174,8 @@ class DiceUnit:
         with ops.row("dimfuse", "dimfuse"):
             y_g = ops.pointwise(x, self.k_g, self.c) if self.k_g is not None else x
             y_s = ops.depthwise(y_g, self.k_s)
-            z = ops.reshape(ops.global_avg(y_g), (-1, self.c))
-            g = ops.sigmoid(ops.linear(ops.relu(ops.linear(z, self.fc1)), self.fc2))
-            x = ops.mul(y_s, ops.reshape(g, (-1, self.c, 1, 1)))
+            z = ops.relu(ops.pointwise(ops.global_avg(y_g), self.fc1))
+            x = ops.mul(y_s, ops.sigmoid(ops.pointwise(z, self.fc2)))
             return self.post2.forward(x, ops)
 
 
@@ -273,10 +273,11 @@ class ResBlock:
 
 class Head:
     """Global pool, pointwise expansion to the pool width, grouped FC,
-    classifier FC."""
+    classifier FC with a bias. Each of the three is `pointwise` on the
+    pooled 1x1 map; the scores are reshaped to (N, classes) last."""
 
     def __init__(self, cin, pool_width, groups, classes, rng, dtype):
-        self.cin, self.groups = cin, groups
+        self.groups = groups
         self.expand = param(_he(rng, cin, (pool_width, cin), dtype))
         self.gfc = param(_he(rng, pool_width // groups,
                              (pool_width, pool_width // groups), dtype))
@@ -286,13 +287,13 @@ class Head:
     def forward(self, x, ops):
         with ops.row("global_pool", "pool"):
             z = ops.global_avg(x)
-        z = ops.reshape(z, (-1, self.cin))
         with ops.row("expand", "pointwise"):
-            z = ops.relu(ops.linear(z, self.expand))
+            z = ops.relu(ops.pointwise(z, self.expand))
         with ops.row("grouped_fc", "fc"):
-            z = ops.relu(ops.linear(z, self.gfc, groups=self.groups))
+            z = ops.relu(ops.pointwise(z, self.gfc, self.groups))
         with ops.row("fc", "fc"):
-            return ops.linear(z, self.fc, self.fc_bias)
+            z = ops.pointwise(z, self.fc, bias=self.fc_bias)
+            return ops.reshape(z, (-1, self.fc.shape[0]))
 
 
 _BLOCK_TYPES = {"shufflenetv2": ShuffleBlock, "mobilenet": MobileBlock,
@@ -366,11 +367,6 @@ def _dimconv_cost(x, k_d, k_w, k_h):
     return (nb, 3 * c, h, w), nb * dimops.dimconv_macs(c, h, w, n), n * n * (c + h + w)
 
 
-def _linear_cost(x, w, bias=None, groups=1):
-    shape = (x.shape[0], w.shape[0])
-    return shape, math.prod(shape) * w.shape[1], w.size + (0 if bias is None else bias.size)
-
-
 def _oracle_mul(ops, a, b):
     out = a * b
     ops.counter.tally(out.size)
@@ -428,10 +424,12 @@ OPS = {
         cost=lambda x, taps, stride=1: _window(x, x.shape[1], stride, taps[0].size, taps.size)),
     "pointwise": Op(
         vjp=_vjp("pointwise"),
-        array=lambda ops, x, w, groups=1, stride=1: T.pointwise_conv(x, w, groups, stride),
-        oracle=lambda ops, x, w, groups=1, stride=1: orc.oracle_pointwise(
-            x, w, groups, stride, ops.counter)[0],
-        cost=lambda x, w, groups=1, stride=1: _window(x, w.shape[0], stride, w.shape[1], w.size)),
+        array=lambda ops, x, w, groups=1, stride=1, bias=None: T.pointwise_conv(
+            x, w, groups, stride, bias),
+        oracle=lambda ops, x, w, groups=1, stride=1, bias=None: orc.oracle_pointwise(
+            x, w, groups, stride, bias, ops.counter)[0],
+        cost=lambda x, w, groups=1, stride=1, bias=None: _window(
+            x, w.shape[0], stride, w.shape[1], w.size + (0 if bias is None else bias.size))),
     "bilinear": Op(
         vjp=_vjp("bilinear"),
         array=_resize,
@@ -443,12 +441,6 @@ OPS = {
         array=lambda ops, x: T.pool(x, "global_avg"),
         oracle=lambda ops, x: orc.oracle_global_avg(x, ops.counter)[0],
         cost=lambda x: (x.shape[:2] + (1, 1), math.prod(x.shape), 0)),
-    "linear": Op(
-        vjp=_vjp("linear"),
-        array=lambda ops, x, w, bias=None, groups=1: T.linear(x, w, groups, bias),
-        oracle=lambda ops, x, w, bias=None, groups=1: orc.oracle_linear(
-            x, w, groups, bias, ops.counter)[0],
-        cost=_linear_cost),
     "relu": _plain("relu", lambda ops, x: T.relu(x), lambda x: (x.shape, 0, 0)),
     "sigmoid": _plain("sigmoid", lambda ops, x: T.sigmoid(x), lambda x: (x.shape, 0, 0)),
     # DimFuse's gate product, one MAC per element

@@ -102,8 +102,10 @@ def oracle_heightwise(x, bank: ConvKernelBank, counter: OracleCounter | None = N
     return out.astype(x.dtype), counter
 
 
-def oracle_pointwise(x, weights, groups: int = 1, stride: int = 1,
+def oracle_pointwise(x, weights, groups: int = 1, stride: int = 1, bias=None,
                      counter: OracleCounter | None = None):
+    """1x1 convolution; the bias, if any, is added after each output's
+    sum and tallies no MAC."""
     counter = counter or OracleCounter()
     nb, c, h, w = x.shape
     cout = weights.shape[0]
@@ -121,29 +123,9 @@ def oracle_pointwise(x, weights, groups: int = 1, stride: int = 1,
                         for ci in range(cig):
                             acc += w64[g * cog + co, ci] * xs[b, g * cig + ci, oh, ow]
                             counter.tally()
+                        if bias is not None:
+                            acc += float(bias[g * cog + co])
                         out[b, g * cog + co, oh, ow] = acc
-    return out.astype(x.dtype), counter
-
-
-def oracle_linear(x, weights, groups: int = 1, bias=None,
-                  counter: OracleCounter | None = None):
-    counter = counter or OracleCounter()
-    nb, fin = x.shape
-    fout = weights.shape[0]
-    fig, fog = fin // groups, fout // groups
-    x64 = x.astype(np.float64)
-    w64 = weights.astype(np.float64)
-    out = np.zeros((nb, fout), dtype=np.float64)
-    for b in range(nb):
-        for g in range(groups):
-            for fo in range(fog):
-                acc = 0.0
-                for fi in range(fig):
-                    acc += x64[b, g * fig + fi] * w64[g * fog + fo, fi]
-                    counter.tally()
-                if bias is not None:
-                    acc += float(bias[g * fog + fo])
-                out[b, g * fog + fo] = acc
     return out.astype(x.dtype), counter
 
 

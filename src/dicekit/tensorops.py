@@ -22,12 +22,14 @@ import numpy as np
 
 FLOAT_DTYPES = (np.float32, np.float64)
 
-# input features per block in `linear`: bounds its product array to
-# N * F_out * LINEAR_BLOCK values whatever F_in is
+# input channels per block in `pointwise_conv`'s loop for a 1x1 image (a
+# fully connected layer): bounds its product array to N * C_out *
+# LINEAR_BLOCK values whatever C_in is
 LINEAR_BLOCK = 64
 
-# `linear` runs `_pointwise_conv`'s loop over input features once a feature's
-# outer product, N x F_out/G, holds this many values and N >= 2
+# on a 1x1 image `pointwise_conv` runs its loop of outer products, one per
+# input channel, only once a product, N x C_out/G, holds this many values
+# and N >= 2; otherwise `np.add.accumulate` along the channels is faster
 LINEAR_FEATURE_LOOP = 1024
 
 # float64 input bytes per image block of the kernels that sweep their
@@ -313,14 +315,17 @@ def heightwise_conv(x: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
 
 
 def pointwise_conv(x: np.ndarray, weights: np.ndarray, groups: int = 1,
-                   stride: int = 1) -> np.ndarray:
-    """1x1 convolution: weights has shape (C_out, C_in // groups).
+                   stride: int = 1, bias: np.ndarray | None = None) -> np.ndarray:
+    """1x1 convolution: weights has shape (C_out, C_in // groups), and the
+    optional bias one value per output channel. On a 1x1 image this is a
+    fully connected layer, group g mapping input slice g to output slice g.
 
     Keeps the oracle's order: every output starts at 0.0 and adds its
-    group's C_in // groups products one input channel at a time. The loop
-    runs over the inputs of a group only; all groups advance together in
-    one numpy call per step. `sum`, `einsum` or `@` would sum pairwise or
-    use FMA, and so would not match the oracle bitwise.
+    group's C_in // groups products one input channel at a time, then the
+    bias. The loop runs over the inputs of a group only; all groups
+    advance together in one numpy call per step. `sum`, `einsum` or `@`
+    would sum pairwise or use FMA, and so would not match the oracle
+    bitwise.
 
     Each step is an outer product of a weight column and an input channel.
     x is laid out channel-major, (G, C_in/G, N*H*W), with the batch folded
@@ -334,8 +339,17 @@ def pointwise_conv(x: np.ndarray, weights: np.ndarray, groups: int = 1,
     the adds is the oracle's, `w*x == x*w` exactly in IEEE arithmetic, and
     the buffer only moves data. Kernels with short rows keep the default
     buffer, which is faster for them.
+
+    On a 1x1 output grid with N < 2, or with N*C_out/G < LINEAR_FEATURE_LOOP,
+    each step's outer product is too short to pay for its numpy call, and
+    another loop runs in the same order: the products are laid out in
+    weight order, (N, G, C_out/G, C_in/G), and `np.add.accumulate` runs the
+    sum along the input channels, which adds one term at a time. Channels
+    go in blocks of LINEAR_BLOCK, so no product array grows with C_in; the
+    running sum of one block is added into the first product of the next,
+    starting from 0.0. The choice changes no byte.
     """
-    return _image_blocks(_pointwise_conv, x, weights, groups, stride, None)
+    return _image_blocks(_pointwise_conv, x, weights, groups, stride, bias)
 
 
 def _pointwise_conv(x, weights, groups, stride, bias, out=None):
@@ -353,29 +367,42 @@ def _pointwise_conv(x, weights, groups, stride, bias, out=None):
         raise KernelError(f"stride must be >= 1, got {stride}")
     xs = x[:, :, ::stride, ::stride]
     ho, wo = xs.shape[2], xs.shape[3]
-    npix = nb * ho * wo
-    xg = np.ascontiguousarray(xs.transpose(1, 0, 2, 3), dtype=np.float64) \
-        .reshape(groups, cig, npix)
-    wt = weights.astype(np.float64, copy=False).reshape(groups, cog, cig).transpose(0, 2, 1)
-    # a[:, ci] * b[:, ci] is the outer product of weight column ci and input
-    # channel ci for every group, with the longer axis last
-    pixels_inner = npix >= cog
-    if pixels_inner:
-        a, b = wt[..., None], xg[:, :, None]
+    if ho == wo == 1 and (nb < 2 or nb * cog < LINEAR_FEATURE_LOOP):
+        res = _output(out, (nb, cout, 1, 1), x.dtype)
+        xg = xs.astype(np.float64, copy=False).reshape(nb, groups, 1, cig)
+        wg = weights.astype(np.float64, copy=False).reshape(groups, cog, cig)
+        acc = np.zeros((nb, groups, cog), dtype=np.float64)
+        for f0 in range(0, cig, LINEAR_BLOCK):
+            prod = xg[..., f0:f0 + LINEAR_BLOCK] * wg[..., f0:f0 + LINEAR_BLOCK]
+            prod[..., 0] += acc
+            np.add.accumulate(prod, axis=-1, out=prod)
+            acc = prod[..., -1]
+        # (G, C_out/G, N), as the loop below leaves it
+        acc = acc.transpose(1, 2, 0)
     else:
-        a, b = xg[..., None], np.ascontiguousarray(wt)[:, :, None]
-    # one image's (G, C_out/G, pixels) accumulator is laid out as its result
-    in_place = pixels_inner and nb == 1 and x.dtype == np.float64
-    res = _output(out, (nb, cout, ho, wo), x.dtype, zeros=in_place)
-    if in_place:
-        acc = res.reshape(groups, cog, npix)
-    else:
-        acc = np.zeros((groups, a.shape[2], b.shape[3]), dtype=np.float64)
-    with _small_buffer():
-        for ci in range(cig):
-            acc += a[:, ci] * b[:, ci]
-    if not pixels_inner:
-        acc = acc.transpose(0, 2, 1)
+        npix = nb * ho * wo
+        xg = np.ascontiguousarray(xs.transpose(1, 0, 2, 3), dtype=np.float64) \
+            .reshape(groups, cig, npix)
+        wt = weights.astype(np.float64, copy=False).reshape(groups, cog, cig).transpose(0, 2, 1)
+        # a[:, ci] * b[:, ci] is the outer product of weight column ci and
+        # input channel ci for every group, with the longer axis last
+        pixels_inner = npix >= cog
+        if pixels_inner:
+            a, b = wt[..., None], xg[:, :, None]
+        else:
+            a, b = xg[..., None], np.ascontiguousarray(wt)[:, :, None]
+        # one image's (G, C_out/G, pixels) accumulator is laid out as its result
+        in_place = pixels_inner and nb == 1 and x.dtype == np.float64
+        res = _output(out, (nb, cout, ho, wo), x.dtype, zeros=in_place)
+        if in_place:
+            acc = res.reshape(groups, cog, npix)
+        else:
+            acc = np.zeros((groups, a.shape[2], b.shape[3]), dtype=np.float64)
+        with _small_buffer():
+            for ci in range(cig):
+                acc += a[:, ci] * b[:, ci]
+        if not pixels_inner:
+            acc = acc.transpose(0, 2, 1)
     if bias is not None:
         acc += bias.astype(np.float64).reshape(groups, cog, 1)
     return _store(res, acc.reshape(cout, nb, ho, wo).transpose(1, 0, 2, 3))
@@ -525,57 +552,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(x64[~pos])
     out[~pos] = e / (1.0 + e)
     return out.astype(np.asarray(x).dtype)
-
-
-def linear(x: np.ndarray, weights: np.ndarray, groups: int = 1,
-           bias: np.ndarray | None = None) -> np.ndarray:
-    """Block-diagonal matrix product: x (N, F_in), weights (F_out, F_in // groups).
-
-    Group g maps input slice g to output slice g. Keeps the oracle's order:
-    each output is ((0.0 + p0) + p1) + ... over its group's products, then
-    the bias. `sum`, `einsum` and `@` would sum pairwise or use FMA, and so
-    would not match the oracle bitwise. One of two loops runs, chosen by
-    shape; both keep that order, so the choice changes no byte:
-
-    - At N >= 2 with N*F_out/G >= LINEAR_FEATURE_LOOP, x is the (N, F_in,
-      1, 1) image batch of a 1x1 convolution, and `_pointwise_conv`'s loop
-      adds one input feature's products per step, all outputs at once. The
-      private kernel is called, so the call is not counted as a
-      `pointwise_conv` call.
-    - Otherwise the products are laid out in weight order, (N, G, F_out/G,
-      features), and `np.add.accumulate` runs the sum along the feature
-      axis, which adds one term at a time. Features go in blocks of
-      LINEAR_BLOCK, so no product array grows with F_in; the running sum of
-      one block is added into the first product of the next, starting from
-      0.0. At batch 1, and for a short output row, this is the faster loop.
-    """
-    if x.ndim != 2:
-        raise KernelError(f"linear expects (N, F) input, got {x.shape}")
-    # both loops take the same inputs; the pointwise one takes floats only
-    if x.dtype.type not in FLOAT_DTYPES:
-        raise KernelError(f"expected float32/float64 input, got dtype {x.dtype}")
-    nb, fin = x.shape
-    fout = weights.shape[0]
-    if fin % groups != 0 or fout % groups != 0:
-        raise KernelError(f"features in={fin}, out={fout} not divisible by groups={groups}")
-    fig, fog = fin // groups, fout // groups
-    if weights.shape[1] != fig:
-        raise KernelError(f"weight rows have {weights.shape[1]} coefficients, expected {fig}")
-    if nb >= 2 and nb * fog >= LINEAR_FEATURE_LOOP:
-        y = _pointwise_conv(x.reshape(nb, fin, 1, 1), weights, groups, 1, bias)
-        return y.reshape(nb, fout)
-    xg = x.astype(np.float64, copy=False).reshape(nb, groups, 1, fig)
-    wg = weights.astype(np.float64, copy=False).reshape(groups, fog, fig)
-    acc = np.zeros((nb, groups, fog), dtype=np.float64)
-    for f0 in range(0, fig, LINEAR_BLOCK):
-        prod = xg[..., f0:f0 + LINEAR_BLOCK] * wg[..., f0:f0 + LINEAR_BLOCK]
-        prod[..., 0] += acc
-        np.add.accumulate(prod, axis=-1, out=prod)
-        acc = prod[..., -1]
-    acc = acc.reshape(nb, fout)
-    if bias is not None:
-        acc += bias.astype(np.float64)[None, :]
-    return acc.astype(x.dtype)
 
 
 def _resize_coords(src: int, dst: int):

@@ -124,17 +124,18 @@ def resize_draw(rng):
     return (x, h, w) if rng.random() < 0.2 else (x, th, tw)
 
 
-def linear_draw(rng):
-    """An input, weights and, on half the draws, a bias, all with signed
-    zeros, for `linear` at batch 2–9 with up to 300 outputs per group, so
-    that N·F_out/G lands on both sides of `tensorops.LINEAR_FEATURE_LOOP`
-    and `linear` runs either of its loops."""
+def fc_draw(rng):
+    """A 1×1 input, weights, groups, a stride of 1 and, on half the draws, a
+    bias, all with signed zeros, for `pointwise_conv` as a fully connected
+    layer at batch 2–9 with up to 300 outputs per group, so that N·C_out/G
+    lands on both sides of `tensorops.LINEAR_FEATURE_LOOP` and either of
+    its 1×1 loops runs."""
     nb, groups = int(rng.integers(2, 10)), int(rng.choice([1, 2, 4]))
     fig, fog = int(rng.integers(1, 25)), int(rng.integers(1, 301))
-    x = signed_zeros(rng, rng.standard_normal((nb, groups * fig)))
+    x = signed_zeros(rng, rng.standard_normal((nb, groups * fig, 1, 1)))
     wts = signed_zeros(rng, rng.standard_normal((groups * fog, fig)))
     bias = signed_zeros(rng, rng.standard_normal(groups * fog)) if rng.random() < 0.5 else None
-    return x, wts, groups, bias
+    return x, wts, groups, 1, bias
 
 
 def batch_inner_draw(rng):
@@ -199,9 +200,11 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
     draw from `batch_inner_draw`: batches longer than 1–2 px rows, where the
     tap runs are mostly junk columns. `depth` and `dimconv` also get one draw
     each with ±0.0 in the input and the taps. `depth` runs at strides 1–3,
-    each over one phase run per tap. `max_pool` draws from `max_pool_draw`,
-    `linear` from `linear_draw`: batches of 2–9, on both sides of the shape
-    that picks `linear`'s loop. `conv2d.stem` draws from `stem_draw` on one
+    each over one phase run per tap. `pointwise.1x1` runs `pointwise_conv`
+    as a fully connected layer, on 1×1 images at batch 1–2 with a bias on
+    one draw in four, and `pointwise.1x1.batch` on `fc_draw`'s: batches of
+    2–9, on both sides of the shape that picks its 1×1 loop. `max_pool`
+    draws from `max_pool_draw`. `conv2d.stem` draws from `stem_draw` on one
     draw in five, since the oracle takes about a second per draw at those
     shapes.
 
@@ -210,7 +213,7 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
     """
     rng = np.random.default_rng(seed)
     # resize, both-orientation pointwise, conv2d, global-average, batch-inner,
-    # stem, signed-zero, batched linear and max-pool draws come from their
+    # stem, signed-zero, batched 1x1 and max-pool draws come from their
     # own generators and leave the others' draws alone
     resize_rng = np.random.default_rng([seed, 1])
     pw_rng = np.random.default_rng([seed, 2])
@@ -219,7 +222,7 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
     batch_rng = np.random.default_rng([seed, 5])
     stem_rng = np.random.default_rng([seed, 6])
     zero_rng = np.random.default_rng([seed, 7])
-    linear_rng = np.random.default_rng([seed, 8])
+    fc_rng = np.random.default_rng([seed, 8])
     max_rng = np.random.default_rng([seed, 9])
     worst = {}
 
@@ -264,16 +267,17 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
         wg = signed_zeros(rng, rng.standard_normal((groups * cog, cig)))
         bitwise("pointwise", T.pointwise_conv, orc.oracle_pointwise, xg, wg, groups, stride)
 
-        # few features per group, where the sign of a zero sum shows, or
-        # enough to cross two of linear's feature blocks
+        # a fully connected layer: few inputs per group, where the sign of a
+        # zero sum shows, or enough to cross two of the 1x1 loop's blocks
         groups = int(rng.choice([1, 2, 4]))
         fig = int(rng.integers(9, 2 * T.LINEAR_BLOCK + 9) if i % 2 else rng.integers(1, 9))
         fout = groups * int(rng.integers(1, 5))
-        xf = signed_zeros(rng, rng.standard_normal((nb, groups * fig)))
+        xf = signed_zeros(rng, rng.standard_normal((nb, groups * fig, 1, 1)))
         wf = signed_zeros(rng, rng.standard_normal((fout, fig)))
         bias = rng.standard_normal(fout) if i % 4 == 3 else None
-        bitwise("grouped", T.linear, orc.oracle_linear, xf, wf, groups, bias)
-        bitwise("linear", T.linear, orc.oracle_linear, *linear_draw(linear_rng))
+        bitwise("pointwise.1x1", T.pointwise_conv, orc.oracle_pointwise, xf, wf, groups, 1, bias)
+        bitwise("pointwise.1x1.batch", T.pointwise_conv, orc.oracle_pointwise,
+                *fc_draw(fc_rng))
         bitwise("pointwise", T.pointwise_conv, orc.oracle_pointwise,
                 *pointwise_draw(pw_rng, channels_inner=i % 2 == 0))
 
@@ -438,9 +442,9 @@ def _adjoint_checks(rng):
                                  (x, rng.standard_normal((groups * cog, cig))),
                                  max(cig, cog, k_t)))
     fig, fog = int(rng.integers(1, 9)), int(rng.integers(1, 5))
-    x = rng.standard_normal((nb, groups * fig))
-    results.append(adjoint_check("adjoint.linear", rng,
-                                 lambda a, t: _OPS.linear(a, t, groups=groups),
+    x = rng.standard_normal((nb, groups * fig, 1, 1))
+    results.append(adjoint_check("adjoint.pointwise.1x1", rng,
+                                 lambda a, t: _OPS.pointwise(a, t, groups),
                                  (x, rng.standard_normal((groups * fog, fig))),
                                  max(fig, fog, nb)))
     return results
@@ -510,8 +514,8 @@ def _op_checks(rng, brng):
         xk = x + 0.05 * np.sign(x)
         check("relu", lambda v: sq(ops.relu(v)), xk)
         check("sigmoid", lambda v: sq(ops.sigmoid(v)), x)
-        xl, bl = rng.standard_normal((2, 4)), rng.standard_normal(4)
-        check("linear", lambda t: sq(ops.linear(ag.Var(xl), t, bias=ag.Var(bl), groups=2)),
+        xl, bl = rng.standard_normal((2, 4, 1, 1)), rng.standard_normal(4)
+        check("pointwise.1x1", lambda t: sq(ops.pointwise(ag.Var(xl), t, 2, bias=ag.Var(bl))),
               rng.standard_normal((4, 2)))
         check("bilinear", lambda v: sq(ops.bilinear(v, h + 2, w + 1)), x)
         # grad_check perturbs theta0 in place, and this build reads x too
@@ -530,18 +534,21 @@ def _op_checks(rng, brng):
         wr = rng.standard_normal((c, h * w))
         check("reshape", lambda v: ag.sum_all(ops.mul(ops.reshape(v, (c, -1)), wr)), x)
         # add and mul summing a per-channel operand over a batch of 2-3,
-        # global_avg at that batch, linear's input and bias, and bilinear
-        # down-sizing and at its own size. bilinear's loss is weighted, linear
-        # in x: a squared loss has gradient 2x at its own size, which rounding
-        # alone fails where x is near zero
+        # global_avg at that batch, a 1x1 pointwise's input and bias, and
+        # bilinear down-sizing and at its own size. bilinear's loss is
+        # weighted, linear in x: a squared loss has gradient 2x at its own
+        # size, which rounding alone fails where x is near zero
         xb = brng.standard_normal((int(brng.integers(2, 4)), c, h, w))
         check("add.batch", lambda b: sq(ops.add(ag.Var(xb), b)), brng.standard_normal((1, c, 1, 1)))
         check("mul.batch", lambda g: sq(ops.mul(ag.Var(xb), g)), brng.standard_normal((1, c, 1, 1)))
         check("global_avg.batch", lambda v: sq(ops.global_avg(v)), xb)
-        lin = [brng.standard_normal(s) for s in ((len(xb), 4), (4, 2), (4,))]
-        for i, name in ((0, "linear.x"), (2, "linear.bias")):
-            check(name, lambda t: sq(ops.linear(*(t if j == i else ag.Var(a) for j, a in
-                                                  enumerate(lin)), groups=2)), lin[i])
+        fc = [brng.standard_normal(s) for s in ((len(xb), 4, 1, 1), (4, 2), (4,))]
+        for i, name in ((0, "pointwise.1x1.x"), (2, "pointwise.1x1.bias")):
+            def build(t):
+                xf, wf, bf = (t if j == i else ag.Var(a) for j, a in enumerate(fc))
+                return sq(ops.pointwise(xf, wf, 2, bias=bf))
+
+            check(name, build, fc[i])
         for suffix, size in ((".down", (int(brng.integers(1, h)), int(brng.integers(1, w)))),
                              (".same", (h, w))):
             rs, wb = lambda v: ops.bilinear(v, *size), brng.standard_normal(x.shape[:2] + size)

@@ -113,7 +113,8 @@ def test_gradient_checks_catch_a_wrong_width_branch_gradient(monkeypatch):
 # the checks that fail when an op's pullback is wrong
 OWN_CHECKS = {
     "sigmoid": {"sigmoid"},
-    "linear": {"adjoint.linear", "linear", "linear.x", "linear.bias"},
+    "pointwise": {"adjoint.pointwise", "pointwise", "adjoint.pointwise.1x1", "pointwise.1x1",
+                  "pointwise.1x1.x", "pointwise.1x1.bias"},
     "add": {"add", "add.batch"},
     "global_avg": {"global_avg", "global_avg.batch"},
     "bilinear": {"adjoint.bilinear", "bilinear", "bilinear.down", "bilinear.same"},

@@ -5,6 +5,9 @@ import io
 import json
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,14 +137,15 @@ def test_verify_gradients_suite(capsys):
     passed = {line[len("[PASS] "):].split(":")[0]
               for line in capsys.readouterr().out.splitlines() if line.startswith("[PASS] ")}
     assert {f"adjoint.{op}" for op in ("depthwise.s1", "depthwise.s2", "dimconv", "spatial_conv",
-                                       "avg_pool", "max_pool", "pointwise", "linear",
+                                       "avg_pool", "max_pool", "pointwise", "pointwise.1x1",
                                        "bilinear")} <= passed
     # a line for every record of the op table, by its name alone or with
     # the argument or shape checked
     assert set(OPS) <= {name.split(".")[0] for name in passed}
     assert {"dimconv.k_w", "dimconv.k_h", "dimconv.x", "cross_entropy", "every_op"} <= passed
-    assert {"add.batch", "mul.batch", "global_avg.batch", "linear.x", "linear.bias",
-            "narrow.offset", "bilinear.down", "bilinear.same"} <= passed
+    assert {"add.batch", "mul.batch", "global_avg.batch", "pointwise.1x1",
+            "pointwise.1x1.x", "pointwise.1x1.bias", "narrow.offset", "bilinear.down",
+            "bilinear.same"} <= passed
     assert {f"bn_prelu.{arg}{planes}" for arg in ("x", "gamma", "beta", "slope")
             for planes in ("", ".2x2")} <= passed
 
@@ -263,6 +267,29 @@ def test_infer_topk_below_1_exit_2(micro_cfg_path, tmp_path, capsys, k):
     save_tensor(tensor, np.zeros((3, 32, 32)))
     assert main(["infer", micro_cfg_path, str(tensor), "--topk", k]) == EXIT_USAGE
     assert "--topk must be at least 1" in capsys.readouterr().err
+
+
+_MAIN_THEN_NUMPY_LOADED = """
+import sys
+from dicekit.cli import main
+code = main(sys.argv[1:])
+print("numpy" in sys.modules)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("cap, code", [("abc", EXIT_USAGE), ("0", EXIT_USAGE),
+                                       ("-1", EXIT_USAGE), ("1", EXIT_OK)])
+def test_thread_cap_not_a_positive_integer_exit_2(micro_cfg_path, cap, code):
+    # refused before any verb runs and before numpy loads
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, DICEKIT_THREADS=cap,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _MAIN_THEN_NUMPY_LOADED, "analyze",
+                          micro_cfg_path], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == code, run.stderr
+    if code == EXIT_USAGE:
+        assert "DICEKIT_THREADS" in run.stderr and run.stdout.strip() == "False"
 
 
 def test_usage_error_exit_2():

@@ -46,13 +46,17 @@ def test_oracle_pointwise_stride_and_groups(rng):
     assert counter.mac_count == 4 * 2 * 3 * 3
 
 
-def test_oracle_linear_bias(rng):
-    x = rng.standard_normal((2, 4))
-    w = rng.standard_normal((3, 4))
-    b = rng.standard_normal(3)
-    y, counter = orc.oracle_linear(x, w, bias=b)
-    np.testing.assert_array_equal(y, T.linear(x, w, bias=b))
-    assert counter.mac_count == 2 * 3 * 4
+def test_oracle_pointwise_bias(rng):
+    # a fully connected layer, with groups; the bias is added untallied
+    x = rng.standard_normal((3, 4, 1, 1))
+    w = rng.standard_normal((6, 2))
+    b = rng.standard_normal(6)
+    y, counter = orc.oracle_pointwise(x, w, groups=2, bias=b)
+    np.testing.assert_array_equal(y, T.pointwise_conv(x, w, groups=2, bias=b))
+    x2 = x[:, :, 0, 0]
+    want = np.concatenate([x2[:, :2] @ w[:3].T, x2[:, 2:] @ w[3:].T], axis=1) + b
+    assert np.allclose(y[:, :, 0, 0], want, atol=1e-12)
+    assert counter.mac_count == 3 * 6 * 2
 
 
 def test_oracle_avg_pool_counts_window(rng):

@@ -250,52 +250,42 @@ def test_batch_norm_then_prelu_is_bn_prelu_in_inference(dtype):
         assert got[b, ci, i, j] == (y if y >= 0 else slope[ci] * y)
 
 
-def test_linear_groups_and_bias(rng):
-    x = rng.standard_normal((3, 4))
-    w = rng.standard_normal((6, 4))
-    b = rng.standard_normal(6)
-    assert np.allclose(T.linear(x, w, bias=b), x @ w.T + b, atol=1e-12)
-    wg = rng.standard_normal((4, 2))
-    y = T.linear(x, wg, groups=2)
-    assert np.allclose(y[:, :2], x[:, :2] @ wg[:2].T, atol=1e-12)
-    assert np.allclose(y[:, 2:], x[:, 2:] @ wg[2:].T, atol=1e-12)
+def test_pointwise_1x1_branches_keep_the_oracle_order(monkeypatch):
+    # on a 1x1 image, N >= 2 with N*C_out/G >= LINEAR_FEATURE_LOOP runs the
+    # outer-product loop (under _small_buffer); every other shape runs
+    # np.add.accumulate. Both give the oracle's bytes, signed zeros and a
+    # bias included, and a fully connected layer's C_in crosses LINEAR_BLOCK
+    loops = []
 
+    def noting(real=T._small_buffer):
+        loops.append(True)
+        return real()
 
-def test_linear_loops_keep_the_oracle_order(monkeypatch):
-    # N >= 2 and N*F_out/G >= LINEAR_FEATURE_LOOP run pointwise_conv's loop;
-    # every other shape runs np.add.accumulate. Both give the oracle's bytes,
-    # signed zeros and a bias included
-    from dicekit.oracle import oracle_linear
-
-    def no_public_pointwise(*args):
-        raise AssertionError("linear must not count as a pointwise_conv call")
-
-    monkeypatch.setattr(T, "pointwise_conv", no_public_pointwise)
-    # either loop refuses what the other would
-    for nb in (1, 8):
-        with pytest.raises(KernelError):
-            T.linear(np.ones((nb, 4), dtype=np.int64), np.ones((T.LINEAR_FEATURE_LOOP, 4)))
+    monkeypatch.setattr(T, "_small_buffer", noting)
     rng = np.random.default_rng(8)
     loop = T.LINEAR_FEATURE_LOOP
-    for nb, fin, fout, groups in ((8, 24, loop // 8, 1), (2, 12, loop, 4),
-                                  (1, 24, 2 * loop, 1), (8, 24, loop // 8 - 1, 1),
-                                  (3, 8, 40, 2)):
+    for nb, fin, fout, groups, outer in ((1, 24, 2 * loop, 1, False), (2, 12, loop, 2, True),
+                                         (2, 12, loop - 4, 4, False), (2, 12, loop, 4, False),
+                                         (2, 150, loop // 2, 1, True), (3, 150, 341, 1, False),
+                                         (8, 24, loop // 8, 1, True), (3, 8, 40, 2, False)):
         for dtype in (np.float64, np.float32):
-            x = verify.signed_zeros(rng, rng.standard_normal((nb, fin))).astype(dtype)
+            x = verify.signed_zeros(rng, rng.standard_normal((nb, fin, 1, 1))).astype(dtype)
             w = verify.signed_zeros(rng, rng.standard_normal((fout, fin // groups))).astype(dtype)
-            for bias in (None, rng.standard_normal(fout).astype(dtype)):
-                ref, _ = oracle_linear(x, w, groups, bias)
-                got = T.linear(x, w, groups, bias)
+            for bias in (None, verify.signed_zeros(rng, rng.standard_normal(fout)).astype(dtype)):
+                loops.clear()
+                ref, _ = orc.oracle_pointwise(x, w, groups, 1, bias)
+                got = T.pointwise_conv(x, w, groups, bias=bias)
                 assert got.dtype == dtype and got.tobytes() == ref.tobytes(), (nb, fout, groups)
+                assert bool(loops) == outer, (nb, fout, groups)
 
 
-def test_linear_draws_cover_both_loops():
-    # verify's batched linear draws run both of linear's loops
+def test_1x1_draws_cover_both_branches():
+    # verify's batched 1x1 draws run both of pointwise_conv's 1x1 loops
     rng = np.random.default_rng(0)
     sides = set()
     for _ in range(40):
-        x, w, groups, _ = verify.linear_draw(rng)
-        assert x.shape[0] >= 2
+        x, w, groups, _, _ = verify.fc_draw(rng)
+        assert x.shape[0] >= 2 and x.shape[2:] == (1, 1)
         sides.add(x.shape[0] * w.shape[0] // groups >= T.LINEAR_FEATURE_LOOP)
     assert sides == {False, True}
 
