@@ -46,8 +46,9 @@ def test_oracle_pointwise_stride_and_groups(rng):
     assert counter.mac_count == 4 * 2 * 3 * 3
 
 
-def test_oracle_pointwise_bias(rng):
-    # a fully connected layer, with groups; the bias is added untallied
+def test_oracle_linear_bias(rng):
+    # a fully connected layer is oracle_pointwise on a 1x1 image, groups
+    # allowed; the bias is added untallied
     x = rng.standard_normal((3, 4, 1, 1))
     w = rng.standard_normal((6, 2))
     b = rng.standard_normal(6)

@@ -250,6 +250,21 @@ def test_batch_norm_then_prelu_is_bn_prelu_in_inference(dtype):
         assert got[b, ci, i, j] == (y if y >= 0 else slope[ci] * y)
 
 
+def test_linear_groups_and_bias(rng):
+    # a fully connected layer is pointwise_conv on a 1x1 image
+    x = rng.standard_normal((3, 4, 1, 1))
+    x2 = x[:, :, 0, 0]
+    w = rng.standard_normal((6, 4))
+    b = rng.standard_normal(6)
+    y = T.pointwise_conv(x, w, bias=b)
+    assert y.shape == (3, 6, 1, 1)
+    assert np.allclose(y[:, :, 0, 0], x2 @ w.T + b, atol=1e-12)
+    wg = rng.standard_normal((4, 2))
+    y = T.pointwise_conv(x, wg, groups=2)[:, :, 0, 0]
+    assert np.allclose(y[:, :2], x2[:, :2] @ wg[:2].T, atol=1e-12)
+    assert np.allclose(y[:, 2:], x2[:, 2:] @ wg[2:].T, atol=1e-12)
+
+
 def test_pointwise_1x1_branches_keep_the_oracle_order(monkeypatch):
     # on a 1x1 image, N >= 2 with N*C_out/G >= LINEAR_FEATURE_LOOP runs the
     # outer-product loop (under _small_buffer); every other shape runs
