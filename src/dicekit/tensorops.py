@@ -10,6 +10,13 @@ All convolution kernels accumulate in float64 with a fixed tap order
 oracle bit-for-bit in float64 and after a single final rounding in
 float32. The exception is the dense `conv2d`, a BLAS product gated by an
 error bound instead.
+
+`pointwise_conv` runs one `np.einsum` where that keeps the oracle's order:
+on two or more pixels numpy's einsum adds one rounded product per input
+channel, in order, on builds whose einsum kernel multiplies and then adds.
+Builds whose kernel fuses the two (FMA) give other bytes, so the module
+probes its build once, at import (`EINSUM_EXACT`), and falls back to a loop
+of numpy calls in the oracle's order where the probe fails.
 """
 
 from __future__ import annotations
@@ -314,6 +321,55 @@ def heightwise_conv(x: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
     return acc.astype(x.dtype)
 
 
+# `_pointwise_conv`'s contraction: output o of group g at pixel p sums
+# its group's input channels i
+_PW_SUBSCRIPTS = "goi,gip->gop"
+
+
+def _einsum_is_exact(einsum=np.einsum) -> bool:
+    """Whether einsum, called as `_pointwise_conv` calls it on two or more
+    pixels, gives the bytes of the loop `acc = acc + w[:, :, i, None] *
+    x[:, None, i]` over the input channels i: each output 0.0 plus one
+    rounded product per input channel, in ascending order.
+
+    There numpy's iterator runs the pixel axis innermost, the axis along
+    which w's stride is 0, so its kernel adds w*x to a row of outputs once
+    per input channel, in order. That is the loop's bytes where the kernel
+    rounds each product before the add, and not where it fuses the two
+    (FMA, as it can on aarch64 and on x86-64 builds with an FMA baseline).
+    The probe's terms tell them apart: 1*-(1 + 2**-26) + (1 + 2**-27)**2 is
+    0.0 with the product rounded and 2**-54 fused; 1e16, 1, -1e16, 1 sums to
+    1 in order and to 0 pairwise or in reverse; an all -0.0 column sums to
+    +0.0 only from a +0.0 start. Each pixel holds one of these, or random
+    terms of mixed scales, at pixel counts that reach the kernel's vector
+    body and its tail. `einsum` is a parameter so that tests can hand it a
+    fake."""
+    rng = np.random.default_rng(0)
+    mixed = lambda *shape: rng.standard_normal(shape) * 2.0 ** rng.integers(-30, 30, size=shape)
+    r = 1.0 + 2.0 ** -27
+    # output 0 of each group: weights of 1, and r on input channel 1
+    patterns = ([-(1.0 + 2.0 ** -26), r, 0, 0, 0, 0, 0, 0],
+                [0, 0, 1e16, 1, -1e16, 1, 0, 0], [-0.0] * 8)
+    for npix in (2, 3, 17, 67):
+        w, x = mixed(2, 3, 8), mixed(2, 8, npix)
+        w[:, 0] = 1.0
+        w[:, 0, 1] = r
+        for p in range(0, npix, 4):
+            for k, terms in enumerate(patterns[:npix - p]):
+                x[:, :, p + k] = terms
+        ref = np.zeros((2, 3, npix))
+        for i in range(8):
+            ref += w[:, :, i, None] * x[:, None, i]
+        got = einsum(_PW_SUBSCRIPTS, w, x, out=np.full((2, 3, npix), np.nan), optimize=False)
+        if got.tobytes() != ref.tobytes():
+            return False
+    return True
+
+
+# whether `pointwise_conv` runs its einsum on two or more pixels
+EINSUM_EXACT = _einsum_is_exact()
+
+
 def pointwise_conv(x: np.ndarray, weights: np.ndarray, groups: int = 1,
                    stride: int = 1, bias: np.ndarray | None = None) -> np.ndarray:
     """1x1 convolution: weights has shape (C_out, C_in // groups), and the
@@ -321,16 +377,25 @@ def pointwise_conv(x: np.ndarray, weights: np.ndarray, groups: int = 1,
     fully connected layer, group g mapping input slice g to output slice g.
 
     Keeps the oracle's order: every output starts at 0.0 and adds its
-    group's C_in // groups products one input channel at a time, then the
-    bias. The loop runs over the inputs of a group only; all groups
-    advance together in one numpy call per step. `sum`, `einsum` or `@`
-    would sum pairwise or use FMA, and so would not match the oracle
-    bitwise.
+    group's C_in // groups products one input channel at a time, each
+    product rounded before its add, then the bias. x is laid out
+    channel-major, (G, C_in/G, P), with the batch folded into the P =
+    N*Ho*Wo pixels, and the weights as (G, C_out/G, C_in/G).
 
-    Each step is an outer product of a weight column and an input channel.
-    x is laid out channel-major, (G, C_in/G, N*H*W), with the batch folded
-    into the pixels, and the step runs along the longer of two axes: the
-    pixels, or the outputs of a group. The loop runs with numpy's ufunc
+    Where `EINSUM_EXACT`, P >= 2 runs one `np.einsum("goi,gip->gop")`,
+    unoptimized: numpy's iterator runs the pixel axis innermost, where the
+    weights' stride is 0, so its kernel adds weight * input along a row of
+    pixels once per input channel, in ascending order, from a zeroed
+    output. That is the oracle's order, and where the kernel rounds each
+    product before its add it is the oracle's bytes; `_einsum_is_exact`
+    probes the build for that at import, since a kernel that uses FMA
+    (aarch64, an FMA baseline) would give other bytes. At P = 1 einsum
+    would run the channels innermost, in an order of its own.
+
+    Where the probe fails, P >= 2 runs a loop of numpy calls in the same
+    order instead. Each step is an outer product of a weight column and an
+    input channel, and runs along the longer of two axes: the pixels, or the
+    outputs of a group. The loop runs with numpy's ufunc
     buffer at its minimum, 16 elements, restored on the way out:
     with the default 8192-element buffer numpy's iterator copies the
     broadcast operands through it, which costs more than the multiply and
@@ -340,14 +405,14 @@ def pointwise_conv(x: np.ndarray, weights: np.ndarray, groups: int = 1,
     the buffer only moves data. Kernels with short rows keep the default
     buffer, which is faster for them.
 
-    On a 1x1 output grid with N < 2, or with N*C_out/G < LINEAR_FEATURE_LOOP,
-    each step's outer product is too short to pay for its numpy call, and
-    another loop runs in the same order: the products are laid out in
-    weight order, (N, G, C_out/G, C_in/G), and `np.add.accumulate` runs the
-    sum along the input channels, which adds one term at a time. Channels
-    go in blocks of LINEAR_BLOCK, so no product array grows with C_in; the
-    running sum of one block is added into the first product of the next,
-    starting from 0.0. The choice changes no byte.
+    At P = 1, and, where the probe fails, on a 1x1 output grid with
+    N*C_out/G < LINEAR_FEATURE_LOOP, each step's outer product is too short
+    to pay for its numpy call, and another loop runs in the same order: the
+    products are laid out in weight order, (N, G, C_out/G, C_in/G), and
+    `np.add.accumulate` runs the sum along the input channels, which adds
+    one term at a time. Channels go in blocks of LINEAR_BLOCK, so no product
+    array grows with C_in; the running sum of one block is added into the
+    first product of the next, starting from 0.0. No choice changes a byte.
     """
     return _image_blocks(_pointwise_conv, x, weights, groups, stride, bias)
 
@@ -367,7 +432,8 @@ def _pointwise_conv(x, weights, groups, stride, bias, out=None):
         raise KernelError(f"stride must be >= 1, got {stride}")
     xs = x[:, :, ::stride, ::stride]
     ho, wo = xs.shape[2], xs.shape[3]
-    if ho == wo == 1 and (nb < 2 or nb * cog < LINEAR_FEATURE_LOOP):
+    npix = nb * ho * wo
+    if npix < 2 or (ho == wo == 1 and not EINSUM_EXACT and nb * cog < LINEAR_FEATURE_LOOP):
         res = _output(out, (nb, cout, 1, 1), x.dtype)
         xg = xs.astype(np.float64, copy=False).reshape(nb, groups, 1, cig)
         wg = weights.astype(np.float64, copy=False).reshape(groups, cog, cig)
@@ -377,32 +443,43 @@ def _pointwise_conv(x, weights, groups, stride, bias, out=None):
             prod[..., 0] += acc
             np.add.accumulate(prod, axis=-1, out=prod)
             acc = prod[..., -1]
-        # (G, C_out/G, N), as the loop below leaves it
+        # (G, C_out/G, N), as the loops below leave it
         acc = acc.transpose(1, 2, 0)
     else:
-        npix = nb * ho * wo
         xg = np.ascontiguousarray(xs.transpose(1, 0, 2, 3), dtype=np.float64) \
             .reshape(groups, cig, npix)
-        wt = weights.astype(np.float64, copy=False).reshape(groups, cog, cig).transpose(0, 2, 1)
-        # a[:, ci] * b[:, ci] is the outer product of weight column ci and
-        # input channel ci for every group, with the longer axis last
-        pixels_inner = npix >= cog
-        if pixels_inner:
-            a, b = wt[..., None], xg[:, :, None]
+        if EINSUM_EXACT:
+            wg = np.ascontiguousarray(weights, dtype=np.float64).reshape(groups, cog, cig)
+            # one image's (G, C_out/G, pixels) accumulator is laid out as its
+            # result; einsum zeroes its out before the sum
+            res = _output(out, (nb, cout, ho, wo), x.dtype)
+            if nb == 1 and x.dtype == np.float64:
+                acc = res.reshape(groups, cog, npix)
+            else:
+                acc = np.empty((groups, cog, npix))
+            np.einsum(_PW_SUBSCRIPTS, wg, xg, out=acc, optimize=False)
         else:
-            a, b = xg[..., None], np.ascontiguousarray(wt)[:, :, None]
-        # one image's (G, C_out/G, pixels) accumulator is laid out as its result
-        in_place = pixels_inner and nb == 1 and x.dtype == np.float64
-        res = _output(out, (nb, cout, ho, wo), x.dtype, zeros=in_place)
-        if in_place:
-            acc = res.reshape(groups, cog, npix)
-        else:
-            acc = np.zeros((groups, a.shape[2], b.shape[3]), dtype=np.float64)
-        with _small_buffer():
-            for ci in range(cig):
-                acc += a[:, ci] * b[:, ci]
-        if not pixels_inner:
-            acc = acc.transpose(0, 2, 1)
+            wt = weights.astype(np.float64, copy=False).reshape(groups, cog, cig) \
+                .transpose(0, 2, 1)
+            # a[:, ci] * b[:, ci] is the outer product of weight column ci and
+            # input channel ci for every group, with the longer axis last
+            pixels_inner = npix >= cog
+            if pixels_inner:
+                a, b = wt[..., None], xg[:, :, None]
+            else:
+                a, b = xg[..., None], np.ascontiguousarray(wt)[:, :, None]
+            # one image's (G, C_out/G, pixels) accumulator is laid out as its result
+            in_place = pixels_inner and nb == 1 and x.dtype == np.float64
+            res = _output(out, (nb, cout, ho, wo), x.dtype, zeros=in_place)
+            if in_place:
+                acc = res.reshape(groups, cog, npix)
+            else:
+                acc = np.zeros((groups, a.shape[2], b.shape[3]), dtype=np.float64)
+            with _small_buffer():
+                for ci in range(cig):
+                    acc += a[:, ci] * b[:, ci]
+            if not pixels_inner:
+                acc = acc.transpose(0, 2, 1)
     if bias is not None:
         acc += bias.astype(np.float64).reshape(groups, cog, 1)
     return _store(res, acc.reshape(cout, nb, ho, wo).transpose(1, 0, 2, 3))

@@ -5,7 +5,7 @@ op's backward; and cost-formula cross-checks. The CLI surfaces these as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,8 +96,8 @@ def pointwise_draw(rng, channels_inner: bool):
     """An input and weights with signed zeros, groups and a stride for
     `pointwise_conv`. With `channels_inner` one image on a 1×1 to 3×3 output
     grid at stride 2 has fewer pixels than a group has outputs (up to 24), so
-    the kernel runs along the outputs of a group; otherwise the pixels, at
-    batch 1–3, are the longer axis."""
+    the kernel's loop, where its einsum is not exact, runs along the outputs
+    of a group; otherwise the pixels, at batch 1–3, are the longer axis."""
     groups, cig = int(rng.integers(1, 4)), int(rng.integers(1, 7))
     if channels_inner:
         nb, stride = 1, 2
@@ -112,6 +112,26 @@ def pointwise_draw(rng, channels_inner: bool):
     x = signed_zeros(rng, rng.standard_normal((nb, groups * cig, h, w)))
     wts = signed_zeros(rng, rng.standard_normal((groups * cog, cig)))
     return x, wts, groups, stride
+
+
+def deep_draw(rng):
+    """An input, weights, groups, a stride and, on half the draws, a bias, all
+    with signed zeros, for `pointwise_conv` with 9–300 input channels per
+    group: on half the draws 1×1 images at batch 2–9, otherwise batch 1–3
+    with 2–49 output pixels in all. `pointwise_draw` and `fc_draw` reach at
+    most 6 and 24 inputs per group, too few to show a reordered sum for
+    certain."""
+    groups, cig, cog = int(rng.integers(1, 3)), int(rng.integers(9, 301)), int(rng.integers(1, 4))
+    if rng.random() < 0.5:
+        nb, stride, h, w = int(rng.integers(2, 10)), 1, 1, 1
+    else:
+        nb, stride, ho = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 8))
+        wo = int(rng.integers(1 if nb * ho > 1 else 2, 49 // (nb * ho) + 1))
+        h, w = (stride * n - int(rng.integers(0, stride)) for n in (ho, wo))
+    x = signed_zeros(rng, rng.standard_normal((nb, groups * cig, h, w)))
+    wts = signed_zeros(rng, rng.standard_normal((groups * cog, cig)))
+    bias = signed_zeros(rng, rng.standard_normal(groups * cog)) if rng.random() < 0.5 else None
+    return x, wts, groups, stride, bias
 
 
 def resize_draw(rng):
@@ -203,8 +223,10 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
     each over one phase run per tap. `pointwise.1x1` runs `pointwise_conv`
     as a fully connected layer, on 1×1 images at batch 1–2 with a bias on
     one draw in four, and `pointwise.1x1.batch` on `fc_draw`'s: batches of
-    2–9, on both sides of the shape that picks its 1×1 loop. `max_pool`
-    draws from `max_pool_draw`. `conv2d.stem` draws from `stem_draw` on one
+    2–9, on both sides of the shape that picks its 1×1 loop.
+    `pointwise.deep` draws from `deep_draw`: 9–300 inputs per group, so that
+    a sum in another order than the oracle's shows. `max_pool` draws from
+    `max_pool_draw`. `conv2d.stem` draws from `stem_draw` on one
     draw in five, since the oracle takes about a second per draw at those
     shapes.
 
@@ -213,8 +235,8 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
     """
     rng = np.random.default_rng(seed)
     # resize, both-orientation pointwise, conv2d, global-average, batch-inner,
-    # stem, signed-zero, batched 1x1 and max-pool draws come from their
-    # own generators and leave the others' draws alone
+    # stem, signed-zero, batched 1x1, max-pool and deep pointwise draws
+    # come from their own generators and leave the others' draws alone
     resize_rng = np.random.default_rng([seed, 1])
     pw_rng = np.random.default_rng([seed, 2])
     conv_rng = np.random.default_rng([seed, 3])
@@ -224,6 +246,7 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
     zero_rng = np.random.default_rng([seed, 7])
     fc_rng = np.random.default_rng([seed, 8])
     max_rng = np.random.default_rng([seed, 9])
+    deep_rng = np.random.default_rng([seed, 10])
     worst = {}
 
     def bitwise(kind, fast, ref, *args):
@@ -280,6 +303,7 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
                 *fc_draw(fc_rng))
         bitwise("pointwise", T.pointwise_conv, orc.oracle_pointwise,
                 *pointwise_draw(pw_rng, channels_inner=i % 2 == 0))
+        bitwise("pointwise.deep", T.pointwise_conv, orc.oracle_pointwise, *deep_draw(deep_rng))
 
         # conv2d and global average pooling sum in another order than the
         # oracle (einsum over channels, numpy's pairwise mean): gated by the
@@ -451,22 +475,34 @@ def _adjoint_checks(rng):
 
 
 class _Noting(AutogradOps):
-    """The training interpreter, noting the name of every op it runs."""
+    """The training interpreter, noting the name of every op it runs, in
+    `names` and in `ran`, which its user may clear."""
 
     def __init__(self):
-        self.names = set()
+        self.names, self.ran = set(), set()
 
     def apply(self, name, op, *args, **kwargs):
         self.names.add(name)
+        self.ran.add(name)
         return super().apply(name, op, *args, **kwargs)
 
 
-def _op_checks(rng, brng):
+def _op_checks(rng, brng, only=None):
     """`grad_check`s of every `OPS` record's backward through the training
     interpreter, the worst of 20 draws each; `every_op` fails unless all ran.
-    The checks that draw from `brng` leave `rng`'s draws as they were."""
+    The checks that draw from `brng` leave `rng`'s draws as they were. With
+    `only`, a set of `OPS` names, a check whose build runs none of them is
+    left out: its build runs once, unrecorded, and no central differences."""
     ops, worst = _Noting(), {}
-    check = lambda name, build, theta0: _keep_worst(worst, grad_check(name, build, theta0))
+
+    def check(name, build, theta0):
+        if only is not None:
+            ops.ran.clear()
+            build(ag.Var(theta0))
+            if only.isdisjoint(ops.ran):
+                return
+        _keep_worst(worst, grad_check(name, build, theta0))
+
     sq = lambda y: ag.sum_all(ops.mul(y, y))
     for _ in range(20):
         c = int(rng.integers(2, 5))
@@ -564,10 +600,16 @@ def _op_checks(rng, brng):
     return [worst[k] for k in sorted(worst)] + [ran]
 
 
-def run_gradients(seed: int = 0):
-    """`_adjoint_checks` and `_op_checks`, each drawing from its own generators."""
-    return (_adjoint_checks(np.random.default_rng([seed, 1]))
-            + _op_checks(*(np.random.default_rng([seed, k]) for k in (2, 3))))
+def run_gradients(seed: int = 0, only=None):
+    """`_adjoint_checks` and `_op_checks`, each drawing from its own
+    generators, every result named `grad.<check>` so that no name is also
+    a kernel check's. `only`, a set of `OPS` names, leaves out the
+    central-difference checks whose build runs none of those ops (a wrong
+    backward elsewhere cannot fail them); the adjoint checks and `every_op`
+    run whatever `only` is."""
+    results = (_adjoint_checks(np.random.default_rng([seed, 1]))
+               + _op_checks(*(np.random.default_rng([seed, k]) for k in (2, 3)), only))
+    return [replace(r, name="grad." + r.name) for r in results]
 
 
 def run_flops():

@@ -131,7 +131,7 @@ def test_c6_gradients_every_op_and_micro_net():
     results = verify.run_gradients(seed=6)
     failed = [r.line() for r in results if not r.passed]
     assert not failed, "\n".join(failed)
-    assert "every_op" in {r.name for r in results}
+    assert "grad.every_op" in {r.name for r in results}
 
     # end-to-end: two-block network, every parameter tensor
     cfg = parse_config(

@@ -134,8 +134,11 @@ def test_verify_flops_suite(capsys):
 
 def test_verify_gradients_suite(capsys):
     assert main(["verify", "--suite", "gradients"]) == EXIT_OK
-    passed = {line[len("[PASS] "):].split(":")[0]
-              for line in capsys.readouterr().out.splitlines() if line.startswith("[PASS] ")}
+    *rows, summary = capsys.readouterr().out.splitlines()
+    assert summary.startswith("all checks passed")
+    # every row is named grad.<check>, so that no name is also a kernel check's
+    assert rows and all(line.startswith("[PASS] grad.") for line in rows)
+    passed = {line[len("[PASS] grad."):].split(":")[0] for line in rows}
     assert {f"adjoint.{op}" for op in ("depthwise.s1", "depthwise.s2", "dimconv", "spatial_conv",
                                        "avg_pool", "max_pool", "pointwise", "pointwise.1x1",
                                        "bilinear")} <= passed

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +110,10 @@ BUFFERED = {
 
 
 @pytest.mark.parametrize("kernel", sorted(BUFFERED))
-def test_kernels_restore_the_ufunc_buffer(kernel):
+def test_kernels_restore_the_ufunc_buffer(monkeypatch, kernel):
+    # pointwise_conv runs its loop, and sets the buffer, where the build's
+    # einsum is not exact
+    monkeypatch.setattr(T, "EINSUM_EXACT", False)
     x = np.random.default_rng(3).standard_normal((1, 116, 14, 14))
     run = BUFFERED[kernel](x, np.random.default_rng(4))
     default = np.getbufsize()
@@ -266,32 +270,106 @@ def test_linear_groups_and_bias(rng):
 
 
 def test_pointwise_1x1_branches_keep_the_oracle_order(monkeypatch):
-    # on a 1x1 image, N >= 2 with N*C_out/G >= LINEAR_FEATURE_LOOP runs the
-    # outer-product loop (under _small_buffer); every other shape runs
-    # np.add.accumulate. Both give the oracle's bytes, signed zeros and a
+    # on a 1x1 image, N >= 2 runs the einsum where the build's is exact;
+    # where it is not, N >= 2 with N*C_out/G >= LINEAR_FEATURE_LOOP runs the
+    # outer-product loop (under _small_buffer). Every other shape runs
+    # np.add.accumulate. All give the oracle's bytes, signed zeros and a
     # bias included, and a fully connected layer's C_in crosses LINEAR_BLOCK
-    loops = []
+    ran = []
 
-    def noting(real=T._small_buffer):
-        loops.append(True)
-        return real()
+    def noting(kind, real):
+        def run(*args, **kwargs):
+            ran.append(kind)
+            return real(*args, **kwargs)
+        return run
 
-    monkeypatch.setattr(T, "_small_buffer", noting)
+    monkeypatch.setattr(T, "_small_buffer", noting("loop", T._small_buffer))
+    monkeypatch.setattr(np, "einsum", noting("einsum", np.einsum))
     rng = np.random.default_rng(8)
     loop = T.LINEAR_FEATURE_LOOP
-    for nb, fin, fout, groups, outer in ((1, 24, 2 * loop, 1, False), (2, 12, loop, 2, True),
-                                         (2, 12, loop - 4, 4, False), (2, 12, loop, 4, False),
-                                         (2, 150, loop // 2, 1, True), (3, 150, 341, 1, False),
-                                         (8, 24, loop // 8, 1, True), (3, 8, 40, 2, False)):
+    for exact in sorted({T.EINSUM_EXACT, False}):
+        monkeypatch.setattr(T, "EINSUM_EXACT", exact)
+        for nb, fin, fout, groups, outer in (
+                (1, 24, 2 * loop, 1, False), (2, 12, loop, 2, True), (2, 12, loop - 4, 4, False),
+                (2, 12, loop, 4, False), (2, 150, loop // 2, 1, True), (3, 150, 341, 1, False),
+                (8, 24, loop // 8, 1, True), (3, 8, 40, 2, False)):
+            want = ["einsum"] if exact and nb >= 2 else ["loop"] if outer else []
+            for dtype in (np.float64, np.float32):
+                x, w, b = (verify.signed_zeros(rng, rng.standard_normal(shape)).astype(dtype)
+                           for shape in ((nb, fin, 1, 1), (fout, fin // groups), fout))
+                for bias in (None, b):
+                    ref, _ = orc.oracle_pointwise(x, w, groups, 1, bias)
+                    ran.clear()
+                    got = T.pointwise_conv(x, w, groups, bias=bias)
+                    assert got.dtype == dtype and got.tobytes() == ref.tobytes(), (nb, fout, groups)
+                    assert ran == want, (exact, nb, fout, groups)
+
+
+def _fake_einsum(total):
+    """An einsum for the probe's call, out[g, o, p] = total(products), with
+    the products w[g, o, i] * x[g, i, p] in ascending i, unrounded as
+    Fractions: each fake sums them in an order or rounding of its own."""
+    def einsum(subscripts, w, x, out, optimize):
+        assert subscripts == "goi,gip->gop" and optimize is False
+        for g, o, p in np.ndindex(out.shape):
+            out[g, o, p] = total([Fraction(float(a)) * Fraction(float(b))
+                                  for a, b in zip(w[g, o], x[g, :, p])])
+        return out
+    return einsum
+
+
+def _in_order(products):
+    acc = 0.0
+    for t in products:
+        acc += float(t)
+    return acc
+
+
+def _fused(products):
+    # each product added to the running sum unrounded, one rounding per step
+    acc = 0.0
+    for t in products:
+        acc = float(t + Fraction(acc))
+    return acc
+
+
+def _pairwise(products):
+    if len(products) == 1:
+        return float(products[0])
+    half = len(products) // 2
+    return _pairwise(products[:half]) + _pairwise(products[half:])
+
+
+def _reversed(products):
+    return _in_order(products[::-1])
+
+
+def test_einsum_probe_fails_a_fused_or_reordered_sum():
+    # the probe passes an einsum that adds each rounded product in order
+    # from 0.0, and fails one that fuses the multiply and the add, or adds
+    # pairwise or in reverse
+    assert T._einsum_is_exact(_fake_einsum(_in_order))
+    for total in (_fused, _pairwise, _reversed):
+        assert not T._einsum_is_exact(_fake_einsum(total)), total.__name__
+
+
+def test_pointwise_fallback_keeps_the_oracle_bytes(monkeypatch):
+    # where the probe fails, every shape runs the loops in the oracle's
+    # order: verify's draws along the pixels and along the outputs of a
+    # group, fully connected layers at batch 1-9, and 9-300 inputs per group
+    monkeypatch.setattr(T, "EINSUM_EXACT", False)
+    rng = np.random.default_rng(9)
+    draws = [verify.pointwise_draw(rng, inner) + (None,) for inner in (True, False) * 3]
+    draws += [verify.fc_draw(rng) for _ in range(4)] + [verify.deep_draw(rng) for _ in range(6)]
+    x = verify.signed_zeros(rng, rng.standard_normal((1, 12, 1, 1)))
+    draws.append((x, rng.standard_normal((6, 6)), 2, 1, rng.standard_normal(6)))
+    for x, w, groups, stride, bias in draws:
         for dtype in (np.float64, np.float32):
-            x = verify.signed_zeros(rng, rng.standard_normal((nb, fin, 1, 1))).astype(dtype)
-            w = verify.signed_zeros(rng, rng.standard_normal((fout, fin // groups))).astype(dtype)
-            for bias in (None, verify.signed_zeros(rng, rng.standard_normal(fout)).astype(dtype)):
-                loops.clear()
-                ref, _ = orc.oracle_pointwise(x, w, groups, 1, bias)
-                got = T.pointwise_conv(x, w, groups, bias=bias)
-                assert got.dtype == dtype and got.tobytes() == ref.tobytes(), (nb, fout, groups)
-                assert bool(loops) == outer, (nb, fout, groups)
+            args = [a.astype(dtype) if isinstance(a, np.ndarray) else a
+                    for a in (x, w, groups, stride, bias)]
+            ref, _ = orc.oracle_pointwise(*args)
+            got = T.pointwise_conv(*args)
+            assert got.dtype == dtype and got.tobytes() == ref.tobytes(), (x.shape, w.shape, groups)
 
 
 def test_1x1_draws_cover_both_branches():
