@@ -2,13 +2,14 @@
 
 A small tape: a recorded value is a Var holding the forward result plus a
 closure that scatters the incoming gradient to its parents, recorded only
-when a parent requires a gradient. `netbuilder.AutogradOps` runs every
-vocabulary op's forward from its `OPS` record and records the pullback of
-`<name>_vjp` here (see `_record`). A pullback keeps the op's arguments and
-output, not the forward's intermediates, and recomputes what it needs of
-them. Batch norm's statistics are one of those arguments: training passes
-`batch_statistics`, which also updates the running ones. The loss ops,
-`sum_all` and `cross_entropy_ls`, record their own pullbacks."""
+when a parent requires a gradient (`_record`). A vocabulary op's backward is
+the function `<name>_vjp(dy, need, out, *args, **kw)`, which returns one
+gradient, or None, per argument; `netbuilder.AutogradOps` records a call of
+it on the op's output and arguments, which `backward` makes. It recomputes
+what it needs of the forward's intermediates. Batch norm's statistics are
+one of its arguments: training passes `batch_statistics`, which also updates
+the running ones. The loss ops, `sum_all` and `cross_entropy_ls`, record
+their own closures."""
 
 from __future__ import annotations
 
@@ -110,12 +111,12 @@ def _reduce_to(g, shape):
 
 # ---------------------------------------------------------------- arithmetic
 
-def add_vjp(out, a, b):
-    return lambda dy, need: (_reduce_to(dy, a.shape), _reduce_to(dy, b.shape))
+def add_vjp(dy, need, out, a, b):
+    return _reduce_to(dy, a.shape), _reduce_to(dy, b.shape)
 
 
-def mul_vjp(out, a, b):
-    return lambda dy, need: (_reduce_to(dy * b, a.shape), _reduce_to(dy * a, b.shape))
+def mul_vjp(dy, need, out, a, b):
+    return _reduce_to(dy * b, a.shape), _reduce_to(dy * a, b.shape)
 
 
 def sum_all(x) -> Var:
@@ -124,8 +125,8 @@ def sum_all(x) -> Var:
                    lambda dy, need: (np.broadcast_to(dy, x.data.shape).astype(np.float64),))
 
 
-def reshape_vjp(out, x, shape):
-    return lambda dy, need: (dy.reshape(x.shape),)
+def reshape_vjp(dy, need, out, x, shape):
+    return (dy.reshape(x.shape),)
 
 
 # ------------------------------------------------------------- convolutions
@@ -198,29 +199,25 @@ def _branch_grad(axes, x, taps, dy, stride: int = 1, need_taps: bool = True):
     return dx.transpose(back), dt
 
 
-def depthwise_vjp(out, x, taps, stride: int = 1):
-    return lambda dy, need: _branch_grad(_DEPTH, x, taps, dy, stride, need[1])
+def depthwise_vjp(dy, need, out, x, taps, stride: int = 1):
+    return _branch_grad(_DEPTH, x, taps, dy, stride, need[1])
 
 
-def pointwise_vjp(out, x, w, groups: int = 1, stride: int = 1, bias=None):
+def pointwise_vjp(dy, need, out, x, w, groups: int = 1, stride: int = 1, bias=None):
+    # channel-major, (G, C/G, N*H*W): one batched matmul for all groups
     cout, cig = w.shape
-
-    def bw(dy, need):
-        # channel-major, (G, C/G, N*H*W): one batched matmul for all groups
-        xs = x[:, :, ::stride, ::stride]
-        nb, c, ho, wo = xs.shape
-        xg = np.ascontiguousarray(xs.transpose(1, 0, 2, 3), dtype=np.float64) \
-            .reshape(groups, cig, -1)
-        dyg = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).reshape(groups, cout // groups, -1)
-        wg = w.astype(np.float64, copy=False).reshape(groups, cout // groups, cig)
-        dx = np.matmul(wg.transpose(0, 2, 1), dyg).reshape(c, nb, ho, wo).transpose(1, 0, 2, 3)
-        if stride != 1:
-            dxs, dx = dx, np.zeros(x.shape, dtype=np.float64)
-            dx[:, :, ::stride, ::stride] = dxs
-        return (dx, np.matmul(dyg, xg.transpose(0, 2, 1)).reshape(cout, cig),
-                None if bias is None else dy.sum(axis=(0, 2, 3)))
-
-    return bw
+    xs = x[:, :, ::stride, ::stride]
+    nb, c, ho, wo = xs.shape
+    xg = np.ascontiguousarray(xs.transpose(1, 0, 2, 3), dtype=np.float64) \
+        .reshape(groups, cig, -1)
+    dyg = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).reshape(groups, cout // groups, -1)
+    wg = w.astype(np.float64, copy=False).reshape(groups, cout // groups, cig)
+    dx = np.matmul(wg.transpose(0, 2, 1), dyg).reshape(c, nb, ho, wo).transpose(1, 0, 2, 3)
+    if stride != 1:
+        dxs, dx = dx, np.zeros(x.shape, dtype=np.float64)
+        dx[:, :, ::stride, ::stride] = dxs
+    return (dx, np.matmul(dyg, xg.transpose(0, 2, 1)).reshape(cout, cig),
+            None if bias is None else dy.sum(axis=(0, 2, 3)))
 
 
 def _conv_input_grad(w, dy, shape, stride: int):
@@ -249,7 +246,7 @@ def _conv_weight_grad(x, dy, shape, stride: int):
     cout, c, n, _ = shape
     dy3 = dy.reshape(nb, cout, -1)
     per_image = np.empty((nb, cout, c * n * n))
-    per = max(1, T.BLOCK_BYTES // (8 * x[0].size))
+    per = T._images_per_block(x)
     for i in range(0, nb, per):
         cols = T.im2col(x[i:i + per], n, stride).reshape(-1, c * n * n, dy3.shape[2])
         np.matmul(dy3[i:i + per], cols.transpose(0, 2, 1), out=per_image[i:i + per])
@@ -257,56 +254,49 @@ def _conv_weight_grad(x, dy, shape, stride: int):
     return per_image.sum(axis=0).reshape(shape)
 
 
-def spatial_conv_vjp(out, x, w, stride: int = 1):
+def spatial_conv_vjp(dy, need, out, x, w, stride: int = 1):
     """Each gradient only when its argument needs one; the stem's image never does."""
-    return lambda dy, need: (_conv_input_grad(w, dy, x.shape, stride) if need[0] else None,
-                             _conv_weight_grad(x, dy, w.shape, stride) if need[1] else None)
+    return (_conv_input_grad(w, dy, x.shape, stride) if need[0] else None,
+            _conv_weight_grad(x, dy, w.shape, stride) if need[1] else None)
 
 
-def dimconv_vjp(out, x, k_d, k_w, k_h):
+def dimconv_vjp(dy, need, out, x, k_d, k_w, k_h):
     """DimConv's three branches, each its bank convolution's backward on its
     third of the interleaved output."""
-    def bw(dy, need):
-        dxd, dkd = _branch_grad(_DEPTH, x, k_d, dy[:, 0::3], 1, need[1])
-        dxw, dkw = _branch_grad(_WIDTH, x, k_w, dy[:, 1::3], 1, need[2])
-        dxh, dkh = _branch_grad(_HEIGHT, x, k_h, dy[:, 2::3], 1, need[3])
-        return dxd + dxw + dxh, dkd, dkw, dkh
-
-    return bw
+    dxd, dkd = _branch_grad(_DEPTH, x, k_d, dy[:, 0::3], 1, need[1])
+    dxw, dkw = _branch_grad(_WIDTH, x, k_w, dy[:, 1::3], 1, need[2])
+    dxh, dkh = _branch_grad(_HEIGHT, x, k_h, dy[:, 2::3], 1, need[3])
+    return dxd + dxw + dxh, dkd, dkw, dkh
 
 
 # ----------------------------------------------------------------- pooling
 
-def avg_pool_vjp(out, x, k: int = 3, stride: int = 1):
+def avg_pool_vjp(dy, need, out, x, k: int = 3, stride: int = 1):
     """`depthwise_vjp` by `tensorops.avg_bank`, whose taps need no gradient."""
-    taps = T.avg_bank(x.shape[1], k).taps
-    return lambda dy, need: _branch_grad(_DEPTH, x, taps, dy, stride, False)[:1]
+    return _branch_grad(_DEPTH, x, T.avg_bank(x.shape[1], k).taps, dy, stride, False)[:1]
 
 
-def max_pool_vjp(out, x, k: int = 3, stride: int = 1):
-    def bw(dy, need):
-        # batch-last, as in _bank_grad; the first tap of each window that
-        # holds the window's maximum gets the gradient
-        ho, wo = out.shape[2], out.shape[3]
-        xt = x.transpose(1, 2, 3, 0)
-        xp, inner = _pad_batch_last(xt.shape, k, ho, wo, stride, -np.inf)
-        inner[...] = xt
-        top, dyl = _batch_last(out), _batch_last(dy)
-        free = np.ones(top.shape, dtype=bool)
-        dxp, dx = _pad_batch_last(xt.shape, k, ho, wo, stride)
-        for _, _, sl in _taps(k, ho, wo, stride):
-            hit = xp[sl] == top
-            hit &= free
-            free ^= hit
-            dxp[sl] += dyl * hit
-        return (dx.transpose(3, 0, 1, 2),)
-
-    return bw
+def max_pool_vjp(dy, need, out, x, k: int = 3, stride: int = 1):
+    # batch-last, as in _bank_grad; the first tap of each window that holds
+    # the window's maximum gets the gradient
+    ho, wo = out.shape[2], out.shape[3]
+    xt = x.transpose(1, 2, 3, 0)
+    xp, inner = _pad_batch_last(xt.shape, k, ho, wo, stride, -np.inf)
+    inner[...] = xt
+    top, dyl = _batch_last(out), _batch_last(dy)
+    free = np.ones(top.shape, dtype=bool)
+    dxp, dx = _pad_batch_last(xt.shape, k, ho, wo, stride)
+    for _, _, sl in _taps(k, ho, wo, stride):
+        hit = xp[sl] == top
+        hit &= free
+        free ^= hit
+        dxp[sl] += dyl * hit
+    return (dx.transpose(3, 0, 1, 2),)
 
 
-def global_avg_vjp(out, x):
+def global_avg_vjp(dy, need, out, x):
     nb, c, h, w = x.shape
-    return lambda dy, need: (np.broadcast_to(dy / (h * w), x.shape).astype(np.float64),)
+    return (np.broadcast_to(dy / (h * w), x.shape).astype(np.float64),)
 
 
 # ----------------------------------------------------- norm and activations
@@ -337,81 +327,68 @@ def batch_statistics(x, gamma, beta, state: T.BatchNormParams) -> T.BatchNormPar
     return stats
 
 
-def bn_prelu_vjp(out, x, gamma, beta, slope, stats):
-    """The pullback of `tensorops.bn_prelu` by `batch_statistics(x, ...)`,
+def bn_prelu_vjp(dz, need, out, x, gamma, beta, slope, stats):
+    """The gradients of `tensorops.bn_prelu` by `batch_statistics(x, ...)`,
     through the mean and variance too. x_hat, y and the PReLU factor are
     recomputed from stats, in one channel-major copy of x, so each reduction
     runs along rows N*H*W long. dx is built only when x needs one."""
     nb, c, h, w = x.shape
-
-    def bw(dz, need):
-        inv_std = 1.0 / np.sqrt(stats.running_var + stats.eps)
-        x_hat = _channel_major(x)
-        x_hat -= _channels(stats.running_mean)
-        x_hat *= _channels(inv_std)
-        y = x_hat * _channels(gamma)
-        y += _channels(beta)
-        y = y.astype(x.dtype, copy=False)
-        f = T._prelu_factor(y, _channels(slope.astype(x.dtype, copy=False)))
-        dy = _channel_major(dz)
-        dslope = np.einsum("cm,cm->c", dy, np.minimum(y, 0.0, out=y))
-        dy *= f
-        dbeta = dy.sum(axis=1)
-        dgamma = np.einsum("cm,cm->c", dy, x_hat)
-        if not need[0]:
-            return None, dgamma, dbeta, dslope
-        m = dy.shape[1]
-        dy -= _channels(dbeta / m)
-        x_hat *= _channels(dgamma / m)
-        dy -= x_hat
-        dy *= _channels(gamma * inv_std)
-        return dy.reshape(c, nb, h, w).transpose(1, 0, 2, 3), dgamma, dbeta, dslope
-
-    return bw
+    inv_std = 1.0 / np.sqrt(stats.running_var + stats.eps)
+    x_hat = _channel_major(x)
+    x_hat -= _channels(stats.running_mean)
+    x_hat *= _channels(inv_std)
+    y = x_hat * _channels(gamma)
+    y += _channels(beta)
+    y = y.astype(x.dtype, copy=False)
+    f = T._prelu_factor(y, _channels(slope.astype(x.dtype, copy=False)))
+    dy = _channel_major(dz)
+    dslope = np.einsum("cm,cm->c", dy, np.minimum(y, 0.0, out=y))
+    dy *= f
+    dbeta = dy.sum(axis=1)
+    dgamma = np.einsum("cm,cm->c", dy, x_hat)
+    if not need[0]:
+        return None, dgamma, dbeta, dslope
+    m = dy.shape[1]
+    dy -= _channels(dbeta / m)
+    x_hat *= _channels(dgamma / m)
+    dy -= x_hat
+    dy *= _channels(gamma * inv_std)
+    return dy.reshape(c, nb, h, w).transpose(1, 0, 2, 3), dgamma, dbeta, dslope
 
 
-def relu_vjp(out, x):
-    return lambda dy, need: (dy * (x > 0),)
+def relu_vjp(dy, need, out, x):
+    return (dy * (x > 0),)
 
 
-def sigmoid_vjp(out, x):
-    def bw(dy, need):
-        o64 = out.astype(np.float64, copy=False)
-        return (dy * o64 * (1.0 - o64),)
-
-    return bw
+def sigmoid_vjp(dy, need, out, x):
+    o64 = out.astype(np.float64, copy=False)
+    return (dy * o64 * (1.0 - o64),)
 
 
-def bilinear_vjp(out, x, target_h: int, target_w: int):
-    def bw(dy, need):
-        rh = T.resize_matrix(x.shape[2], target_h)
-        rw = T.resize_matrix(x.shape[3], target_w)
-        tmp = np.einsum("ah,ncab->nchb", rh, dy)
-        return (np.einsum("bw,nchb->nchw", rw, tmp),)
-
-    return bw
+def bilinear_vjp(dy, need, out, x, target_h: int, target_w: int):
+    rh = T.resize_matrix(x.shape[2], target_h)
+    rw = T.resize_matrix(x.shape[3], target_w)
+    tmp = np.einsum("ah,ncab->nchb", rh, dy)
+    return (np.einsum("bw,nchb->nchw", rw, tmp),)
 
 
 # ------------------------------------------------------------ structural ops
 
-def concat_vjp(out, parts):
+def concat_vjp(dy, need, out, parts):
     ends = np.cumsum([p.shape[1] for p in parts])
-    return lambda dy, need: np.split(dy, ends[:-1], axis=1)
+    return np.split(dy, ends[:-1], axis=1)
 
 
-def narrow_vjp(out, x, start: int, length: int):
-    def bw(dy, need):
-        g = np.zeros_like(x, dtype=np.float64)
-        g[:, start:start + length] = dy
-        return (g,)
-
-    return bw
+def narrow_vjp(dy, need, out, x, start: int, length: int):
+    g = np.zeros_like(x, dtype=np.float64)
+    g[:, start:start + length] = dy
+    return (g,)
 
 
-def shuffle_vjp(out, x, groups: int = 2):
+def shuffle_vjp(dy, need, out, x, groups: int = 2):
     c = x.shape[1]
     perm = (np.arange(c).reshape(groups, c // groups).T).reshape(-1)
-    return lambda dy, need: (dy[:, np.argsort(perm)],)
+    return (dy[:, np.argsort(perm)],)
 
 
 # ------------------------------------------------------------------- losses

@@ -13,8 +13,8 @@ array:
 
 - `ArrayOps` (`array`): the fast kernels on plain arrays, `bilinear`'s
   counting each resize: `infer`, which `train.evaluate` calls too.
-- `AutogradOps` (`array` and `vjp`): the same forward, recorded on the tape
-  with its pullback: `Network.forward`, which is training.
+- `AutogradOps` (`array`): the same forward, recorded on the tape with its
+  backward, `autograd.<name>_vjp`: `Network.forward`, which is training.
 - `OracleOps` (`oracle`): the naive `oracle` loops, which tally every MAC
   on a counter: `Network.oracle_forward`.
 - `CostOps` (`cost`): shapes only, summing each op's MACs and parameters
@@ -321,27 +321,19 @@ class Op:
     op's arguments, each Var as its array. `cost` takes those arguments,
     activations as anything with a `.shape`, and returns the output shape,
     MACs and parameters, plus True if the result is a view on the first
-    operand's buffer. `vjp(out, *arrays, **kw)`, given the forward's output
-    and arguments, returns the pullback that `autograd._record` records,
-    matched to the arguments in the order they are passed, keywords in
-    signature order. `consumes`: the op consumes its first operand, and
-    `array` takes its buffer as `out`."""
+    operand's buffer. `consumes`: the op consumes its first operand, and
+    `array` takes its buffer as `out`. The backward is no field: it is
+    `autograd.<name>_vjp`, named by the op's key."""
 
     array: Callable
     oracle: Callable
     cost: Callable
-    vjp: Callable
     consumes: bool = False
 
 
-def _vjp(name):
-    """A `vjp` field: `autograd.<name>_vjp`."""
-    return lambda *args, **kwargs: getattr(ag, name + "_vjp")(*args, **kwargs)
-
-
-def _plain(name, run, cost):
+def _plain(run, cost):
     """An op whose inference and oracle are the same code, `run`."""
-    return Op(array=run, oracle=run, cost=cost, vjp=_vjp(name))
+    return Op(array=run, oracle=run, cost=cost)
 
 
 def _resize(ops, x, h, w):
@@ -383,47 +375,40 @@ def _reshape_cost(x, shape):
     return tuple(math.prod(x.shape) // known if s == -1 else s for s in shape), 0, 0, True
 
 
-# Every field reaches `autograd`, `tensorops`, `dimops` and `oracle` through
-# their module attributes at call time, so a tracer that replaces them sees
-# every call.
+# Every field reaches `tensorops`, `dimops` and `oracle` through their
+# module attributes at call time, as `AutogradOps` reaches `autograd`, so a
+# tracer that replaces them sees every call.
 OPS = {
     "spatial_conv": Op(
-        vjp=_vjp("spatial_conv"),
         array=lambda ops, x, w, stride: T.conv2d(x, w, stride),
         oracle=lambda ops, x, w, stride: orc.oracle_conv2d(x, w, stride, ops.counter)[0],
         cost=lambda x, w, stride: _window(x, w.shape[0], stride, w[0].size, w.size)),
     # stats, from ops.bn_stats, carry gamma and beta as well as the statistics
     "bn_prelu": Op(
-        vjp=_vjp("bn_prelu"),
         array=lambda ops, x, gamma, beta, slope, stats, out=None: T.bn_prelu(x, stats, slope, out),
         oracle=lambda ops, x, gamma, beta, slope, stats: orc.oracle_bn_prelu(x, stats, slope),
         cost=lambda x, g, b, s, stats: (x.shape, 0, g.size + b.size + s.size),
         consumes=True),
     "max_pool": Op(
-        vjp=_vjp("max_pool"),
         array=lambda ops, x, k, stride: T.pool(x, "max", k, stride),
         oracle=lambda ops, x, k, stride: orc.oracle_max_pool(x, k, stride),
         cost=lambda x, k, stride: _window(x, x.shape[1], stride, 0, 0)),
     "avg_pool": Op(
-        vjp=_vjp("avg_pool"),
         array=lambda ops, x, k, stride: T.depthwise_conv(x, T.avg_bank(x.shape[1], k), stride),
         oracle=lambda ops, x, k, stride: orc.oracle_depthwise(
             x, T.avg_bank(x.shape[1], k), stride, ops.counter)[0],
         cost=lambda x, k, stride: _window(x, x.shape[1], stride, k * k, 0)),
     "dimconv": Op(
-        vjp=_vjp("dimconv"),
         array=lambda ops, x, *banks: dimops.dimconv_fused(x, _dimconv_params(*banks)),
         oracle=lambda ops, x, *banks: orc.oracle_dimconv(x, _dimconv_params(*banks),
                                                          ops.counter)[0],
         cost=_dimconv_cost),
     "depthwise": Op(
-        vjp=_vjp("depthwise"),
         array=lambda ops, x, taps, stride=1: T.depthwise_conv(x, T.ConvKernelBank(taps), stride),
         oracle=lambda ops, x, taps, stride=1: orc.oracle_depthwise(
             x, T.ConvKernelBank(taps), stride, ops.counter)[0],
         cost=lambda x, taps, stride=1: _window(x, x.shape[1], stride, taps[0].size, taps.size)),
     "pointwise": Op(
-        vjp=_vjp("pointwise"),
         array=lambda ops, x, w, groups=1, stride=1, bias=None: T.pointwise_conv(
             x, w, groups, stride, bias),
         oracle=lambda ops, x, w, groups=1, stride=1, bias=None: orc.oracle_pointwise(
@@ -431,31 +416,29 @@ OPS = {
         cost=lambda x, w, groups=1, stride=1, bias=None: _window(
             x, w.shape[0], stride, w.shape[1], w.size + (0 if bias is None else bias.size))),
     "bilinear": Op(
-        vjp=_vjp("bilinear"),
         array=_resize,
         oracle=lambda ops, x, h, w: orc.oracle_bilinear(x, h, w),
         # the identity: a network run at another size is priced as one built for it
         cost=lambda x, h, w: (x.shape, 0, 0)),
     "global_avg": Op(
-        vjp=_vjp("global_avg"),
         array=lambda ops, x: T.pool(x, "global_avg"),
         oracle=lambda ops, x: orc.oracle_global_avg(x, ops.counter)[0],
         cost=lambda x: (x.shape[:2] + (1, 1), math.prod(x.shape), 0)),
-    "relu": _plain("relu", lambda ops, x: T.relu(x), lambda x: (x.shape, 0, 0)),
-    "sigmoid": _plain("sigmoid", lambda ops, x: T.sigmoid(x), lambda x: (x.shape, 0, 0)),
+    "relu": _plain(lambda ops, x: T.relu(x), lambda x: (x.shape, 0, 0)),
+    "sigmoid": _plain(lambda ops, x: T.sigmoid(x), lambda x: (x.shape, 0, 0)),
     # DimFuse's gate product, one MAC per element
-    "mul": Op(vjp=_vjp("mul"), array=lambda ops, a, b, out=None: np.multiply(a, b, out=out),
+    "mul": Op(array=lambda ops, a, b, out=None: np.multiply(a, b, out=out),
               oracle=_oracle_mul, cost=_mul_cost, consumes=True),
-    "add": _plain("add", lambda ops, a, b: a + b,
+    "add": _plain(lambda ops, a, b: a + b,
                   lambda a, b: (np.broadcast_shapes(a.shape, b.shape), 0, 0)),
-    "narrow": _plain("narrow", lambda ops, x, start, n: x[:, start:start + n],
+    "narrow": _plain(lambda ops, x, start, n: x[:, start:start + n],
                      lambda x, start, n: ((x.shape[0], n) + x.shape[2:], 0, 0, True)),
-    "concat": _plain("concat", lambda ops, parts: np.concatenate(parts, axis=1),
+    "concat": _plain(lambda ops, parts: np.concatenate(parts, axis=1),
                      lambda parts: (parts[0].shape[:1] + (sum(p.shape[1] for p in parts),)
                                     + parts[0].shape[2:], 0, 0)),
-    "shuffle": _plain("shuffle", lambda ops, x, g: dice.channel_shuffle(x, g),
+    "shuffle": _plain(lambda ops, x, g: dice.channel_shuffle(x, g),
                       lambda x, g: (x.shape, 0, 0, True)),
-    "reshape": _plain("reshape", lambda ops, x, shape: x.reshape(shape), _reshape_cost),
+    "reshape": _plain(lambda ops, x, shape: x.reshape(shape), _reshape_cost),
 }
 
 
@@ -501,9 +484,10 @@ class _Interpreter:
 
 
 class AutogradOps(_Interpreter):
-    """Training: each op's `array` forward, with no `out`, recorded with its
-    `vjp`. No operand is written but the running statistics, by
-    `bn_stats`. Raw arrays pass as constants."""
+    """Training: each op's `array` forward, with no `out`, recorded with a
+    call of `autograd.<name>_vjp` for `backward` to make. No operand is
+    written but the running statistics, by `bn_stats`. Raw arrays pass as
+    constants."""
 
     def bn_stats(self, x, gamma, beta, state):
         return ag.batch_statistics(*_arrays((x, gamma, beta), {})[0], state)
@@ -511,7 +495,9 @@ class AutogradOps(_Interpreter):
     def apply(self, name, op, *args, **kwargs):
         arrays, kw = _arrays(args, kwargs)
         out = op.array(self, *arrays, **kw)
-        return ag._record(out, [*args, *kwargs.values()], op.vjp(out, *arrays, **kw))
+        vjp = getattr(ag, name + "_vjp")
+        return ag._record(out, [*args, *kwargs.values()],
+                          lambda dy, need: vjp(dy, need, out, *arrays, **kw))
 
 
 class ArrayOps(_Interpreter):

@@ -63,6 +63,11 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _images_per_block(x: np.ndarray) -> int:
+    """x's images per block: at most BLOCK_BYTES of float64, at least one."""
+    return max(1, BLOCK_BYTES // (8 * x[0].size))
+
+
 def _image_blocks(kernel, x: np.ndarray, *args) -> np.ndarray:
     """kernel(x, *args), run over the batch in blocks of whole images holding
     at most BLOCK_BYTES of float64 input, and at least one image.
@@ -81,7 +86,7 @@ def _image_blocks(kernel, x: np.ndarray, *args) -> np.ndarray:
     """
     check_tensor(x)
     nb = x.shape[0]
-    per = max(1, BLOCK_BYTES // (8 * x[0].size))
+    per = _images_per_block(x)
     if per >= nb:
         return kernel(x, *args)
     res = None
@@ -305,20 +310,12 @@ def widthwise_conv(x: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
 
 
 def heightwise_conv(x: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
-    """One n x n kernel per height index, spanning the (channel, width) plane."""
+    """One n x n kernel per height index, spanning the (channel, width) plane:
+    `widthwise_conv` of x with H and W swapped, swapped back."""
     check_tensor(x)
-    nb, c, h, w = x.shape
-    if bank.count != h:
-        raise KernelError(f"heightwise bank has {bank.count} kernels for height {h}")
-    n = bank.n
-    p = (n - 1) // 2
-    xp = np.pad(x.astype(np.float64, copy=False), ((0, 0), (p, p), (0, 0), (p, p)))
-    taps = bank.taps.astype(np.float64, copy=False)
-    acc = np.zeros((nb, c, h, w), dtype=np.float64)
-    for i in range(n):
-        for j in range(n):
-            acc += taps[:, i, j][None, None, :, None] * xp[:, i:i + c, :, j:j + w]
-    return acc.astype(x.dtype)
+    if bank.count != x.shape[2]:
+        raise KernelError(f"heightwise bank has {bank.count} kernels for height {x.shape[2]}")
+    return np.ascontiguousarray(widthwise_conv(x.swapaxes(2, 3), bank).swapaxes(2, 3))
 
 
 # `_pointwise_conv`'s contraction: output o of group g at pixel p sums
@@ -604,7 +601,7 @@ def bn_prelu(x: np.ndarray, state: BatchNormParams, slope: np.ndarray,
         a[None, :, None, None] for a in (state.running_mean, inv_std, state.gamma,
                                          state.beta, slope.astype(x.dtype, copy=False)))
     nb = x.shape[0]
-    per = max(1, BLOCK_BYTES // (8 * x[0].size))
+    per = _images_per_block(x)
     if out is None:
         out = np.empty_like(x)
     wide = None if x.dtype == np.float64 else np.empty((min(per, nb),) + x.shape[1:])

@@ -4,6 +4,7 @@ import hashlib
 import json
 import threading
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -109,12 +110,14 @@ _ABLATIONS = ("name: x\nwidth_scale: 0.1\ninput_size: 32\nclasses: 10\n"
 
 
 def test_op_table_is_complete():
-    # every record has a forward, an oracle, a cost and a pullback, and no
-    # record is a whole tape op; the table holds exactly the ops the layers
-    # call, across the block styles and the conv/fusion ablations
-    assert not {"grad", "tape"} & set(Op.__dataclass_fields__)
-    assert all(callable(f) for op in OPS.values()
-               for f in (op.array, op.oracle, op.cost, op.vjp))
+    # every record has a forward, an oracle and a cost, and no record is a
+    # whole tape op or names its backward: that is autograd.<name>_vjp, and
+    # every vjp there has a record; the table holds exactly the ops the
+    # layers call, across the block styles and the conv/fusion ablations
+    assert not {"grad", "tape", "vjp"} & set(Op.__dataclass_fields__)
+    assert all(callable(f) for op in OPS.values() for f in (op.array, op.oracle, op.cost))
+    assert all(callable(getattr(ag, f"{name}_vjp", None)) for name in OPS)
+    assert {a[:-len("_vjp")] for a in vars(ag) if a.endswith("_vjp")} == set(OPS)
     called = set()
 
     class Seen(CostOps):
@@ -174,18 +177,50 @@ def test_interpreters_look_kernels_up_at_call_time(monkeypatch):
     counting(ag, "pointwise_vjp")
     counting(orc, "oracle_pointwise")
     x = np.random.default_rng(12).standard_normal((2, 3, 32, 32))
-    runs = {"infer": lambda: infer(net, x), "forward": lambda: net.forward(x),
+    runs = {"infer": lambda: infer(net, x),
+            "train": lambda: ag.backward(ag.sum_all(net.forward(x))),
             "oracle": lambda: net.oracle_forward(x)}
     calls = {}
     for key, run in runs.items():
         seen.clear()
         run()
         calls[key] = sorted(set(seen))
-    # training runs the kernels and records the pullback; the oracle calls
-    # neither. Training runs T.bn_prelu too, by the batch's statistics
+    # training runs the kernels forward and the vjp in backward; the oracle
+    # calls neither. Training runs T.bn_prelu too, by the batch's statistics
     assert calls == {"infer": ["bn_prelu", "pointwise_conv"],
-                     "forward": ["bn_prelu", "pointwise_conv", "pointwise_vjp"],
+                     "train": ["bn_prelu", "pointwise_conv", "pointwise_vjp"],
                      "oracle": ["oracle_pointwise"]}
+
+
+def test_backward_calls_each_nodes_vjp_once(monkeypatch):
+    # a training forward records a call of autograd.<name>_vjp per tape node
+    # and makes none; backward makes each node's once. 40 px resizes around
+    # DimConv, so bilinear records nodes too
+    net = build_network(parse_config(MICRO_CFG), seed=1)
+    calls, nodes = Counter(), Counter()
+
+    def counting(name):
+        real = getattr(ag, f"{name}_vjp")
+
+        def vjp(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(ag, f"{name}_vjp", vjp)
+
+    for name in OPS:
+        counting(name)
+
+    class Nodes(AutogradOps):
+        def apply(self, name, op, *args, **kwargs):
+            out = super().apply(name, op, *args, **kwargs)
+            nodes[name] += out.requires_grad
+            return out
+
+    x = np.random.default_rng(13).standard_normal((2, 3, 40, 40))
+    loss = ag.sum_all(net.run(ag.as_var(x), Nodes()))
+    assert not calls and nodes["bilinear"] == 2 * nodes["dimconv"] > 0
+    ag.backward(loss)
+    assert calls == nodes
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.cfg")))
