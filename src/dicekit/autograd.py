@@ -6,10 +6,11 @@ when a parent requires a gradient (`_record`). A vocabulary op's backward is
 the function `<name>_vjp(dy, need, out, *args, **kw)`, which returns one
 gradient, or None, per argument; `netbuilder.AutogradOps` records a call of
 it on the op's output and arguments, which `backward` makes. It recomputes
-what it needs of the forward's intermediates. Batch norm's statistics are
-one of its arguments: training passes `batch_statistics`, which also updates
-the running ones. The loss ops, `sum_all` and `cross_entropy_ls`, record
-their own closures."""
+what it needs of the forward's intermediates. Batch norm's mean and var
+are two of its arguments, plain arrays with no gradient: training passes the
+batch's, from `batch_statistics`, which also updates the running ones in
+place. The loss ops, `sum_all` and `cross_entropy_ls`, record their own
+closures."""
 
 from __future__ import annotations
 
@@ -312,30 +313,34 @@ def _channel_major(a) -> np.ndarray:
         .reshape(a.shape[1], -1)
 
 
-def batch_statistics(x, gamma, beta, state: T.BatchNormParams) -> T.BatchNormParams:
-    """gamma and beta with x's per-channel mean and biased variance, taken
-    along the rows of a channel-major float64 copy, (C, N*H*W), and state's
-    eps. They update state's running statistics, at momentum `BN_MOMENTUM`."""
+def batch_statistics(x, running_mean, running_var):
+    """x's per-channel mean and biased variance, taken along the rows of a
+    channel-major float64 copy, (C, N*H*W). They update the running
+    statistics in place, at momentum `BN_MOMENTUM`; a KernelError, before
+    that, if those are not sized for x's channels."""
+    c = x.shape[1]
+    if np.shape(running_mean) != (c,) or np.shape(running_var) != (c,):
+        raise KernelError(f"running statistics of shapes {np.shape(running_mean)} and "
+                          f"{np.shape(running_var)}, input has {c} channels")
     xc = _channel_major(x)
     mean = xc.mean(axis=1)
     xc -= _channels(mean)
     var = np.einsum("cm,cm->c", xc, xc) / xc.shape[1]
-    # before the update: a KernelError on any channel count that is not x's
-    stats = T.BatchNormParams(gamma, beta, mean, var, state.eps)
-    state.running_mean[:] = (1 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mean
-    state.running_var[:] = (1 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * var
-    return stats
+    running_mean[:] = (1 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean
+    running_var[:] = (1 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
+    return mean, var
 
 
-def bn_prelu_vjp(dz, need, out, x, gamma, beta, slope, stats):
+def bn_prelu_vjp(dz, need, out, x, gamma, beta, slope, mean, var):
     """The gradients of `tensorops.bn_prelu` by `batch_statistics(x, ...)`,
-    through the mean and variance too. x_hat, y and the PReLU factor are
-    recomputed from stats, in one channel-major copy of x, so each reduction
-    runs along rows N*H*W long. dx is built only when x needs one."""
+    through the mean and variance too, which get none of their own. x_hat, y
+    and the PReLU factor are recomputed from mean and var, in one
+    channel-major copy of x, so each reduction runs along rows N*H*W long.
+    dx is built only when x needs one."""
     nb, c, h, w = x.shape
-    inv_std = 1.0 / np.sqrt(stats.running_var + stats.eps)
+    inv_std = 1.0 / np.sqrt(var + T.BN_EPS)
     x_hat = _channel_major(x)
-    x_hat -= _channels(stats.running_mean)
+    x_hat -= _channels(mean)
     x_hat *= _channels(inv_std)
     y = x_hat * _channels(gamma)
     y += _channels(beta)
@@ -347,13 +352,13 @@ def bn_prelu_vjp(dz, need, out, x, gamma, beta, slope, stats):
     dbeta = dy.sum(axis=1)
     dgamma = np.einsum("cm,cm->c", dy, x_hat)
     if not need[0]:
-        return None, dgamma, dbeta, dslope
+        return None, dgamma, dbeta, dslope, None, None
     m = dy.shape[1]
     dy -= _channels(dbeta / m)
     x_hat *= _channels(dgamma / m)
     dy -= x_hat
     dy *= _channels(gamma * inv_std)
-    return dy.reshape(c, nb, h, w).transpose(1, 0, 2, 3), dgamma, dbeta, dslope
+    return dy.reshape(c, nb, h, w).transpose(1, 0, 2, 3), dgamma, dbeta, dslope, None, None
 
 
 def relu_vjp(dy, need, out, x):

@@ -58,15 +58,6 @@ class DimConvParams:
             k_h=ConvKernelBank.random(nominal_h, n, rng, dtype),
         )
 
-    @staticmethod
-    def delta(c: int, nominal_h: int, nominal_w: int, n: int = 3,
-              dtype=np.float64) -> "DimConvParams":
-        return DimConvParams(
-            k_d=ConvKernelBank.delta(c, n, dtype),
-            k_w=ConvKernelBank.delta(nominal_w, n, dtype),
-            k_h=ConvKernelBank.delta(nominal_h, n, dtype),
-        )
-
 
 def _check_nominal(x, p: DimConvParams):
     nb, c, h, w = x.shape

@@ -26,11 +26,11 @@ image depending on its own input image alone; `ArrayOps` runs it over
 `tensorops._image_blocks`' blocks of whole images and copies each block's
 result into its slice of the batch result, the others return `fn(x)`.
 `Network.run` passes the stem and max pool through it, so inference never
-allocates the whole batch's stem output. `ops.bn_stats(x, gamma, beta,
-state)` chooses what `bn_prelu` normalizes by: the batch's statistics with
-gamma and beta in `AutogradOps` (`autograd.batch_statistics`, which updates
-state's running ones), state itself elsewhere. `_BNAct.forward` runs the
-two.
+allocates the whole batch's stem output. `ops.bn_stats(x, running_mean,
+running_var)` chooses the (mean, var) that `bn_prelu` normalizes by: the
+batch's in `AutogradOps` (`autograd.batch_statistics`, which updates the
+running ones), the running ones themselves elsewhere. `_BNAct.forward` runs
+the two.
 
 The cost convention is the oracle's: a convolution is charged one MAC per
 tap per output element (padded taps included), pooling its window
@@ -69,7 +69,7 @@ from . import tensorops as T
 from .autograd import Var, param
 from .netconfig import ConfigError, NetConfig, default_stem_channels
 from .serialize import ContainerError
-from .tensorops import BatchNormParams, KernelError, ceil_div
+from .tensorops import KernelError, ceil_div
 
 __all__ = ["Network", "FlopReport", "build_network", "analyze", "infer", "OPS",
            "AutogradOps", "ArrayOps", "OracleOps", "CostOps"]
@@ -80,21 +80,19 @@ def _he(rng, fan_in, shape, dtype):
 
 
 class _BNAct:
-    """BatchNorm + PReLU after a convolution: its parameters, and the op."""
+    """BatchNorm + PReLU after a convolution: its parameters gamma, beta and
+    slope, its running statistics, two plain arrays, and the op."""
 
     def __init__(self, c, dtype):
         self.gamma = param(np.ones(c, dtype=dtype))
         self.beta = param(np.zeros(c, dtype=dtype))
-        # the state aliases the trainable buffers so every interpreter agrees
-        self.state = BatchNormParams(
-            gamma=self.gamma.data, beta=self.beta.data,
-            running_mean=np.zeros(c, dtype=dtype),
-            running_var=np.ones(c, dtype=dtype))
+        self.running_mean = np.zeros(c, dtype=dtype)
+        self.running_var = np.ones(c, dtype=dtype)
         self.slope = param(np.full(c, 0.25, dtype=dtype))
 
     def forward(self, x, ops):
-        stats = ops.bn_stats(x, self.gamma, self.beta, self.state)
-        return ops.bn_prelu(x, self.gamma, self.beta, self.slope, stats)
+        mean, var = ops.bn_stats(x, self.running_mean, self.running_var)
+        return ops.bn_prelu(x, self.gamma, self.beta, self.slope, mean, var)
 
 
 class StemConv:
@@ -383,11 +381,11 @@ OPS = {
         array=lambda ops, x, w, stride: T.conv2d(x, w, stride),
         oracle=lambda ops, x, w, stride: orc.oracle_conv2d(x, w, stride, ops.counter)[0],
         cost=lambda x, w, stride: _window(x, w.shape[0], stride, w[0].size, w.size)),
-    # stats, from ops.bn_stats, carry gamma and beta as well as the statistics
+    # mean and var come from ops.bn_stats
     "bn_prelu": Op(
-        array=lambda ops, x, gamma, beta, slope, stats, out=None: T.bn_prelu(x, stats, slope, out),
-        oracle=lambda ops, x, gamma, beta, slope, stats: orc.oracle_bn_prelu(x, stats, slope),
-        cost=lambda x, g, b, s, stats: (x.shape, 0, g.size + b.size + s.size),
+        array=lambda ops, *args, out=None: T.bn_prelu(*args, out=out),
+        oracle=lambda ops, *args: orc.oracle_bn_prelu(*args),
+        cost=lambda x, g, b, s, mean, var: (x.shape, 0, g.size + b.size + s.size),
         consumes=True),
     "max_pool": Op(
         array=lambda ops, x, k, stride: T.pool(x, "max", k, stride),
@@ -469,9 +467,9 @@ class _Interpreter:
         """fn(x), on the whole batch at once."""
         return fn(x)
 
-    def bn_stats(self, x, gamma, beta, state):
-        """The statistics `bn_prelu` normalizes x by: state, the running ones."""
-        return state
+    def bn_stats(self, x, running_mean, running_var):
+        """The (mean, var) `bn_prelu` normalizes x by: the running ones."""
+        return running_mean, running_var
 
     def __getattr__(self, name):
         if name not in OPS:
@@ -489,8 +487,9 @@ class AutogradOps(_Interpreter):
     written but the running statistics, by `bn_stats`. Raw arrays pass as
     constants."""
 
-    def bn_stats(self, x, gamma, beta, state):
-        return ag.batch_statistics(*_arrays((x, gamma, beta), {})[0], state)
+    def bn_stats(self, x, running_mean, running_var):
+        x = x.data if isinstance(x, Var) else x
+        return ag.batch_statistics(x, running_mean, running_var)
 
     def apply(self, name, op, *args, **kwargs):
         arrays, kw = _arrays(args, kwargs)
@@ -628,15 +627,16 @@ class Network:
         return [(name, v) for name, v in self._members() if isinstance(v, Var)]
 
     def bn_states(self):
-        return [v.state for _, v in self._members() if isinstance(v, _BNAct)]
+        """Each `_BNAct`, whose running_mean and running_var a checkpoint stores."""
+        return [v for _, v in self._members() if isinstance(v, _BNAct)]
 
     def named_state(self) -> list:
         """Parameters, then each batch norm's running statistics as
         bn<i>.running_mean / bn<i>.running_var: what a checkpoint stores."""
         named = [(name, p.data) for name, p in self.parameters()]
-        for idx, state in enumerate(self.bn_states()):
-            named.append((f"bn{idx}.running_mean", state.running_mean))
-            named.append((f"bn{idx}.running_var", state.running_var))
+        for idx, bn in enumerate(self.bn_states()):
+            named.append((f"bn{idx}.running_mean", bn.running_mean))
+            named.append((f"bn{idx}.running_var", bn.running_var))
         return named
 
     def load_state(self, stored: dict) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensorops import BatchNormParams, ConvKernelBank, KernelError, ceil_div
+from .tensorops import BN_EPS, ConvKernelBank, KernelError, ceil_div
 
 
 @dataclass
@@ -203,15 +203,15 @@ def oracle_dimconv(x, p, counter: OracleCounter | None = None):
     return out, counter
 
 
-def oracle_bn_prelu(x, state: BatchNormParams, slope):
-    """Inference batch norm then a per-channel PReLU, element by element:
-    y = ((x - mean)*inv_std)*gamma + beta in float64, in that order, with
-    inv_std = 1/sqrt(running_var + eps), rounded once to x's dtype; then y
-    where y >= 0, else slope*y."""
+def oracle_bn_prelu(x, gamma, beta, slope, mean, var):
+    """Batch norm by the per-channel mean and var, then a per-channel PReLU,
+    element by element: y = ((x - mean)*inv_std)*gamma + beta in float64, in
+    that order, with inv_std = 1/sqrt(var + BN_EPS), rounded once to x's
+    dtype; then y where y >= 0, else slope*y."""
     ch = (None, slice(None), None, None)          # a per-channel vector, broadcast
-    inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-    y = (((x.astype(np.float64) - state.running_mean[ch]) * inv_std[ch])
-         * state.gamma[ch] + state.beta[ch]).astype(x.dtype)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    y = (((x.astype(np.float64) - mean[ch]) * inv_std[ch])
+         * gamma[ch] + beta[ch]).astype(x.dtype)
     return np.where(y >= 0, y, np.asarray(slope, dtype=x.dtype)[ch] * y)
 
 

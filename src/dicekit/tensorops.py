@@ -44,6 +44,9 @@ LINEAR_FEATURE_LOOP = 1024
 # in a 2 MiB L2 cache between sweeps, where a whole batch would not
 BLOCK_BYTES = 256 * 1024
 
+# added to the variance under batch norm's square root
+BN_EPS = 1e-5
+
 
 class KernelError(ValueError):
     """Raised when a kernel precondition is violated."""
@@ -142,44 +145,11 @@ class ConvKernelBank:
         return self.taps.shape[1]
 
     @staticmethod
-    def delta(count: int, n: int = 3, dtype=np.float64) -> "ConvKernelBank":
-        """Identity bank: center tap 1, everything else 0."""
-        taps = np.zeros((count, n, n), dtype=dtype)
-        taps[:, n // 2, n // 2] = 1.0
-        return ConvKernelBank(taps)
-
-    @staticmethod
     def random(count: int, n: int, rng: np.random.Generator,
                dtype=np.float64) -> "ConvKernelBank":
         """Taps drawn from N(0, 2/n²), He initialisation for n×n taps."""
         taps = rng.normal(0.0, math.sqrt(2.0 / (n * n)), size=(count, n, n)).astype(dtype)
         return ConvKernelBank(taps)
-
-
-@dataclass
-class BatchNormParams:
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    eps: float = 1e-5
-
-    def __post_init__(self):
-        c = self.gamma.shape[0]
-        for name in ("beta", "running_mean", "running_var"):
-            if getattr(self, name).shape != (c,):
-                raise KernelError(f"batch-norm {name} is not sized for gamma's {c} channels")
-        if self.eps <= 0:
-            raise KernelError(f"batch-norm eps must be positive, got {self.eps}")
-
-    @staticmethod
-    def identity(c: int, dtype=np.float64) -> "BatchNormParams":
-        return BatchNormParams(
-            gamma=np.ones(c, dtype=dtype),
-            beta=np.zeros(c, dtype=dtype),
-            running_mean=np.zeros(c, dtype=dtype),
-            running_var=np.ones(c, dtype=dtype),
-        )
 
 
 def right_pad(size: int, out: int, stride: int, n: int) -> int:
@@ -581,25 +551,26 @@ def _prelu_factor(y, s) -> np.ndarray:
     return f.view(y.dtype)
 
 
-def bn_prelu(x: np.ndarray, state: BatchNormParams, slope: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """Batch norm by state's statistics, then a per-channel PReLU:
+def bn_prelu(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, slope: np.ndarray,
+             mean: np.ndarray, var: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Batch norm by the per-channel mean and var, then a per-channel PReLU:
     ((x - mean)*inv_std)*gamma + beta in float64, with inv_std =
-    1/sqrt(var + eps), cast to x's dtype, then where(y >= 0, y, s*y), byte
-    for byte, finished in place; training passes the batch's statistics.
-    Every pass is elementwise and runs over one image block of at most
-    BLOCK_BYTES of float64 before the next block starts, so the block stays
-    in cache. The result goes into `out` (x itself, say), or a new array, of
-    x's shape and dtype. A float64 result is also the float64 buffer; for
-    float32 the blocks share one float64 buffer of a block's size."""
-    vectors = (state.gamma, state.beta, state.running_mean, state.running_var, slope)
+    1/sqrt(var + BN_EPS), cast to x's dtype, then where(y >= 0, y, s*y),
+    byte for byte, finished in place. Inference passes the running
+    statistics, training the batch's. Every pass is elementwise and runs over
+    one image block of at most BLOCK_BYTES of float64 before the next block
+    starts, so the block stays in cache. The result goes into `out` (x
+    itself, say), or a new array, of x's shape and dtype. A float64 result is
+    also the float64 buffer; for float32 the blocks share one float64 buffer
+    of a block's size."""
+    vectors = (gamma, beta, slope, mean, var)
     if any(np.shape(a) != x.shape[1:2] for a in vectors):
         raise KernelError(f"bn_prelu vectors of shapes {[np.shape(a) for a in vectors]}, "
                           f"input has {x.shape[1]} channels")
-    inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     mean, inv_std, gamma, beta, s = (
-        a[None, :, None, None] for a in (state.running_mean, inv_std, state.gamma,
-                                         state.beta, slope.astype(x.dtype, copy=False)))
+        a[None, :, None, None]
+        for a in (mean, inv_std, gamma, beta, slope.astype(x.dtype, copy=False)))
     nb = x.shape[0]
     per = _images_per_block(x)
     if out is None:

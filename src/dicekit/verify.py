@@ -531,9 +531,9 @@ def _op_checks(rng, brng, only=None):
         for xb, suffix in ((x, ""), (rng.standard_normal((3, c, 2, 2)), ".2x2")):
             args = {"x": xb, "gamma": 1.0 + rng.random(c), "beta": rng.standard_normal(c),
                     "slope": rng.random(c) + 0.1}
-            wgt, state = ag.Var(rng.standard_normal(xb.shape)), T.BatchNormParams.identity(c)
+            wgt, running = ag.Var(rng.standard_normal(xb.shape)), (np.zeros(c), np.ones(c))
             bn = lambda x, gamma, beta, slope: ops.bn_prelu(
-                x, gamma, beta, slope, ops.bn_stats(x, gamma, beta, state))
+                x, gamma, beta, slope, *ops.bn_stats(x, *running))
             # keep PReLU's inputs off its kink at zero: shift each channel's
             # beta so that zero lies mid-way in the widest gap between them
             pre = bn(xb, args["gamma"], args["beta"], np.ones(c)).data

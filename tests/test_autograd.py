@@ -16,7 +16,7 @@ from dicekit import tensorops as T
 from dicekit import verify
 from dicekit.netbuilder import OPS, ArrayOps, AutogradOps
 from dicekit.oracle import oracle_bn_prelu
-from dicekit.tensorops import BatchNormParams, KernelError
+from dicekit.tensorops import KernelError
 
 ops = AutogradOps()
 
@@ -176,35 +176,33 @@ def _bn_prelu_args(rng, shape):
     return args, ag.Var(rng.standard_normal(shape))
 
 
-def _bn_prelu(x, gamma, beta, slope, state):
-    """Training's BN-PReLU, by the batch's statistics, which update state's."""
-    return ops.bn_prelu(x, gamma, beta, slope, ops.bn_stats(x, gamma, beta, state))
+def _bn_prelu(x, gamma, beta, slope, running_mean, running_var):
+    """Training's BN-PReLU, by the batch's statistics, which update the running ones."""
+    return ops.bn_prelu(x, gamma, beta, slope, *ops.bn_stats(x, running_mean, running_var))
 
 
 def test_bn_prelu_train_normalizes_and_updates(rng):
     # with unit slopes PReLU is the identity, so the output is the batch norm
     x = rng.standard_normal((4, 3, 5, 5)) * 3 + 1
-    state = BatchNormParams.identity(3)
-    y = _bn_prelu(x, state.gamma, state.beta, np.ones(3), state).data
+    running_mean, running_var = np.zeros(3), np.ones(3)
+    y = _bn_prelu(x, np.ones(3), np.zeros(3), np.ones(3), running_mean, running_var).data
     assert np.allclose(y.mean(axis=(0, 2, 3)), 0, atol=1e-10)
     assert np.allclose(y.var(axis=(0, 2, 3)), 1, atol=1e-3)
-    np.testing.assert_allclose(state.running_mean, 0.1 * x.mean(axis=(0, 2, 3)))
-    np.testing.assert_allclose(state.running_var, 0.9 + 0.1 * x.var(axis=(0, 2, 3)))
+    np.testing.assert_allclose(running_mean, 0.1 * x.mean(axis=(0, 2, 3)))
+    np.testing.assert_allclose(running_var, 0.9 + 0.1 * x.var(axis=(0, 2, 3)))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_bn_prelu_infer_keeps_the_bytes(dtype):
     rng = np.random.default_rng(4)
     c = 5
-    state = BatchNormParams(rng.standard_normal(c).astype(dtype),
-                            rng.standard_normal(c).astype(dtype),
-                            rng.standard_normal(c).astype(dtype),
-                            (1.0 + rng.random(c)).astype(dtype))
+    gamma, beta, mean = (rng.standard_normal(c).astype(dtype) for _ in range(3))
+    var = (1.0 + rng.random(c)).astype(dtype)
     # slopes of both signs, -0.0 and infinity all pass through unchanged
     slope = np.array([0.3, -0.2, -0.0, np.inf, 1.5], dtype=dtype)
     # an input at the running mean leaves channel 0 at -0.0 and channel 1 at +0.0
-    state.gamma[0] = -abs(state.gamma[0])
-    state.beta[:2] = (-0.0, 0.0)
+    gamma[0] = -abs(gamma[0])
+    beta[:2] = (-0.0, 0.0)
     # one that fits one image block, and one in blocks of 2, 2 and 1 images
     hw = int(np.sqrt(T.BLOCK_BYTES // 2 // 8 / c))
     for nb, hw in ((2, 6), (5, hw)):
@@ -212,17 +210,17 @@ def test_bn_prelu_infer_keeps_the_bytes(dtype):
         # +0.0 and -0.0 inputs, and inputs at the running mean
         x[0, :, 0, 0] = 0.0
         x[0, :, 0, 1] = -0.0
-        x[-1, :, 1, 0] = state.running_mean
+        x[-1, :, 1, 0] = mean
         if nb == 5:
             assert x.size * 8 > T.BLOCK_BYTES and T.BLOCK_BYTES // (8 * x[0].size) == 2
-        y = T.bn_prelu(x, state, slope)
+        y = T.bn_prelu(x, gamma, beta, slope, mean, var)
         with np.errstate(invalid="ignore"):
-            want = oracle_bn_prelu(x, state, slope)
+            want = oracle_bn_prelu(x, gamma, beta, slope, mean, var)
         assert y.dtype == dtype and y.shape == x.shape
         assert y.tobytes() == want.tobytes()
         assert np.signbit(y[-1, :2, 1, 0]).tolist() == [True, False]
         # written into x itself, as inference writes it, the bytes are the same
-        into = ArrayOps().bn_prelu(x, state.gamma, state.beta, ag.Var(slope), state)
+        into = ArrayOps().bn_prelu(x, gamma, beta, ag.Var(slope), mean, var)
         assert into is x and x.tobytes() == want.tobytes()
 
 
@@ -232,14 +230,15 @@ def test_bn_prelu_refuses_another_channel_count(c):
     # length 3 fail in numpy's broadcasting. Training refuses a batch norm of
     # c channels before its running statistics change
     x = np.ones((2, 4, 3, 3))
-    small = BatchNormParams.identity(c)
-    for state, slope in ((small, np.ones(4)), (BatchNormParams.identity(4), np.ones(c))):
+    for k, slope in ((c, np.ones(4)), (4, np.ones(c))):
+        gamma, beta, mean, var = np.ones(k), np.zeros(k), np.zeros(k), np.ones(k)
         with pytest.raises(KernelError, match="input has 4 channels"):
-            T.bn_prelu(x, state, slope)
+            T.bn_prelu(x, gamma, beta, slope, mean, var)
         for wrap in (ag.Var, ag.param):
-            with pytest.raises(KernelError, match="channels"):
-                _bn_prelu(wrap(x), wrap(state.gamma), wrap(state.beta), wrap(slope), state)
-    assert (small.running_mean == 0).all() and (small.running_var == 1).all()
+            with pytest.raises(KernelError, match="input has 4 channels"):
+                _bn_prelu(wrap(x), wrap(gamma), wrap(beta), wrap(slope), mean, var)
+        if k == c:
+            assert (mean == 0).all() and (var == 1).all()
 
 
 def test_public_ops_write_no_argument_without_out(rng):
@@ -249,7 +248,7 @@ def test_public_ops_write_no_argument_without_out(rng):
     args, wgt = _bn_prelu_args(rng, (2, 3, 4, 4))
     kept = {k: a.copy() for k, a in args.items()}
     for wrap in (ag.Var, ag.param):
-        y = ops.mul(_bn_prelu(*map(wrap, args.values()), BatchNormParams.identity(3)), wgt)
+        y = ops.mul(_bn_prelu(*map(wrap, args.values()), np.zeros(3), np.ones(3)), wgt)
         ops.mul(wrap(args["x"]), wgt)
         if y.requires_grad:
             ag.backward(ag.sum_all(y))

@@ -28,8 +28,12 @@ def test_dimconv_interleaving_order(rng):
 
 
 def test_dimconv_delta_replicates_input(rng):
+    # identity banks: centre tap 1, every other tap 0
     x = rng.standard_normal((2, 4, 6, 6))
-    p = DimConvParams.delta(4, 6, 6)
+    taps = np.zeros((6, 3, 3))
+    taps[:, 1, 1] = 1.0
+    p = DimConvParams(k_d=ConvKernelBank(taps[:4]), k_w=ConvKernelBank(taps),
+                      k_h=ConvKernelBank(taps))
     out = dimconv_fused(x, p)
     for k in range(3):
         np.testing.assert_array_equal(out[:, k::3], x)

@@ -105,6 +105,25 @@ def test_oracle_forward_off_nominal_matches_infer(micro_net, rng):
     assert np.abs(infer(micro_net, x) - ref).max() < 1e-10
 
 
+def test_trained_statistics_reach_every_consumer(rng):
+    # a fresh network's statistics are 0 and 1, which hide a consumer that
+    # reads other arrays than the ones training updated
+    net = build_network(parse_config(MICRO_CFG), seed=1)
+    images, labels = train.synth_dataset(0, 64)
+    train.train_loop(net, images, labels, train.TrainConfig(epochs=1), eval_ema=False)
+    bns = net.bn_states()
+    assert len(bns) == 13
+    for bn in bns:
+        assert (bn.running_mean != 0).any() and (bn.running_var != 1).any()
+    x = rng.standard_normal((2, 3, 32, 32))
+    ref, _ = net.oracle_forward(x)
+    assert np.abs(infer(net, x) - ref).max() < 1e-10
+    state = dict(net.named_state())
+    for idx, bn in enumerate(bns):
+        assert np.shares_memory(state[f"bn{idx}.running_mean"], bn.running_mean)
+        assert np.shares_memory(state[f"bn{idx}.running_var"], bn.running_var)
+
+
 _ABLATIONS = ("name: x\nwidth_scale: 0.1\ninput_size: 32\nclasses: 10\n"
               "stages {\n repeats: [1]\n channels: [16]\n}\npool_width: 32\n")
 

@@ -34,14 +34,18 @@ def test_bank_validation():
         ConvKernelBank(np.zeros((4, 2, 2)))       # even extent
     with pytest.raises(KernelError):
         ConvKernelBank(np.zeros((4, 3, 5)))       # non-square
-    bank = ConvKernelBank.delta(4, 3)
+    taps = np.zeros((4, 3, 3))
+    taps[:, 1, 1] = 1.0
+    bank = ConvKernelBank(taps)
     assert bank.count == 4 and bank.n == 3
 
 
 def test_delta_bank_is_identity(rng):
+    # centre tap 1, every other tap 0
     x = rng.standard_normal((2, 5, 6, 7))
-    bank = ConvKernelBank.delta(5, 3)
-    np.testing.assert_array_equal(T.depthwise_conv(x, bank), x)
+    taps = np.zeros((5, 3, 3))
+    taps[:, 1, 1] = 1.0
+    np.testing.assert_array_equal(T.depthwise_conv(x, ConvKernelBank(taps)), x)
 
 
 def test_depthwise_known_value():
@@ -222,9 +226,8 @@ def test_max_pool_constant_input():
 def test_batch_norm_infer_identity(rng):
     # the oracle's batch norm then PReLU, with the identity statistics
     x = rng.standard_normal((2, 3, 4, 4))
-    p = T.BatchNormParams.identity(3)
-    y = orc.oracle_bn_prelu(x, p, np.full(3, 0.25))
-    assert np.allclose(y, np.where(x >= 0, x, 0.25 * x) / np.sqrt(1 + p.eps), atol=1e-12)
+    y = orc.oracle_bn_prelu(x, np.ones(3), np.zeros(3), np.full(3, 0.25), np.zeros(3), np.ones(3))
+    assert np.allclose(y, np.where(x >= 0, x, 0.25 * x) / np.sqrt(1 + T.BN_EPS), atol=1e-12)
 
 
 def test_activations(rng):
@@ -239,18 +242,18 @@ def test_batch_norm_then_prelu_is_bn_prelu_in_inference(dtype):
     # the oracle forward runs oracle_bn_prelu; infer runs T.bn_prelu
     rng = np.random.default_rng(6)
     c = 5
-    state = T.BatchNormParams(*(rng.standard_normal(c).astype(dtype) for _ in range(3)),
-                              (1.0 + rng.random(c)).astype(dtype))
+    gamma, beta, mean = (rng.standard_normal(c).astype(dtype) for _ in range(3))
+    var = (1.0 + rng.random(c)).astype(dtype)
     slope = (rng.random(c) - 0.5).astype(dtype)
     x = verify.signed_zeros(rng, rng.standard_normal((3, c, 6, 7))).astype(dtype)
-    want = T.bn_prelu(x, state, slope)
-    got = orc.oracle_bn_prelu(x, state, slope)
+    want = T.bn_prelu(x, gamma, beta, slope, mean, var)
+    got = orc.oracle_bn_prelu(x, gamma, beta, slope, mean, var)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     # and the formula, one element at a time in Python floats
     for (b, ci, i, j), v in np.ndenumerate(x):
-        inv_std = 1.0 / np.sqrt(state.running_var[ci] + state.eps)
-        y = dtype(((float(v) - float(state.running_mean[ci])) * float(inv_std))
-                  * float(state.gamma[ci]) + float(state.beta[ci]))
+        inv_std = 1.0 / np.sqrt(var[ci] + T.BN_EPS)
+        y = dtype(((float(v) - float(mean[ci])) * float(inv_std))
+                  * float(gamma[ci]) + float(beta[ci]))
         assert got[b, ci, i, j] == (y if y >= 0 else slope[ci] * y)
 
 
