@@ -79,6 +79,15 @@ def _he(rng, fan_in, shape, dtype):
     return rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape).astype(dtype, copy=False)
 
 
+def _he_fc(rng, fan_in, shape, dtype):
+    """A fully connected layer's (C_out, C_in/G) weights: `_he`'s draw,
+    Fortran-ordered, so that `pointwise_conv` runs its batch-1 einsum on a
+    view of them. Every writer (SGD, the EMA swap, `load_state`) updates
+    them in place, which keeps the layout, and checkpoints store C order,
+    so shapes, names, the draw and the saved bytes are a C-ordered array's."""
+    return np.asfortranarray(_he(rng, fan_in, shape, dtype))
+
+
 class _BNAct:
     """BatchNorm + PReLU after a convolution: its parameters gamma, beta and
     slope, its running statistics, two plain arrays, and the op."""
@@ -120,6 +129,8 @@ class DiceUnit:
     input by two first. The width/height banks are dimensioned for the
     nominal grid recorded at construction; other sizes are bilinearly
     rescaled through the conv and counted by the dice instrumentation.
+    DimFuse's gate FCs, fc1 and fc2, are Fortran-ordered (`_he_fc`), for
+    `pointwise_conv`'s batch-1 einsum.
     """
 
     def __init__(self, c, nominal_h, nominal_w, n, conv_kind, fusion_kind,
@@ -141,8 +152,8 @@ class DiceUnit:
         if fusion_kind == "dimfuse":
             self.k_g = param(_he(rng, 3, (c, 3), dtype)) if conv_kind == "dimconv" else None
             self.k_s = param(_he(rng, n * n, (c, n, n), dtype))
-            self.fc1 = param(_he(rng, c, (r, c), dtype))
-            self.fc2 = param(_he(rng, r, (c, r), dtype))
+            self.fc1 = param(_he_fc(rng, c, (r, c), dtype))
+            self.fc2 = param(_he_fc(rng, r, (c, r), dtype))
             self.w_fuse = None
         else:
             self.k_g = self.k_s = self.fc1 = self.fc2 = None
@@ -272,14 +283,16 @@ class ResBlock:
 class Head:
     """Global pool, pointwise expansion to the pool width, grouped FC,
     classifier FC with a bias. Each of the three is `pointwise` on the
-    pooled 1x1 map; the scores are reshaped to (N, classes) last."""
+    pooled 1x1 map; the scores are reshaped to (N, classes) last. Their
+    weights are Fortran-ordered (`_he_fc`), for `pointwise_conv`'s batch-1
+    einsum."""
 
     def __init__(self, cin, pool_width, groups, classes, rng, dtype):
         self.groups = groups
-        self.expand = param(_he(rng, cin, (pool_width, cin), dtype))
-        self.gfc = param(_he(rng, pool_width // groups,
-                             (pool_width, pool_width // groups), dtype))
-        self.fc = param(_he(rng, pool_width, (classes, pool_width), dtype))
+        self.expand = param(_he_fc(rng, cin, (pool_width, cin), dtype))
+        self.gfc = param(_he_fc(rng, pool_width // groups,
+                                (pool_width, pool_width // groups), dtype))
+        self.fc = param(_he_fc(rng, pool_width, (classes, pool_width), dtype))
         self.fc_bias = param(np.zeros(classes, dtype=dtype))
 
     def forward(self, x, ops):

@@ -12,11 +12,13 @@ float32. The exception is the dense `conv2d`, a BLAS product gated by an
 error bound instead.
 
 `pointwise_conv` runs one `np.einsum` where that keeps the oracle's order:
-on two or more pixels numpy's einsum adds one rounded product per input
-channel, in order, on builds whose einsum kernel multiplies and then adds.
-Builds whose kernel fuses the two (FMA) give other bytes, so the module
-probes its build once, at import (`EINSUM_EXACT`), and falls back to a loop
-of numpy calls in the oracle's order where the probe fails.
+on two or more pixels, and on one pixel over Fortran-ordered weights (a
+fully connected layer's, at batch 1), numpy's einsum adds one rounded
+product per input channel, in order, on builds whose einsum kernel
+multiplies and then adds. Builds whose kernel fuses the two (FMA) give
+other bytes, so the module probes its build once, at import
+(`EINSUM_EXACT`), and falls back to a loop of numpy calls in the oracle's
+order where the probe fails.
 """
 
 from __future__ import annotations
@@ -288,52 +290,87 @@ def heightwise_conv(x: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
     return np.ascontiguousarray(widthwise_conv(x.swapaxes(2, 3), bank).swapaxes(2, 3))
 
 
-# `_pointwise_conv`'s contraction: output o of group g at pixel p sums
-# its group's input channels i
+# `_pointwise_conv`'s contractions: output o of group g at pixel p sums
+# its group's input channels i; on one pixel the weights are read
+# transposed, by `_transposed_groups`
 _PW_SUBSCRIPTS = "goi,gip->gop"
+_FC_SUBSCRIPTS = "gio,gi->go"
+
+
+def _transposed_groups(weights: np.ndarray, groups: int) -> np.ndarray:
+    """weights, (C_out, C_in/G), as the (G, C_in/G, C_out/G) view of
+    weights.T; a view where weights is Fortran-ordered."""
+    cout, cig = weights.shape
+    return weights.T.reshape(cig, groups, cout // groups).transpose(1, 0, 2)
 
 
 def _einsum_is_exact(einsum=np.einsum) -> bool:
-    """Whether einsum, called as `_pointwise_conv` calls it on two or more
-    pixels, gives the bytes of the loop `acc = acc + w[:, :, i, None] *
-    x[:, None, i]` over the input channels i: each output 0.0 plus one
-    rounded product per input channel, in ascending order.
+    """Whether einsum, called as `_pointwise_conv` calls it, gives the bytes
+    of a loop over the input channels i that adds each rounded product
+    w[o, i] * x[i] to its output: each output 0.0 plus one rounded product
+    per input channel, in ascending order.
 
-    There numpy's iterator runs the pixel axis innermost, the axis along
-    which w's stride is 0, so its kernel adds w*x to a row of outputs once
-    per input channel, in order. That is the loop's bytes where the kernel
-    rounds each product before the add, and not where it fuses the two
-    (FMA, as it can on aarch64 and on x86-64 builds with an FMA baseline).
-    The probe's terms tell them apart: 1*-(1 + 2**-26) + (1 + 2**-27)**2 is
-    0.0 with the product rounded and 2**-54 fused; 1e16, 1, -1e16, 1 sums to
-    1 in order and to 0 pairwise or in reverse; an all -0.0 column sums to
-    +0.0 only from a +0.0 start. Each pixel holds one of these, or random
-    terms of mixed scales, at pixel counts that reach the kernel's vector
-    body and its tail. `einsum` is a parameter so that tests can hand it a
-    fake."""
+    On two or more pixels numpy's iterator runs the pixel axis innermost,
+    the axis along which w's stride is 0, whether the weights are C- or
+    Fortran-ordered; on one pixel, over the transposed view of Fortran-
+    ordered weights, it runs the outputs innermost, where x's stride is 0.
+    Either way its kernel adds w*x to a row of outputs once per input
+    channel, in order. That is the loop's bytes where the kernel rounds
+    each product before the add, and not where it fuses the two (FMA, as
+    it can on aarch64 and on x86-64 builds with an FMA baseline). The
+    probe's terms tell them apart: 1*-(1 + 2**-26) + (1 + 2**-27)**2 is 0.0
+    with the product rounded and 2**-54 fused; 1e16, 1, -1e16, 1 sums to 1
+    in order and to 0 pairwise or in reverse; all -0.0 products sum to +0.0
+    only from a +0.0 start. Each pixel, and on one pixel each output, holds
+    one of these along the input channels, or random terms of mixed scales,
+    at pixel and output counts that reach the kernel's vector body and its
+    tail. `einsum` is a parameter so that tests can hand it a fake."""
     rng = np.random.default_rng(0)
     mixed = lambda *shape: rng.standard_normal(shape) * 2.0 ** rng.integers(-30, 30, size=shape)
     r = 1.0 + 2.0 ** -27
-    # output 0 of each group: weights of 1, and r on input channel 1
     patterns = ([-(1.0 + 2.0 ** -26), r, 0, 0, 0, 0, 0, 0],
                 [0, 0, 1e16, 1, -1e16, 1, 0, 0], [-0.0] * 8)
-    for npix in (2, 3, 17, 67):
-        w, x = mixed(2, 3, 8), mixed(2, 8, npix)
+
+    def exact(subscripts, w, x, ref):
+        got = einsum(subscripts, w, x, out=np.full(ref.shape, np.nan), optimize=False)
+        return got.tobytes() == ref.tobytes()
+
+    for n in (2, 3, 17, 67):
+        # n pixels: output 0 of each group weighs every input by 1, input
+        # channel 1 by r, and each pixel holds a pattern or random terms
+        w, x = mixed(2, 3, 8), mixed(2, 8, n)
         w[:, 0] = 1.0
         w[:, 0, 1] = r
-        for p in range(0, npix, 4):
-            for k, terms in enumerate(patterns[:npix - p]):
+        for p in range(0, n, 4):
+            for k, terms in enumerate(patterns[:n - p]):
                 x[:, :, p + k] = terms
-        ref = np.zeros((2, 3, npix))
+        ref = np.zeros((2, 3, n))
         for i in range(8):
             ref += w[:, :, i, None] * x[:, None, i]
-        got = einsum(_PW_SUBSCRIPTS, w, x, out=np.full((2, 3, npix), np.nan), optimize=False)
-        if got.tobytes() != ref.tobytes():
+        # the weights of a convolution, C-ordered, and of a fully connected
+        # layer, Fortran-ordered, as the kernel views them
+        if not (exact(_PW_SUBSCRIPTS, w, x, ref) and exact(
+                _PW_SUBSCRIPTS, np.asfortranarray(w.reshape(6, 8)).reshape(2, 3, 8), x, ref)):
+            return False
+        # one pixel and n outputs per group: x holds 1, r, 1, 1, 1, 1 and
+        # random terms, and each output's weights a pattern or random terms;
+        # the -0.0 pattern takes the sign of -x, so each product is -0.0
+        x = mixed(2, 8)
+        x[:, :6] = (1.0, r, 1.0, 1.0, 1.0, 1.0)
+        w = mixed(2, n, 8)
+        for o in range(0, n, 4):
+            for k, terms in enumerate(patterns[:n - o]):
+                w[:, o + k] = np.copysign(terms, -x) if k == 2 else terms
+        w = np.asfortranarray(w.reshape(2 * n, 8))
+        ref = np.zeros((2, n))
+        for i in range(8):
+            ref += w[:, i].reshape(2, n) * x[:, i, None]
+        if not exact(_FC_SUBSCRIPTS, _transposed_groups(w, 2), x, ref):
             return False
     return True
 
 
-# whether `pointwise_conv` runs its einsum on two or more pixels
+# whether `pointwise_conv` runs its einsum
 EINSUM_EXACT = _einsum_is_exact()
 
 
@@ -356,8 +393,18 @@ def pointwise_conv(x: np.ndarray, weights: np.ndarray, groups: int = 1,
     output. That is the oracle's order, and where the kernel rounds each
     product before its add it is the oracle's bytes; `_einsum_is_exact`
     probes the build for that at import, since a kernel that uses FMA
-    (aarch64, an FMA baseline) would give other bytes. At P = 1 einsum
-    would run the channels innermost, in an order of its own.
+    (aarch64, an FMA baseline) would give other bytes.
+
+    At P = 1 with Fortran-ordered weights, as the network builder makes a
+    fully connected layer's, and C_out/G >= 2, it runs one
+    `np.einsum("gio,gi->go")` over the (G, C_in/G, C_out/G) view of
+    weights.T, unoptimized: there numpy's iterator runs a group's outputs
+    innermost, where the input's stride is 0, so its kernel adds weight *
+    input along a row of outputs once per input channel, in ascending
+    order, from a zeroed output; the same probe covers it. C-ordered
+    weights would need a transposed copy per call, and with one output per
+    group einsum would run the input channels innermost, in an order of its
+    own; both keep the accumulate loop below.
 
     Where the probe fails, P >= 2 runs a loop of numpy calls in the same
     order instead. Each step is an outer product of a weight column and an
@@ -372,14 +419,15 @@ def pointwise_conv(x: np.ndarray, weights: np.ndarray, groups: int = 1,
     the buffer only moves data. Kernels with short rows keep the default
     buffer, which is faster for them.
 
-    At P = 1, and, where the probe fails, on a 1x1 output grid with
-    N*C_out/G < LINEAR_FEATURE_LOOP, each step's outer product is too short
-    to pay for its numpy call, and another loop runs in the same order: the
-    products are laid out in weight order, (N, G, C_out/G, C_in/G), and
-    `np.add.accumulate` runs the sum along the input channels, which adds
-    one term at a time. Channels go in blocks of LINEAR_BLOCK, so no product
-    array grows with C_in; the running sum of one block is added into the
-    first product of the next, starting from 0.0. No choice changes a byte.
+    At P = 1 off that einsum, and, where the probe fails, on a 1x1 output
+    grid with N*C_out/G < LINEAR_FEATURE_LOOP, each step's outer product is
+    too short to pay for its numpy call, and another loop runs in the same
+    order: the products are laid out in weight order, (N, G, C_out/G,
+    C_in/G), and `np.add.accumulate` runs the sum along the input channels,
+    which adds one term at a time. Channels go in blocks of LINEAR_BLOCK, so
+    no product array grows with C_in; the running sum of one block is added
+    into the first product of the next, starting from 0.0. No choice changes
+    a byte.
     """
     return _image_blocks(_pointwise_conv, x, weights, groups, stride, bias)
 
@@ -400,7 +448,15 @@ def _pointwise_conv(x, weights, groups, stride, bias, out=None):
     xs = x[:, :, ::stride, ::stride]
     ho, wo = xs.shape[2], xs.shape[3]
     npix = nb * ho * wo
-    if npix < 2 or (ho == wo == 1 and not EINSUM_EXACT and nb * cog < LINEAR_FEATURE_LOOP):
+    if npix == 1 and EINSUM_EXACT and cog >= 2 and weights.flags.f_contiguous:
+        # (G, C_out/G, 1) is the result's layout, so a float64 result is the
+        # accumulator; einsum zeroes its out before the sum
+        res = _output(out, (1, cout, 1, 1), x.dtype)
+        acc = res.reshape(groups, cog, 1) if x.dtype == np.float64 else np.empty((groups, cog, 1))
+        wt = _transposed_groups(weights.astype(np.float64, copy=False), groups)
+        np.einsum(_FC_SUBSCRIPTS, wt, xs.astype(np.float64, copy=False).reshape(groups, cig),
+                  out=acc[..., 0], optimize=False)
+    elif npix < 2 or (ho == wo == 1 and not EINSUM_EXACT and nb * cog < LINEAR_FEATURE_LOOP):
         res = _output(out, (nb, cout, 1, 1), x.dtype)
         xg = xs.astype(np.float64, copy=False).reshape(nb, groups, 1, cig)
         wg = weights.astype(np.float64, copy=False).reshape(groups, cog, cig)
@@ -416,7 +472,8 @@ def _pointwise_conv(x, weights, groups, stride, bias, out=None):
         xg = np.ascontiguousarray(xs.transpose(1, 0, 2, 3), dtype=np.float64) \
             .reshape(groups, cig, npix)
         if EINSUM_EXACT:
-            wg = np.ascontiguousarray(weights, dtype=np.float64).reshape(groups, cog, cig)
+            # a view of float64 weights, Fortran-ordered ones included
+            wg = weights.astype(np.float64, copy=False).reshape(groups, cog, cig)
             # one image's (G, C_out/G, pixels) accumulator is laid out as its
             # result; einsum zeroes its out before the sum
             res = _output(out, (nb, cout, ho, wo), x.dtype)

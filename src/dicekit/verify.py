@@ -158,6 +158,21 @@ def fc_draw(rng):
     return x, wts, groups, 1, bias
 
 
+def fc_layer_draw(rng, one_output: bool):
+    """A fully connected layer at batch 1 as the network builder makes one:
+    a 1×1 input, Fortran-ordered weights, 1, 2 or 4 groups of 1–300 inputs
+    and, with `one_output`, one output each, otherwise 2–300, a stride of 1
+    and, on half the draws, a bias, all with signed zeros. Two or more
+    outputs per group run `pointwise_conv`'s batch-1 einsum where the
+    build's einsum is exact; one runs its accumulate loop."""
+    groups, fig = int(rng.choice([1, 2, 4])), int(rng.integers(1, 301))
+    fog = 1 if one_output else int(rng.integers(2, 301))
+    x = signed_zeros(rng, rng.standard_normal((1, groups * fig, 1, 1)))
+    wts = np.asfortranarray(signed_zeros(rng, rng.standard_normal((groups * fog, fig))))
+    bias = signed_zeros(rng, rng.standard_normal(groups * fog)) if rng.random() < 0.5 else None
+    return x, wts, groups, 1, bias
+
+
 def batch_inner_draw(rng):
     """An input whose batch, 3–9 images, is longer than its 1–2 px rows, and a
     kernel extent, which `_rand_shape`'s batch of 1–2 and width of 2 or more
@@ -225,18 +240,21 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
     one draw in four, and `pointwise.1x1.batch` on `fc_draw`'s: batches of
     2–9, on both sides of the shape that picks its 1×1 loop.
     `pointwise.deep` draws from `deep_draw`: 9–300 inputs per group, so that
-    a sum in another order than the oracle's shows. `max_pool` draws from
-    `max_pool_draw`. `conv2d.stem` draws from `stem_draw` on one
-    draw in five, since the oracle takes about a second per draw at those
-    shapes.
+    a sum in another order than the oracle's shows. `pointwise.fc` draws
+    from `fc_layer_draw`: a network's fully connected layer at batch 1,
+    Fortran-ordered, with one output per group on one draw in five.
+    `max_pool` draws from `max_pool_draw`. `conv2d.stem` draws from
+    `stem_draw` on one draw in five, since the oracle takes about a second
+    per draw at those shapes.
 
     `fault` perturbs the named fast path before comparison; it exists so the
     harness can prove a broken kernel is actually detected.
     """
     rng = np.random.default_rng(seed)
     # resize, both-orientation pointwise, conv2d, global-average, batch-inner,
-    # stem, signed-zero, batched 1x1, max-pool and deep pointwise draws
-    # come from their own generators and leave the others' draws alone
+    # stem, signed-zero, batched 1x1, max-pool, deep pointwise and batch-1
+    # fully connected draws come from their own generators and leave the
+    # others' draws alone
     resize_rng = np.random.default_rng([seed, 1])
     pw_rng = np.random.default_rng([seed, 2])
     conv_rng = np.random.default_rng([seed, 3])
@@ -247,6 +265,7 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
     fc_rng = np.random.default_rng([seed, 8])
     max_rng = np.random.default_rng([seed, 9])
     deep_rng = np.random.default_rng([seed, 10])
+    fc1_rng = np.random.default_rng([seed, 11])
     worst = {}
 
     def bitwise(kind, fast, ref, *args):
@@ -304,6 +323,8 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
         bitwise("pointwise", T.pointwise_conv, orc.oracle_pointwise,
                 *pointwise_draw(pw_rng, channels_inner=i % 2 == 0))
         bitwise("pointwise.deep", T.pointwise_conv, orc.oracle_pointwise, *deep_draw(deep_rng))
+        bitwise("pointwise.fc", T.pointwise_conv, orc.oracle_pointwise,
+                *fc_layer_draw(fc1_rng, one_output=i % 5 == 0))
 
         # conv2d and global average pooling sum in another order than the
         # oracle (einsum over channels, numpy's pairwise mean): gated by the

@@ -19,7 +19,7 @@ from dicekit.dimops import dimfuse_cost
 from dicekit.netbuilder import (OPS, ArrayOps, AutogradOps, CostOps, Op, _BNAct, analyze,
                                 build_network, infer)
 from dicekit.netconfig import default_stem_channels, parse_config
-from dicekit.serialize import ContainerError
+from dicekit.serialize import ContainerError, load_checkpoint, save_checkpoint
 from dicekit.tensorops import KernelError
 
 from conftest import MICRO_CFG
@@ -122,6 +122,77 @@ def test_trained_statistics_reach_every_consumer(rng):
     for idx, bn in enumerate(bns):
         assert np.shares_memory(state[f"bn{idx}.running_mean"], bn.running_mean)
         assert np.shares_memory(state[f"bn{idx}.running_var"], bn.running_var)
+
+
+def _fc_weights(net):
+    """The fully connected layers' weights: DimFuse's gate FCs, the head's."""
+    return {name: p.data for name, p in net.parameters()
+            if name.endswith((".fc1", ".fc2")) or name in ("head.expand", "head.gfc", "head.fc")}
+
+
+def _assert_fortran(net):
+    fc = _fc_weights(net)
+    assert len(fc) == 11                   # four DiCE units' two, the head's three
+    for name, w in fc.items():
+        assert w.flags.f_contiguous and not w.flags.c_contiguous, name
+
+
+def test_fc_weights_stay_fortran_ordered_through_every_writer(tmp_path):
+    # pointwise_conv's batch-1 einsum needs them Fortran-ordered: SGD, the
+    # EMA swap and load_state all write in place, and checkpoints hold the
+    # bytes C-ordered copies would
+    cfg = parse_config(MICRO_CFG)
+    net = build_network(cfg, seed=1)
+    _assert_fortran(net)
+    images, labels = train.synth_dataset(0, 64)
+    train.train_loop(net, images, labels, train.TrainConfig(epochs=1, batch_size=32))
+    _assert_fortran(net)
+    state = net.named_state()
+    save_checkpoint(tmp_path / "ck", state)
+    save_checkpoint(tmp_path / "c_order", [(k, np.ascontiguousarray(a)) for k, a in state])
+    files = sorted(p.name for p in (tmp_path / "ck").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "c_order").iterdir())
+    for f in files:
+        assert (tmp_path / "ck" / f).read_bytes() == (tmp_path / "c_order" / f).read_bytes(), f
+    other = build_network(cfg, seed=2)
+    other.load_state(load_checkpoint(tmp_path / "ck"))
+    _assert_fortran(other)
+    assert [(k, a.tobytes()) for k, a in other.named_state()] == \
+        [(k, a.tobytes()) for k, a in state]
+
+
+class _Spy:
+    """`real`, with the attributes named in `over` replaced."""
+
+    def __init__(self, real, **over):
+        self.__dict__.update(over)
+        self._real = real
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+
+def test_batch_1_fully_connected_layers_run_the_einsum(monkeypatch):
+    # every FC of a batch-1 inference runs the one-pixel einsum where the
+    # build's einsum is exact, and none the accumulate loop
+    ran = []
+
+    def noting(label, real):
+        def run(*args, **kwargs):
+            ran.append(label(args))
+            return real(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(T, "np", _Spy(np, einsum=noting(lambda a: a[0], np.einsum),
+                                      add=_Spy(np.add, accumulate=noting(
+                                          lambda a: "accumulate", np.add.accumulate))))
+    net = build_network(parse_config(MICRO_CFG), seed=1)
+    x = np.random.default_rng(3).standard_normal((1, 3, 32, 32))
+    infer(net, x)
+    if T.EINSUM_EXACT:
+        assert ran.count("gio,gi->go") == len(_fc_weights(net)) and "accumulate" not in ran
+    else:
+        assert ran.count("accumulate") > 0 and "gio,gi->go" not in ran
 
 
 _ABLATIONS = ("name: x\nwidth_scale: 0.1\ninput_size: 32\nclasses: 10\n"
@@ -432,24 +503,35 @@ def test_inference_is_pure(dtype):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_two_threads_infer_on_one_network(dtype):
+    # at batch 4 and at batch 1, where the FCs run their one-pixel einsum,
+    # at the nominal size and at 40 px, where each DiCE unit resizes: the
+    # serial bytes, and each thread counts its own resizes
     net = _micro(dtype)
-    x = np.random.default_rng(6).standard_normal((4, 3, 40, 40)).astype(dtype)
-    serial = infer(net, x).tobytes()
-    start = threading.Barrier(2, timeout=30)
-    results = [[], []]
+    rng = np.random.default_rng(6)
+    for nb, size in ((4, 40), (1, 32), (1, 40)):
+        x = rng.standard_normal((nb, 3, size, size)).astype(dtype)
 
-    def run(slot):
-        start.wait()
-        for _ in range(3):
-            results[slot].append(infer(net, x).tobytes())
+        def once():
+            dice.reset_resize_count()
+            return infer(net, x).tobytes(), dice.resize_count()
 
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(60)
-    assert not any(t.is_alive() for t in threads)
-    assert results == [[serial] * 3] * 2
+        serial = once()
+        start = threading.Barrier(2, timeout=30)
+        results = [[], []]
+
+        def run(slot):
+            start.wait()
+            for _ in range(3):
+                results[slot].append(once())
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[serial] * 3] * 2, (nb, size)
+        assert (serial[1] > 0) == (size == 40)
 
 
 def _infer_peak(net, x):

@@ -308,16 +308,23 @@ def test_pointwise_1x1_branches_keep_the_oracle_order(monkeypatch):
                     assert ran == want, (exact, nb, fout, groups)
 
 
-def _fake_einsum(total):
-    """An einsum for the probe's call, out[g, o, p] = total(products), with
-    the products w[g, o, i] * x[g, i, p] in ascending i, unrounded as
-    Fractions: each fake sums them in an order or rounding of its own."""
+def _fake_einsum(total, one_pixel=None):
+    """An einsum for the probe's calls, out[g, o, p] = total(products) on
+    pixels p and out[g, o] = one_pixel(products) on one pixel (total if
+    None), with the products w[g, o, i] * x[g, i, p] or w[g, i, o] * x[g, i]
+    in ascending i, unrounded as Fractions: each fake sums them in an order
+    or rounding of its own."""
     def einsum(subscripts, w, x, out, optimize):
-        assert subscripts == "goi,gip->gop" and optimize is False
+        assert optimize is False
+        if subscripts == "gio,gi->go":
+            w, x, out, fn = w.transpose(0, 2, 1), x[..., None], out[..., None], one_pixel or total
+        else:
+            assert subscripts == "goi,gip->gop"
+            fn = total
         for g, o, p in np.ndindex(out.shape):
-            out[g, o, p] = total([Fraction(float(a)) * Fraction(float(b))
-                                  for a, b in zip(w[g, o], x[g, :, p])])
-        return out
+            out[g, o, p] = fn([Fraction(float(a)) * Fraction(float(b))
+                               for a, b in zip(w[g, o], x[g, :, p])])
+        return out[..., 0] if subscripts == "gio,gi->go" else out
     return einsum
 
 
@@ -350,20 +357,23 @@ def _reversed(products):
 def test_einsum_probe_fails_a_fused_or_reordered_sum():
     # the probe passes an einsum that adds each rounded product in order
     # from 0.0, and fails one that fuses the multiply and the add, or adds
-    # pairwise or in reverse
+    # pairwise or in reverse, on two or more pixels or only on one
     assert T._einsum_is_exact(_fake_einsum(_in_order))
     for total in (_fused, _pairwise, _reversed):
         assert not T._einsum_is_exact(_fake_einsum(total)), total.__name__
+        assert not T._einsum_is_exact(_fake_einsum(_in_order, total)), total.__name__
 
 
 def test_pointwise_fallback_keeps_the_oracle_bytes(monkeypatch):
     # where the probe fails, every shape runs the loops in the oracle's
     # order: verify's draws along the pixels and along the outputs of a
-    # group, fully connected layers at batch 1-9, and 9-300 inputs per group
+    # group, fully connected layers at batch 1-9, Fortran-ordered at batch
+    # 1 too, and 9-300 inputs per group
     monkeypatch.setattr(T, "EINSUM_EXACT", False)
     rng = np.random.default_rng(9)
     draws = [verify.pointwise_draw(rng, inner) + (None,) for inner in (True, False) * 3]
     draws += [verify.fc_draw(rng) for _ in range(4)] + [verify.deep_draw(rng) for _ in range(6)]
+    draws += [verify.fc_layer_draw(rng, one) for one in (True, False, False)]
     x = verify.signed_zeros(rng, rng.standard_normal((1, 12, 1, 1)))
     draws.append((x, rng.standard_normal((6, 6)), 2, 1, rng.standard_normal(6)))
     for x, w, groups, stride, bias in draws:
