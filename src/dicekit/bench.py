@@ -1,4 +1,4 @@
-"""Micro-benchmarks for the kernel variants.
+"""Micro-benchmarks for DimConv's two kernel variants, fused and unfused.
 
 Monotonic-clock timing, warmup trials excluded, median as the headline
 statistic. Every run records an output checksum, a digest of the output's
@@ -16,14 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dimops import (
-    DimConvParams,
-    dimconv_fused,
-    dimconv_macs,
-    dimconv_unfused,
-    separable_conv,
-)
-from .tensorops import ConvKernelBank
+from .dimops import DimConvParams, dimconv_fused, dimconv_macs, dimconv_unfused
 
 DEFAULT_SHAPE = (64, 56, 56)
 DEFAULT_N = 3
@@ -35,7 +28,6 @@ class BenchError(RuntimeError):
 
 @dataclass
 class BenchResult:
-    op: str
     impl: str
     shape: tuple
     times: list = field(default_factory=list)
@@ -48,7 +40,7 @@ class BenchResult:
 
     def row(self) -> dict:
         return {
-            "op": self.op, "impl": self.impl,
+            "op": "dimconv", "impl": self.impl,
             "shape": "x".join(str(s) for s in self.shape),
             "repeats": len(self.times),
             "median_s": self.median, "mean_s": statistics.fmean(self.times),
@@ -65,46 +57,37 @@ def _checksum(arr: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def run_bench(op: str, impl: str, shape=DEFAULT_SHAPE, n: int = DEFAULT_N,
+def run_bench(impl: str, shape=DEFAULT_SHAPE, n: int = DEFAULT_N,
               repeats: int = 10, warmup: int = 2, seed: int = 0) -> BenchResult:
-    """Time one (op, impl) pair on deterministic inputs: dimconv `fused` or
-    `unfused`, or separable `default`."""
+    """Time DimConv's `fused` or `unfused` variant on deterministic inputs."""
     if repeats < 1 or warmup < 0:
         raise BenchError("need repeats >= 1 and warmup >= 0")
     if n < 1:
         raise BenchError(f"need kernel extent n >= 1, got {n}")
+    if impl not in ("fused", "unfused"):
+        raise BenchError(f"unknown bench variant: impl {impl!r}")
     c, h, w = shape
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((1, c, h, w))
-    if op == "dimconv" and impl in ("fused", "unfused"):
-        params = DimConvParams.init(c, h, w, n, rng)
-        kernel = dimconv_fused if impl == "fused" else dimconv_unfused
-        fn = lambda: kernel(x, params)
-        macs = dimconv_macs(c, h, w, n)
-    elif op == "separable" and impl == "default":
-        bank = ConvKernelBank.random(c, n, rng)
-        pw = rng.normal(0.0, (2.0 / c) ** 0.5, size=(c, c))
-        fn = lambda: separable_conv(x, bank, pw)
-        macs = n * n * h * w * c + c * c * h * w
-    else:
-        raise BenchError(f"unknown bench variant: op {op!r}, impl {impl!r}")
+    params = DimConvParams.init(c, h, w, n, rng)
+    kernel = dimconv_fused if impl == "fused" else dimconv_unfused
     out = None
     for _ in range(warmup):
-        out = fn()
+        out = kernel(x, params)
     times = []
     for _ in range(repeats):
         t0 = time.monotonic()
-        out = fn()
+        out = kernel(x, params)
         times.append(time.monotonic() - t0)
-    return BenchResult(op=op, impl=impl, shape=tuple(shape), times=times,
-                       checksum=_checksum(out), macs=macs)
+    return BenchResult(impl=impl, shape=tuple(shape), times=times,
+                       checksum=_checksum(out), macs=dimconv_macs(c, h, w, n))
 
 
 def compare_fused_unfused(shape=DEFAULT_SHAPE, n: int = DEFAULT_N,
                           repeats: int = 10, warmup: int = 2, seed: int = 0):
     """Bench both dimconv variants; abort unless their checksums agree."""
-    fused = run_bench("dimconv", "fused", shape, n, repeats, warmup, seed)
-    unfused = run_bench("dimconv", "unfused", shape, n, repeats, warmup, seed)
+    fused = run_bench("fused", shape, n, repeats, warmup, seed)
+    unfused = run_bench("unfused", shape, n, repeats, warmup, seed)
     if fused.checksum != unfused.checksum:
         raise BenchError(
             f"checksum mismatch between variants: fused={fused.checksum!r} "

@@ -73,12 +73,11 @@ def cmd_bench(args) -> int:
     shape = tuple(int(s) for s in args.shape.split(","))
     if len(shape) != 3:
         raise BenchError(f"--shape must be C,H,W, got {args.shape!r}")
-    if args.op == "dimconv" and args.impl == "both":
+    if args.impl == "both":
         results = list(compare_fused_unfused(shape, args.n, args.repeats,
                                              args.warmup, args.seed))
     else:
-        impl = "default" if args.op == "separable" else args.impl
-        results = [run_bench(args.op, impl, shape, args.n, args.repeats,
+        results = [run_bench(args.impl, shape, args.n, args.repeats,
                              args.warmup, args.seed)]
     _write_rows(args, [r.row() for r in results])
     return EXIT_OK
@@ -152,9 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-size", type=int, default=None)
     p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("bench", help="time kernel variants")
-    p.add_argument("--op", choices=("dimconv", "separable"),
-                   default="dimconv")
+    p = sub.add_parser("bench", help="time DimConv's fused and unfused kernels")
     p.add_argument("--shape", default="64,56,56")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--impl", choices=("fused", "unfused", "both"), default="both")

@@ -1,7 +1,6 @@
 """Dimension-wise convolution (DimConv): the three-branch reference, its
-fused single-pass variant, the separable-convolution baseline, and the
-closed-form costs of DimConv and of the fusion stage (DimFuse), which
-`netbuilder.DiceUnit` runs."""
+fused single-pass variant, and the closed-form costs of DimConv and of the
+fusion stage (DimFuse), which `netbuilder.DiceUnit` runs."""
 
 from __future__ import annotations
 
@@ -16,7 +15,6 @@ from .tensorops import (
     check_tensor,
     depthwise_conv,
     heightwise_conv,
-    pointwise_conv,
     widthwise_conv,
 )
 
@@ -141,13 +139,6 @@ def _dimconv_fused(x, p, out=None):
             for k in range(3):
                 out_v[3 * c0 + k:3 * c1:3] = sweep(c0, c1, k)
     return res
-
-
-def separable_conv(x: np.ndarray, dw_bank: ConvKernelBank, pw_weights: np.ndarray,
-                   stride: int = 1) -> np.ndarray:
-    """Depth-wise then point-wise convolution, the baseline this library's
-    fused unit replaces."""
-    return pointwise_conv(depthwise_conv(x, dw_bank, stride), pw_weights, groups=1)
 
 
 def dimconv_macs(c: int, h: int, w: int, n: int) -> int:

@@ -612,7 +612,6 @@ class Network:
     cfg: NetConfig
     layers: list
     head: Head
-    seed: int
 
     def run(self, x, ops):
         """The forward pass, interpreted by `ops`; block i's rows are stage.<i>.*"""
@@ -695,7 +694,7 @@ def build_network(cfg: NetConfig, seed: int = 0, dtype=np.float64) -> Network:
         cin = cout
     head = Head(cin, cfg.resolved_pool_width(), cfg.fc_groups, cfg.classes,
                 rng, dtype)
-    return Network(cfg=cfg, layers=layers, head=head, seed=seed)
+    return Network(cfg=cfg, layers=layers, head=head)
 
 
 @dataclass

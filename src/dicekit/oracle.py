@@ -3,7 +3,18 @@
 Straight nested loops, float64 accumulation, no blocking, no vectorization
 tricks. These define ground truth for the fast kernels: float64 results
 must agree bit-for-bit (both sides accumulate taps in row-major order),
-and the multiply-accumulate tally cross-checks the cost model.
+and the multiply-accumulate tally cross-checks the cost model. The loops
+read their operands as Python floats, `.tolist()` of float64 copies: the
+same IEEE double multiply and add as numpy's scalars, without their
+per-element indexing cost. Each product they run tallies one MAC.
+
+DimConv's three branches are one bank convolution, as the paper and
+`autograd._branch_grad` state them: the width branch is `oracle_depthwise`
+over the tensor with its width axis as the channels, `(N, W, C, H)`, and
+the height branch the same over `(N, H, C, W)`. `tensorops` keeps its own
+width and height loops, since they are the unfused reference that
+`test_c9_fused_no_slower_than_unfused` times the fused kernel against, and
+a faster reference fails that gate.
 
 Strictly single-threaded; simplicity is the correctness argument here.
 """
@@ -42,8 +53,8 @@ def oracle_depthwise(x, bank: ConvKernelBank, stride: int = 1,
     ho, wo = ceil_div(h, stride), ceil_div(w, stride)
     prh = max(p, (ho - 1) * stride + n - 1 - p - (h - 1))
     prw = max(p, (wo - 1) * stride + n - 1 - p - (w - 1))
-    xp = _pad4(x, 0, p, p, prh, prw)
-    taps = bank.taps.astype(np.float64)
+    xp = _pad4(x, 0, p, p, prh, prw).tolist()
+    taps = bank.taps.astype(np.float64).tolist()
     out = np.zeros((nb, c, ho, wo), dtype=np.float64)
     for b in range(nb):
         for ci in range(c):
@@ -52,54 +63,28 @@ def oracle_depthwise(x, bank: ConvKernelBank, stride: int = 1,
                     acc = 0.0
                     for i in range(n):
                         for j in range(n):
-                            acc += taps[ci, i, j] * xp[b, ci, oh * stride + i, ow * stride + j]
+                            acc += taps[ci][i][j] * xp[b][ci][oh * stride + i][ow * stride + j]
                             counter.tally()
                     out[b, ci, oh, ow] = acc
     return out.astype(x.dtype), counter
 
 
 def oracle_widthwise(x, bank: ConvKernelBank, counter: OracleCounter | None = None):
-    counter = counter or OracleCounter()
-    nb, c, h, w = x.shape
-    if bank.count != w:
+    """The depthwise loop with the width axis as its channels: bank k
+    convolves the (channel, height) plane of width index k."""
+    if bank.count != x.shape[3]:
         raise KernelError("widthwise bank / width mismatch")
-    n, p = bank.n, (bank.n - 1) // 2
-    xp = _pad4(x, p, p, 0)
-    taps = bank.taps.astype(np.float64)
-    out = np.zeros((nb, c, h, w), dtype=np.float64)
-    for b in range(nb):
-        for ci in range(c):
-            for oh in range(h):
-                for ow in range(w):
-                    acc = 0.0
-                    for i in range(n):
-                        for j in range(n):
-                            acc += taps[ow, i, j] * xp[b, ci + i, oh + j, ow]
-                            counter.tally()
-                    out[b, ci, oh, ow] = acc
-    return out.astype(x.dtype), counter
+    y, counter = oracle_depthwise(x.transpose(0, 3, 1, 2), bank, 1, counter)
+    return np.ascontiguousarray(y.transpose(0, 2, 3, 1)), counter
 
 
 def oracle_heightwise(x, bank: ConvKernelBank, counter: OracleCounter | None = None):
-    counter = counter or OracleCounter()
-    nb, c, h, w = x.shape
-    if bank.count != h:
+    """The depthwise loop with the height axis as its channels: bank k
+    convolves the (channel, width) plane of height index k."""
+    if bank.count != x.shape[2]:
         raise KernelError("heightwise bank / height mismatch")
-    n, p = bank.n, (bank.n - 1) // 2
-    xp = _pad4(x, p, 0, p)
-    taps = bank.taps.astype(np.float64)
-    out = np.zeros((nb, c, h, w), dtype=np.float64)
-    for b in range(nb):
-        for ci in range(c):
-            for oh in range(h):
-                for ow in range(w):
-                    acc = 0.0
-                    for i in range(n):
-                        for j in range(n):
-                            acc += taps[oh, i, j] * xp[b, ci + i, oh, ow + j]
-                            counter.tally()
-                    out[b, ci, oh, ow] = acc
-    return out.astype(x.dtype), counter
+    y, counter = oracle_depthwise(x.transpose(0, 2, 1, 3), bank, 1, counter)
+    return np.ascontiguousarray(y.transpose(0, 2, 1, 3)), counter
 
 
 def oracle_pointwise(x, weights, groups: int = 1, stride: int = 1, bias=None,
@@ -110,9 +95,9 @@ def oracle_pointwise(x, weights, groups: int = 1, stride: int = 1, bias=None,
     nb, c, h, w = x.shape
     cout = weights.shape[0]
     cig, cog = c // groups, cout // groups
-    xs = x[:, :, ::stride, ::stride].astype(np.float64)
-    w64 = weights.astype(np.float64)
-    ho, wo = xs.shape[2], xs.shape[3]
+    ho, wo = ceil_div(h, stride), ceil_div(w, stride)
+    xs = x[:, :, ::stride, ::stride].astype(np.float64).tolist()
+    w64 = weights.astype(np.float64).tolist()
     out = np.zeros((nb, cout, ho, wo), dtype=np.float64)
     for b in range(nb):
         for g in range(groups):
@@ -121,7 +106,7 @@ def oracle_pointwise(x, weights, groups: int = 1, stride: int = 1, bias=None,
                     for ow in range(wo):
                         acc = 0.0
                         for ci in range(cig):
-                            acc += w64[g * cog + co, ci] * xs[b, g * cig + ci, oh, ow]
+                            acc += w64[g * cog + co][ci] * xs[b][g * cig + ci][oh][ow]
                             counter.tally()
                         if bias is not None:
                             acc += float(bias[g * cog + co])
@@ -137,8 +122,8 @@ def oracle_conv2d(x, weights, stride: int = 1, counter: OracleCounter | None = N
     ho, wo = ceil_div(h, stride), ceil_div(w, stride)
     prh = max(p, (ho - 1) * stride + n - 1 - p - (h - 1))
     prw = max(p, (wo - 1) * stride + n - 1 - p - (w - 1))
-    xp = _pad4(x, 0, p, p, prh, prw)
-    w64 = weights.astype(np.float64)
+    xp = _pad4(x, 0, p, p, prh, prw).tolist()
+    w64 = weights.astype(np.float64).tolist()
     out = np.zeros((nb, cout, ho, wo), dtype=np.float64)
     for b in range(nb):
         for co in range(cout):
@@ -148,7 +133,7 @@ def oracle_conv2d(x, weights, stride: int = 1, counter: OracleCounter | None = N
                     for ci in range(cin):
                         for i in range(n):
                             for j in range(n):
-                                acc += w64[co, ci, i, j] * xp[b, ci, oh * stride + i, ow * stride + j]
+                                acc += w64[co][ci][i][j] * xp[b][ci][oh * stride + i][ow * stride + j]
                                 counter.tally()
                     out[b, co, oh, ow] = acc
     return out.astype(x.dtype), counter

@@ -81,21 +81,16 @@ def test_analyze_overflowing_width_scale_exit_2(tmp_path, capsys):
 
 
 # the inputs are drawn from fixed PCG64 streams and the kernels are
-# bitwise, so these digests pin both the draws and the outputs
-@pytest.mark.parametrize("op,impls,checksum", [
-    ("dimconv", ["fused", "unfused"],
-     "28aa621deb435ab52b3d68b54bcc4cf3ddd2bc37c5ae3312a34898040c10ebae"),
-    ("separable", ["default"],
-     "fa447d228e79fe456167a76ffdf2841fedd29c2d7c3cc5ab06bb3a1255ad30f1"),
-], ids=["dimconv", "separable"])
-def test_bench_checksums_match(capsys, op, impls, checksum):
-    assert main(["--format", "csv", "bench", "--op", op,
-                 "--shape", "8,10,10", "--repeats", "2", "--warmup", "1"]) == EXIT_OK
+# bitwise, so this digest pins both the draws and the outputs
+def test_bench_checksums_match(capsys):
+    assert main(["--format", "csv", "bench", "--shape", "8,10,10",
+                 "--repeats", "2", "--warmup", "1"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-    assert [row["impl"] for row in rows] == impls
-    assert {row["checksum"] for row in rows} == {checksum}
+    assert [row["impl"] for row in rows] == ["fused", "unfused"]
+    assert {row["checksum"] for row in rows} == {
+        "28aa621deb435ab52b3d68b54bcc4cf3ddd2bc37c5ae3312a34898040c10ebae"}
 
 
 def test_bench_json_parses(capsys):
@@ -107,9 +102,8 @@ def test_bench_json_parses(capsys):
 
 
 def test_bench_single_repeat_zero_stddev(capsys):
-    assert main(["--format", "csv", "bench", "--op", "dimconv", "--impl",
-                 "fused", "--shape", "4,6,6", "--repeats", "1",
-                 "--warmup", "0"]) == EXIT_OK
+    assert main(["--format", "csv", "bench", "--impl", "fused",
+                 "--shape", "4,6,6", "--repeats", "1", "--warmup", "0"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
     header = lines[0].split(",")
     assert float(lines[1].split(",")[header.index("stddev_s")]) == 0.0
@@ -122,7 +116,7 @@ def test_bench_kernel_extent_below_1_exit_2(capsys, n):
 
 
 def test_bench_rejects_dimfuse_op():
-    assert main(["bench", "--op", "dimfuse", "--shape", "4,6,6",
+    assert main(["bench", "--impl", "dimfuse", "--shape", "4,6,6",
                  "--repeats", "1"]) == EXIT_USAGE
 
 

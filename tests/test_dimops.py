@@ -12,7 +12,6 @@ from dicekit.dimops import (
     dimconv_unfused,
     dimfuse_cost,
     dimfuse_reduction_factor,
-    separable_conv,
 )
 from dicekit.tensorops import ConvKernelBank, KernelError
 
@@ -124,15 +123,6 @@ def test_dimconv_rejects_off_nominal(rng):
         dimconv_fused(rng.standard_normal((1, 2, 5, 4)), p)
 
 
-def test_separable_conv_composition(rng):
-    x = rng.standard_normal((1, 5, 8, 8))
-    bank = ConvKernelBank.random(5, 3, rng)
-    pw = rng.standard_normal((7, 5))
-    y = separable_conv(x, bank, pw, stride=2)
-    ref = T.pointwise_conv(T.depthwise_conv(x, bank, 2), pw)
-    np.testing.assert_array_equal(y, ref)
-
-
 def test_dimconv_macs_formula():
     assert dimconv_macs(4, 8, 8, 3) == 3 * 9 * 8 * 8 * 4
     assert dimconv_macs(1, 1, 1, 1) == 3
@@ -170,8 +160,8 @@ def test_bench_refuses_slot_swapped_dimconv(monkeypatch, shape):
         bench.compare_fused_unfused(shape, repeats=1, warmup=0)
 
 
-@pytest.mark.parametrize("op,impl", [("separable", "fused"), ("dimconv", "default"),
-                                     ("dimfuse", "fused")])
-def test_bench_rejects_unknown_variant(op, impl):
+# "both" is the command line's pair of variants, not one variant
+@pytest.mark.parametrize("impl", ["default", "dimfuse", "both"])
+def test_bench_rejects_unknown_variant(impl):
     with pytest.raises(bench.BenchError, match="unknown bench variant"):
-        bench.run_bench(op, impl, (4, 6, 6), repeats=1, warmup=0)
+        bench.run_bench(impl, (4, 6, 6), repeats=1, warmup=0)

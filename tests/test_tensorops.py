@@ -66,17 +66,29 @@ def test_depthwise_stride_output_shape(rng):
 
 
 def test_widthwise_mixes_channels_and_height(rng):
-    # a width-wise kernel sees a (channel, height) neighborhood: with a
-    # single channel and delta-like taps offset in the channel axis the
-    # output must be zero (padding), while the center tap reproduces x
-    x = rng.standard_normal((1, 1, 5, 4))
-    taps = np.zeros((4, 3, 3))
-    taps[:, 1, 1] = 1.0
-    np.testing.assert_array_equal(T.widthwise_conv(x, ConvKernelBank(taps)), x)
-    taps = np.zeros((4, 3, 3))
-    taps[:, 0, 1] = 1.0          # looks at channel c-1: all padding here
-    np.testing.assert_array_equal(
-        T.widthwise_conv(x, ConvKernelBank(taps)), np.zeros_like(x))
+    # a width-wise kernel sees a (channel, height) neighborhood and a
+    # height-wise one a (channel, width) neighborhood. Bank k holds 2**k at
+    # tap (i, j) and zeros elsewhere, so the width branch's out[:, c, h, w]
+    # is 2**w * x[:, c+i-p, h+j-p, w], the height branch's 2**h * x[:, c+i-p,
+    # h, w+j-p], and 0 where that reads padding; i != j tells a tap's row
+    # from its column
+    x = rng.standard_normal((2, 4, 6, 5))
+    _, c, h, w = x.shape
+    n, p = 5, 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p)))
+    for i, j in [(p, p), (0, 3), (3, 0), (4, 1), (1, 4)]:
+        cases = [(T.widthwise_conv, orc.oracle_widthwise, w,
+                  xp[:, i:i + c, j:j + h, p:p + w] * 2.0 ** np.arange(w)),
+                 (T.heightwise_conv, orc.oracle_heightwise, h,
+                  xp[:, i:i + c, p:p + h, j:j + w] * 2.0 ** np.arange(h)[:, None])]
+        for kernel, oracle, count, want in cases:
+            taps = np.zeros((count, n, n))
+            taps[:, i, j] = 2.0 ** np.arange(count)
+            bank = ConvKernelBank(taps)
+            for name, got in [(kernel.__name__, kernel(x, bank)),
+                              (oracle.__name__, oracle(x, bank)[0])]:
+                np.testing.assert_array_equal(got, want,
+                                              err_msg=f"{name}, tap {(i, j)}")
 
 
 def test_heightwise_bank_size_checked(rng):
