@@ -79,12 +79,13 @@ def _he(rng, fan_in, shape, dtype):
     return rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape).astype(dtype, copy=False)
 
 
-def _he_fc(rng, fan_in, shape, dtype):
-    """A fully connected layer's (C_out, C_in/G) weights: `_he`'s draw,
-    Fortran-ordered, so that `pointwise_conv` runs its batch-1 einsum on a
-    view of them. Every writer (SGD, the EMA swap, `load_state`) updates
-    them in place, which keeps the layout, and checkpoints store C order,
-    so shapes, names, the draw and the saved bytes are a C-ordered array's."""
+def _he_pointwise(rng, fan_in, shape, dtype):
+    """A pointwise layer's (C_out, C_in/G) weights, fully connected layers
+    included: `_he`'s draw, Fortran-ordered, so that `pointwise_conv` can
+    run its outputs-inner einsum on a view of them. Every writer (SGD, the
+    EMA swap, `load_state`) updates them in place, which keeps the layout,
+    and checkpoints store C order, so shapes, names, the draw and the saved
+    bytes are a C-ordered array's."""
     return np.asfortranarray(_he(rng, fan_in, shape, dtype))
 
 
@@ -129,8 +130,6 @@ class DiceUnit:
     input by two first. The width/height banks are dimensioned for the
     nominal grid recorded at construction; other sizes are bilinearly
     rescaled through the conv and counted by the dice instrumentation.
-    DimFuse's gate FCs, fc1 and fc2, are Fortran-ordered (`_he_fc`), for
-    `pointwise_conv`'s batch-1 einsum.
     """
 
     def __init__(self, c, nominal_h, nominal_w, n, conv_kind, fusion_kind,
@@ -150,14 +149,15 @@ class DiceUnit:
             mid = c
         r = max(c // 4, 1)
         if fusion_kind == "dimfuse":
-            self.k_g = param(_he(rng, 3, (c, 3), dtype)) if conv_kind == "dimconv" else None
+            self.k_g = (param(_he_pointwise(rng, 3, (c, 3), dtype))
+                        if conv_kind == "dimconv" else None)
             self.k_s = param(_he(rng, n * n, (c, n, n), dtype))
-            self.fc1 = param(_he_fc(rng, c, (r, c), dtype))
-            self.fc2 = param(_he_fc(rng, r, (c, r), dtype))
+            self.fc1 = param(_he_pointwise(rng, c, (r, c), dtype))
+            self.fc2 = param(_he_pointwise(rng, r, (c, r), dtype))
             self.w_fuse = None
         else:
             self.k_g = self.k_s = self.fc1 = self.fc2 = None
-            self.w_fuse = param(_he(rng, mid, (c, mid), dtype))
+            self.w_fuse = param(_he_pointwise(rng, mid, (c, mid), dtype))
         self.post1 = _BNAct(mid, dtype)
         self.post2 = _BNAct(c, dtype)
 
@@ -201,13 +201,13 @@ class ShuffleBlock:
             self.unit = DiceUnit(cin, nominal_h, nominal_w, n, conv_kind,
                                  fusion_kind, True, rng, dtype)
             self.branch_dw = param(_he(rng, n * n, (cin, n, n), dtype))
-            self.branch_pw = param(_he(rng, cin, (cout - cin, cin), dtype))
+            self.branch_pw = param(_he_pointwise(rng, cin, (cout - cin, cin), dtype))
             self.branch_post = _BNAct(cout - cin, dtype)
         else:
             if cin != cout or cin % 2:
                 raise ConfigError("non-strided block needs equal, even channel counts")
             half = cin // 2
-            self.proj = param(_he(rng, half, (half, half), dtype))
+            self.proj = param(_he_pointwise(rng, half, (half, half), dtype))
             self.proj_post = _BNAct(half, dtype)
             self.unit = DiceUnit(half, nominal_h, nominal_w, n, conv_kind,
                                  fusion_kind, False, rng, dtype)
@@ -237,7 +237,7 @@ class MobileBlock:
                  fusion_kind, strided, rng, dtype):
         self.proj = None
         if cin != cout:
-            self.proj = param(_he(rng, cin, (cout, cin), dtype))
+            self.proj = param(_he_pointwise(rng, cin, (cout, cin), dtype))
             self.proj_post = _BNAct(cout, dtype)
         self.unit = DiceUnit(cout, nominal_h, nominal_w, n, conv_kind,
                              fusion_kind, strided, rng, dtype)
@@ -257,15 +257,15 @@ class ResBlock:
                  fusion_kind, strided, rng, dtype):
         self.strided = strided
         mid = max(cout // 4, 1)
-        self.reduce = param(_he(rng, cin, (mid, cin), dtype))
+        self.reduce = param(_he_pointwise(rng, cin, (mid, cin), dtype))
         self.reduce_post = _BNAct(mid, dtype)
         self.unit = DiceUnit(mid, nominal_h, nominal_w, n, conv_kind,
                              fusion_kind, strided, rng, dtype)
-        self.expand = param(_he(rng, mid, (cout, mid), dtype))
+        self.expand = param(_he_pointwise(rng, mid, (cout, mid), dtype))
         self.expand_post = _BNAct(cout, dtype)
         self.shortcut = None
         if cin != cout or strided:
-            self.shortcut = param(_he(rng, cin, (cout, cin), dtype))
+            self.shortcut = param(_he_pointwise(rng, cin, (cout, cin), dtype))
 
     def forward(self, x, ops):
         with ops.row("reduce", "pointwise"):
@@ -283,16 +283,14 @@ class ResBlock:
 class Head:
     """Global pool, pointwise expansion to the pool width, grouped FC,
     classifier FC with a bias. Each of the three is `pointwise` on the
-    pooled 1x1 map; the scores are reshaped to (N, classes) last. Their
-    weights are Fortran-ordered (`_he_fc`), for `pointwise_conv`'s batch-1
-    einsum."""
+    pooled 1x1 map; the scores are reshaped to (N, classes) last."""
 
     def __init__(self, cin, pool_width, groups, classes, rng, dtype):
         self.groups = groups
-        self.expand = param(_he_fc(rng, cin, (pool_width, cin), dtype))
-        self.gfc = param(_he_fc(rng, pool_width // groups,
+        self.expand = param(_he_pointwise(rng, cin, (pool_width, cin), dtype))
+        self.gfc = param(_he_pointwise(rng, pool_width // groups,
                                 (pool_width, pool_width // groups), dtype))
-        self.fc = param(_he_fc(rng, pool_width, (classes, pool_width), dtype))
+        self.fc = param(_he_pointwise(rng, pool_width, (classes, pool_width), dtype))
         self.fc_bias = param(np.zeros(classes, dtype=dtype))
 
     def forward(self, x, ops):

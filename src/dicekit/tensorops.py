@@ -12,13 +12,15 @@ float32. The exception is the dense `conv2d`, a BLAS product gated by an
 error bound instead.
 
 `pointwise_conv` runs one `np.einsum` where that keeps the oracle's order:
-on two or more pixels, and on one pixel over Fortran-ordered weights (a
-fully connected layer's, at batch 1), numpy's einsum adds one rounded
-product per input channel, in order, on builds whose einsum kernel
-multiplies and then adds. Builds whose kernel fuses the two (FMA) give
-other bytes, so the module probes its build once, at import
-(`EINSUM_EXACT`), and falls back to a loop of numpy calls in the oracle's
-order where the probe fails.
+numpy's einsum adds one rounded product per input channel, in order, along
+its innermost row, on builds whose einsum kernel multiplies and then adds.
+That row is a group's outputs where the weights are Fortran-ordered (as
+the network builder makes every pointwise layer's) and it is at least
+twice as long as the row of pixels: on short pixel rows, and on one pixel
+(a fully connected layer at batch 1). Elsewhere it is the pixels. Builds
+whose kernel fuses the two (FMA) give other bytes, so the module probes
+its build once, at import (`EINSUM_EXACT`), and falls back to a loop of
+numpy calls in the oracle's order where the probe fails.
 """
 
 from __future__ import annotations
@@ -291,10 +293,11 @@ def heightwise_conv(x: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
 
 
 # `_pointwise_conv`'s contractions: output o of group g at pixel p sums
-# its group's input channels i; on one pixel the weights are read
-# transposed, by `_transposed_groups`
-_PW_SUBSCRIPTS = "goi,gip->gop"
-_FC_SUBSCRIPTS = "gio,gi->go"
+# its group's input channels i, with the pixels innermost, or with the
+# outputs innermost over the weights read transposed, by
+# `_transposed_groups`
+_PIXELS_INNER = "goi,gip->gop"
+_OUTPUTS_INNER = "gip,gio->gpo"
 
 
 def _transposed_groups(weights: np.ndarray, groups: int) -> np.ndarray:
@@ -310,29 +313,30 @@ def _einsum_is_exact(einsum=np.einsum) -> bool:
     w[o, i] * x[i] to its output: each output 0.0 plus one rounded product
     per input channel, in ascending order.
 
-    On two or more pixels numpy's iterator runs the pixel axis innermost,
+    With the pixels inner numpy's iterator runs the pixel axis innermost,
     the axis along which w's stride is 0, whether the weights are C- or
-    Fortran-ordered; on one pixel, over the transposed view of Fortran-
-    ordered weights, it runs the outputs innermost, where x's stride is 0.
-    Either way its kernel adds w*x to a row of outputs once per input
-    channel, in order. That is the loop's bytes where the kernel rounds
-    each product before the add, and not where it fuses the two (FMA, as
-    it can on aarch64 and on x86-64 builds with an FMA baseline). The
-    probe's terms tell them apart: 1*-(1 + 2**-26) + (1 + 2**-27)**2 is 0.0
-    with the product rounded and 2**-54 fused; 1e16, 1, -1e16, 1 sums to 1
-    in order and to 0 pairwise or in reverse; all -0.0 products sum to +0.0
-    only from a +0.0 start. Each pixel, and on one pixel each output, holds
-    one of these along the input channels, or random terms of mixed scales,
-    at pixel and output counts that reach the kernel's vector body and its
-    tail. `einsum` is a parameter so that tests can hand it a fake."""
+    Fortran-ordered; with the outputs inner, over the transposed view of
+    Fortran-ordered weights, it runs a group's outputs innermost, where x's
+    stride is 0. Either way its kernel adds w*x to a row of outputs once
+    per input channel, in order. That is the loop's bytes where the kernel
+    rounds each product before the add, and not where it fuses the two
+    (FMA, as it can on aarch64 and on x86-64 builds with an FMA baseline).
+    The probe's terms tell them apart: 1*-(1 + 2**-26) + (1 + 2**-27)**2 is
+    0.0 with the product rounded and 2**-54 fused; 1e16, 1, -1e16, 1 sums to
+    1 in order and to 0 pairwise or in reverse; all -0.0 products sum to
+    +0.0 only from a +0.0 start. With the pixels inner each pixel holds one
+    of these along the input channels, and with the outputs inner each
+    output's weights do, or random terms of mixed scales, at pixel and
+    output counts that reach the kernel's vector body and its tail. `einsum`
+    is a parameter so that tests can hand it a fake."""
     rng = np.random.default_rng(0)
     mixed = lambda *shape: rng.standard_normal(shape) * 2.0 ** rng.integers(-30, 30, size=shape)
     r = 1.0 + 2.0 ** -27
     patterns = ([-(1.0 + 2.0 ** -26), r, 0, 0, 0, 0, 0, 0],
                 [0, 0, 1e16, 1, -1e16, 1, 0, 0], [-0.0] * 8)
 
-    def exact(subscripts, w, x, ref):
-        got = einsum(subscripts, w, x, out=np.full(ref.shape, np.nan), optimize=False)
+    def exact(subscripts, a, b, ref):
+        got = einsum(subscripts, a, b, out=np.full(ref.shape, np.nan), optimize=False)
         return got.tobytes() == ref.tobytes()
 
     for n in (2, 3, 17, 67):
@@ -347,31 +351,44 @@ def _einsum_is_exact(einsum=np.einsum) -> bool:
         ref = np.zeros((2, 3, n))
         for i in range(8):
             ref += w[:, :, i, None] * x[:, None, i]
-        # the weights of a convolution, C-ordered, and of a fully connected
-        # layer, Fortran-ordered, as the kernel views them
-        if not (exact(_PW_SUBSCRIPTS, w, x, ref) and exact(
-                _PW_SUBSCRIPTS, np.asfortranarray(w.reshape(6, 8)).reshape(2, 3, 8), x, ref)):
+        # the weights C- and Fortran-ordered
+        if not (exact(_PIXELS_INNER, w, x, ref) and exact(
+                _PIXELS_INNER, np.asfortranarray(w.reshape(6, 8)).reshape(2, 3, 8), x, ref)):
             return False
-        # one pixel and n outputs per group: x holds 1, r, 1, 1, 1, 1 and
-        # random terms, and each output's weights a pattern or random terms;
-        # the -0.0 pattern takes the sign of -x, so each product is -0.0
-        x = mixed(2, 8)
-        x[:, :6] = (1.0, r, 1.0, 1.0, 1.0, 1.0)
+        # n outputs per group on 1, 2, 3 and 17 pixels: every pixel holds 1,
+        # r, 1, 1, 1, 1 and random terms of one sign per input channel, and
+        # each output's weights a pattern or random terms; the -0.0 pattern
+        # takes the sign of -x, so each product is -0.0
+        sign = mixed(2, 8)
+        sign[:, :6] = 1.0
         w = mixed(2, n, 8)
         for o in range(0, n, 4):
             for k, terms in enumerate(patterns[:n - o]):
-                w[:, o + k] = np.copysign(terms, -x) if k == 2 else terms
-        w = np.asfortranarray(w.reshape(2 * n, 8))
-        ref = np.zeros((2, n))
-        for i in range(8):
-            ref += w[:, i].reshape(2, n) * x[:, i, None]
-        if not exact(_FC_SUBSCRIPTS, _transposed_groups(w, 2), x, ref):
-            return False
+                w[:, o + k] = np.copysign(terms, -sign) if k == 2 else terms
+        wt = _transposed_groups(np.asfortranarray(w.reshape(2 * n, 8)), 2)
+        for npix in (1, 2, 3, 17):
+            x = np.copysign(mixed(2, 8, npix), sign[..., None])
+            x[:, :6] = np.array([1.0, r, 1.0, 1.0, 1.0, 1.0])[:, None]
+            ref = np.zeros((2, npix, n))
+            for i in range(8):
+                ref += x[:, i, :, None] * wt[:, i, None]
+            if not exact(_OUTPUTS_INNER, x, wt, ref):
+                return False
     return True
 
 
 # whether `pointwise_conv` runs its einsum
 EINSUM_EXACT = _einsum_is_exact()
+
+
+def outputs_inner(npix: int, cog: int, fortran: bool) -> bool:
+    """Whether `pointwise_conv` runs its einsum with a group's outputs
+    innermost, on `npix` pixels (of the call, or of one image block) and
+    `cog` outputs per group: where the build's einsum is exact, the weights
+    are Fortran-ordered (`fortran`) and a row of outputs is at least twice
+    as long as a row of pixels. Nearer parity the pixels-inner einsum is as
+    fast or faster."""
+    return EINSUM_EXACT and fortran and cog >= 2 * npix
 
 
 def pointwise_conv(x: np.ndarray, weights: np.ndarray, groups: int = 1,
@@ -384,27 +401,30 @@ def pointwise_conv(x: np.ndarray, weights: np.ndarray, groups: int = 1,
     group's C_in // groups products one input channel at a time, each
     product rounded before its add, then the bias. x is laid out
     channel-major, (G, C_in/G, P), with the batch folded into the P =
-    N*Ho*Wo pixels, and the weights as (G, C_out/G, C_in/G).
+    N*Ho*Wo pixels.
 
-    Where `EINSUM_EXACT`, P >= 2 runs one `np.einsum("goi,gip->gop")`,
-    unoptimized: numpy's iterator runs the pixel axis innermost, where the
-    weights' stride is 0, so its kernel adds weight * input along a row of
-    pixels once per input channel, in ascending order, from a zeroed
-    output. That is the oracle's order, and where the kernel rounds each
-    product before its add it is the oracle's bytes; `_einsum_is_exact`
-    probes the build for that at import, since a kernel that uses FMA
-    (aarch64, an FMA baseline) would give other bytes.
-
-    At P = 1 with Fortran-ordered weights, as the network builder makes a
-    fully connected layer's, and C_out/G >= 2, it runs one
-    `np.einsum("gio,gi->go")` over the (G, C_in/G, C_out/G) view of
-    weights.T, unoptimized: there numpy's iterator runs a group's outputs
-    innermost, where the input's stride is 0, so its kernel adds weight *
-    input along a row of outputs once per input channel, in ascending
-    order, from a zeroed output; the same probe covers it. C-ordered
-    weights would need a transposed copy per call, and with one output per
-    group einsum would run the input channels innermost, in an order of its
-    own; both keep the accumulate loop below.
+    Where `EINSUM_EXACT`, one unoptimized `np.einsum` runs along the longer
+    of two rows, each kernel call adding weight * input along it once per
+    input channel, in ascending order, from a zeroed output:
+    - `"gip,gio->gpo"` over the (G, C_in/G, C_out/G) view of weights.T,
+      where the weights are Fortran-ordered, as the network builder makes
+      every pointwise layer's, and C_out/G >= 2*P (`outputs_inner`):
+      numpy's iterator runs a group's outputs innermost, where the input's
+      stride is 0, into a (G, P, C_out/G) accumulator stored transposed.
+      At P = 1 this is a fully connected layer at batch 1.
+    - `"goi,gip->gop"` over the (G, C_out/G, C_in/G) weights on P >= 2
+      pixels otherwise: the iterator runs the pixel axis innermost, where
+      the weights' stride is 0.
+    That is the oracle's order, and where the kernel rounds each product
+    before its add it is the oracle's bytes; `_einsum_is_exact` probes the
+    build for that at import, since a kernel that uses FMA (aarch64, an FMA
+    baseline) would give other bytes. Short rows make many short kernel
+    calls, so the outputs go inside where their row is the longer; the
+    pixels stay inside until the outputs' row is twice theirs, below which
+    the outputs-inner form measured no faster. C-ordered weights would need
+    a transposed copy per call, and at one pixel the pixels-inner einsum
+    would run the input channels innermost, in an order of its own; at P =
+    1 both keep the accumulate loop below.
 
     Where the probe fails, P >= 2 runs a loop of numpy calls in the same
     order instead. Each step is an outer product of a weight column and an
@@ -419,7 +439,7 @@ def pointwise_conv(x: np.ndarray, weights: np.ndarray, groups: int = 1,
     the buffer only moves data. Kernels with short rows keep the default
     buffer, which is faster for them.
 
-    At P = 1 off that einsum, and, where the probe fails, on a 1x1 output
+    At P = 1 off the einsum, and, where the probe fails, on a 1x1 output
     grid with N*C_out/G < LINEAR_FEATURE_LOOP, each step's outer product is
     too short to pay for its numpy call, and another loop runs in the same
     order: the products are laid out in weight order, (N, G, C_out/G,
@@ -448,15 +468,9 @@ def _pointwise_conv(x, weights, groups, stride, bias, out=None):
     xs = x[:, :, ::stride, ::stride]
     ho, wo = xs.shape[2], xs.shape[3]
     npix = nb * ho * wo
-    if npix == 1 and EINSUM_EXACT and cog >= 2 and weights.flags.f_contiguous:
-        # (G, C_out/G, 1) is the result's layout, so a float64 result is the
-        # accumulator; einsum zeroes its out before the sum
-        res = _output(out, (1, cout, 1, 1), x.dtype)
-        acc = res.reshape(groups, cog, 1) if x.dtype == np.float64 else np.empty((groups, cog, 1))
-        wt = _transposed_groups(weights.astype(np.float64, copy=False), groups)
-        np.einsum(_FC_SUBSCRIPTS, wt, xs.astype(np.float64, copy=False).reshape(groups, cig),
-                  out=acc[..., 0], optimize=False)
-    elif npix < 2 or (ho == wo == 1 and not EINSUM_EXACT and nb * cog < LINEAR_FEATURE_LOOP):
+    inner = outputs_inner(npix, cog, weights.flags.f_contiguous)
+    if (npix < 2 and not inner) or (
+            ho == wo == 1 and not EINSUM_EXACT and nb * cog < LINEAR_FEATURE_LOOP):
         res = _output(out, (nb, cout, 1, 1), x.dtype)
         xg = xs.astype(np.float64, copy=False).reshape(nb, groups, 1, cig)
         wg = weights.astype(np.float64, copy=False).reshape(groups, cog, cig)
@@ -471,20 +485,27 @@ def _pointwise_conv(x, weights, groups, stride, bias, out=None):
     else:
         xg = np.ascontiguousarray(xs.transpose(1, 0, 2, 3), dtype=np.float64) \
             .reshape(groups, cig, npix)
-        if EINSUM_EXACT:
-            # a view of float64 weights, Fortran-ordered ones included
-            wg = weights.astype(np.float64, copy=False).reshape(groups, cog, cig)
+        # a view of float64 weights, Fortran-ordered ones included
+        w64 = weights.astype(np.float64, copy=False)
+        f64 = x.dtype == np.float64
+        if inner:
+            # one pixel's (G, 1, C_out/G) accumulator is laid out as its
+            # result; einsum zeroes its out before the sum
+            res = _output(out, (nb, cout, ho, wo), x.dtype)
+            acc = res.reshape(groups, 1, cog) if f64 and npix == 1 \
+                else np.empty((groups, npix, cog))
+            np.einsum(_OUTPUTS_INNER, xg, _transposed_groups(w64, groups), out=acc,
+                      optimize=False)
+            acc = acc.transpose(0, 2, 1)
+        elif EINSUM_EXACT:
             # one image's (G, C_out/G, pixels) accumulator is laid out as its
             # result; einsum zeroes its out before the sum
             res = _output(out, (nb, cout, ho, wo), x.dtype)
-            if nb == 1 and x.dtype == np.float64:
-                acc = res.reshape(groups, cog, npix)
-            else:
-                acc = np.empty((groups, cog, npix))
-            np.einsum(_PW_SUBSCRIPTS, wg, xg, out=acc, optimize=False)
+            acc = res.reshape(groups, cog, npix) if f64 and nb == 1 \
+                else np.empty((groups, cog, npix))
+            np.einsum(_PIXELS_INNER, w64.reshape(groups, cog, cig), xg, out=acc, optimize=False)
         else:
-            wt = weights.astype(np.float64, copy=False).reshape(groups, cog, cig) \
-                .transpose(0, 2, 1)
+            wt = w64.reshape(groups, cog, cig).transpose(0, 2, 1)
             # a[:, ci] * b[:, ci] is the outer product of weight column ci and
             # input channel ci for every group, with the longer axis last
             pixels_inner = npix >= cog
@@ -493,7 +514,7 @@ def _pointwise_conv(x, weights, groups, stride, bias, out=None):
             else:
                 a, b = xg[..., None], np.ascontiguousarray(wt)[:, :, None]
             # one image's (G, C_out/G, pixels) accumulator is laid out as its result
-            in_place = pixels_inner and nb == 1 and x.dtype == np.float64
+            in_place = f64 and pixels_inner and nb == 1
             res = _output(out, (nb, cout, ho, wo), x.dtype, zeros=in_place)
             if in_place:
                 acc = res.reshape(groups, cog, npix)
@@ -506,7 +527,10 @@ def _pointwise_conv(x, weights, groups, stride, bias, out=None):
                 acc = acc.transpose(0, 2, 1)
     if bias is not None:
         acc += bias.astype(np.float64).reshape(groups, cog, 1)
-    return _store(res, acc.reshape(cout, nb, ho, wo).transpose(1, 0, 2, 3))
+    # acc is (G, C_out/G, P); res, C-contiguous, viewed as (N, G, C_out/G, Ho, Wo)
+    _store(res.reshape(nb, groups, cog, ho, wo),
+           acc.reshape(groups, cog, nb, ho, wo).transpose(2, 0, 1, 3, 4))
+    return res
 
 
 def im2col(x: np.ndarray, n: int, stride: int) -> np.ndarray:

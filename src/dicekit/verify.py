@@ -163,7 +163,7 @@ def fc_layer_draw(rng, one_output: bool):
     a 1×1 input, Fortran-ordered weights, 1, 2 or 4 groups of 1–300 inputs
     and, with `one_output`, one output each, otherwise 2–300, a stride of 1
     and, on half the draws, a bias, all with signed zeros. Two or more
-    outputs per group run `pointwise_conv`'s batch-1 einsum where the
+    outputs per group run `pointwise_conv`'s outputs-inner einsum where the
     build's einsum is exact; one runs its accumulate loop."""
     groups, fig = int(rng.choice([1, 2, 4])), int(rng.integers(1, 301))
     fog = 1 if one_output else int(rng.integers(2, 301))
@@ -171,6 +171,26 @@ def fc_layer_draw(rng, one_output: bool):
     wts = np.asfortranarray(signed_zeros(rng, rng.standard_normal((groups * fog, fig))))
     bias = signed_zeros(rng, rng.standard_normal(groups * fog)) if rng.random() < 0.5 else None
     return x, wts, groups, 1, bias
+
+
+def short_draw(rng):
+    """An input, Fortran-ordered weights, groups, a stride and, on half the
+    draws, a bias, all with signed zeros, for `pointwise_conv` on short rows
+    of pixels: 1–2 images with 1–9 px sides at stride 1 or 2, P output
+    pixels in all, 1, 2 or 4 groups of 1–12 inputs and 2·P to 300 outputs
+    each, where the kernel runs its einsum with a group's outputs innermost
+    if the build's einsum is exact."""
+    nb, stride = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    groups, h = int(rng.choice([1, 2, 4])), int(rng.integers(1, 10))
+    # at most 150 pixels, so that 2·P outputs per group fit in 300
+    rows = nb * T.ceil_div(h, stride)
+    w = int(rng.integers(1, min(9, stride * (150 // rows)) + 1))
+    npix = rows * T.ceil_div(w, stride)
+    cig, cog = int(rng.integers(1, 13)), int(rng.integers(2 * npix, 301))
+    x = signed_zeros(rng, rng.standard_normal((nb, groups * cig, h, w)))
+    wts = np.asfortranarray(signed_zeros(rng, rng.standard_normal((groups * cog, cig))))
+    bias = signed_zeros(rng, rng.standard_normal(groups * cog)) if rng.random() < 0.5 else None
+    return x, wts, groups, stride, bias
 
 
 def batch_inner_draw(rng):
@@ -243,6 +263,8 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
     a sum in another order than the oracle's shows. `pointwise.fc` draws
     from `fc_layer_draw`: a network's fully connected layer at batch 1,
     Fortran-ordered, with one output per group on one draw in five.
+    `pointwise.short` draws from `short_draw`: short rows of pixels and
+    Fortran-ordered weights with at least twice as many outputs per group.
     `max_pool` draws from `max_pool_draw`. `conv2d.stem` draws from
     `stem_draw` on one draw in five, since the oracle takes about a second
     per draw at those shapes.
@@ -252,9 +274,9 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
     """
     rng = np.random.default_rng(seed)
     # resize, both-orientation pointwise, conv2d, global-average, batch-inner,
-    # stem, signed-zero, batched 1x1, max-pool, deep pointwise and batch-1
-    # fully connected draws come from their own generators and leave the
-    # others' draws alone
+    # stem, signed-zero, batched 1x1, max-pool, deep pointwise, batch-1
+    # fully connected and short-row pointwise draws come from their own
+    # generators and leave the others' draws alone
     resize_rng = np.random.default_rng([seed, 1])
     pw_rng = np.random.default_rng([seed, 2])
     conv_rng = np.random.default_rng([seed, 3])
@@ -266,6 +288,7 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
     max_rng = np.random.default_rng([seed, 9])
     deep_rng = np.random.default_rng([seed, 10])
     fc1_rng = np.random.default_rng([seed, 11])
+    short_rng = np.random.default_rng([seed, 12])
     worst = {}
 
     def bitwise(kind, fast, ref, *args):
@@ -325,6 +348,7 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
         bitwise("pointwise.deep", T.pointwise_conv, orc.oracle_pointwise, *deep_draw(deep_rng))
         bitwise("pointwise.fc", T.pointwise_conv, orc.oracle_pointwise,
                 *fc_layer_draw(fc1_rng, one_output=i % 5 == 0))
+        bitwise("pointwise.short", T.pointwise_conv, orc.oracle_pointwise, *short_draw(short_rng))
 
         # conv2d and global average pooling sum in another order than the
         # oracle (einsum over channels, numpy's pairwise mean): gated by the

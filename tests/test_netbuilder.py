@@ -124,41 +124,48 @@ def test_trained_statistics_reach_every_consumer(rng):
         assert np.shares_memory(state[f"bn{idx}.running_var"], bn.running_var)
 
 
-def _fc_weights(net):
-    """The fully connected layers' weights: DimFuse's gate FCs, the head's."""
-    return {name: p.data for name, p in net.parameters()
-            if name.endswith((".fc1", ".fc2")) or name in ("head.expand", "head.gfc", "head.fc")}
+# every pointwise layer's weights, by parameter name: the only 2-D parameters
+_POINTWISE = (".proj", ".branch_pw", ".w_fuse", ".reduce", ".expand", ".shortcut",
+              ".k_g", ".fc1", ".fc2", "head.gfc", "head.fc")
 
 
 def _assert_fortran(net):
-    fc = _fc_weights(net)
-    assert len(fc) == 11                   # four DiCE units' two, the head's three
-    for name, w in fc.items():
+    pointwise = {name: p.data for name, p in net.parameters() if p.data.ndim == 2}
+    assert pointwise and all(name.endswith(_POINTWISE) for name in pointwise)
+    for name, w in pointwise.items():
         assert w.flags.f_contiguous and not w.flags.c_contiguous, name
+    return {suffix for suffix in _POINTWISE for name in pointwise if name.endswith(suffix)}
 
 
-def test_fc_weights_stay_fortran_ordered_through_every_writer(tmp_path):
-    # pointwise_conv's batch-1 einsum needs them Fortran-ordered: SGD, the
-    # EMA swap and load_state all write in place, and checkpoints hold the
+def test_pointwise_weights_stay_fortran_ordered_through_every_writer(tmp_path):
+    # pointwise_conv's outputs-inner einsum needs them Fortran-ordered, in
+    # every block style and with the pointwise-fusion ablation: SGD, the EMA
+    # swap and load_state all write in place, and checkpoints hold the
     # bytes C-ordered copies would
-    cfg = parse_config(MICRO_CFG)
-    net = build_network(cfg, seed=1)
-    _assert_fortran(net)
-    images, labels = train.synth_dataset(0, 64)
-    train.train_loop(net, images, labels, train.TrainConfig(epochs=1, batch_size=32))
-    _assert_fortran(net)
-    state = net.named_state()
-    save_checkpoint(tmp_path / "ck", state)
-    save_checkpoint(tmp_path / "c_order", [(k, np.ascontiguousarray(a)) for k, a in state])
-    files = sorted(p.name for p in (tmp_path / "ck").iterdir())
-    assert files == sorted(p.name for p in (tmp_path / "c_order").iterdir())
-    for f in files:
-        assert (tmp_path / "ck" / f).read_bytes() == (tmp_path / "c_order" / f).read_bytes(), f
-    other = build_network(cfg, seed=2)
-    other.load_state(load_checkpoint(tmp_path / "ck"))
-    _assert_fortran(other)
-    assert [(k, a.tobytes()) for k, a in other.named_state()] == \
-        [(k, a.tobytes()) for k, a in state]
+    texts = [MICRO_CFG] + [_ABLATIONS + f"block_style: {style}\nfusion: pointwise\n"
+                           for style in ("shufflenetv2", "mobilenet", "resnet")]
+    images, labels = train.synth_dataset(0, 32)
+    seen = set()
+    for k, text in enumerate(texts):
+        cfg = parse_config(text)
+        net = build_network(cfg, seed=1)
+        seen |= _assert_fortran(net)
+        train.train_loop(net, images, labels, train.TrainConfig(epochs=1, batch_size=32))
+        _assert_fortran(net)
+        state = net.named_state()
+        ck, c_order = tmp_path / f"ck{k}", tmp_path / f"c_order{k}"
+        save_checkpoint(ck, state)
+        save_checkpoint(c_order, [(name, np.ascontiguousarray(a)) for name, a in state])
+        files = sorted(f.name for f in ck.iterdir())
+        assert files == sorted(f.name for f in c_order.iterdir())
+        for f in files:
+            assert (ck / f).read_bytes() == (c_order / f).read_bytes(), f
+        other = build_network(cfg, seed=2)
+        other.load_state(load_checkpoint(ck))
+        _assert_fortran(other)
+        assert [(name, a.tobytes()) for name, a in other.named_state()] == \
+            [(name, a.tobytes()) for name, a in state]
+    assert seen == set(_POINTWISE)
 
 
 class _Spy:
@@ -172,27 +179,33 @@ class _Spy:
         return getattr(self._real, name)
 
 
-def test_batch_1_fully_connected_layers_run_the_einsum(monkeypatch):
-    # every FC of a batch-1 inference runs the one-pixel einsum where the
-    # build's einsum is exact, and none the accumulate loop
-    ran = []
+def test_short_pixel_rows_run_the_outputs_inner_einsum(monkeypatch):
+    # on both micro configs at batch 1 and 2, the pointwise calls with at
+    # least twice as many outputs per group as pixels run the outputs-inner
+    # einsum where the build's einsum is exact, and no other call does
+    calls = []
 
-    def noting(label, real):
-        def run(*args, **kwargs):
-            ran.append(label(args))
-            return real(*args, **kwargs)
-        return run
+    def pointwise(x, w, groups, stride, bias, out=None):
+        npix = x.shape[0] * T.ceil_div(x.shape[2], stride) * T.ceil_div(x.shape[3], stride)
+        calls.append([w.shape[0] // groups >= 2 * npix])
+        return real(x, w, groups, stride, bias, out=out)
 
-    monkeypatch.setattr(T, "np", _Spy(np, einsum=noting(lambda a: a[0], np.einsum),
-                                      add=_Spy(np.add, accumulate=noting(
-                                          lambda a: "accumulate", np.add.accumulate))))
-    net = build_network(parse_config(MICRO_CFG), seed=1)
-    x = np.random.default_rng(3).standard_normal((1, 3, 32, 32))
-    infer(net, x)
-    if T.EINSUM_EXACT:
-        assert ran.count("gio,gi->go") == len(_fc_weights(net)) and "accumulate" not in ran
-    else:
-        assert ran.count("accumulate") > 0 and "gio,gi->go" not in ran
+    def einsum(subscripts, *args, **kwargs):
+        calls[-1].append(subscripts)
+        return np.einsum(subscripts, *args, **kwargs)
+
+    real = T._pointwise_conv
+    monkeypatch.setattr(T, "_pointwise_conv", pointwise)
+    monkeypatch.setattr(T, "np", _Spy(np, einsum=einsum))
+    for name in ("dicenet-micro", "separable-micro"):
+        net = build_network(parse_config((CONFIGS / f"{name}.cfg").read_text()), seed=1)
+        for nb in (1, 2):
+            infer(net, np.random.default_rng(3).standard_normal((nb, 3, 32, 32)))
+    short = [c[1:] for c in calls if c[0]]
+    other = [c[1:] for c in calls if not c[0]]
+    assert short and other
+    assert all(c == (["gip,gio->gpo"] if T.EINSUM_EXACT else []) for c in short)
+    assert not any("gip,gio->gpo" in c for c in other)
 
 
 _ABLATIONS = ("name: x\nwidth_scale: 0.1\ninput_size: 32\nclasses: 10\n"
@@ -503,7 +516,7 @@ def test_inference_is_pure(dtype):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_two_threads_infer_on_one_network(dtype):
-    # at batch 4 and at batch 1, where the FCs run their one-pixel einsum,
+    # at batch 4 and at batch 1, where the FCs run the outputs-inner einsum,
     # at the nominal size and at 40 px, where each DiCE unit resizes: the
     # serial bytes, and each thread counts its own resizes
     net = _micro(dtype)

@@ -320,23 +320,25 @@ def test_pointwise_1x1_branches_keep_the_oracle_order(monkeypatch):
                     assert ran == want, (exact, nb, fout, groups)
 
 
-def _fake_einsum(total, one_pixel=None):
-    """An einsum for the probe's calls, out[g, o, p] = total(products) on
-    pixels p and out[g, o] = one_pixel(products) on one pixel (total if
-    None), with the products w[g, o, i] * x[g, i, p] or w[g, i, o] * x[g, i]
-    in ascending i, unrounded as Fractions: each fake sums them in an order
-    or rounding of its own."""
-    def einsum(subscripts, w, x, out, optimize):
+def _fake_einsum(total, outputs_inner=None, pixels=lambda npix: True):
+    """An einsum for the probe's calls, out[g, o, p] = total(products) with
+    the pixels inner, and out[g, p, o] = outputs_inner(products) with the
+    outputs inner on a number of pixels that `pixels` accepts (total
+    otherwise, or if None), with the products w[g, o, i] * x[g, i, p] or
+    x[g, i, p] * w[g, i, o] in ascending i, unrounded as Fractions: each fake
+    sums them in an order or rounding of its own."""
+    def einsum(subscripts, a, b, out, optimize):
         assert optimize is False
-        if subscripts == "gio,gi->go":
-            w, x, out, fn = w.transpose(0, 2, 1), x[..., None], out[..., None], one_pixel or total
+        if subscripts == "gip,gio->gpo":
+            w, x, res = b.transpose(0, 2, 1), a, out.transpose(0, 2, 1)
+            fn = outputs_inner if outputs_inner and pixels(x.shape[2]) else total
         else:
             assert subscripts == "goi,gip->gop"
-            fn = total
-        for g, o, p in np.ndindex(out.shape):
-            out[g, o, p] = fn([Fraction(float(a)) * Fraction(float(b))
-                               for a, b in zip(w[g, o], x[g, :, p])])
-        return out[..., 0] if subscripts == "gio,gi->go" else out
+            w, x, res, fn = a, b, out, total
+        for g, o, p in np.ndindex(res.shape):
+            res[g, o, p] = fn([Fraction(float(wi)) * Fraction(float(xi))
+                               for wi, xi in zip(w[g, o], x[g, :, p])])
+        return out
     return einsum
 
 
@@ -369,11 +371,13 @@ def _reversed(products):
 def test_einsum_probe_fails_a_fused_or_reordered_sum():
     # the probe passes an einsum that adds each rounded product in order
     # from 0.0, and fails one that fuses the multiply and the add, or adds
-    # pairwise or in reverse, on two or more pixels or only on one
+    # pairwise or in reverse: everywhere, only with the outputs inner on one
+    # pixel, or only with the outputs inner on two or more
     assert T._einsum_is_exact(_fake_einsum(_in_order))
     for total in (_fused, _pairwise, _reversed):
         assert not T._einsum_is_exact(_fake_einsum(total)), total.__name__
-        assert not T._einsum_is_exact(_fake_einsum(_in_order, total)), total.__name__
+        for pixels in (lambda npix: npix == 1, lambda npix: npix >= 2):
+            assert not T._einsum_is_exact(_fake_einsum(_in_order, total, pixels)), total.__name__
 
 
 def test_pointwise_fallback_keeps_the_oracle_bytes(monkeypatch):
