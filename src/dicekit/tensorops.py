@@ -11,16 +11,17 @@ oracle bit-for-bit in float64 and after a single final rounding in
 float32. The exception is the dense `conv2d`, a BLAS product gated by an
 error bound instead.
 
-`pointwise_conv` runs one `np.einsum` where that keeps the oracle's order:
-numpy's einsum adds one rounded product per input channel, in order, along
-its innermost row, on builds whose einsum kernel multiplies and then adds.
-That row is a group's outputs where the weights are Fortran-ordered (as
-the network builder makes every pointwise layer's) and it is at least
-twice as long as the row of pixels: on short pixel rows, and on one pixel
-(a fully connected layer at batch 1). Elsewhere it is the pixels. Builds
-whose kernel fuses the two (FMA) give other bytes, so the module probes
-its build once, at import (`EINSUM_EXACT`), and falls back to a loop of
-numpy calls in the oracle's order where the probe fails.
+`pointwise_conv` runs its row of outputs innermost where the weights are
+Fortran-ordered (as the network builder makes every pointwise layer's) and
+the row is at least twice as long as the row of pixels: on short pixel
+rows, and on one pixel (a fully connected layer at batch 1). Elsewhere the
+pixels run innermost. Either way one `np.einsum` keeps the oracle's order
+on builds whose einsum kernel multiplies and then adds, one rounded
+product per input channel, in order, along its innermost row. Builds whose
+kernel fuses the two (FMA) give other bytes, so the module probes its
+build once, at import (`EINSUM_EXACT`), and falls back to a loop of numpy
+calls in the oracle's order, in the same orientation, where the probe
+fails.
 """
 
 from __future__ import annotations
@@ -32,16 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 FLOAT_DTYPES = (np.float32, np.float64)
-
-# input channels per block in `pointwise_conv`'s loop for a 1x1 image (a
-# fully connected layer): bounds its product array to N * C_out *
-# LINEAR_BLOCK values whatever C_in is
-LINEAR_BLOCK = 64
-
-# on a 1x1 image `pointwise_conv` runs its loop of outer products, one per
-# input channel, only once a product, N x C_out/G, holds this many values
-# and N >= 2; otherwise `np.add.accumulate` along the channels is faster
-LINEAR_FEATURE_LOOP = 1024
 
 # float64 input bytes per image block of the kernels that sweep their
 # accumulator once per tap or input channel: a block's accumulator then stays
@@ -110,15 +101,10 @@ def _image_blocks(kernel, x: np.ndarray, *args) -> np.ndarray:
     return res
 
 
-def _output(out, shape, dtype, zeros: bool = False) -> np.ndarray:
-    """A kernel's result array, of zeros if asked: a new one, or the slice
-    `_image_blocks` hands it through `out`."""
-    if out is None:
-        return (np.zeros if zeros else np.empty)(shape, dtype=dtype)
-    res = out(shape, dtype)
-    if zeros:
-        res[...] = 0.0
-    return res
+def _output(out, shape, dtype) -> np.ndarray:
+    """A kernel's result array: a new one, or the slice `_image_blocks` hands
+    it through `out`."""
+    return np.empty(shape, dtype=dtype) if out is None else out(shape, dtype)
 
 
 def _store(res: np.ndarray, acc: np.ndarray) -> np.ndarray:
@@ -382,13 +368,13 @@ EINSUM_EXACT = _einsum_is_exact()
 
 
 def outputs_inner(npix: int, cog: int, fortran: bool) -> bool:
-    """Whether `pointwise_conv` runs its einsum with a group's outputs
-    innermost, on `npix` pixels (of the call, or of one image block) and
-    `cog` outputs per group: where the build's einsum is exact, the weights
-    are Fortran-ordered (`fortran`) and a row of outputs is at least twice
-    as long as a row of pixels. Nearer parity the pixels-inner einsum is as
-    fast or faster."""
-    return EINSUM_EXACT and fortran and cog >= 2 * npix
+    """Whether `pointwise_conv` runs a group's outputs innermost, on `npix`
+    pixels (of the call, or of one image block) and `cog` outputs per group:
+    where the weights are Fortran-ordered (`fortran`), so that their
+    transposed groups are a view, and a row of outputs is at least twice as
+    long as a row of pixels. Nearer parity the pixels-inner einsum is as
+    fast or faster. The rule does not depend on the build's einsum."""
+    return fortran and cog >= 2 * npix
 
 
 def pointwise_conv(x: np.ndarray, weights: np.ndarray, groups: int = 1,
@@ -403,51 +389,39 @@ def pointwise_conv(x: np.ndarray, weights: np.ndarray, groups: int = 1,
     channel-major, (G, C_in/G, P), with the batch folded into the P =
     N*Ho*Wo pixels.
 
-    Where `EINSUM_EXACT`, one unoptimized `np.einsum` runs along the longer
-    of two rows, each kernel call adding weight * input along it once per
-    input channel, in ascending order, from a zeroed output:
-    - `"gip,gio->gpo"` over the (G, C_in/G, C_out/G) view of weights.T,
-      where the weights are Fortran-ordered, as the network builder makes
-      every pointwise layer's, and C_out/G >= 2*P (`outputs_inner`):
-      numpy's iterator runs a group's outputs innermost, where the input's
-      stride is 0, into a (G, P, C_out/G) accumulator stored transposed.
-      At P = 1 this is a fully connected layer at batch 1.
-    - `"goi,gip->gop"` over the (G, C_out/G, C_in/G) weights on P >= 2
-      pixels otherwise: the iterator runs the pixel axis innermost, where
-      the weights' stride is 0.
-    That is the oracle's order, and where the kernel rounds each product
-    before its add it is the oracle's bytes; `_einsum_is_exact` probes the
-    build for that at import, since a kernel that uses FMA (aarch64, an FMA
-    baseline) would give other bytes. Short rows make many short kernel
-    calls, so the outputs go inside where their row is the longer; the
-    pixels stay inside until the outputs' row is twice theirs, below which
-    the outputs-inner form measured no faster. C-ordered weights would need
-    a transposed copy per call, and at one pixel the pixels-inner einsum
-    would run the input channels innermost, in an order of its own; at P =
-    1 both keep the accumulate loop below.
+    One rule, `outputs_inner`, picks the row that runs innermost:
+    - a group's outputs, over the (G, C_in/G, C_out/G) view of weights.T,
+      into a (G, P, C_out/G) accumulator stored transposed, where the
+      weights are Fortran-ordered, as the network builder makes every
+      pointwise layer's, and C_out/G >= 2*P. At P = 1 this is a fully
+      connected layer at batch 1. Short rows make many short kernel calls,
+      so the outputs go inside where their row is the longer; below twice
+      the pixels' row the outputs-inner form measured no faster.
+    - the pixels otherwise, over the (G, C_out/G, C_in/G) weights, into a
+      (G, C_out/G, P) accumulator.
+    A float64 result is its own accumulator where the layouts agree: one
+    pixel with the outputs inner, one image with the pixels inner.
 
-    Where the probe fails, P >= 2 runs a loop of numpy calls in the same
-    order instead. Each step is an outer product of a weight column and an
-    input channel, and runs along the longer of two axes: the pixels, or the
-    outputs of a group. The loop runs with numpy's ufunc
-    buffer at its minimum, 16 elements, restored on the way out:
-    with the default 8192-element buffer numpy's iterator copies the
-    broadcast operands through it, which costs more than the multiply and
-    the add together; with the minimum it runs its inner loop unbuffered
-    along the long contiguous axis. The bytes cannot change: the order of
-    the adds is the oracle's, `w*x == x*w` exactly in IEEE arithmetic, and
-    the buffer only moves data. Kernels with short rows keep the default
-    buffer, which is faster for them.
-
-    At P = 1 off the einsum, and, where the probe fails, on a 1x1 output
-    grid with N*C_out/G < LINEAR_FEATURE_LOOP, each step's outer product is
-    too short to pay for its numpy call, and another loop runs in the same
-    order: the products are laid out in weight order, (N, G, C_out/G,
-    C_in/G), and `np.add.accumulate` runs the sum along the input channels,
-    which adds one term at a time. Channels go in blocks of LINEAR_BLOCK, so
-    no product array grows with C_in; the running sum of one block is added
-    into the first product of the next, starting from 0.0. No choice changes
-    a byte.
+    One of two executors fills the accumulator, each adding weight * input
+    along the row once per input channel, in ascending order, from zero:
+    - where `EINSUM_EXACT`, one unoptimized `np.einsum`, `"gip,gio->gpo"`
+      or `"goi,gip->gop"`: numpy's iterator runs the row innermost, the
+      axis along which the other operand's stride is 0. Where the kernel
+      rounds each product before its add these are the oracle's bytes;
+      `_einsum_is_exact` probes the build for that at import, since a
+      kernel that uses FMA (aarch64, an FMA baseline) gives other bytes.
+      At one pixel the pixels-inner einsum would run the input channels
+      innermost, in an order of its own, so it runs on P >= 2 only.
+    - elsewhere a loop of numpy calls, one per input channel, each adding
+      the outer product of an input channel and a weight column for every
+      group. It runs with numpy's ufunc buffer at its minimum, 16 elements,
+      restored on the way out: with the default 8192-element buffer
+      numpy's iterator copies the broadcast operands through it, which
+      costs more than the multiply and the add together; with the minimum
+      it runs its inner loop unbuffered along the contiguous row. The
+      bytes cannot change: `w*x == x*w` exactly in IEEE arithmetic, and the
+      buffer only moves data.
+    No choice changes a byte.
     """
     return _image_blocks(_pointwise_conv, x, weights, groups, stride, bias)
 
@@ -468,63 +442,32 @@ def _pointwise_conv(x, weights, groups, stride, bias, out=None):
     xs = x[:, :, ::stride, ::stride]
     ho, wo = xs.shape[2], xs.shape[3]
     npix = nb * ho * wo
+    xg = np.ascontiguousarray(xs.transpose(1, 0, 2, 3), dtype=np.float64) \
+        .reshape(groups, cig, npix)
+    # a view of float64 weights, Fortran-ordered ones included
+    w64 = weights.astype(np.float64, copy=False)
     inner = outputs_inner(npix, cog, weights.flags.f_contiguous)
-    if (npix < 2 and not inner) or (
-            ho == wo == 1 and not EINSUM_EXACT and nb * cog < LINEAR_FEATURE_LOOP):
-        res = _output(out, (nb, cout, 1, 1), x.dtype)
-        xg = xs.astype(np.float64, copy=False).reshape(nb, groups, 1, cig)
-        wg = weights.astype(np.float64, copy=False).reshape(groups, cog, cig)
-        acc = np.zeros((nb, groups, cog), dtype=np.float64)
-        for f0 in range(0, cig, LINEAR_BLOCK):
-            prod = xg[..., f0:f0 + LINEAR_BLOCK] * wg[..., f0:f0 + LINEAR_BLOCK]
-            prod[..., 0] += acc
-            np.add.accumulate(prod, axis=-1, out=prod)
-            acc = prod[..., -1]
-        # (G, C_out/G, N), as the loops below leave it
-        acc = acc.transpose(1, 2, 0)
+    if inner:
+        subscripts, a, b = _OUTPUTS_INNER, xg, _transposed_groups(w64, groups)
+        shape, own = (groups, npix, cog), npix == 1
     else:
-        xg = np.ascontiguousarray(xs.transpose(1, 0, 2, 3), dtype=np.float64) \
-            .reshape(groups, cig, npix)
-        # a view of float64 weights, Fortran-ordered ones included
-        w64 = weights.astype(np.float64, copy=False)
-        f64 = x.dtype == np.float64
-        if inner:
-            # one pixel's (G, 1, C_out/G) accumulator is laid out as its
-            # result; einsum zeroes its out before the sum
-            res = _output(out, (nb, cout, ho, wo), x.dtype)
-            acc = res.reshape(groups, 1, cog) if f64 and npix == 1 \
-                else np.empty((groups, npix, cog))
-            np.einsum(_OUTPUTS_INNER, xg, _transposed_groups(w64, groups), out=acc,
-                      optimize=False)
-            acc = acc.transpose(0, 2, 1)
-        elif EINSUM_EXACT:
-            # one image's (G, C_out/G, pixels) accumulator is laid out as its
-            # result; einsum zeroes its out before the sum
-            res = _output(out, (nb, cout, ho, wo), x.dtype)
-            acc = res.reshape(groups, cog, npix) if f64 and nb == 1 \
-                else np.empty((groups, cog, npix))
-            np.einsum(_PIXELS_INNER, w64.reshape(groups, cog, cig), xg, out=acc, optimize=False)
-        else:
-            wt = w64.reshape(groups, cog, cig).transpose(0, 2, 1)
-            # a[:, ci] * b[:, ci] is the outer product of weight column ci and
-            # input channel ci for every group, with the longer axis last
-            pixels_inner = npix >= cog
-            if pixels_inner:
-                a, b = wt[..., None], xg[:, :, None]
-            else:
-                a, b = xg[..., None], np.ascontiguousarray(wt)[:, :, None]
-            # one image's (G, C_out/G, pixels) accumulator is laid out as its result
-            in_place = f64 and pixels_inner and nb == 1
-            res = _output(out, (nb, cout, ho, wo), x.dtype, zeros=in_place)
-            if in_place:
-                acc = res.reshape(groups, cog, npix)
-            else:
-                acc = np.zeros((groups, a.shape[2], b.shape[3]), dtype=np.float64)
-            with _small_buffer():
-                for ci in range(cig):
-                    acc += a[:, ci] * b[:, ci]
-            if not pixels_inner:
-                acc = acc.transpose(0, 2, 1)
+        subscripts, a, b = _PIXELS_INNER, w64.reshape(groups, cog, cig), xg
+        shape, own = (groups, cog, npix), nb == 1
+    res = _output(out, (nb, cout, ho, wo), x.dtype)
+    acc = res.reshape(shape) if own and x.dtype == np.float64 else np.empty(shape)
+    if EINSUM_EXACT and (inner or npix >= 2):
+        # einsum zeroes its out before the sum
+        np.einsum(subscripts, a, b, out=acc, optimize=False)
+    else:
+        # cols and b are (G, C_in/G, row): step ci adds the outer product of
+        # input channel ci and weight column ci, laid out as acc
+        cols = a if inner else a.transpose(0, 2, 1)
+        acc[...] = 0.0
+        with _small_buffer():
+            for ci in range(cig):
+                acc += cols[:, ci, :, None] * b[:, ci, None]
+    if inner:
+        acc = acc.transpose(0, 2, 1)
     if bias is not None:
         acc += bias.astype(np.float64).reshape(groups, cog, 1)
     # acc is (G, C_out/G, P); res, C-contiguous, viewed as (N, G, C_out/G, Ho, Wo)

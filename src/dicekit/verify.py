@@ -93,11 +93,12 @@ def dot_bound(k: int, abs_dot: np.ndarray) -> np.ndarray:
 
 
 def pointwise_draw(rng, channels_inner: bool):
-    """An input and weights with signed zeros, groups and a stride for
-    `pointwise_conv`. With `channels_inner` one image on a 1×1 to 3×3 output
-    grid at stride 2 has fewer pixels than a group has outputs (up to 24), so
-    the kernel's loop, where its einsum is not exact, runs along the outputs
-    of a group; otherwise the pixels, at batch 1–3, are the longer axis."""
+    """An input and C-ordered weights with signed zeros, groups and a stride
+    for `pointwise_conv`. With `channels_inner` one image on a 1×1 to 3×3
+    output grid at stride 2 has fewer pixels than a group has outputs (up
+    to 24); otherwise the pixels, at batch 1–3, are the longer axis. Either
+    way the kernel runs the pixels innermost, unless a group has one input,
+    which makes the weights Fortran-ordered too."""
     groups, cig = int(rng.integers(1, 4)), int(rng.integers(1, 7))
     if channels_inner:
         nb, stride = 1, 2
@@ -147,9 +148,9 @@ def resize_draw(rng):
 def fc_draw(rng):
     """A 1×1 input, weights, groups, a stride of 1 and, on half the draws, a
     bias, all with signed zeros, for `pointwise_conv` as a fully connected
-    layer at batch 2–9 with up to 300 outputs per group, so that N·C_out/G
-    lands on both sides of `tensorops.LINEAR_FEATURE_LOOP` and either of
-    its 1×1 loops runs."""
+    layer at batch 2–9 with up to 300 outputs per group. The weights are
+    C-ordered, so the kernel runs the batch's pixels innermost wherever a
+    group has two or more inputs."""
     nb, groups = int(rng.integers(2, 10)), int(rng.choice([1, 2, 4]))
     fig, fog = int(rng.integers(1, 25)), int(rng.integers(1, 301))
     x = signed_zeros(rng, rng.standard_normal((nb, groups * fig, 1, 1)))
@@ -163,8 +164,8 @@ def fc_layer_draw(rng, one_output: bool):
     a 1×1 input, Fortran-ordered weights, 1, 2 or 4 groups of 1–300 inputs
     and, with `one_output`, one output each, otherwise 2–300, a stride of 1
     and, on half the draws, a bias, all with signed zeros. Two or more
-    outputs per group run `pointwise_conv`'s outputs-inner einsum where the
-    build's einsum is exact; one runs its accumulate loop."""
+    outputs per group run `pointwise_conv` with the outputs innermost; one
+    runs it with its one pixel innermost, in the loop."""
     groups, fig = int(rng.choice([1, 2, 4])), int(rng.integers(1, 301))
     fog = 1 if one_output else int(rng.integers(2, 301))
     x = signed_zeros(rng, rng.standard_normal((1, groups * fig, 1, 1)))
@@ -178,8 +179,8 @@ def short_draw(rng):
     draws, a bias, all with signed zeros, for `pointwise_conv` on short rows
     of pixels: 1–2 images with 1–9 px sides at stride 1 or 2, P output
     pixels in all, 1, 2 or 4 groups of 1–12 inputs and 2·P to 300 outputs
-    each, where the kernel runs its einsum with a group's outputs innermost
-    if the build's einsum is exact."""
+    each, where the kernel runs a group's outputs innermost, in its einsum
+    or in its loop."""
     nb, stride = int(rng.integers(1, 3)), int(rng.integers(1, 3))
     groups, h = int(rng.choice([1, 2, 4])), int(rng.integers(1, 10))
     # at most 150 pixels, so that 2·P outputs per group fit in 300
@@ -258,7 +259,7 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
     each over one phase run per tap. `pointwise.1x1` runs `pointwise_conv`
     as a fully connected layer, on 1×1 images at batch 1–2 with a bias on
     one draw in four, and `pointwise.1x1.batch` on `fc_draw`'s: batches of
-    2–9, on both sides of the shape that picks its 1×1 loop.
+    2–9 with up to 300 outputs per group.
     `pointwise.deep` draws from `deep_draw`: 9–300 inputs per group, so that
     a sum in another order than the oracle's shows. `pointwise.fc` draws
     from `fc_layer_draw`: a network's fully connected layer at batch 1,
@@ -333,9 +334,9 @@ def run_kernels(seed: int = 0, draws: int = 10, fault: str | None = None):
         bitwise("pointwise", T.pointwise_conv, orc.oracle_pointwise, xg, wg, groups, stride)
 
         # a fully connected layer: few inputs per group, where the sign of a
-        # zero sum shows, or enough to cross two of the 1x1 loop's blocks
+        # zero sum shows, or 9-136, where a reordered sum shows
         groups = int(rng.choice([1, 2, 4]))
-        fig = int(rng.integers(9, 2 * T.LINEAR_BLOCK + 9) if i % 2 else rng.integers(1, 9))
+        fig = int(rng.integers(9, 137) if i % 2 else rng.integers(1, 9))
         fout = groups * int(rng.integers(1, 5))
         xf = signed_zeros(rng, rng.standard_normal((nb, groups * fig, 1, 1)))
         wf = signed_zeros(rng, rng.standard_normal((fout, fig)))

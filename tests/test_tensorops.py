@@ -170,14 +170,21 @@ def test_kernels_restore_the_ufunc_buffer(monkeypatch, kernel):
 
 
 def test_pointwise_draws_cover_both_orientations():
-    # verify's pointwise draws run the kernel along the pixels and along the
-    # outputs of a group
+    # verify's pointwise draws run the kernel with the pixels and with a
+    # group's outputs innermost, each at one pixel and at several; weights
+    # that are not Fortran-ordered run the pixels innermost
     rng = np.random.default_rng(0)
-    for channels_inner in (True, False):
-        for _ in range(20):
-            x, w, groups, stride = verify.pointwise_draw(rng, channels_inner)
-            npix = x.shape[0] * T.ceil_div(x.shape[2], stride) * T.ceil_div(x.shape[3], stride)
-            assert (npix < w.shape[0] // groups) == channels_inner
+    draws = [verify.pointwise_draw(rng, inner) + (None,) for inner in (True, False) * 10]
+    draws += [verify.fc_draw(rng) for _ in range(10)] + [verify.deep_draw(rng) for _ in range(10)]
+    draws += [verify.fc_layer_draw(rng, one) for one in (True, False) * 5]
+    draws += [verify.short_draw(rng) for _ in range(10)]
+    seen = set()
+    for x, w, groups, stride, _ in draws:
+        npix = x.shape[0] * T.ceil_div(x.shape[2], stride) * T.ceil_div(x.shape[3], stride)
+        inner = T.outputs_inner(npix, w.shape[0] // groups, w.flags.f_contiguous)
+        assert w.flags.f_contiguous or not inner
+        seen.add((inner, npix >= 2))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_conv2d_shape_and_delta(rng):
@@ -284,40 +291,51 @@ def test_linear_groups_and_bias(rng):
     assert np.allclose(y[:, 2:], x2[:, 2:] @ wg[2:].T, atol=1e-12)
 
 
-def test_pointwise_1x1_branches_keep_the_oracle_order(monkeypatch):
-    # on a 1x1 image, N >= 2 runs the einsum where the build's is exact;
-    # where it is not, N >= 2 with N*C_out/G >= LINEAR_FEATURE_LOOP runs the
-    # outer-product loop (under _small_buffer). Every other shape runs
-    # np.add.accumulate. All give the oracle's bytes, signed zeros and a
-    # bias included, and a fully connected layer's C_in crosses LINEAR_BLOCK
+def test_pointwise_runs_one_rule_and_two_executors(monkeypatch):
+    # a group's outputs run innermost iff the weights are Fortran-ordered
+    # and C_out/G >= 2*P; the einsum runs iff the build's einsum is exact
+    # and the outputs are inner or P >= 2, and the loop (under
+    # _small_buffer) runs otherwise. All give the oracle's bytes, signed
+    # zeros and a bias included
     ran = []
 
     def noting(kind, real):
         def run(*args, **kwargs):
-            ran.append(kind)
+            ran.append(args[0] if kind == "einsum" else kind)
             return real(*args, **kwargs)
         return run
 
     monkeypatch.setattr(T, "_small_buffer", noting("loop", T._small_buffer))
     monkeypatch.setattr(np, "einsum", noting("einsum", np.einsum))
     rng = np.random.default_rng(8)
-    loop = T.LINEAR_FEATURE_LOOP
+    seen = set()
     for exact in sorted({T.EINSUM_EXACT, False}):
         monkeypatch.setattr(T, "EINSUM_EXACT", exact)
-        for nb, fin, fout, groups, outer in (
-                (1, 24, 2 * loop, 1, False), (2, 12, loop, 2, True), (2, 12, loop - 4, 4, False),
-                (2, 12, loop, 4, False), (2, 150, loop // 2, 1, True), (3, 150, 341, 1, False),
-                (8, 24, loop // 8, 1, True), (3, 8, 40, 2, False)):
-            want = ["einsum"] if exact and nb >= 2 else ["loop"] if outer else []
+        for (nb, h, w, stride), cin, cout, groups, fortran in (
+                ((1, 1, 1, 1), 24, 48, 1, True), ((1, 1, 1, 1), 24, 48, 1, False),
+                ((1, 1, 1, 1), 12, 4, 4, True), ((2, 1, 1, 1), 150, 300, 1, True),
+                ((3, 1, 1, 1), 150, 341, 1, False), ((1, 7, 7, 1), 16, 232, 2, True),
+                ((1, 7, 7, 1), 16, 232, 4, True), ((2, 5, 5, 2), 8, 40, 2, False),
+                ((1, 3, 3, 2), 9, 64, 1, True)):
+            npix = nb * T.ceil_div(h, stride) * T.ceil_div(w, stride)
+            inner = fortran and cout // groups >= 2 * npix
+            assert T.outputs_inner(npix, cout // groups, fortran) == inner
+            seen.add((inner, npix >= 2))
+            want = ["loop"]
+            if exact and (inner or npix >= 2):
+                want = ["gip,gio->gpo" if inner else "goi,gip->gop"]
             for dtype in (np.float64, np.float32):
-                x, w, b = (verify.signed_zeros(rng, rng.standard_normal(shape)).astype(dtype)
-                           for shape in ((nb, fin, 1, 1), (fout, fin // groups), fout))
+                x, wts, b = (verify.signed_zeros(rng, rng.standard_normal(shape)).astype(dtype)
+                             for shape in ((nb, cin, h, w), (cout, cin // groups), cout))
+                if fortran:
+                    wts = np.asfortranarray(wts)
                 for bias in (None, b):
-                    ref, _ = orc.oracle_pointwise(x, w, groups, 1, bias)
+                    ref, _ = orc.oracle_pointwise(x, wts, groups, stride, bias)
                     ran.clear()
-                    got = T.pointwise_conv(x, w, groups, bias=bias)
-                    assert got.dtype == dtype and got.tobytes() == ref.tobytes(), (nb, fout, groups)
-                    assert ran == want, (exact, nb, fout, groups)
+                    got = T.pointwise_conv(x, wts, groups, stride, bias)
+                    assert got.dtype == dtype and got.tobytes() == ref.tobytes(), (npix, cout)
+                    assert ran == want, (exact, npix, cout, groups, fortran)
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def _fake_einsum(total, outputs_inner=None, pixels=lambda npix: True):
@@ -381,10 +399,10 @@ def test_einsum_probe_fails_a_fused_or_reordered_sum():
 
 
 def test_pointwise_fallback_keeps_the_oracle_bytes(monkeypatch):
-    # where the probe fails, every shape runs the loops in the oracle's
-    # order: verify's draws along the pixels and along the outputs of a
-    # group, fully connected layers at batch 1-9, Fortran-ordered at batch
-    # 1 too, and 9-300 inputs per group
+    # where the probe fails, every shape runs the loop in the oracle's
+    # order: verify's draws, fully connected layers at batch 1-9,
+    # Fortran-ordered at batch 1 too, 9-300 inputs per group, and short
+    # pixel rows with the outputs inner, as a network's 7x7 layers run
     monkeypatch.setattr(T, "EINSUM_EXACT", False)
     rng = np.random.default_rng(9)
     draws = [verify.pointwise_draw(rng, inner) + (None,) for inner in (True, False) * 3]
@@ -392,24 +410,16 @@ def test_pointwise_fallback_keeps_the_oracle_bytes(monkeypatch):
     draws += [verify.fc_layer_draw(rng, one) for one in (True, False, False)]
     x = verify.signed_zeros(rng, rng.standard_normal((1, 12, 1, 1)))
     draws.append((x, rng.standard_normal((6, 6)), 2, 1, rng.standard_normal(6)))
-    for x, w, groups, stride, bias in draws:
+    short = [verify.short_draw(rng) for _ in range(6)]
+    assert any(x.shape[0] * T.ceil_div(x.shape[2], s) * T.ceil_div(x.shape[3], s) >= 2
+               for x, _, _, s, _ in short)
+    for x, w, groups, stride, bias in draws + short:
         for dtype in (np.float64, np.float32):
             args = [a.astype(dtype) if isinstance(a, np.ndarray) else a
                     for a in (x, w, groups, stride, bias)]
             ref, _ = orc.oracle_pointwise(*args)
             got = T.pointwise_conv(*args)
             assert got.dtype == dtype and got.tobytes() == ref.tobytes(), (x.shape, w.shape, groups)
-
-
-def test_1x1_draws_cover_both_branches():
-    # verify's batched 1x1 draws run both of pointwise_conv's 1x1 loops
-    rng = np.random.default_rng(0)
-    sides = set()
-    for _ in range(40):
-        x, w, groups, _, _ = verify.fc_draw(rng)
-        assert x.shape[0] >= 2 and x.shape[2:] == (1, 1)
-        sides.add(x.shape[0] * w.shape[0] // groups >= T.LINEAR_FEATURE_LOOP)
-    assert sides == {False, True}
 
 
 def test_resize_matrix_rows_sum_to_one():
