@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import dimops
 from . import tensorops as T
 from .tensorops import KernelError
 
@@ -185,13 +186,15 @@ def _bank_grad(x, taps, dy, stride: int = 1, need_taps: bool = True):
     return dx, dt
 
 
-# (to, back): the axes that index x and dy as _bank_grad wants them, and
-# the axes that take dx back to (N, C, H, W). A depthwise conv is a bank
-# convolution over (C, H, W, N), DimConv's width branch one over
-# (W, C, H, N), its height branch one over (H, C, W, N).
-_DEPTH = ((1, 2, 3, 0), (3, 0, 1, 2))
-_WIDTH = ((3, 1, 2, 0), (3, 1, 2, 0))
-_HEIGHT = ((2, 1, 3, 0), (3, 1, 0, 2))
+def _branch_axes(axes):
+    """(to, back): a `dimops.BRANCH_AXES` view with the batch moved last, as
+    _bank_grad wants x and dy, and the axes that take dx back to (N, C, H, W)."""
+    to = axes[1:] + axes[:1]
+    return to, tuple(to.index(a) for a in range(4))
+
+
+# a depthwise conv is DimConv's depth branch
+_DEPTH, _WIDTH, _HEIGHT = map(_branch_axes, dimops.BRANCH_AXES)
 
 
 def _branch_grad(axes, x, taps, dy, stride: int = 1, need_taps: bool = True):

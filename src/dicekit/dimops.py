@@ -1,6 +1,7 @@
 """Dimension-wise convolution (DimConv): the three-branch reference, its
-fused single-pass variant, and the closed-form costs of DimConv and of the
-fusion stage (DimFuse), which `netbuilder.DiceUnit` runs."""
+fused variant (three depthwise sweeps into one interleaved result), and the
+closed-form costs of DimConv and of the fusion stage (DimFuse), which
+`netbuilder.DiceUnit` runs."""
 
 from __future__ import annotations
 
@@ -57,6 +58,12 @@ class DimConvParams:
         )
 
 
+# the axes that view x as each branch's (N, channels, plane) input: the depth
+# branch is a depthwise conv over (N, C, H, W), the width branch one over
+# (N, W, C, H), the height branch one over (N, H, C, W)
+BRANCH_AXES = ((0, 1, 2, 3), (0, 3, 1, 2), (0, 2, 1, 3))
+
+
 def _check_nominal(x, p: DimConvParams):
     nb, c, h, w = x.shape
     if p.k_d.count != c:
@@ -86,58 +93,22 @@ def dimconv_unfused(x: np.ndarray, p: DimConvParams) -> np.ndarray:
 
 
 def dimconv_fused(x: np.ndarray, p: DimConvParams) -> np.ndarray:
-    """Fused variant: one padded buffer serves all three branches, and each
-    channel block is swept once per branch while it is in cache.
-    Bit-identical to the unfused reference (same per-element accumulation
-    order).
-
-    The buffer is `tensorops.tap_runs`, so each tap of each branch is one
-    contiguous run per channel: the depth branch is `depthwise_conv`'s tap
-    loop, the width and height branches read channel c + i at a column or
-    row offset, times per-position weights built once per call. The blocks
-    are `tensorops.channel_blocks`', so a block's runs stay in cache for all
-    n*n taps of a branch; sweeping one branch at a time is faster at 28x28
-    than adding all three per tap, and no slower at the other shapes of the
-    shipped networks. The loops run with numpy's ufunc buffer at 16
-    elements, as in `tensorops.pointwise_conv`. Every real output still
-    starts at 0.0 and adds the same products in the same tap order, so no
-    byte changes."""
+    """Fused variant: each branch is `tensorops.depthwise_conv`'s tap loop
+    over x viewed with that branch's `BRANCH_AXES`, and writes its third of
+    the interleaved result in place, through the same view of it. No branch
+    array is allocated and there is no interleave pass. Each output starts
+    at 0.0 and adds its products in row-major tap order, as the unfused
+    reference and the oracle do, so the bytes are theirs."""
     return T._image_blocks(_dimconv_fused, x, p)
 
 
 def _dimconv_fused(x, p, out=None):
     _check_nominal(x, p)
     nb, c, h, w = x.shape
-    n = p.n
-    pd = (n - 1) // 2
-    xf, start, wp = T.tap_runs(x, pd, n)
-    run = h * wp * nb
-    kd = p.k_d.taps.astype(np.float64, copy=False)
-    # the width and height branches' weight at each position of a run, (n, n, run)
-    kw = np.zeros((n, n, 1, wp, 1))
-    kw[:, :, 0, :w, 0] = p.k_w.taps.transpose(1, 2, 0)
-    kw = np.broadcast_to(kw, (n, n, h, wp, nb)).reshape(n, n, run)
-    kh = p.k_h.taps.astype(np.float64, copy=False).transpose(1, 2, 0)[:, :, :, None, None]
-    kh = np.broadcast_to(kh, (n, n, h, wp, nb)).reshape(n, n, run)
     res = T._output(out, (nb, 3 * c, h, w), x.dtype)
-    out_v = res.transpose(1, 2, 3, 0)
-    taps = [(i, j) for i in range(n) for j in range(n)]
-
-    def sweep(c0, c1, k):
-        """Branch k of output channels c0..c1: the depth branch reads channel c
-        at tap (i, j)'s run, width c + i at (j, pd)'s, height c + i at (pd, j)'s."""
-        if k == 0:
-            terms = ((kd[c0:c1, i, j, None], pd + c0, start[i][j]) for i, j in taps)
-        elif k == 1:
-            terms = ((kw[i, j], c0 + i, start[j][pd]) for i, j in taps)
-        else:
-            terms = ((kh[i, j], c0 + i, start[pd][j]) for i, j in taps)
-        return T._tap_sum(xf, c1 - c0, run, terms).reshape(c1 - c0, h, wp, nb)[:, :, :w]
-
-    with T._small_buffer():
-        for c0, c1 in T.channel_blocks(c, run):
-            for k in range(3):
-                out_v[3 * c0 + k:3 * c1:3] = sweep(c0, c1, k)
+    for k, (axes, bank) in enumerate(zip(BRANCH_AXES, (p.k_d, p.k_w, p.k_h))):
+        third = res[:, k::3].transpose(axes)
+        T._depthwise_conv(x.transpose(axes), bank, 1, out=lambda shape, dtype: third)
     return res
 
 

@@ -158,39 +158,31 @@ def _phase(size: int, p: int, s: int, a: int, q: int):
     return slice(y0, y0 + s * k, s), slice(r0, r0 + k)
 
 
-def tap_runs(x: np.ndarray, pc: int, n: int, stride: int = 1):
+def tap_runs(x: np.ndarray, n: int, stride: int = 1):
     """(xf, start, Wq): x zero-padded for an n x n window at stride s, 'same'
-    grid, and by pc channels on each side, in float64, one row per channel.
+    grid, in float64, one row per channel.
 
     The padded grid is split into s*s phases, (a, b) holding padded rows a,
-    a + s, ... and columns b, b + s, ...: (C + 2pc, s, s, Hq, Wq, N), batch
-    last, with Wq = Wo + (n - 1) // s and Hq = Ho + (n - 1) // s + 1. Tap
-    (i, j) reads phase (i mod s, j mod s) at offset (i div s, j div s): the
-    run of L = Ho*Wq*N values from start[i][j] holds, at (r*Wq + col)*N + b,
-    the pixel output (r, col) of image b meets at that tap. Columns Wo..Wq-1
-    are junk and are dropped; only they reach a phase's spare last row. At
-    stride 1 there is one phase, and Wq = W + n - 1."""
+    a + s, ... and columns b, b + s, ...: (C, s, s, Hq, Wq, N), batch last,
+    with Wq = Wo + (n - 1) // s and Hq = Ho + (n - 1) // s + 1. Tap (i, j)
+    reads phase (i mod s, j mod s) at offset (i div s, j div s): the run of
+    L = Ho*Wq*N values from start[i][j] holds, at (r*Wq + col)*N + b, the
+    pixel output (r, col) of image b meets at that tap. Columns Wo..Wq-1 are
+    junk and are dropped; only they reach a phase's spare last row. At
+    stride 1 there is one phase, and Wq = W + n - 1. x may be any strided
+    view, such as one of DimConv's `dimops.BRANCH_AXES`."""
     nb, c, h, w = x.shape
     s, p = stride, (n - 1) // 2
     hq, wq = ceil_div(h, s) + (n - 1) // s + 1, ceil_div(w, s) + (n - 1) // s
-    xp = np.zeros((c + 2 * pc, s, s, hq, wq, nb))
+    xp = np.zeros((c, s, s, hq, wq, nb))
     xt = x.transpose(1, 2, 3, 0)
     for a in range(s):
         for b in range(s):
             (ys, rs), (xs, cs) = _phase(h, p, s, a, hq), _phase(w, p, s, b, wq)
-            xp[pc:pc + c, a, b, rs, cs] = xt[:, ys, xs]
+            xp[:, a, b, rs, cs] = xt[:, ys, xs]
     start = [[((((i % s) * s + j % s) * hq + i // s) * wq + j // s) * nb for j in range(n)]
              for i in range(n)]
-    return xp.reshape(c + 2 * pc, -1), start, wq
-
-
-def _tap_sum(xf: np.ndarray, rows: int, run: int, terms) -> np.ndarray:
-    """0.0 plus wt * xf[ch:ch + rows, s:s + run] for each (wt, ch, s) of
-    `terms`, in order: a (rows, run) float64 array."""
-    acc = np.zeros((rows, run))
-    for wt, ch, s in terms:
-        acc += wt * xf[ch:ch + rows, s:s + run]
-    return acc
+    return xp.reshape(c, -1), start, wq
 
 
 @contextlib.contextmanager
@@ -239,15 +231,17 @@ def _depthwise_conv(x, bank, stride, out=None):
         raise KernelError(f"stride must be >= 1, got {stride}")
     n = bank.n
     taps = bank.taps.astype(np.float64, copy=False)
-    xf, start, wq = tap_runs(x, 0, n, stride)
+    xf, start, wq = tap_runs(x, n, stride)
     ho, wo = ceil_div(h, stride), ceil_div(w, stride)
     run = ho * wq * nb
     res = _output(out, (nb, c, ho, wo), x.dtype)
     out_v = res.transpose(1, 2, 3, 0)
     with _small_buffer():
         for c0, c1 in channel_blocks(c, run):
-            acc = _tap_sum(xf, c1 - c0, run, ((taps[c0:c1, i, j, None], c0, start[i][j])
-                                              for i in range(n) for j in range(n)))
+            acc = np.zeros((c1 - c0, run))
+            for i in range(n):
+                for j in range(n):
+                    acc += taps[c0:c1, i, j, None] * xf[c0:c1, start[i][j]:start[i][j] + run]
             out_v[c0:c1] = acc.reshape(c1 - c0, ho, wq, nb)[:, :, :wo]
     return res
 

@@ -48,6 +48,25 @@ def test_fused_equals_unfused_bitwise(rng):
         np.testing.assert_array_equal(dimconv_fused(x, p), dimconv_unfused(x, p))
 
 
+# (batch, channels, height, width): the DimConv shapes the benchmark's
+# workloads run, s1.0's stages at batch 1 and 8 and dicenet-micro's at 64;
+# at the shipped BLOCK_BYTES most of them span several image blocks
+WORKLOAD_SHAPES = [(nb, c, hw, hw) for nb in (1, 8)
+                   for c, hw in ((24, 28), (58, 28), (116, 14), (232, 7))] \
+    + [(64, 8, 4, 4), (64, 16, 2, 2)]
+
+
+@pytest.mark.parametrize("shape", WORKLOAD_SHAPES, ids=str)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_fused_equals_unfused_at_workload_shapes(dtype, shape):
+    rng = np.random.default_rng(23)
+    _, c, h, w = shape
+    x = verify.signed_zeros(rng, rng.standard_normal(shape)).astype(dtype)
+    p = DimConvParams.init(c, h, w, 3, rng, dtype)
+    fused, unfused = dimconv_fused(x, p), dimconv_unfused(x, p)
+    assert fused.dtype == unfused.dtype and fused.tobytes() == unfused.tobytes()
+
+
 def _spy_channel_blocks(monkeypatch):
     """Record the channel blocks of every tap-run sweep."""
     seen = []
@@ -69,13 +88,14 @@ def test_fused_channel_blocks_keep_the_bytes(monkeypatch, dtype):
     for n in (1, 3, 5):
         p = DimConvParams.init(5, 6, 7, n, rng, dtype)
         whole = dimconv_fused(x, p)
-        # two channels of one image per block, whose runs are 6 rows of
-        # 7 + n - 1 columns: each image runs as 2 + 2 + 1
+        # one image per block, swept once per branch; the depth sweep runs
+        # two channels per block, whose runs are 6 rows of 7 + n - 1
+        # columns: each image's depth sweep runs as 2 + 2 + 1
         with monkeypatch.context() as m:
             m.setattr(T, "BLOCK_BYTES", 2 * 8 * 6 * (7 + n - 1))
             seen = _spy_channel_blocks(m)
             blocked = dimconv_fused(x, p)
-        assert seen == [[(0, 2), (2, 4), (4, 5)]] * 2, n
+        assert len(seen) == 3 * 2 and seen[0::3] == [[(0, 2), (2, 4), (4, 5)]] * 2, n
         ref, _ = orc.oracle_dimconv(x, p)
         for out in (blocked, dimconv_unfused(x, p), ref):
             assert out.dtype == whole.dtype and out.tobytes() == whole.tobytes(), n
@@ -105,9 +125,12 @@ def test_tap_runs_match_the_oracle(monkeypatch, dtype, blocked):
                 m.setattr(T, "BLOCK_BYTES", 8 * x.size)
             y_depth = T.depthwise_conv(x, bank)
             y_dim = dimconv_fused(x, p)
-        assert len(seen) == 2
+        # one sweep for depthwise, then DimConv's depth, width and height
+        # sweeps, whose kernel indices are the channels, columns and rows
+        assert len(seen) == 4
         if blocked and n > 1:
-            assert all(len(blocks) > 1 for blocks in seen)
+            assert all(len(blocks) > 1 for blocks, count in zip(seen, (c, c, w, h))
+                       if count >= 2)
         ref, _ = orc.oracle_depthwise(x, bank, 1)
         assert y_depth.dtype == x.dtype and y_depth.tobytes() == ref.tobytes()
         ref, _ = orc.oracle_dimconv(x, p)

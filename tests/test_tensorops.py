@@ -535,7 +535,7 @@ def test_tap_runs_hold_each_taps_pixels(rng):
     # tap meets in the zero-padded input, laid out (C, Ho, Wo, N)
     for nb, c, h, w, n, s in PHASE_CASES + [(2, 3, 4, 5, 3, 1)]:
         x = rng.standard_normal((nb, c, h, w))
-        xf, start, wq = T.tap_runs(x, 0, n, s)
+        xf, start, wq = T.tap_runs(x, n, s)
         ho, wo, p = T.ceil_div(h, s), T.ceil_div(w, s), (n - 1) // 2
         xp = np.pad(x, ((0, 0), (0, 0), (p, p + n), (p, p + n)))
         for i in range(n):
